@@ -37,7 +37,8 @@ from .spectral import (Field, Grid, divergence_and_charges,
                        leray_project, random_band_limited, riesz,
                        scalar_field, solve)
 from .lap import (CutoffSpec, e_delta, lap_blowup_probe, lap_solve, pv_part,
-                  richardson_limit, surface_part, surface_terms)
+                  quadrature_parts, richardson_limit, surface_part,
+                  surface_terms)
 from .region import (LebesguePair, RegionQuery, alpha, annulus_source,
                      eigenvalue_enclosure, gamma, kappa, knapp_source,
                      loglog_fit, membership, norm_scaling_probe,
@@ -60,7 +61,7 @@ __all__ = [
     'fractional_laplacian', 'half_laplacian_resolvent', 'lebesgue_norm',
     'leray_project', 'random_band_limited', 'riesz', 'scalar_field', 'solve',
     'CutoffSpec', 'e_delta', 'lap_blowup_probe', 'lap_solve', 'pv_part',
-    'richardson_limit', 'surface_part', 'surface_terms',
+    'quadrature_parts', 'richardson_limit', 'surface_part', 'surface_terms',
     'LebesguePair', 'RegionQuery', 'alpha', 'annulus_source',
     'eigenvalue_enclosure', 'gamma', 'kappa', 'knapp_source', 'loglog_fit',
     'membership', 'norm_scaling_probe', 'off_sphere_frequency',

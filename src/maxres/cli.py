@@ -234,14 +234,22 @@ def cmd_lap(args, cp):
     cross = _get(cp, 'lap', 'cross_tol', float, default=0.0) \
         if cp.has_section('lap') else 0.0
     out = _outdir(args)
-    kw = dict(method=method)
-    if cross > 0:
-        kw['cross_tol'] = cross
-    u_plus = lap.lap_solve(omega.real, J, mat, sign=+1, **kw)
-    u_minus = lap.lap_solve(omega.real, J, mat, sign=-1, **kw)
+    if method == 'quadrature':
+        # the sign-independent part is computed once for both limits
+        common, surf = lap.quadrature_parts(omega.real, J, mat)
+        u_plus, u_minus = common + surf, common - surf
+        if cross > 0:
+            lap.cross_check(u_plus, omega.real, J, mat, +1, cross)
+            lap.cross_check(u_minus, omega.real, J, mat, -1, cross)
+    else:
+        kw = dict(method=method)
+        if cross > 0:
+            kw['cross_tol'] = cross
+        u_plus = lap.lap_solve(omega.real, J, mat, sign=+1, **kw)
+        u_minus = lap.lap_solve(omega.real, J, mat, sign=-1, **kw)
+        surf = lap.surface_terms(omega.real, J, mat)
     fieldfile.write_field(os.path.join(out, 'fields_plus.mxfd'), u_plus)
     fieldfile.write_field(os.path.join(out, 'fields_minus.mxfd'), u_minus)
-    surf = lap.surface_terms(omega.real, J, mat)
     diff = (u_plus - u_minus) - 2.0 * surf
     denom = max(spectral.lebesgue_norm(u_plus, 2),
                 spectral.lebesgue_norm(u_minus, 2), 1e-300)
@@ -370,19 +378,11 @@ def build_parser():
     ap.add_argument('--out', help='output directory (default: cwd)')
     ap.add_argument('--seed', type=int, default=0,
                     help='RNG seed; fixed seed gives byte-identical output')
-    ap.add_argument('--threads', type=int, default=0,
-                    help='limit BLAS/FFT thread pools (0 = leave alone)')
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads > 0:
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            os.environ['OMP_NUM_THREADS'] = str(args.threads)
     cp = None
     try:
         if args.config is not None:

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MethodsDisagree, QuadratureNotConverged
+from .errors import (DegenerateDirection, MethodsDisagree,
+                     QuadratureNotConverged)
 from .materials import Material3
+from .spectral import TAU
 from . import multiplier, spectral, symbol
-
-TAU = 2.0 * np.pi
-
-_PT_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -64,34 +62,18 @@ class CutoffSpec:
         return self.radial(np.sqrt(np.einsum('...i,...i->...', xi, xi)))
 
 
-def sphere_stretch(qform):
-    """Largest euclidean radius of the unit sphere of the quadratic form,
-    i.e. 1/sqrt(min eigenvalue)."""
-    return 1.0 / np.sqrt(np.linalg.eigvalsh(qform).min())
-
-
 def default_cutoff(grid, omega, mat):
     """Plateau past every characteristic sphere, support inside the
     frequency band of the grid."""
-    stretch = max(sphere_stretch(q)
-                  for _, q in multiplier.singular_weights(omega, np.array(
-                      [[1.0] + [0.5] * (mat.dim - 1)]), mat))
+    # largest euclidean radius of the unit sphere of any flavor norm
+    stretch = max(1.0 / np.sqrt(np.linalg.eigvalsh(q).min())
+                  for q in _singular_qforms(omega, mat))
     r_in = 1.3 * abs(omega) * stretch
     r_out = 0.95 * np.pi * grid.n / grid.length
     if r_in >= r_out:
         raise ValueError("grid band too small for the cutoff plateau: "
                          "r_in=%g >= r_out=%g" % (r_in, r_out))
     return CutoffSpec(r_in, r_out)
-
-
-def apply_cutoff(f, beta, complement=False):
-    """Multiply spectral coefficients by beta(xi) (or 1 - beta)."""
-    grid = f.grid
-    vals = beta(grid.xi_flat())
-    if complement:
-        vals = 1.0 - vals
-    c = f.coeffs().reshape(f.ncomp, -1) * vals
-    return spectral.Field.from_coeffs(grid, c.reshape(f.data.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -152,45 +134,47 @@ def surface_quadrature(radius, qform, n=None):
 # ---------------------------------------------------------------------------
 # semidiscrete transform at off-grid wavevectors
 
-def _phase_factors(grid, xi_pts):
-    """exp(-i x_j . xi_p) as an (npoints, npts) array, built from the
-    tensor structure of the grid.
+# nodes per block: bounds the phase tables (nodes x n^(d-1)) at 32 MiB
+# for a 32^3 grid while keeping the BLAS products large
+_NODE_CHUNK = 2048
+
+
+def _phase_blocks(grid, xi_pts):
+    """Per block of nodes, (slice, E1, KR): E1 = e^{i x_1 xi_1} of shape
+    (nodes, n) and KR the row-wise Khatri-Rao product of e^{i x_a xi_a},
+    a >= 2, of shape (nodes, n^(d-1)).  The grid is a tensor product, so
+    both transform directions are BLAS products with KR and no (grid
+    points x nodes) phase matrix is formed.
 
     Grid coordinates are taken centered in [-L/2, L/2); this halves the
     largest phase gradient and with it the node counts the sphere and
     radial rules need."""
     x = grid.x_axis()
     x = np.where(x >= 0.5 * grid.length, x - grid.length, x)
-    facs = [np.exp(-1j * np.outer(x, xi_pts[:, a])) for a in range(grid.dim)]
-    if grid.dim == 2:
-        E = facs[0][:, None, :] * facs[1][None, :, :]
-    else:
-        E = (facs[0][:, None, None, :] * facs[1][None, :, None, :]
-             * facs[2][None, None, :, :])
-    return E.reshape(grid.npoints, -1)
+    for s in range(0, len(xi_pts), _NODE_CHUNK):
+        pts = xi_pts[s:s + _NODE_CHUNK]
+        tabs = [np.exp(1j * np.outer(pts[:, a], x)) for a in range(grid.dim)]
+        kr = tabs[1]
+        for t in tabs[2:]:
+            kr = (kr[:, :, None] * t[:, None, :]).reshape(len(pts), -1)
+        yield slice(s, s + len(pts)), tabs[0], kr
+
+
+def _forward(f, e1, kr):
+    """(1/N) sum_j f(x_j) e^{-i x_j xi_p} over one block of nodes."""
+    n = f.grid.n
+    g = f.data.reshape(f.ncomp * n, -1) @ kr.conj().T
+    return np.einsum('cjp,pj->cp', g.reshape(f.ncomp, n, -1),
+                     e1.conj()) / f.grid.npoints
 
 
 def offgrid_transform(f, xi_pts):
     """Semidiscrete transform (1/N) sum_j f(x_j) e^{-i x_j xi} at
     arbitrary wavevectors; exact coefficients for band-limited f."""
-    grid = f.grid
-    flat = f.data.reshape(f.ncomp, -1)
     out = np.empty((f.ncomp, len(xi_pts)), dtype=complex)
-    for s in range(0, len(xi_pts), _PT_CHUNK):
-        E = _phase_factors(grid, xi_pts[s:s + _PT_CHUNK])
-        out[:, s:s + E.shape[1]] = flat @ E / grid.npoints
+    for sl, e1, kr in _phase_blocks(f.grid, xi_pts):
+        out[:, sl] = _forward(f, e1, kr)
     return out
-
-
-def synthesize(grid, xi_pts, amps):
-    """Evaluate sum_p amps_p e^{i x_j xi_p} on the grid."""
-    amps = np.atleast_2d(amps)
-    flat = np.zeros((amps.shape[0], grid.npoints), dtype=complex)
-    for s in range(0, len(xi_pts), _PT_CHUNK):
-        E = _phase_factors(grid, xi_pts[s:s + _PT_CHUNK])
-        flat += amps[:, s:s + E.shape[1]] @ np.conj(E).T
-    return spectral.Field(grid, flat.reshape((amps.shape[0],)
-                                             + (grid.n,) * grid.dim))
 
 
 def _apply_offgrid(J, xi_pts, coeffs, weight_fn=None, out_ncomp=None):
@@ -198,30 +182,20 @@ def _apply_offgrid(J, xi_pts, coeffs, weight_fn=None, out_ncomp=None):
     grid = J.grid
     if out_ncomp is None:
         out_ncomp = J.ncomp
-    flat_in = J.data.reshape(J.ncomp, -1)
-    flat_out = np.zeros((out_ncomp, grid.npoints), dtype=complex)
-    for s in range(0, len(xi_pts), _PT_CHUNK):
-        pts = xi_pts[s:s + _PT_CHUNK]
-        E = _phase_factors(grid, pts)
-        vals = flat_in @ E / grid.npoints
-        if weight_fn is None:
-            amps = vals * coeffs[s:s + E.shape[1]]
-        else:
-            W = weight_fn(pts)
-            amps = np.einsum('pij,jp->ip', W, vals) * coeffs[s:s + E.shape[1]]
-        flat_out += amps @ np.conj(E).T
-    return spectral.Field(grid, flat_out.reshape((out_ncomp,)
-                                                 + (grid.n,) * grid.dim))
+    out = np.zeros((out_ncomp * grid.n, grid.npoints // grid.n),
+                   dtype=complex)
+    for sl, e1, kr in _phase_blocks(grid, xi_pts):
+        vals = _forward(J, e1, kr)
+        if weight_fn is not None:
+            vals = np.einsum('pij,jp->ip', weight_fn(xi_pts[sl]), vals)
+        amps = (vals * coeffs[sl])[:, None, :] * e1.T
+        out += amps.reshape(len(out), -1) @ kr
+    return spectral.Field(grid, out.reshape((out_ncomp,)
+                                            + (grid.n,) * grid.dim))
 
 
 # ---------------------------------------------------------------------------
 # radial-singular continuum quadrature
-
-def _flavor_qform(flavor, mat, dim):
-    if flavor == 'euclidean':
-        return np.eye(dim)
-    return spectral._flavor_qform(flavor, mat, dim)
-
 
 def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None):
     """Symmetric-pairing nodes for the principal value at r0 plus plain
@@ -324,7 +298,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
     if beta is None:
         beta = CutoffSpec(0.55 * np.pi * grid.n / grid.length,
                           0.95 * np.pi * grid.n / grid.length)
-    qform = _flavor_qform(flavor, mat, grid.dim)
+    qform = spectral._flavor_qform(flavor, mat, grid.dim)
     if method == 'lattice':
         xi = grid.xi_flat()
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
@@ -342,11 +316,11 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
 
 
 def _pv_once(f, omega, beta, qform, n_sphere, n_radial, weight_fn=None,
-             out_ncomp=None, pairing=True, window=None):
+             pairing=True, window=None):
     r_max = _radial_extent(qform, beta)
     radii, coefs = _radial_nodes(omega, r_max, n_radial, pairing, window)
     pts, cf = _polar_points(radii, coefs, qform, beta, f.grid, n_sphere)
-    return _apply_offgrid(f, pts, cf, weight_fn, out_ncomp)
+    return _apply_offgrid(f, pts, cf, weight_fn)
 
 
 def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
@@ -365,7 +339,7 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
                           0.95 * np.pi * grid.n / grid.length)
     if n_sphere is None:
         n_sphere = 192 if grid.dim == 2 else 16
-    qform = _flavor_qform(flavor, mat, grid.dim)
+    qform = spectral._flavor_qform(flavor, mat, grid.dim)
     out = _pv_once(f, omega, beta, qform, n_sphere, n_radial, pairing=pairing)
     if tol is not None:
         fine = _pv_once(f, omega, beta, qform, 2 * n_sphere, 2 * n_radial,
@@ -391,7 +365,7 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
         beta = CutoffSpec(0.55 * np.pi * grid.n / grid.length,
                           0.95 * np.pi * grid.n / grid.length)
     if quad is None:
-        qform = _flavor_qform(flavor, mat, grid.dim)
+        qform = spectral._flavor_qform(flavor, mat, grid.dim)
         quad = surface_quadrature(omega, qform, n_sphere)
     cf = (sign * 1j * np.pi * (grid.length / TAU) ** grid.dim) \
         * quad.weights.astype(complex) * beta(quad.nodes)
@@ -445,8 +419,7 @@ def _mode_masks(grid, omega, mat, margin):
     xi = grid.xi_flat()
     nz = np.any(xi != 0, axis=-1)
     dist = np.full(grid.npoints, np.inf)
-    probe = np.array([[1.0] + [0.5] * (grid.dim - 1)])
-    for _, qform in multiplier.singular_weights(omega, probe, mat):
+    for qform in _singular_qforms(omega, mat):
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
         dist = np.minimum(dist, np.abs(rho - abs(omega)))
     near = nz & (dist < margin * abs(omega))
@@ -473,6 +446,93 @@ def richardson_limit(values, return_table=False):
     return (T[-1][-1], T) if return_table else T[-1][-1]
 
 
+def _singular_qforms(omega, mat):
+    """Quadratic forms of the characteristic spheres at real omega."""
+    probe = np.array([[1.0] + [0.5] * (mat.dim - 1)])
+    return [q for _, q in multiplier.singular_weights(omega, probe, mat)]
+
+
+def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
+                      with_pv=True):
+    """See quadrature_parts; with_pv=False skips common (None)."""
+    omega = float(omega)
+    if omega == 0:
+        raise ValueError("omega must be nonzero real")
+    if isinstance(mat, Material3) and not mat.is_canonical:
+        canon, Jc, record = symbol.canonicalize(mat, J)
+        return tuple(p if p is None else record.backward_fields(p)
+                     for p in _quadrature_parts(omega, Jc, canon, beta,
+                                                margin, n_sphere, n_radial,
+                                                with_pv))
+    grid = J.grid
+    if n_sphere is None:
+        n_sphere = 160 if grid.dim == 2 else 12
+    if grid.dim == 3 and n_sphere % 2:
+        raise DegenerateDirection(
+            "n_sphere must be even in 3D (got %d): an odd Gauss-Legendre "
+            "order puts a node on the distinguished axis" % n_sphere)
+    if beta is None:
+        beta = default_cutoff(grid, omega, mat)
+    far, near = _mode_masks(grid, omega, mat, margin)
+    ax = _axis_mask(grid, mat)
+    common = None
+    if with_pv:
+        zero = 1.0 / (1j * omega) * np.eye(J.ncomp)
+        common = apply_symbol(J, far & ~ax,
+                              lambda xi: _real_resolvent(omega, xi, mat), zero)
+        if np.any(ax):
+            # near-axis modes bypass the split entirely; off the spheres
+            # the direct inverse is their limiting value
+            common = common + _direct_lattice_solve(omega, J,
+                                                    (far | near) & ax, mat)
+    near = near & ~ax
+    surface = spectral.Field.zeros(grid, J.ncomp)
+    if not np.any(near):
+        return common, surface
+    J_near = _split_field(J, near)
+    if with_pv:
+        common = common + apply_symbol(
+            J_near, near, lambda xi: multiplier.regular_matrix(omega, xi, mat))
+    # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
+    pv_sign = 1j if omega > 0 else -1j
+    for k, qform in enumerate(_singular_qforms(omega, mat)):
+        def wfun(pts, k=k):
+            return multiplier.singular_weights(omega, pts, mat)[k][0]
+        if with_pv:
+            common = common + _pv_once(
+                J_near, abs(omega), beta, qform, n_sphere, n_radial,
+                weight_fn=lambda pts: pv_sign * wfun(pts),
+                window=2.0 * margin * abs(omega))
+        quad = surface_quadrature(abs(omega), qform, n_sphere)
+        cf = (-np.pi * (grid.length / TAU) ** grid.dim) \
+            * quad.weights.astype(complex) * beta(quad.nodes)
+        surface = surface + _apply_offgrid(J_near, quad.nodes, cf,
+                                           weight_fn=wfun)
+    return common, surface
+
+
+def quadrature_parts(omega, J, mat, beta=None, margin=0.35, n_sphere=None,
+                     n_radial=24):
+    """lap_solve's quadrature route for both signs in one pass:
+    (common, surface) with P_(+-)(omega) J = common +- surface, where
+    surface = surface_terms(sign=+1) and common (lattice background and
+    principal values) is shared by both limits."""
+    return _quadrature_parts(omega, J, mat, beta, margin, n_sphere,
+                             n_radial)
+
+
+def cross_check(u, omega, J, mat, sign, cross_tol, delta0=0.1, levels=7):
+    """Raise MethodsDisagree if u is farther than cross_tol (relative L2)
+    from the extrapolated limit P_(sign)(omega) J."""
+    other = lap_solve(omega, J, mat, sign=sign, method='extrapolate',
+                      delta0=delta0, levels=levels)
+    rel = spectral.lebesgue_norm(u - other, 2) \
+        / max(spectral.lebesgue_norm(u, 2), 1e-300)
+    if rel > cross_tol:
+        raise MethodsDisagree(
+            "extrapolate and quadrature differ by %.3e relative" % rel)
+
+
 def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
               margin=0.35, n_sphere=None, n_radial=24, delta0=0.1,
               levels=7, cross_tol=None):
@@ -483,7 +543,8 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
     directly; the remaining near-sphere content is handled by the smooth
     background on the lattice plus, per singular sphere, a continuum
     principal-value integral and the surface term carried by the
-    Sokhotsky weights.
+    Sokhotsky weights (see quadrature_parts).  In 3D n_sphere must be
+    even.
 
     extrapolate: Richardson limit of solve(omega + i*sign*delta_k, J)
     over delta_k = delta0 * 2^(-k), k < levels.
@@ -493,62 +554,17 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
     omega = float(omega)
     if omega == 0:
         raise ValueError("omega must be nonzero real")
-    if isinstance(mat, Material3) and not mat.is_canonical:
-        canon, Jc, record = symbol.canonicalize(mat, J)
-        return record.backward_fields(
-            lap_solve(omega, Jc, canon, sign=sign, method=method, beta=beta,
-                      margin=margin, n_sphere=n_sphere, n_radial=n_radial,
-                      delta0=delta0, levels=levels, cross_tol=cross_tol))
-    grid = J.grid
     if method == 'extrapolate':
         sols = [spectral.solve(omega + 1j * sign * delta0 * 0.5 ** k, J, mat)
                 for k in range(levels)]
-        out = richardson_limit([u.data for u in sols])
-        return spectral.Field(grid, out)
+        return spectral.Field(J.grid, richardson_limit([u.data for u in sols]))
     if method != 'quadrature':
         raise ValueError("method must be 'quadrature' or 'extrapolate'")
-    if beta is None:
-        beta = default_cutoff(grid, omega, mat)
-    if n_sphere is None:
-        n_sphere = 160 if grid.dim == 2 else 12
-    far, near = _mode_masks(grid, omega, mat, margin)
-    ax = _axis_mask(grid, mat)
-    zero = 1.0 / (1j * omega) * np.eye(J.ncomp)
-    u = apply_symbol(J, far & ~ax,
-                     lambda xi: _real_resolvent(omega, xi, mat), zero)
-    if np.any(ax):
-        # near-axis modes bypass the split entirely; off the spheres the
-        # direct inverse is their limiting value
-        u = u + _direct_lattice_solve(omega, J, (far | near) & ax, mat)
-    near = near & ~ax
-    if np.any(near):
-        J_near = _split_field(J, near)
-        u = u + apply_symbol(
-            J_near, near, lambda xi: multiplier.regular_matrix(omega, xi, mat))
-        abs_xi = np.array([[1.0] + [0.5] * (grid.dim - 1)])
-        for k, (_, qform) in enumerate(
-                multiplier.singular_weights(omega, abs_xi, mat)):
-            def wfun(pts, k=k):
-                return multiplier.singular_weights(omega, pts, mat)[k][0]
-            # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
-            pv_sign = 1j if omega > 0 else -1j
-            pv = _pv_once(J_near, abs(omega), beta, qform, n_sphere, n_radial,
-                          weight_fn=lambda pts: pv_sign * wfun(pts),
-                          window=2.0 * margin * abs(omega))
-            quad = surface_quadrature(abs(omega), qform, n_sphere)
-            cf = (-sign * np.pi * (grid.length / TAU) ** grid.dim) \
-                * quad.weights.astype(complex) * beta(quad.nodes)
-            sf = _apply_offgrid(J_near, quad.nodes, cf, weight_fn=wfun)
-            u = u + pv + sf
+    common, surface = _quadrature_parts(omega, J, mat, beta, margin,
+                                        n_sphere, n_radial)
+    u = common + sign * surface
     if cross_tol is not None:
-        other = lap_solve(omega, J, mat, sign=sign, method='extrapolate',
-                          delta0=delta0, levels=levels)
-        diff = spectral.lebesgue_norm(u - other, 2)
-        scale = max(spectral.lebesgue_norm(u, 2), 1e-300)
-        if diff > cross_tol * scale:
-            raise MethodsDisagree(
-                "extrapolate and quadrature differ by %.3e relative"
-                % (diff / scale))
+        cross_check(u, omega, J, mat, sign, cross_tol, delta0, levels)
     return u
 
 
@@ -572,27 +588,10 @@ def apply_symbol(J, mask, symbol_fn, zero_mode=None):
 def surface_terms(omega, J, mat, sign=+1, beta=None, margin=0.35,
                   n_sphere=None):
     """The assembled surface contributions of lap_solve's quadrature
-    route (all characteristic spheres)."""
-    omega = float(omega)
-    grid = J.grid
-    if beta is None:
-        beta = default_cutoff(grid, omega, mat)
-    if n_sphere is None:
-        n_sphere = 160 if grid.dim == 2 else 12
-    _, near = _mode_masks(grid, omega, mat, margin)
-    near = near & ~_axis_mask(grid, mat)
-    J_near = _split_field(J, near)
-    abs_xi = np.array([[1.0] + [0.5] * (grid.dim - 1)])
-    out = spectral.Field.zeros(grid, J.ncomp)
-    for k, (_, qform) in enumerate(
-            multiplier.singular_weights(omega, abs_xi, mat)):
-        def wfun(pts, k=k):
-            return multiplier.singular_weights(omega, pts, mat)[k][0]
-        quad = surface_quadrature(abs(omega), qform, n_sphere)
-        cf = (-sign * np.pi * (grid.length / TAU) ** grid.dim) \
-            * quad.weights.astype(complex) * beta(quad.nodes)
-        out = out + _apply_offgrid(J_near, quad.nodes, cf, weight_fn=wfun)
-    return out
+    route (all characteristic spheres); no principal value is computed."""
+    _, surface = _quadrature_parts(omega, J, mat, beta, margin, n_sphere,
+                                   None, with_pv=False)
+    return sign * surface
 
 
 def lap_blowup_probe(omega, pair, mat, deltas, grid=None, thickness=0.5,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxres import cli, fieldfile
+from maxres import cli, fieldfile, lap
 
 
 def _write(tmp_path, name, text):
@@ -121,6 +121,48 @@ def test_lap_writes_both_signs(tmp_path, capsys):
     assert defect < 1e-8
     for name in ('fields_plus.mxfd', 'fields_minus.mxfd'):
         assert fieldfile.read_field(out / name).data.shape == (3, 32, 32)
+
+
+def test_lap_cross_tol_checks_each_sign(tmp_path):
+    # no two methods agree to 1e-30: the quadrature route still compares
+    # against extrapolation and exits with the disagreement code
+    cfg = _write(tmp_path, 'lap.ini',
+                 LAP_INI + "\n[lap]\nmethod = quadrature\ncross_tol = 1e-30\n")
+    assert cli.main(['lap', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 2
+
+
+def test_lap_noncanonical_material(tmp_path, capsys):
+    # distinguished axis 3 and mu != 1: both quadrature parts go through
+    # canonical form and agree with lap_solve
+    cfg = _write(tmp_path, 'lap.ini', """
+[grid]
+dim = 3
+n = 16
+
+[material]
+eps_axis = 0.5
+eps_perp = 1.4
+axis = 3
+mu = 1.2
+
+[frequency]
+re = 2.9
+
+[source]
+kind = random
+kmax = 8
+""")
+    out = tmp_path / 'lap'
+    assert cli.main(['lap', '--config', cfg, '--out', str(out),
+                     '--seed', '2']) == 0
+    cp = cli.load_config(cfg)
+    grid, mat = cli.parse_grid(cp), cli.parse_material(cp)
+    J = cli.build_source(cp, grid, mat, np.random.default_rng(2))
+    for sign, name in ((+1, 'fields_plus.mxfd'), (-1, 'fields_minus.mxfd')):
+        u = lap.lap_solve(2.9, J, mat, sign=sign)
+        got = fieldfile.read_field(out / name).data
+        assert np.abs(got - u.data).max() < 1e-12 * np.abs(u.data).max()
 
 
 def test_lap_rejects_complex_frequency(tmp_path):

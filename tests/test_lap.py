@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from maxres import lap
+from maxres import multiplier as mp
 from maxres import region as rg
 from maxres import spectral as sp
+from maxres.errors import DegenerateDirection
 from maxres.materials import Material2, Material3
 
 RNG = np.random.default_rng(23)
@@ -61,6 +63,58 @@ def test_offgrid_transform_reproduces_lattice():
     for k, pt in enumerate(xi_pts):
         idx = np.nonzero(np.all(xi == pt, axis=1))[0][0]
         assert abs(amps[0, k] - c[idx]) < 1e-12
+
+
+def dense_offgrid(J, xi_pts, coeffs, weight_fn=None):
+    """Reference for lap's off-grid transforms: the full (grid points x
+    nodes) phase matrix.  Returns (transform, synthesized field data)."""
+    grid = J.grid
+    x = grid.x_flat()
+    x = np.where(x >= 0.5 * grid.length, x - grid.length, x)
+    E = np.exp(-1j * x @ xi_pts.T)
+    vals = J.data.reshape(J.ncomp, -1) @ E / grid.npoints
+    amps = vals if weight_fn is None else np.einsum(
+        'pij,jp->ip', weight_fn(xi_pts), vals)
+    flat = (amps * coeffs) @ np.conj(E).T
+    return vals, flat.reshape((-1,) + (grid.n,) * grid.dim)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize('dim,n,npts', [
+    (2, 16, 300),
+    (3, 8, lap._NODE_CHUNK + 37),     # more than one node block
+    (3, 16, 200),
+])
+def test_offgrid_matches_dense_oracle(dim, n, npts):
+    g = sp.Grid(dim, n)
+    J = sp.random_band_limited(g, 3, RNG)
+    # half the nodes inside the grid's band, half beyond it
+    xi = RNG.uniform(-n, n, (npts, dim))
+    cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
+    A = RNG.standard_normal((dim, 15))
+
+    def weight_fn(pts):             # 3 components in, 5 out
+        return np.exp(1j * pts @ A).reshape(-1, 5, 3)
+
+    vals, plain = dense_offgrid(J, xi, cf)
+    assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
+    assert _rel(lap._apply_offgrid(J, xi, cf).data, plain) < 1e-12
+    _, weighted = dense_offgrid(J, xi, cf, weight_fn)
+    out = lap._apply_offgrid(J, xi, cf, weight_fn=weight_fn, out_ncomp=5)
+    assert _rel(out.data, weighted) < 1e-12
+    if dim == 3:
+        # the 6x6 weights of the 3D quadrature route
+        J6 = sp.random_band_limited(g, 6, RNG)
+
+        def sing_fn(pts):
+            return mp.singular_weights(OMEGA, pts, MAT3)[1][0]
+
+        _, ref = dense_offgrid(J6, xi, cf, sing_fn)
+        assert _rel(lap._apply_offgrid(J6, xi, cf, weight_fn=sing_fn).data,
+                    ref) < 1e-12
 
 
 def test_e_delta_lattice_single_mode():
@@ -180,6 +234,45 @@ def test_difference_identity(mat, grid, ncomp):
     diff = (up - um) - 2.0 * st
     denom = max(sp.lebesgue_norm(up - um, 2), 1e-300)
     assert sp.lebesgue_norm(diff, 2) / denom < 1e-10
+
+
+@pytest.mark.parametrize('mat,grid,ncomp', [
+    (MAT2, sp.Grid(2, 64), 3),
+    (MAT3, sp.Grid(3, 16), 6),
+])
+def test_lap_solve_is_common_plus_minus_surface(mat, grid, ncomp):
+    J = sp.random_band_limited(grid, ncomp, RNG)
+    common, surface = lap.quadrature_parts(OMEGA, J, mat)
+    st = lap.surface_terms(OMEGA, J, mat)
+    assert _rel(surface.data, st.data) < 1e-14
+    for sign in (+1, -1):
+        u = lap.lap_solve(OMEGA, J, mat, sign=sign)
+        assert _rel(u.data, (common + sign * st).data) < 1e-14
+
+
+def test_near_sphere_axis_modes_use_direct_inverse():
+    # 3D modes on the distinguished axis near a sphere skip the split;
+    # the direct 6x6 inverse still solves them exactly
+    g = sp.Grid(3, 16)
+    far, near = lap._mode_masks(g, OMEGA, MAT3, 0.35)
+    sel = near & lap._axis_mask(g, MAT3)
+    assert sel.any()
+    c = np.zeros((6, g.npoints), dtype=complex)
+    c[:, sel] = RNG.standard_normal((6, sel.sum()))
+    J = sp.Field.from_coeffs(g, c.reshape((6,) + (16,) * 3))
+    u = lap.lap_solve(OMEGA, J, MAT3)
+    r = sp.forward_operator(OMEGA, u, MAT3) - J
+    assert sp.lebesgue_norm(r, 2) / sp.lebesgue_norm(J, 2) < 1e-12
+
+
+def test_odd_n_sphere_rejected_in_3d():
+    # an odd Gauss-Legendre order puts a node on the distinguished axis
+    J = sp.random_band_limited(sp.Grid(3, 16), 6, RNG)
+    with pytest.raises(DegenerateDirection, match='n_sphere'):
+        lap.lap_solve(OMEGA, J, MAT3, n_sphere=13)
+    with pytest.raises(DegenerateDirection, match='n_sphere'):
+        lap.surface_terms(OMEGA, J, MAT3, n_sphere=13)
+    lap.surface_terms(OMEGA, J, MAT3, n_sphere=14)      # even orders run
 
 
 def test_lap_solve_negative_omega():
