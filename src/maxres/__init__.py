@@ -7,8 +7,10 @@ The package is organized bottom-up:
   3D partially anisotropic permittivity).
 * :mod:`maxres.symbol`     the first-order symbol, its closed-form
   diagonalization and determinant diagnostics.
-* :mod:`maxres.multiplier` the closed-form inverse symbol (resolvent
-  matrix), its charge part, and its Sokhotsky split at real frequency.
+* :mod:`maxres.multiplier` the closed-form inverse symbol as one term
+  list (frequency-independent weights times scalar resolvents, plus the
+  charge part) and its selections: the resolvent matrix, and the
+  regular background and singular weights at real frequency.
 * :mod:`maxres.spectral`   FFT grids, fields and multiplier operators:
   solve, Riesz transforms, Leray projection, fractional Laplacians.
 * :mod:`maxres.lap`        limiting absorption: principal-value and
@@ -22,15 +24,14 @@ The package is organized bottom-up:
 """
 
 from .errors import (ConfigError, DegenerateDirection, EmptyRegion,
-                     ExponentOrder, FieldFormatError, MaxresError,
-                     MeanNotZero, MethodsDisagree, NonFiniteSymbol,
-                     NotPartiallyAnisotropic, OnSingularSet,
+                     ExponentOrder, FieldFormatError, GridTooCoarse,
+                     MaxresError, MeanNotZero, MethodsDisagree,
+                     NonFiniteSymbol, NotPartiallyAnisotropic, OnSingularSet,
                      QuadratureNotConverged, RealFrequency)
 from .materials import Material2, Material3, material3_from_diag
 from .symbol import (canonicalize, det_diagnostics, eigen_decomposition,
                      symbol_p)
-from .multiplier import (resolvent_matrix, sokhotsky_split, regular_matrix,
-                         singular_weights)
+from .multiplier import resolvent_matrix, regular_matrix, singular_weights
 from .spectral import (Field, Grid, divergence_and_charges,
                        forward_operator, fractional_laplacian,
                        half_laplacian_resolvent, lebesgue_norm,
@@ -50,13 +51,12 @@ __version__ = '0.1.0'
 
 __all__ = [
     'ConfigError', 'DegenerateDirection', 'EmptyRegion', 'ExponentOrder',
-    'FieldFormatError', 'MaxresError', 'MeanNotZero', 'MethodsDisagree',
-    'NonFiniteSymbol', 'NotPartiallyAnisotropic', 'OnSingularSet',
-    'QuadratureNotConverged', 'RealFrequency',
+    'FieldFormatError', 'GridTooCoarse', 'MaxresError', 'MeanNotZero',
+    'MethodsDisagree', 'NonFiniteSymbol', 'NotPartiallyAnisotropic',
+    'OnSingularSet', 'QuadratureNotConverged', 'RealFrequency',
     'Material2', 'Material3', 'material3_from_diag',
     'canonicalize', 'det_diagnostics', 'eigen_decomposition', 'symbol_p',
-    'resolvent_matrix', 'sokhotsky_split', 'regular_matrix',
-    'singular_weights',
+    'resolvent_matrix', 'regular_matrix', 'singular_weights',
     'Field', 'Grid', 'divergence_and_charges', 'forward_operator',
     'fractional_laplacian', 'half_laplacian_resolvent', 'lebesgue_norm',
     'leray_project', 'random_band_limited', 'riesz', 'scalar_field', 'solve',

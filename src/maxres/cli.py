@@ -340,6 +340,8 @@ def cmd_probe(args, cp):
         return EXIT_OK
     if family == 'annulus':
         family = 'radial'
+    if family == 'knapp' and grid.dim != 3:
+        raise ConfigError("probe family knapp needs a 3D grid")
     if family in ('radial', 'knapp'):
         vary = _get(cp, 'probe', 'vary', str, default='dist')
         count = _get(cp, 'probe', 'samples', int, default=6)

@@ -47,6 +47,12 @@ class ExponentOrder(MaxresError):
     """Lebesgue exponents supplied in the wrong order (q <= p)."""
 
 
+class GridTooCoarse(MaxresError, ValueError):
+    """The grid's frequency lattice cannot resolve a requested spectral
+    set: no lattice modes in a source's annulus or cap, or no room for a
+    cutoff plateau inside the grid's band."""
+
+
 class FieldFormatError(MaxresError):
     """Malformed field file."""
 

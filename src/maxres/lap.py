@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDirection, MethodsDisagree,
+from .errors import (DegenerateDirection, GridTooCoarse, MethodsDisagree,
                      QuadratureNotConverged)
 from .materials import Material3
 from .spectral import TAU
@@ -62,17 +62,25 @@ class CutoffSpec:
         return self.radial(np.sqrt(np.einsum('...i,...i->...', xi, xi)))
 
 
+def _band_cutoff(grid):
+    """Default bump of the scalar model operators: plateau to 0.55 and
+    support to 0.95 of the grid's band radius pi n / L."""
+    return CutoffSpec(0.55 * np.pi * grid.n / grid.length,
+                      0.95 * np.pi * grid.n / grid.length)
+
+
 def default_cutoff(grid, omega, mat):
     """Plateau past every characteristic sphere, support inside the
     frequency band of the grid."""
     # largest euclidean radius of the unit sphere of any flavor norm
     stretch = max(1.0 / np.sqrt(np.linalg.eigvalsh(q).min())
-                  for q in _singular_qforms(omega, mat))
+                  for q in multiplier.sphere_qforms(mat))
     r_in = 1.3 * abs(omega) * stretch
-    r_out = 0.95 * np.pi * grid.n / grid.length
+    r_out = _band_cutoff(grid).r_out
     if r_in >= r_out:
-        raise ValueError("grid band too small for the cutoff plateau: "
-                         "r_in=%g >= r_out=%g" % (r_in, r_out))
+        raise GridTooCoarse("grid band too small for the cutoff plateau: "
+                            "r_in=%g >= r_out=%g; increase n"
+                            % (r_in, r_out))
     return CutoffSpec(r_in, r_out)
 
 
@@ -296,8 +304,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
         raise ValueError("need omega > 0 and 0 < delta < 1/2")
     grid = f.grid
     if beta is None:
-        beta = CutoffSpec(0.55 * np.pi * grid.n / grid.length,
-                          0.95 * np.pi * grid.n / grid.length)
+        beta = _band_cutoff(grid)
     qform = spectral._flavor_qform(flavor, mat, grid.dim)
     if method == 'lattice':
         xi = grid.xi_flat()
@@ -335,8 +342,7 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
         raise ValueError("need omega > 0")
     grid = f.grid
     if beta is None:
-        beta = CutoffSpec(0.55 * np.pi * grid.n / grid.length,
-                          0.95 * np.pi * grid.n / grid.length)
+        beta = _band_cutoff(grid)
     if n_sphere is None:
         n_sphere = 192 if grid.dim == 2 else 16
     qform = spectral._flavor_qform(flavor, mat, grid.dim)
@@ -362,8 +368,7 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
         raise ValueError("need omega > 0")
     grid = f.grid
     if beta is None:
-        beta = CutoffSpec(0.55 * np.pi * grid.n / grid.length,
-                          0.95 * np.pi * grid.n / grid.length)
+        beta = _band_cutoff(grid)
     if quad is None:
         qform = spectral._flavor_qform(flavor, mat, grid.dim)
         quad = surface_quadrature(omega, qform, n_sphere)
@@ -376,42 +381,8 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
 # full limiting-absorption solves
 
 def _real_resolvent(omega, xi, mat):
-    """The resolvent matrix at real omega (finite off the spheres).
-
-    The singular scalar is 1/(i(omega - rho)) for omega > 0 and
-    1/(i(omega + rho)) for omega < 0.
-    """
-    s = 1.0 if omega > 0 else -1.0
-    M = multiplier.regular_matrix(omega, xi, mat)
-    for W, qform in multiplier.singular_weights(omega, xi, mat):
-        rho = np.sqrt(np.einsum('...i,ij,...j->...', xi, qform, xi))
-        M = M + W / (1j * (omega - s * rho))[..., None, None]
-    return M
-
-
-def _axis_mask(grid, mat):
-    """3D lattice modes too close to the distinguished axis for the
-    closed-form coefficient matrices."""
-    if mat.dim == 2:
-        return np.zeros(grid.npoints, dtype=bool)
-    xi = grid.xi_flat()
-    n2 = np.einsum('ki,ki->k', xi, xi)
-    s2 = xi[:, 1] ** 2 + xi[:, 2] ** 2
-    return (n2 > 0) & (s2 < symbol.AXIS_GUARD * n2)
-
-
-def _direct_lattice_solve(omega, J, mask, mat):
-    """Invert the full 6x6 (or 3x3) symbol mode by mode; finite at real
-    omega as long as no masked mode sits exactly on a sphere."""
-    grid = J.grid
-    xi = grid.xi_flat()
-    c = J.coeffs().reshape(J.ncomp, -1)
-    out = np.zeros_like(c)
-    idx = np.nonzero(mask & (np.abs(c).sum(axis=0) > 0))[0]
-    if idx.size:
-        p = symbol.symbol_p(omega, xi[idx], mat)
-        out[:, idx] = np.linalg.solve(p, c[:, idx].T[..., None])[..., 0].T
-    return spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
+    """The resolvent matrix at real omega (finite off the spheres)."""
+    return multiplier._term_sum(omega, xi, mat)
 
 
 def _mode_masks(grid, omega, mat, margin):
@@ -419,19 +390,12 @@ def _mode_masks(grid, omega, mat, margin):
     xi = grid.xi_flat()
     nz = np.any(xi != 0, axis=-1)
     dist = np.full(grid.npoints, np.inf)
-    for qform in _singular_qforms(omega, mat):
+    for qform in multiplier.sphere_qforms(mat):
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
         dist = np.minimum(dist, np.abs(rho - abs(omega)))
     near = nz & (dist < margin * abs(omega))
     far = nz & ~near
     return far, near
-
-
-def _split_field(J, mask):
-    c = J.coeffs().reshape(J.ncomp, -1)
-    sel = np.zeros_like(c)
-    sel[:, mask] = c[:, mask]
-    return spectral.Field.from_coeffs(J.grid, sel.reshape(J.data.shape))
 
 
 def richardson_limit(values, return_table=False):
@@ -444,12 +408,6 @@ def richardson_limit(values, return_table=False):
         T.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
                   for i in range(len(prev) - 1)])
     return (T[-1][-1], T) if return_table else T[-1][-1]
-
-
-def _singular_qforms(omega, mat):
-    """Quadratic forms of the characteristic spheres at real omega."""
-    probe = np.array([[1.0] + [0.5] * (mat.dim - 1)])
-    return [q for _, q in multiplier.singular_weights(omega, probe, mat)]
 
 
 def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
@@ -473,29 +431,30 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
             "order puts a node on the distinguished axis" % n_sphere)
     if beta is None:
         beta = default_cutoff(grid, omega, mat)
-    far, near = _mode_masks(grid, omega, mat, margin)
-    ax = _axis_mask(grid, mat)
+    _, near = _mode_masks(grid, omega, mat, margin)
+    c = J.coeffs().reshape(J.ncomp, -1)
     common = None
     if with_pv:
-        zero = 1.0 / (1j * omega) * np.eye(J.ncomp)
-        common = apply_symbol(J, far & ~ax,
-                              lambda xi: _real_resolvent(omega, xi, mat), zero)
-        if np.any(ax):
-            # near-axis modes bypass the split entirely; off the spheres
-            # the direct inverse is their limiting value
-            common = common + _direct_lattice_solve(omega, J,
-                                                    (far | near) & ax, mat)
-    near = near & ~ax
+        # the full real-frequency inverse off the spheres (and at the
+        # zero mode), the smooth background near them; near-axis modes
+        # bypass the split, since off the spheres the direct inverse is
+        # their limiting value
+        out = spectral._solve_coeffs(
+            omega, c, grid, mat, ~near,
+            lambda xi: _real_resolvent(omega, xi, mat))
+        out += spectral._solve_coeffs(
+            omega, c, grid, mat, near,
+            lambda xi: multiplier.regular_matrix(omega, xi, mat))
+        common = spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
+    near &= ~symbol.near_axis(grid.xi_flat())
     surface = spectral.Field.zeros(grid, J.ncomp)
     if not np.any(near):
         return common, surface
-    J_near = _split_field(J, near)
-    if with_pv:
-        common = common + apply_symbol(
-            J_near, near, lambda xi: multiplier.regular_matrix(omega, xi, mat))
+    J_near = spectral.Field.from_coeffs(
+        grid, np.where(near, c, 0).reshape(J.data.shape))
     # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
     pv_sign = 1j if omega > 0 else -1j
-    for k, qform in enumerate(_singular_qforms(omega, mat)):
+    for k, qform in enumerate(multiplier.sphere_qforms(mat)):
         def wfun(pts, k=k):
             return multiplier.singular_weights(omega, pts, mat)[k][0]
         if with_pv:
@@ -568,23 +527,6 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
     return u
 
 
-def apply_symbol(J, mask, symbol_fn, zero_mode=None):
-    """Lattice multiplier restricted to the masked modes."""
-    grid = J.grid
-    xi = grid.xi_flat()
-    c = J.coeffs().reshape(J.ncomp, -1)
-    out = np.zeros_like(c)
-    idx = np.nonzero(mask & (np.abs(c).sum(axis=0) > 0))[0]
-    for s in range(0, idx.size, 1 << 15):
-        sel = idx[s:s + (1 << 15)]
-        M = symbol_fn(xi[sel])
-        out[:, sel] = np.einsum('kij,jk->ik', M, c[:, sel])
-    if zero_mode is not None:
-        z = np.nonzero(~np.any(xi != 0, axis=-1))[0]
-        out[:, z] = np.asarray(zero_mode) @ c[:, z]
-    return spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
-
-
 def surface_terms(omega, J, mat, sign=+1, beta=None, margin=0.35,
                   n_sphere=None):
     """The assembled surface contributions of lap_solve's quadrature
@@ -608,11 +550,8 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid=None, thickness=0.5,
     if grid is None:
         grid = spectral.Grid(2, 64) if mat.dim == 2 else spectral.Grid(3, 32)
     xi = grid.xi_flat()
-    rho = region.characteristic_radii(xi, mat)[flavor_index]
-    sel = np.nonzero((np.abs(rho - abs(omega)) < thickness) & (rho > 0))[0]
-    if sel.size == 0:
-        raise ValueError("annulus contains no lattice modes")
-    order = np.argsort(np.abs(rho[sel] - abs(omega)))
+    sel, rho = region._annulus_modes(xi, omega, mat, thickness, flavor_index)
+    order = np.argsort(np.abs(rho - abs(omega)))
     sel = sel[order[:48]]
     col = region._singular_columns(mat)[flavor_index]
     m, _, _ = symbol.eigen_decomposition(abs(omega), xi[sel], mat)

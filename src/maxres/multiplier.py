@@ -1,27 +1,33 @@
 """Closed-form inverse-symbol (resolvent) matrices.
 
-The inverse of the Maxwell symbol splits as M + M_c where M is a linear
-combination of the scalar resolvents
+The inverse of the Maxwell symbol is one list of terms plus a charge
+part,
 
-    2D:  A = 1/(i(omega - |xi|_w)),          B = 1/(i(omega + |xi|_w))
-    3D:  A, B as above with sqrt(b)|xi|;     C, D with |xi|_e
+    M + M_c = sum_j W_j(xi) s_j(omega, xi) + M_c,
 
-with zero-homogeneous coefficient matrices, and M_c carries the charge
-(non-solenoidal) contribution with a plain 1/(i omega) factor.  The
-coefficient matrices are exposed separately, which is what the
+with the scalar resolvents
+
+    2D:  s = (A, B),  A = 1/(i(omega - |xi|_w)),  B = 1/(i(omega + |xi|_w))
+    3D:  s = (A, B, C, D),  A, B as above with sqrt(b)|xi|; C, D with |xi|_e
+
+zero-homogeneous, frequency-independent coefficient matrices W_j, and
+M_c carrying the charge (non-solenoidal) contribution with a plain
+1/(i omega) factor.  Term pair (2k, 2k+1) is singular on sphere k,
+{ <xi, q_k xi> = omega^2 } with q_k from ``sphere_qforms``; at real
+omega != 0 the singular term is 2k + (omega < 0).  Every evaluator is a
+selection over the list: ``resolvent_matrix`` sums all of it,
+``regular_matrix`` drops the singular terms and ``singular_weights``
+returns their coefficient matrices, which is what the
 limiting-absorption machinery needs: at real omega each singular scalar
 factors into a principal value plus a surface-delta term.
 
 Every evaluator is vectorized over a leading batch of wavevectors.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateDirection, RealFrequency
-from .materials import Material2, Material3
-from .symbol import AXIS_GUARD, norm_eps, norm_eps_prime
+from .errors import RealFrequency
+from .symbol import _check_offaxis, norm_eps, norm_eps_prime
 
 # 3D matrix entries that are identically zero; a sign flip there is
 # unobservable, so fault-injection sampling skips them.
@@ -93,17 +99,6 @@ def m2c_matrix(omega, xi, mat):
     M[..., 1, 1] = e11 * x2p ** 2 - e12 * x1p * x2p
     M *= 1.0 / (1j * omega * mat.mu)
     return M
-
-
-def resolvent_matrix_2d(omega, xi, mat):
-    """Full 2D inverse symbol M(A, B) + M_c at Im(omega) != 0."""
-    if omega.imag == 0:
-        raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
-    xi = np.asarray(xi, dtype=float)
-    A, B = scalar_resolvent_values(omega, xi, mat)
-    WA, WB = _m2_coeffs(xi, mat)
-    return (WA * A[..., None, None] + WB * B[..., None, None]
-            + m2c_matrix(omega, xi, mat))
 
 
 def _m3_coeffs(xi, mat, flip_entry=None):
@@ -217,34 +212,6 @@ def m3c_matrix(omega, xi, mat):
     return M
 
 
-def resolvent_matrix_3d(omega, xi, mat, guard=AXIS_GUARD, flip_entry=None):
-    """Full 3D inverse symbol M(A, B, C, D) + M_c at Im(omega) != 0.
-
-    Raises DegenerateDirection near the distinguished axis, where the
-    caller inverts the 6x6 symbol directly.
-    """
-    if omega.imag == 0:
-        raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
-    if not mat.is_canonical:
-        raise ValueError("resolvent_matrix_3d requires a canonicalized material")
-    xi = np.asarray(xi, dtype=float)
-    n2 = np.einsum('...i,...i->...', xi, xi)
-    if np.any(xi[..., 1] ** 2 + xi[..., 2] ** 2 < guard * n2) or np.any(n2 == 0):
-        raise DegenerateDirection("wavevector on or near the distinguished axis")
-    A, B, C, D = scalar_resolvent_values(omega, xi, mat)
-    WA, WB, WC, WD = _m3_coeffs(xi, mat, flip_entry=flip_entry)
-    M = (WA * A[..., None, None] + WB * B[..., None, None]
-         + WC * C[..., None, None] + WD * D[..., None, None])
-    return M + m3c_matrix(omega, xi, mat)
-
-
-def resolvent_matrix(omega, xi, mat, **kw):
-    """Dimension dispatch for the closed-form inverse symbol."""
-    if mat.dim == 2:
-        return resolvent_matrix_2d(omega, xi, mat)
-    return resolvent_matrix_3d(omega, xi, mat, **kw)
-
-
 def charge_column_2d(omega, xi, mat, J_hat):
     """M_c applied to J, expressed through the charge rho_e = i xi . J_e."""
     xi = np.asarray(xi, dtype=float)
@@ -278,110 +245,64 @@ def charge_column_3d(omega, xi, mat, J_hat):
     return np.concatenate([ecol * fe, xp * fm], axis=-1)
 
 
-@dataclass
-class MultiplierSplit:
-    """Decomposition of the resolvent matrix at real frequency.
-
-    Off the singular sphere the matrix is
-        regular + pv_weight / (i (omega - r))
-    with r the flavor norm of xi.  In the distributional limit the scalar
-    becomes a principal value plus a surface delta, and the matrix is
-        regular + pv_weight (x) pv[1/(i(omega - r))]
-                + surface_weight (x) delta(r - |omega|)
-    where surface_weight already carries the -+ i pi / i factor picked by
-    ``sign``.
-
-    qform is the SPD matrix of the flavor norm: the singular sphere is
-    { <xi, qform xi> = singular_radius^2 }.
-    """
-
-    regular: np.ndarray
-    pv_weight: np.ndarray
-    surface_weight: np.ndarray
-    singular_radius: float
-    qform: np.ndarray
-
-
-def _assemble_split(regular, W, sign, radius, qform):
-    # limit of 1/(i(w +- i d - r)): (1/i) pv - (+-) (1/i) i pi delta
-    surf = W * (-sign * np.pi)
-    return MultiplierSplit(regular=regular, pv_weight=W,
-                           surface_weight=surf,
-                           singular_radius=radius, qform=qform)
-
-
-def sokhotsky_split(omega, xi, mat, sign=+1):
-    """Split the resolvent matrix at real omega per singular sphere.
-
-    ``sign`` +1/-1 selects the limit from above/below the real axis.  For
-    omega > 0 the scalar A (and C in 3D) is singular; for omega < 0 it is
-    B (and D), by the reflection symmetry of the spectrum.  Returns one
-    MultiplierSplit in 2D and a pair (euclidean-sphere split,
-    anisotropic-sphere split) in 3D.
-    """
-    omega = float(omega)
-    if omega == 0:
-        raise ValueError("omega must be nonzero real")
-    xi = np.asarray(xi, dtype=float)
-    radius = abs(omega)
+def sphere_qforms(mat):
+    """Quadratic forms q_k of the characteristic spheres: sphere k is
+    { <xi, q_k xi> = omega^2 }, where term pair (2k, 2k+1) is singular."""
     if mat.dim == 2:
-        A, B = scalar_resolvent_values(omega, xi, mat)
-        WA, WB = _m2_coeffs(xi, mat)
-        Mc = m2c_matrix(omega, xi, mat)
-        if omega > 0:
-            regular = WB * B[..., None, None] + Mc
-            Wsing = WA
-        else:
-            regular = WA * A[..., None, None] + Mc
-            Wsing = WB
-        return _assemble_split(regular, Wsing, sign, radius, mat.qform)
-    A, B, C, D = scalar_resolvent_values(omega, xi, mat)
-    WA, WB, WC, WD = _m3_coeffs(xi, mat)
-    Mc = m3c_matrix(omega, xi, mat)
-    terms = {'A': WA * A[..., None, None], 'B': WB * B[..., None, None],
-             'C': WC * C[..., None, None], 'D': WD * D[..., None, None]}
-    sing_euc, sing_ani = ('A', 'C') if omega > 0 else ('B', 'D')
-    W_euc = WA if omega > 0 else WB
-    W_ani = WC if omega > 0 else WD
-    q_euc = mat.b * np.eye(3)        # sqrt(b)|xi| sphere
-    q_ani = mat.qform                # |xi|_e sphere
-    reg_euc = sum(v for k, v in terms.items() if k != sing_euc) + Mc
-    reg_ani = sum(v for k, v in terms.items() if k != sing_ani) + Mc
-    return (_assemble_split(reg_euc, W_euc, sign, radius, q_euc),
-            _assemble_split(reg_ani, W_ani, sign, radius, q_ani))
+        return [mat.qform]
+    return [mat.b * np.eye(3), mat.qform]
+
+
+def _coeffs(xi, mat, flip_entry=None):
+    """The coefficient matrices (W_0, W_1, ...) of the term list."""
+    if mat.dim == 2:
+        return _m2_coeffs(xi, mat)
+    return _m3_coeffs(xi, mat, flip_entry=flip_entry)
+
+
+def _singular_terms(omega, mat):
+    """Indices 2k + (omega < 0) of the terms singular at real omega; one
+    sphere in 2D, two in 3D."""
+    return range(int(omega < 0), 2 * (mat.dim - 1), 2)
+
+
+def _term_sum(omega, xi, mat, skip=(), flip_entry=None):
+    """sum_j W_j s_j over the terms j not in ``skip``, plus M_c."""
+    xi = np.asarray(xi, dtype=float)
+    W = _coeffs(xi, mat, flip_entry)
+    s = scalar_resolvent_values(omega, xi, mat)
+    charge = m2c_matrix if mat.dim == 2 else m3c_matrix
+    return sum(W[j] * s[j][..., None, None]
+               for j in range(len(W)) if j not in skip) \
+        + charge(omega, xi, mat)
+
+
+def resolvent_matrix(omega, xi, mat, flip_entry=None):
+    """Full inverse symbol M + M_c at Im(omega) != 0.
+
+    Raises DegenerateDirection at xi = 0 and near the 3D distinguished
+    axis, where the caller inverts the symbol directly.  ``flip_entry``
+    is the 3D fault-injection hook of _m3_coeffs.
+    """
+    if omega.imag == 0:
+        raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
+    xi = np.asarray(xi, dtype=float)
+    _check_offaxis(xi)
+    return _term_sum(omega, xi, mat, flip_entry=flip_entry)
 
 
 def regular_matrix(omega, xi, mat):
-    """Resolvent at real omega with every singular scalar removed.
-
-    This is the smooth background shared by both Sokhotsky splits; the
-    singular spheres contribute through the principal-value and surface
-    weights only.
-    """
+    """Resolvent at real omega with every singular term removed: the
+    smooth background, to which the singular spheres add principal-value
+    and surface terms through their singular_weights."""
     omega = float(omega)
-    xi = np.asarray(xi, dtype=float)
-    if mat.dim == 2:
-        A, B = scalar_resolvent_values(omega, xi, mat)
-        WA, WB = _m2_coeffs(xi, mat)
-        Mc = m2c_matrix(omega, xi, mat)
-        if omega > 0:
-            return WB * B[..., None, None] + Mc
-        return WA * A[..., None, None] + Mc
-    A, B, C, D = scalar_resolvent_values(omega, xi, mat)
-    WA, WB, WC, WD = _m3_coeffs(xi, mat)
-    Mc = m3c_matrix(omega, xi, mat)
-    if omega > 0:
-        return WB * B[..., None, None] + WD * D[..., None, None] + Mc
-    return WA * A[..., None, None] + WC * C[..., None, None] + Mc
+    return _term_sum(omega, xi, mat, skip=_singular_terms(omega, mat))
 
 
 def singular_weights(omega, xi, mat):
-    """List of (pv-coefficient matrix, flavor qform) for real omega."""
-    xi = np.asarray(xi, dtype=float)
-    if mat.dim == 2:
-        WA, WB = _m2_coeffs(xi, mat)
-        return [(WA if omega > 0 else WB, mat.qform)]
-    WA, WB, WC, WD = _m3_coeffs(xi, mat)
-    if omega > 0:
-        return [(WA, mat.b * np.eye(3)), (WC, mat.qform)]
-    return [(WB, mat.b * np.eye(3)), (WD, mat.qform)]
+    """[(W_{2k + (omega < 0)}, q_k)] per characteristic sphere k: the
+    coefficient matrix of the term singular at real omega, and the
+    sphere's quadratic form."""
+    W = _coeffs(np.asarray(xi, dtype=float), mat)
+    return [(W[j], q) for j, q in zip(_singular_terms(omega, mat),
+                                      sphere_qforms(mat))]

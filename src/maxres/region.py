@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion, ExponentOrder, OnSingularSet
+from .errors import EmptyRegion, ExponentOrder, GridTooCoarse, OnSingularSet
 from . import spectral, symbol
 
 
@@ -281,6 +281,19 @@ def off_sphere_frequency(grid, mat, near=3.0):
     return float(cand[np.argmax(dist)])
 
 
+def _annulus_modes(xi, omega, mat, thickness, flavor_index):
+    """Indices of the lattice modes whose flavor radius lies within
+    ``thickness`` of |omega|, and those radii.  Modes on the
+    distinguished axis have no closed-form eigenbasis and are left out."""
+    rho = characteristic_radii(xi, mat)[flavor_index]
+    sel = np.nonzero((np.abs(rho - abs(omega)) < thickness) & (rho > 0)
+                     & ~symbol.near_axis(xi))[0]
+    if sel.size == 0:
+        raise GridTooCoarse("annulus contains no lattice modes; "
+                            "increase the thickness")
+    return sel, rho[sel]
+
+
 def annulus_source(grid, omega, mat, thickness=1.0, flavor_index=0,
                    rng=None):
     """Current supported on a thin spectral annulus around the
@@ -291,17 +304,8 @@ def annulus_source(grid, omega, mat, thickness=1.0, flavor_index=0,
     modes the resolvent acts as the scalar 1/(i(omega - rho)).
     """
     xi = grid.xi_flat()
-    rho = characteristic_radii(xi, mat)[flavor_index]
     ncomp = 3 if mat.dim == 2 else 6
-    good = (np.abs(rho - abs(omega)) < thickness) & (rho > 0)
-    if mat.dim == 3:
-        # modes on the distinguished axis have no closed-form eigenbasis
-        n2 = np.einsum('ki,ki->k', xi, xi)
-        good &= xi[:, 1] ** 2 + xi[:, 2] ** 2 >= 1e-6 * n2
-    sel = np.nonzero(good)[0]
-    if sel.size == 0:
-        raise ValueError("annulus contains no lattice modes; "
-                         "increase the thickness")
+    sel, _ = _annulus_modes(xi, omega, mat, thickness, flavor_index)
     col = _singular_columns(mat)[flavor_index]
     m, _, _ = symbol.eigen_decomposition(abs(omega), xi[sel], mat)
     amps = np.ones(sel.size, dtype=complex)
@@ -342,7 +346,7 @@ def knapp_source(grid, omega, mat, theta=None, tau=None):
     window[(n == 0) | (ang > 3 * theta) | (np.abs(rho - lam) > 3 * tau)] = 0.0
     sel = np.nonzero(window > 0)[0]
     if sel.size == 0:
-        raise ValueError("cap contains no lattice modes")
+        raise GridTooCoarse("cap contains no lattice modes")
     m, _, _ = symbol.eigen_decomposition(abs(omega), xi[sel], mat)
     col = _singular_columns(mat)[0]
     c = np.zeros((6, grid.npoints), dtype=complex)

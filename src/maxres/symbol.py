@@ -19,7 +19,7 @@ and matrices come back as (..., m, m).
 import numpy as np
 
 from .errors import DegenerateDirection
-from .materials import Material2, Material3
+from .materials import Material3
 
 # Below this fraction of |xi|^2 in the transverse plane the 3D closed-form
 # eigenbasis is refused and callers invert the 6x6 symbol directly.
@@ -92,16 +92,23 @@ def symbol_p(omega, xi, mat):
     return _symbol_3d(omega, xi, mat)
 
 
-def _check_offaxis(xi, guard):
-    """3D axis guard; returns (|xi|, transverse |.|^2) after validating."""
+def near_axis(xi, guard=AXIS_GUARD):
+    """3D wavevectors too close to the distinguished axis for the
+    closed-form eigenbasis: transverse |.|^2 below guard * |xi|^2.  The
+    zero vector is not near the axis, and no 2D wavevector is."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1] != 3:
+        return np.zeros(xi.shape[:-1], dtype=bool)
     n2 = np.einsum('...i,...i->...', xi, xi)
-    s2 = xi[..., 1] ** 2 + xi[..., 2] ** 2
-    bad = s2 < guard * n2
-    if np.any(bad) or np.any(n2 == 0):
+    return xi[..., 1] ** 2 + xi[..., 2] ** 2 < guard * n2
+
+
+def _check_offaxis(xi, guard=AXIS_GUARD):
+    """Raise DegenerateDirection at xi = 0 or near the 3D axis."""
+    if np.any(near_axis(xi, guard)) or not np.all(np.any(xi, axis=-1)):
         raise DegenerateDirection(
             "wavevector too close to the distinguished axis (or zero); "
             "use direct 6x6 inversion")
-    return np.sqrt(n2), s2
 
 
 def _eigen_2d(omega, xi, mat):

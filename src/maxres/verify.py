@@ -21,7 +21,7 @@ import numpy as np
 
 from .materials import Material2, Material3
 from .multiplier import M3_ZERO_ENTRIES, resolvent_matrix
-from .symbol import eigen_decomposition, symbol_p
+from .symbol import eigen_decomposition, near_axis, symbol_p
 
 # Default materials exercised by both suites.  The first entry of each
 # list is isotropic; the others are genuinely anisotropic.
@@ -141,18 +141,12 @@ def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
             omega = complex(omegas[k])
             xs = xi[sl]
             p = symbol_p(omega, xs, mat)
-            if dim == 2:
-                M = resolvent_matrix(omega, xs, mat)
-            else:
-                n2 = np.einsum('ni,ni->n', xs, xs)
-                off = xs[:, 1] ** 2 + xs[:, 2] ** 2 >= 1e-6 * n2
-                M = np.empty_like(p)
-                if off.any():
-                    M[off] = resolvent_matrix(omega, xs[off], mat,
-                                              flip_entry=flip_entry)
-                if (~off).any():
-                    # near-axis fallback: direct 6x6 inversion
-                    M[~off] = np.linalg.inv(p[~off])
+            axis = near_axis(xs)
+            M = np.empty_like(p)
+            M[~axis] = resolvent_matrix(omega, xs[~axis], mat,
+                                        flip_entry=flip_entry)
+            # near-axis fallback: direct 6x6 inversion
+            M[axis] = np.linalg.inv(p[axis])
             prod = np.einsum('nij,njk->nik', p, M)
             scale = (np.abs(p).max(axis=(1, 2))
                      * np.abs(M).max(axis=(1, 2)) + 1.0)

@@ -231,8 +231,44 @@ def test_probe_blowup_slope(tmp_path, capsys):
     assert len(lines) == 8
 
 
+def test_probe_knapp_needs_3d(tmp_path, capsys):
+    cfg = _write(tmp_path, 'p.ini',
+                 "[grid]\ndim = 2\nn = 16\n"
+                 "[material]\neps11 = 1.0\neps22 = 1.0\n"
+                 "[probe]\nfamily = knapp\n")
+    assert cli.main(['probe', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 1
+    err = capsys.readouterr().err
+    assert err == 'error: probe family knapp needs a 3D grid\n'
+
+
 def test_unknown_source_kind(tmp_path):
     cfg = _write(tmp_path, 'bad.ini',
                  SOLVE_INI.replace('kind = random', 'kind = mystery'))
     assert cli.main(['solve', '--config', cfg,
                      '--out', str(tmp_path / 'o')]) == 1
+
+
+@pytest.mark.parametrize('cmd,text', [
+    # the cutoff plateau past the sphere does not fit in an 8^3 band
+    ('lap', "[grid]\ndim = 3\nn = 8\n"
+            "[material]\neps_axis = 0.5\neps_perp = 1.4\n"
+            "[frequency]\nre = 3.1\n"),
+    # no lattice mode within 0.1 of |omega| = 30 on a 16^2 grid
+    ('solve', "[grid]\ndim = 2\nn = 16\n"
+              "[material]\neps11 = 1.0\neps22 = 1.0\n"
+              "[frequency]\nre = 30.0\nim = 0.5\n"
+              "[source]\nkind = annulus\nthickness = 0.1\n"),
+    # nor near the cap of an 8^3 grid
+    ('solve', "[grid]\ndim = 3\nn = 8\n"
+              "[material]\neps_axis = 1.0\neps_perp = 1.0\n"
+              "[frequency]\nre = 30.0\nim = 0.5\n"
+              "[source]\nkind = knapp\n"),
+])
+def test_unresolvable_spectrum_is_one_line_failure(tmp_path, capsys, cmd,
+                                                   text):
+    cfg = _write(tmp_path, 'job.ini', text)
+    assert cli.main([cmd, '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('GridTooCoarse: ') and err.count('\n') == 1

@@ -5,6 +5,7 @@ from maxres import lap
 from maxres import multiplier as mp
 from maxres import region as rg
 from maxres import spectral as sp
+from maxres import symbol
 from maxres.errors import DegenerateDirection
 from maxres.materials import Material2, Material3
 
@@ -255,7 +256,7 @@ def test_near_sphere_axis_modes_use_direct_inverse():
     # the direct 6x6 inverse still solves them exactly
     g = sp.Grid(3, 16)
     far, near = lap._mode_masks(g, OMEGA, MAT3, 0.35)
-    sel = near & lap._axis_mask(g, MAT3)
+    sel = near & symbol.near_axis(g.xi_flat())
     assert sel.any()
     c = np.zeros((6, g.npoints), dtype=complex)
     c[:, sel] = RNG.standard_normal((6, sel.sum()))
@@ -297,4 +298,20 @@ def test_blowup_probe_slope():
     deltas = [2.0 ** -k for k in range(3, 8)]
     fit, ds, ratios = lap.lap_blowup_probe(
         omega, rg.LebesguePair(0.5, 0.5, 2), mat, deltas, grid=g)
+    assert fit.slope == pytest.approx(-1.0, abs=0.05)
+
+
+def test_blowup_probe_isotropic_3d_skips_axis_modes():
+    # the on-sphere frequency of an isotropic material puts axis modes
+    # such as (3, 0, 0) in the annulus; they have no closed-form
+    # eigenvector and are dropped instead of raising DegenerateDirection
+    g = sp.Grid(3, 16)
+    mat = Material3(1.0, 1.0)
+    omega = rg.on_sphere_frequency(g, mat)
+    xi = g.xi_flat()
+    rho = rg.characteristic_radii(xi, mat)[0]
+    assert (symbol.near_axis(xi) & (np.abs(rho - omega) < 0.5)).any()
+    deltas = [2.0 ** -k for k in range(3, 7)]
+    fit, _, _ = lap.lap_blowup_probe(
+        omega, rg.LebesguePair(0.5, 0.5, 3), mat, deltas, grid=g)
     assert fit.slope == pytest.approx(-1.0, abs=0.05)

@@ -6,9 +6,8 @@ from maxres.materials import Material2, Material3
 from maxres.multiplier import (M3_ZERO_ENTRIES, _m3_coeffs, charge_column_2d,
                                charge_column_3d, m2c_matrix, m3c_matrix,
                                regular_matrix, resolvent_matrix,
-                               scalar_resolvent_values, singular_weights,
-                               sokhotsky_split)
-from maxres.symbol import symbol_p
+                               scalar_resolvent_values, singular_weights)
+from maxres.symbol import AXIS_GUARD, near_axis, symbol_p
 
 RNG = np.random.default_rng(7)
 
@@ -44,6 +43,27 @@ def test_inverse_identity_isotropic_3d():
     p = symbol_p(omega, xi, mat)
     M = resolvent_matrix(omega, xi, mat)
     assert np.abs(np.einsum('nij,njk->nik', p, M) - np.eye(6)).max() < 1e-12
+
+
+@pytest.mark.parametrize('mat', [MAT3, Material3(1.0, 1.0)])
+def test_inverse_identity_just_outside_axis_guard(mat):
+    # s^2 / |xi|^2 in [AXIS_GUARD, 1e-6): production uses the closed form
+    # here, so it must still invert the symbol
+    n = 400
+    ratio = AXIS_GUARD * 10.0 ** RNG.uniform(0.0, 2.0, n)
+    x1 = RNG.normal(0.0, 2.0, n)
+    x1[np.abs(x1) < 1e-3] = 1.0
+    s = np.abs(x1) * np.sqrt(ratio / (1.0 - ratio))
+    phi = RNG.uniform(0.0, 2 * np.pi, n)
+    xi = np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
+    frac = (xi[:, 1] ** 2 + xi[:, 2] ** 2) / np.einsum('ni,ni->n', xi, xi)
+    assert frac.min() >= AXIS_GUARD and frac.max() < 1e-6
+    assert not near_axis(xi).any()
+    for omega in (1.3 + 0.6j, -2.2 + 0.3j):
+        p = symbol_p(omega, xi, mat)
+        M = resolvent_matrix(omega, xi, mat)
+        prod = np.einsum('nij,njk->nik', p, M)
+        assert np.abs(prod - np.eye(6)).max() < 1e-12
 
 
 def test_real_omega_rejected():
@@ -87,19 +107,6 @@ def test_regular_plus_singular_reassembles():
         eye = np.eye(3 if mat.dim == 2 else 6)
         prod = np.einsum('nij,njk->nik', p, total)
         assert np.abs(prod - eye).max() < 1e-9
-
-
-def test_sokhotsky_split_weights():
-    xi = _random_xi(50, 2)
-    for sign in (+1, -1):
-        split = sokhotsky_split(2.0, xi, MAT2, sign=sign)
-        assert split.singular_radius == pytest.approx(2.0)
-        assert np.allclose(split.surface_weight,
-                           split.pv_weight * (-sign * np.pi))
-        assert np.allclose(split.qform, MAT2.qform)
-    e, a = sokhotsky_split(2.0, _random_xi(50, 3), MAT3, sign=+1)
-    assert np.allclose(e.qform, MAT3.b * np.eye(3))
-    assert np.allclose(a.qform, MAT3.qform)
 
 
 def test_negative_omega_singular_flavor():
