@@ -6,11 +6,12 @@ The package is organized bottom-up:
 * :mod:`maxres.materials`  material descriptions (2D SPD permittivity,
   3D partially anisotropic permittivity).
 * :mod:`maxres.symbol`     the first-order symbol, its closed-form
-  diagonalization and determinant diagnostics.
-* :mod:`maxres.multiplier` the closed-form inverse symbol as one term
-  list (frequency-independent weights times scalar resolvents, plus the
-  charge part) and its selections: the resolvent matrix, and the
-  regular background and singular weights at real frequency.
+  diagonalization p = m d m^{-1} and determinant diagnostics.
+* :mod:`maxres.multiplier` the closed-form inverse symbol from that one
+  eigenbasis (rank-one eigenprojectors times scalar resolvents, plus the
+  charge part) as factors (m, d^{-1}, m^{-1}), and the matrices built
+  from them: the resolvent matrix, and the regular background and
+  singular weights at real frequency.
 * :mod:`maxres.spectral`   FFT grids, fields and multiplier operators:
   solve, Riesz transforms, Leray projection, fractional Laplacians.
 * :mod:`maxres.lap`        limiting absorption: principal-value and

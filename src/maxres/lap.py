@@ -381,8 +381,9 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
 # full limiting-absorption solves
 
 def _real_resolvent(omega, xi, mat):
-    """The resolvent matrix at real omega (finite off the spheres)."""
-    return multiplier._term_sum(omega, xi, mat)
+    """The resolvent factors (m, w, m_inv) at real omega (finite off the
+    spheres)."""
+    return multiplier._factors(omega, xi, mat)
 
 
 def _mode_masks(grid, omega, mat, margin):
@@ -444,7 +445,8 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
             lambda xi: _real_resolvent(omega, xi, mat))
         out += spectral._solve_coeffs(
             omega, c, grid, mat, near,
-            lambda xi: multiplier.regular_matrix(omega, xi, mat))
+            lambda xi: multiplier._factors(
+                omega, xi, mat, multiplier._singular_columns(omega, mat)))
         common = spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
     near &= ~symbol.near_axis(grid.xi_flat())
     surface = spectral.Field.zeros(grid, J.ncomp)
@@ -553,8 +555,8 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid=None, thickness=0.5,
     sel, rho = region._annulus_modes(xi, omega, mat, thickness, flavor_index)
     order = np.argsort(np.abs(rho - abs(omega)))
     sel = sel[order[:48]]
-    col = region._singular_columns(mat)[flavor_index]
-    m, _, _ = symbol.eigen_decomposition(abs(omega), xi[sel], mat)
+    col = multiplier._singular_columns(abs(omega), mat)[flavor_index]
+    m = symbol._eigen_basis(xi[sel], mat)[0]
     ncomp = 3 if mat.dim == 2 else 6
     ratios = []
     for delta in deltas:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion, ExponentOrder, GridTooCoarse, OnSingularSet
-from . import spectral, symbol
+from . import multiplier, spectral, symbol
 
 
 @dataclass(frozen=True)
@@ -245,12 +245,6 @@ def loglog_fit(xs, ys):
                      residual=resid, npoints=int(xs.size))
 
 
-def _singular_columns(mat):
-    """Eigenvector columns whose eigenvalue vanishes on the
-    characteristic spheres at positive frequency (0-based)."""
-    return [1] if mat.dim == 2 else [2, 4]
-
-
 def characteristic_radii(xi, mat):
     """Flavor norms whose level-|omega| sets are the singular spheres."""
     if mat.dim == 2:
@@ -306,8 +300,8 @@ def annulus_source(grid, omega, mat, thickness=1.0, flavor_index=0,
     xi = grid.xi_flat()
     ncomp = 3 if mat.dim == 2 else 6
     sel, _ = _annulus_modes(xi, omega, mat, thickness, flavor_index)
-    col = _singular_columns(mat)[flavor_index]
-    m, _, _ = symbol.eigen_decomposition(abs(omega), xi[sel], mat)
+    col = multiplier._singular_columns(abs(omega), mat)[flavor_index]
+    m = symbol._eigen_basis(xi[sel], mat)[0]
     amps = np.ones(sel.size, dtype=complex)
     if rng is not None:
         amps = np.exp(2j * np.pi * rng.random(sel.size))
@@ -347,8 +341,8 @@ def knapp_source(grid, omega, mat, theta=None, tau=None):
     sel = np.nonzero(window > 0)[0]
     if sel.size == 0:
         raise GridTooCoarse("cap contains no lattice modes")
-    m, _, _ = symbol.eigen_decomposition(abs(omega), xi[sel], mat)
-    col = _singular_columns(mat)[0]
+    m = symbol._eigen_basis(xi[sel], mat)[0]
+    col = multiplier._singular_columns(abs(omega), mat)[0]
     c = np.zeros((6, grid.npoints), dtype=complex)
     c[:, sel] = (m[:, :, col] * window[sel, None]).T
     return spectral.Field.from_coeffs(grid, c.reshape((6,) + (grid.n,) * 3))

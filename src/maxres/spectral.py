@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MeanNotZero, NonFiniteSymbol, RealFrequency)
+from .errors import (MeanNotZero, NonFiniteSymbol, OnSingularSet,
+                     RealFrequency)
 from .materials import Material2, Material3
 from . import multiplier, symbol
 
 TAU = 2.0 * np.pi
 
-# lattice chunk size for building dense multiplier matrices
+# lattice chunk size for building multiplier matrices or factors
 _CHUNK = 1 << 15
 
 
@@ -175,17 +176,18 @@ def forward_operator(omega, u, mat):
     return apply_symbol(u, lambda xi: symbol.symbol_p(omega, xi, mat), zero)
 
 
-def _solve_coeffs(omega, c, grid, mat, mask=None, closed=None):
+def _solve_coeffs(omega, c, grid, mat, mask=None, factors=None):
     """Inverse multiplier on flattened coefficients (canonical material).
 
-    Only the modes in ``mask`` (default all) are inverted.  ``closed``
+    Only the modes in ``mask`` (default all) are inverted.  ``factors``
     maps a block of wavevectors off the axis to their closed-form
-    inverse symbols (default: resolvent_matrix); near-axis 3D modes get
-    a direct solve and the zero mode 1/(i omega).
+    inverse-symbol factors (m, w, m_inv) (default: multiplier._factors),
+    applied as m (w * (m_inv c)) without forming a matrix; near-axis 3D
+    modes get a direct solve and the zero mode 1/(i omega).
     """
-    if closed is None:
-        def closed(xi):
-            return multiplier.resolvent_matrix(omega, xi, mat)
+    if factors is None:
+        def factors(xi):
+            return multiplier._factors(omega, xi, mat)
     xi = grid.xi_flat()
     out = np.zeros_like(c)
     nz = np.any(xi != 0, axis=-1)
@@ -196,15 +198,23 @@ def _solve_coeffs(omega, c, grid, mat, mask=None, closed=None):
     idx = np.nonzero(active & nz & ~onaxis)[0]
     for start in range(0, idx.size, _CHUNK):
         sel = idx[start:start + _CHUNK]
-        # M stays alive until the next block's replaces it: freeing it
-        # first lets malloc trim the heap and fault the pages back in on
-        # every block (45k against 10k page faults per 64^3 CLI solve)
-        M = closed(xi[sel])
-        out[:, sel] = np.einsum('kij,jk->ik', M, c[:, sel])
+        m, w, minv = factors(xi[sel])
+        v = w * multiplier._rmatmul(minv, c[:, sel].T[..., None])[..., 0]
+        out[:, sel] = multiplier._rmatmul(m, v[..., None])[..., 0].T
     idx = np.nonzero(onaxis)[0]
     if idx.size:
         p = symbol.symbol_p(omega, xi[idx], mat)
-        out[:, idx] = np.linalg.solve(p, c[:, idx].T[..., None])[..., 0].T
+        try:
+            out[:, idx] = np.linalg.solve(p, c[:, idx].T[..., None])[..., 0].T
+        except np.linalg.LinAlgError:
+            # only at real omega: a near-axis mode on a characteristic
+            # sphere, where the symbol has a zero eigenvalue
+            k = xi[idx[np.argmin(np.abs(np.linalg.det(p)))]]
+            raise OnSingularSet(
+                "omega = %g puts the near-axis lattice mode %s on a "
+                "characteristic sphere, where the symbol is singular"
+                % (omega.real, tuple(int(v) for v in
+                                     np.rint(k * grid.length / TAU))))
     zero = np.nonzero(active & ~nz)[0]
     out[:, zero] = c[:, zero] / (1j * omega)
     return out
@@ -214,8 +224,9 @@ def solve(omega, J, mat):
     """Invert the Maxwell operator: the (D, B) field with P(omega,D)u = J.
 
     Requires Im(omega) != 0.  Lattice modes off the distinguished axis
-    use the closed-form inverse symbol; on-axis 3D modes fall back to a
-    direct 6x6 solve, and the zero mode is (i omega)^{-1} J(0).
+    use the closed-form inverse symbol, applied through its eigenbasis
+    factors; on-axis 3D modes fall back to a direct 6x6 solve, and the
+    zero mode is (i omega)^{-1} J(0).
     Non-canonical 3D materials are routed through canonical form.
     """
     omega = complex(omega)

@@ -6,13 +6,14 @@ Two suites are provided, both vectorized over large random point sets:
   normalization det m = -1, and the constancy of the 3D renormalized
   determinant |det m| / alpha^4 against frozen per-material brackets.
 * :func:`inverse_suite` checks the master identity p (M + M_c) = I for
-  the closed-form inverse, including the isotropic case and the
-  near-axis fallback (direct 6x6 inversion).
+  the closed-form inverse (m d^{-1} m^{-1} through the eigenprojectors
+  of ``multiplier``), including the isotropic case and the near-axis
+  fallback (direct 6x6 inversion).
 
 ``inverse_suite`` accepts a ``flip_entry`` fault-injection hook that
-negates one coefficient-matrix entry in 3D; a single sign error anywhere
-must blow the identity far past tolerance and be reported with a witness
-point.
+negates one entry of the 3D term sum sum_j W_j s_j, leaving the charge
+part M_c as it is; a single sign error anywhere must blow the identity
+far past tolerance and be reported with a witness point.
 """
 
 from dataclasses import dataclass, field

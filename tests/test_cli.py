@@ -272,3 +272,16 @@ def test_unresolvable_spectrum_is_one_line_failure(tmp_path, capsys, cmd,
                      '--out', str(tmp_path / 'o')]) == 1
     err = capsys.readouterr().err
     assert err.startswith('GridTooCoarse: ') and err.count('\n') == 1
+
+
+def test_lap_axis_mode_on_sphere_is_one_line_failure(tmp_path, capsys):
+    # the near-axis mode (3, 0, 0) lies on the sphere of omega = 3
+    cfg = _write(tmp_path, 'job.ini',
+                 "[grid]\ndim = 3\nn = 16\n"
+                 "[material]\neps_axis = 1.0\neps_perp = 1.0\n"
+                 "[frequency]\nre = 3.0\n")
+    assert cli.main(['lap', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('OnSingularSet: ') and err.count('\n') == 1
+    assert '(3, 0, 0)' in err and 'Traceback' not in err

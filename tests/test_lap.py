@@ -6,7 +6,7 @@ from maxres import multiplier as mp
 from maxres import region as rg
 from maxres import spectral as sp
 from maxres import symbol
-from maxres.errors import DegenerateDirection
+from maxres.errors import DegenerateDirection, OnSingularSet
 from maxres.materials import Material2, Material3
 
 RNG = np.random.default_rng(23)
@@ -264,6 +264,15 @@ def test_near_sphere_axis_modes_use_direct_inverse():
     u = lap.lap_solve(OMEGA, J, MAT3)
     r = sp.forward_operator(OMEGA, u, MAT3) - J
     assert sp.lebesgue_norm(r, 2) / sp.lebesgue_norm(J, 2) < 1e-12
+
+
+def test_axis_mode_on_sphere_is_on_singular_set():
+    # isotropic 3D at omega = 3: the near-axis mode (3, 0, 0) lies on
+    # both spheres, where the real-frequency symbol has no inverse
+    g = sp.Grid(3, 16)
+    J = sp.random_band_limited(g, 6, RNG)
+    with pytest.raises(OnSingularSet, match=r'omega = 3 .*\(3, 0, 0\)'):
+        lap.quadrature_parts(3.0, J, Material3(1.0, 1.0))
 
 
 def test_odd_n_sphere_rejected_in_3d():

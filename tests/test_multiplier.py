@@ -3,11 +3,10 @@ import pytest
 
 from maxres.errors import DegenerateDirection, RealFrequency
 from maxres.materials import Material2, Material3
-from maxres.multiplier import (M3_ZERO_ENTRIES, _m3_coeffs, charge_column_2d,
-                               charge_column_3d, m2c_matrix, m3c_matrix,
-                               regular_matrix, resolvent_matrix,
-                               scalar_resolvent_values, singular_weights)
-from maxres.symbol import AXIS_GUARD, near_axis, symbol_p
+from maxres.multiplier import (M3_ZERO_ENTRIES, _factors, charge_column_2d,
+                               charge_column_3d, regular_matrix,
+                               resolvent_matrix, singular_weights)
+from maxres.symbol import AXIS_GUARD, _eigen_basis, near_axis, symbol_p
 
 RNG = np.random.default_rng(7)
 
@@ -23,6 +22,21 @@ def _random_xi(n, dim):
         bad = xi[:, 1] ** 2 + xi[:, 2] ** 2 < 1e-6 * n2
         xi[bad, 1] += 1.0
     return xi
+
+
+def _projectors(xi, mat):
+    """Rank-one eigenprojectors m[:, c] m_inv[c, :], one per column c:
+    the d - 1 charge columns, then the terms W_j."""
+    m, minv, _ = _eigen_basis(xi, mat)
+    return [m[:, :, c, None] * minv[:, None, c, :]
+            for c in range(m.shape[-1])]
+
+
+def _charge_part(omega, xi, mat):
+    """M_c from the factors: the charge columns of (m w) m_inv."""
+    m, w, minv = _factors(omega, xi, mat)
+    c = slice(0, mat.dim - 1)
+    return np.einsum('nic,nc,ncj->nij', m[:, :, c], w[:, c], minv[:, c])
 
 
 @pytest.mark.parametrize('mat', [MAT2, MAT3])
@@ -45,17 +59,21 @@ def test_inverse_identity_isotropic_3d():
     assert np.abs(np.einsum('nij,njk->nik', p, M) - np.eye(6)).max() < 1e-12
 
 
-@pytest.mark.parametrize('mat', [MAT3, Material3(1.0, 1.0)])
-def test_inverse_identity_just_outside_axis_guard(mat):
-    # s^2 / |xi|^2 in [AXIS_GUARD, 1e-6): production uses the closed form
-    # here, so it must still invert the symbol
-    n = 400
+def _guard_band_xi(n):
+    """3D wavevectors with s^2 / |xi|^2 in [AXIS_GUARD, 1e-6)."""
     ratio = AXIS_GUARD * 10.0 ** RNG.uniform(0.0, 2.0, n)
     x1 = RNG.normal(0.0, 2.0, n)
     x1[np.abs(x1) < 1e-3] = 1.0
     s = np.abs(x1) * np.sqrt(ratio / (1.0 - ratio))
     phi = RNG.uniform(0.0, 2 * np.pi, n)
-    xi = np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
+    return np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
+
+
+@pytest.mark.parametrize('mat', [MAT3, Material3(1.0, 1.0)])
+def test_inverse_identity_just_outside_axis_guard(mat):
+    # s^2 / |xi|^2 in [AXIS_GUARD, 1e-6): production uses the closed form
+    # here, so it must still invert the symbol
+    xi = _guard_band_xi(400)
     frac = (xi[:, 1] ** 2 + xi[:, 2] ** 2) / np.einsum('ni,ni->n', xi, xi)
     assert frac.min() >= AXIS_GUARD and frac.max() < 1e-6
     assert not near_axis(xi).any()
@@ -82,12 +100,9 @@ def test_charge_column_matches_mc(mat):
     omega = 0.9 + 0.8j
     ncomp = 3 if mat.dim == 2 else 6
     J = RNG.normal(size=(200, ncomp)) + 1j * RNG.normal(size=(200, ncomp))
-    if mat.dim == 2:
-        Mc = m2c_matrix(omega, xi, mat)
-        col = charge_column_2d(omega, xi, mat, J)
-    else:
-        Mc = m3c_matrix(omega, xi, mat)
-        col = charge_column_3d(omega, xi, mat, J)
+    col = (charge_column_2d if mat.dim == 2 else charge_column_3d)(
+        omega, xi, mat, J)
+    Mc = _charge_part(omega, xi, mat)
     direct = np.einsum('nij,nj->ni', Mc, J)
     assert np.abs(direct - col).max() < 1e-12
 
@@ -114,7 +129,6 @@ def test_negative_omega_singular_flavor():
     xi = _random_xi(100, 2)
     Wp = singular_weights(2.0, xi, MAT2)[0][0]
     Wm = singular_weights(-2.0, xi, MAT2)[0][0]
-    A, B = scalar_resolvent_values(1.0 + 1.0j, xi, MAT2)
     assert not np.allclose(Wp, Wm)
     # reassembly at negative omega still inverts the symbol
     omega = -3.1
@@ -129,10 +143,11 @@ def test_negative_omega_singular_flavor():
 
 def test_zero_entries_are_zero():
     xi = _random_xi(100, 3)
-    WA, WB, WC, WD = _m3_coeffs(xi, MAT3)
-    Mc = m3c_matrix(1.0 + 1.0j, xi, MAT3)
+    WA, WB, WC, WD = _projectors(xi, MAT3)[2:]
+    Mc = _charge_part(1.0 + 1.0j, xi, MAT3)
+    M = resolvent_matrix(1.0 + 1.0j, xi, MAT3)
     for i, j in M3_ZERO_ENTRIES:
-        for W in (WA, WB, WC, WD, Mc):
+        for W in (WA, WB, WC, WD, Mc, M):
             assert np.abs(W[:, i, j]).max() == 0.0
 
 
@@ -143,3 +158,35 @@ def test_flip_entry_breaks_inverse():
     M = resolvent_matrix(omega, xi, MAT3, flip_entry=(2, 4))
     prod = np.einsum('nij,njk->nik', p, M)
     assert np.abs(prod - np.eye(6)).max() > 1e-3
+
+
+@pytest.mark.parametrize('mat,band', [
+    (MAT2, False), (MAT3, False), (Material3(1.0, 1.0), False),
+    (MAT3, True), (Material3(1.0, 1.0), True),
+])
+def test_projectors_resolve_identity(mat, band):
+    # the terms W_j and the charge projector sum to I and are mutually
+    # orthogonal idempotents, here and in the axis-guard band
+    xi = _guard_band_xi(300) if band else _random_xi(300, mat.dim)
+    P = _projectors(xi, mat)
+    nc = mat.dim - 1
+    family = [sum(P[:nc])] + P[nc:]
+    eye = np.eye(3 if mat.dim == 2 else 6)
+    assert np.abs(sum(family) - eye).max() < 1e-12
+    for j, Pj in enumerate(family):
+        for k, Pk in enumerate(family):
+            expect = Pj if j == k else 0.0
+            assert np.abs(Pj @ Pk - expect).max() < 1e-12
+
+
+def test_formula_notes_13_witness():
+    # FORMULA_NOTES.md: M[1, 3] is the antisymmetric (A - B) combination
+    mat = Material3(0.5, 1.0 / 0.7)
+    xi = np.array([[1.7, 0.66, -0.23]])
+    omega = 1.5 + 0.5j
+    M13 = resolvent_matrix(omega, xi, mat)[0, 1, 3]
+    r = np.sqrt(mat.b) * np.linalg.norm(xi)
+    A, B = 1.0 / (1j * (omega - r)), 1.0 / (1j * (omega + r))
+    closed = (A - B) * (xi[0, 2] / np.linalg.norm(xi)) / (2 * np.sqrt(mat.b))
+    assert abs(M13 - closed) < 1e-14
+    assert abs(M13 - (0.144764041802858 - 0.035221091370635j)) < 1e-14
