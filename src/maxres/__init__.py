@@ -27,7 +27,7 @@ The package is organized bottom-up:
 from .errors import (ConfigError, DegenerateDirection, EmptyRegion,
                      ExponentOrder, FieldFormatError, GridTooCoarse,
                      MaxresError, MeanNotZero, MethodsDisagree,
-                     NonFiniteSymbol, NotPartiallyAnisotropic, OnSingularSet,
+                     NotPartiallyAnisotropic, OnSingularSet,
                      QuadratureNotConverged, RealFrequency)
 from .materials import Material2, Material3, material3_from_diag
 from .symbol import (canonicalize, det_diagnostics, eigen_decomposition,
@@ -53,7 +53,7 @@ __version__ = '0.1.0'
 __all__ = [
     'ConfigError', 'DegenerateDirection', 'EmptyRegion', 'ExponentOrder',
     'FieldFormatError', 'GridTooCoarse', 'MaxresError', 'MeanNotZero',
-    'MethodsDisagree', 'NonFiniteSymbol', 'NotPartiallyAnisotropic',
+    'MethodsDisagree', 'NotPartiallyAnisotropic',
     'OnSingularSet', 'QuadratureNotConverged', 'RealFrequency',
     'Material2', 'Material3', 'material3_from_diag',
     'canonicalize', 'det_diagnostics', 'eigen_decomposition', 'symbol_p',

@@ -93,6 +93,14 @@ def parse_material(cp):
     raise ConfigError("dim must be 2 or 3, got %d" % dim)
 
 
+def require_canonical(mat, what):
+    """The closed-form eigenbasis, which the annulus and cap sources and
+    the probes use, exists in the canonical frame only."""
+    if isinstance(mat, Material3) and not mat.is_canonical:
+        raise ConfigError("%s needs [material] axis = 1 and mu = 1 (got "
+                          "axis = %d, mu = %g)" % (what, mat.axis, mat.mu))
+
+
 def parse_omega(cp):
     re = _get(cp, 'frequency', 're', float)
     im = _get(cp, 'frequency', 'im', float, default=0.0)
@@ -114,6 +122,8 @@ def build_source(cp, grid, mat, rng):
         return spectral.random_band_limited(
             grid, ncomp, rng, kmax=kmax,
             solenoidal=(kind == 'solenoidal'), mat=mat)
+    if kind in ('annulus', 'knapp'):
+        require_canonical(mat, "source kind %s" % kind)
     if kind == 'annulus':
         omega = parse_omega(cp)
         thickness = _get(cp, 'source', 'thickness', float, default=1.0)
@@ -192,14 +202,19 @@ def cmd_solve(args, cp):
 
 
 def cmd_verify(args, cp):
-    n_points = _get(cp, 'verify', 'points', int, default=100_000) \
-        if cp.has_section('verify') else 100_000
+    n_points = _get(cp, 'verify', 'points', int, default=100_000)
+    if n_points < 24:
+        # three materials per suite, eight frequency batches per material
+        raise ConfigError("[verify] points must be at least 24, got %d"
+                          % n_points)
     flip = None
-    if cp is not None and cp.has_option('verify', 'flip_entry'):
-        parts = cp.get('verify', 'flip_entry').split(',')
-        flip = (int(parts[0]), int(parts[1]))
-        if flip in verify.M3_ZERO_ENTRIES:
-            raise ConfigError("flip_entry %r is identically zero" % (flip,))
+    if cp.has_option('verify', 'flip_entry'):
+        flip = _get(cp, 'verify', 'flip_entry',
+                    lambda raw: tuple(int(v) for v in raw.split(',')))
+        if (len(flip) != 2 or not all(0 <= v < 6 for v in flip)
+                or flip in verify.M3_ZERO_ENTRIES):
+            raise ConfigError("flip_entry %r is not a nonzero entry i,j "
+                              "(0-based) of the 3D inverse symbol" % (flip,))
     reports = verify.run_all(seed=args.seed, n_points=n_points,
                              flip_entry=flip)
     out = _outdir(args)
@@ -229,22 +244,19 @@ def cmd_lap(args, cp):
         raise ConfigError("lap requires real omega; use solve otherwise")
     rng = np.random.default_rng(args.seed)
     J = build_source(cp, grid, mat, rng)
-    method = _get(cp, 'lap', 'method', str, default='quadrature') \
-        if cp.has_section('lap') else 'quadrature'
-    cross = _get(cp, 'lap', 'cross_tol', float, default=0.0) \
-        if cp.has_section('lap') else 0.0
+    method = _get(cp, 'lap', 'method', str, default='quadrature')
+    cross = _get(cp, 'lap', 'cross_tol', float, default=0.0)
     out = _outdir(args)
     if method == 'quadrature':
         # the sign-independent part is computed once for both limits
         common, surf = lap.quadrature_parts(omega.real, J, mat)
         u_plus, u_minus = common + surf, common - surf
         if cross > 0:
-            lap.cross_check(u_plus, omega.real, J, mat, +1, cross)
-            lap.cross_check(u_minus, omega.real, J, mat, -1, cross)
+            for u, sign in ((u_plus, +1), (u_minus, -1)):
+                lap.cross_check(u, lap.lap_solve(omega.real, J, mat, sign,
+                                                 'extrapolate'), cross)
     else:
-        kw = dict(method=method)
-        if cross > 0:
-            kw['cross_tol'] = cross
+        kw = dict(method=method, cross_tol=cross or None)
         u_plus = lap.lap_solve(omega.real, J, mat, sign=+1, **kw)
         u_minus = lap.lap_solve(omega.real, J, mat, sign=-1, **kw)
         surf = lap.surface_terms(omega.real, J, mat)
@@ -266,7 +278,10 @@ def _parse_pair(cp, section='region'):
     y = _get(cp, section, 'y', float)
     dim = _get(cp, 'grid', 'dim', int) if cp.has_section('grid') \
         else _get(cp, section, 'dim', int)
-    return LebesguePair(x, y, dim)
+    try:
+        return LebesguePair(x, y, dim)
+    except ValueError as exc:
+        raise ConfigError("invalid [%s] x, y: %s" % (section, exc))
 
 
 def cmd_region(args, cp):
@@ -306,8 +321,12 @@ def cmd_region(args, cp):
         pts = _get(cp, 'region', 'points')
         rows = []
         for tok in pts.split(';'):
-            xs, ys = tok.split(',')
-            p = LebesguePair(float(xs), float(ys), pair_dim)
+            try:
+                xs, ys = tok.split(',')
+                p = LebesguePair(float(xs), float(ys), pair_dim)
+            except ValueError as exc:
+                raise ConfigError("bad [region] points entry %r, want x,y "
+                                  "(%s)" % (tok.strip(), exc))
             rows.append((float(p.x), float(p.y),
                          str(region.membership(p, 'R0_half')).lower(),
                          str(region.membership(p, 'R1')).lower(),
@@ -322,6 +341,7 @@ def cmd_region(args, cp):
 def cmd_probe(args, cp):
     grid = parse_grid(cp)
     mat = parse_material(cp)
+    require_canonical(mat, 'probe')
     family = _get(cp, 'probe', 'family', str, default='annulus')
     pair = _parse_pair(cp, 'probe') if cp.has_option('probe', 'x') \
         else LebesguePair(0.5, 0.5, grid.dim)

@@ -18,10 +18,6 @@ class RealFrequency(MaxresError):
     """An operation requiring Im(omega) != 0 was called at real omega."""
 
 
-class NonFiniteSymbol(MaxresError):
-    """A symbol evaluation produced NaN or Inf entries."""
-
-
 class MeanNotZero(MaxresError):
     """Negative-order multiplier applied to a field with nonzero mean."""
 

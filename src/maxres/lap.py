@@ -24,7 +24,7 @@ from .errors import (DegenerateDirection, GridTooCoarse, MethodsDisagree,
                      QuadratureNotConverged)
 from .materials import Material3
 from .spectral import TAU
-from . import multiplier, spectral, symbol
+from . import multiplier, region, spectral, symbol
 
 
 # ---------------------------------------------------------------------------
@@ -113,32 +113,6 @@ def sphere_quadrature(dim, n):
     return pts, w
 
 
-@dataclass
-class SurfaceQuadrature:
-    """Quadrature for the coarea (delta-shell) measure on the sphere
-    { ||xi||_Q = radius }; weights sum to the surface measure
-    det(Q)^(-1/2) radius^(d-1) |S^(d-1)|."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    radius: float
-    qform: np.ndarray
-
-
-def surface_quadrature(radius, qform, n=None):
-    qform = np.asarray(qform, dtype=float)
-    dim = qform.shape[0]
-    if n is None:
-        n = 128 if dim == 2 else 12
-    u, w = sphere_quadrature(dim, n)
-    R = _inv_sqrt_spd(qform)
-    nodes = radius * u @ R.T
-    dets = np.linalg.det(qform) ** -0.5
-    weights = w * dets * radius ** (dim - 1)
-    return SurfaceQuadrature(nodes=nodes, weights=weights,
-                             radius=float(radius), qform=qform)
-
-
 # ---------------------------------------------------------------------------
 # semidiscrete transform at off-grid wavevectors
 
@@ -205,6 +179,20 @@ def _apply_offgrid(J, xi_pts, coeffs, weight_fn=None, out_ncomp=None):
 # ---------------------------------------------------------------------------
 # radial-singular continuum quadrature
 
+def _gauss_tails(r0, T, r_max, n_radial, pole):
+    """Plain Gauss-Legendre nodes on (0, r0 - T) and (r0 + T, r_max), with
+    coefficients w / (r - pole)."""
+    radii, coefs = [], []
+    for lo, hi in ((0.0, r0 - T), (r0 + T, r_max)):
+        if hi - lo < 1e-12:
+            continue
+        s, ws = np.polynomial.legendre.leggauss(n_radial)
+        r = 0.5 * (hi - lo) * (s + 1.0) + lo
+        radii.append(r)
+        coefs.append(0.5 * (hi - lo) * ws / (r - pole))
+    return radii, coefs
+
+
 def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None):
     """Symmetric-pairing nodes for the principal value at r0 plus plain
     Gauss-Legendre tails covering (0, r_max).
@@ -231,15 +219,9 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None):
         r = r0 + T * t
         radii = [r]
         coefs = [T * wt / (r - r0)]
-    for lo, hi in ((0.0, r0 - T), (r0 + T, r_max)):
-        if hi - lo < 1e-12:
-            continue
-        s, ws = np.polynomial.legendre.leggauss(n_radial)
-        r = 0.5 * (hi - lo) * (s + 1.0) + lo
-        w = 0.5 * (hi - lo) * ws
-        radii.append(r)
-        coefs.append(w / (r - r0))
-    return np.concatenate(radii), np.concatenate(coefs)
+    tails = _gauss_tails(r0, T, r_max, n_radial, r0)
+    return (np.concatenate(radii + tails[0]),
+            np.concatenate(coefs + tails[1]))
 
 
 def _edelta_nodes(r0, r_max, delta, sign, n_radial):
@@ -247,21 +229,11 @@ def _edelta_nodes(r0, r_max, delta, sign, n_radial):
     with the singular layer resolved by r = r0 + delta*sinh(u)."""
     T = 0.5 * min(r0, max(r_max - r0, 1e-9))
     S = np.arcsinh(T / delta)
-    u, wu = np.polynomial.legendre.leggauss(2 * n_radial)
-    u = S * u
-    wu = S * wu
+    u, wu = S * np.array(np.polynomial.legendre.leggauss(2 * n_radial))
     sh = np.sinh(u)
-    radii = [r0 + delta * sh]
-    coefs = [wu * np.cosh(u) / (sh - 1j * sign)]
-    for lo, hi in ((0.0, r0 - T), (r0 + T, r_max)):
-        if hi - lo < 1e-12:
-            continue
-        s, ws = np.polynomial.legendre.leggauss(n_radial)
-        r = 0.5 * (hi - lo) * (s + 1.0) + lo
-        w = 0.5 * (hi - lo) * ws
-        radii.append(r)
-        coefs.append(w / (r - r0 - 1j * sign * delta))
-    return np.concatenate(radii), np.concatenate(coefs)
+    tails = _gauss_tails(r0, T, r_max, n_radial, r0 + 1j * sign * delta)
+    return (np.concatenate([r0 + delta * sh] + tails[0]),
+            np.concatenate([wu * np.cosh(u) / (sh - 1j * sign)] + tails[1]))
 
 
 def _polar_points(radii, coefs, qform, beta, grid, n_sphere):
@@ -280,6 +252,16 @@ def _polar_points(radii, coefs, qform, beta, grid, n_sphere):
     cf *= (grid.length / TAU) ** dim
     keep = np.abs(cf) > 0
     return pts[keep], cf[keep]
+
+
+def _shell(f, radii, coefs, qform, beta, n_sphere, weight_fn=None):
+    """sum_i coefs_i over the flavor sphere { ||xi||_qform = radii_i } of
+    beta W fhat, synthesized on the grid: the polar rule of _polar_points
+    applied by _apply_offgrid.  One radius with coefficient c gives c
+    times the coarea (delta-shell) integral."""
+    pts, cf = _polar_points(np.asarray(radii, dtype=float), np.asarray(coefs),
+                            qform, beta, f.grid, n_sphere)
+    return _apply_offgrid(f, pts, cf, weight_fn)
 
 
 def _radial_extent(qform, beta):
@@ -318,16 +300,14 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
         n_sphere = 192 if grid.dim == 2 else 16
     r_max = _radial_extent(qform, beta)
     radii, coefs = _edelta_nodes(omega, r_max, delta, sign, n_radial)
-    pts, cf = _polar_points(radii, coefs, qform, beta, grid, n_sphere)
-    return _apply_offgrid(f, pts, cf)
+    return _shell(f, radii, coefs, qform, beta, n_sphere)
 
 
 def _pv_once(f, omega, beta, qform, n_sphere, n_radial, weight_fn=None,
              pairing=True, window=None):
     r_max = _radial_extent(qform, beta)
     radii, coefs = _radial_nodes(omega, r_max, n_radial, pairing, window)
-    pts, cf = _polar_points(radii, coefs, qform, beta, f.grid, n_sphere)
-    return _apply_offgrid(f, pts, cf, weight_fn)
+    return _shell(f, radii, coefs, qform, beta, n_sphere, weight_fn)
 
 
 def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
@@ -361,7 +341,7 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
 
 
 def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
-                 quad=None, sign=+1, n_sphere=None):
+                 sign=+1, n_sphere=None):
     """sign * i * pi times the surface integral of beta * fhat over the
     characteristic sphere, synthesized on the grid."""
     if not omega > 0:
@@ -369,12 +349,10 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
     grid = f.grid
     if beta is None:
         beta = _band_cutoff(grid)
-    if quad is None:
-        qform = spectral._flavor_qform(flavor, mat, grid.dim)
-        quad = surface_quadrature(omega, qform, n_sphere)
-    cf = (sign * 1j * np.pi * (grid.length / TAU) ** grid.dim) \
-        * quad.weights.astype(complex) * beta(quad.nodes)
-    return _apply_offgrid(f, quad.nodes, cf)
+    if n_sphere is None:
+        n_sphere = 128 if grid.dim == 2 else 12
+    qform = spectral._flavor_qform(flavor, mat, grid.dim)
+    return _shell(f, [omega], [sign * 1j * np.pi], qform, beta, n_sphere)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +368,14 @@ def _mode_masks(grid, omega, mat, margin):
     """Lattice indices split by distance to the characteristic spheres."""
     xi = grid.xi_flat()
     nz = np.any(xi != 0, axis=-1)
-    dist = np.full(grid.npoints, np.inf)
-    for qform in multiplier.sphere_qforms(mat):
-        rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
-        dist = np.minimum(dist, np.abs(rho - abs(omega)))
+    dist = np.min([np.abs(rho - abs(omega))
+                   for rho in region.characteristic_radii(xi, mat)], axis=0)
     near = nz & (dist < margin * abs(omega))
     far = nz & ~near
     return far, near
 
 
-def richardson_limit(values, return_table=False):
+def richardson_limit(values):
     """Limit of a sequence sampled at delta_k = delta0 * 2^(-k), assuming
     an expansion in integer powers of delta; full Neville table."""
     T = [list(values)]
@@ -408,7 +384,7 @@ def richardson_limit(values, return_table=False):
         prev = T[-1]
         T.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
                   for i in range(len(prev) - 1)])
-    return (T[-1][-1], T) if return_table else T[-1][-1]
+    return T[-1][-1]
 
 
 def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
@@ -464,11 +440,8 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
                 J_near, abs(omega), beta, qform, n_sphere, n_radial,
                 weight_fn=lambda pts: pv_sign * wfun(pts),
                 window=2.0 * margin * abs(omega))
-        quad = surface_quadrature(abs(omega), qform, n_sphere)
-        cf = (-np.pi * (grid.length / TAU) ** grid.dim) \
-            * quad.weights.astype(complex) * beta(quad.nodes)
-        surface = surface + _apply_offgrid(J_near, quad.nodes, cf,
-                                           weight_fn=wfun)
+        surface = surface + _shell(J_near, [abs(omega)], [-np.pi], qform,
+                                   beta, n_sphere, wfun)
     return common, surface
 
 
@@ -482,11 +455,10 @@ def quadrature_parts(omega, J, mat, beta=None, margin=0.35, n_sphere=None,
                              n_radial)
 
 
-def cross_check(u, omega, J, mat, sign, cross_tol, delta0=0.1, levels=7):
-    """Raise MethodsDisagree if u is farther than cross_tol (relative L2)
-    from the extrapolated limit P_(sign)(omega) J."""
-    other = lap_solve(omega, J, mat, sign=sign, method='extrapolate',
-                      delta0=delta0, levels=levels)
+def cross_check(u, other, cross_tol):
+    """Raise MethodsDisagree if u, the limit P_(sign)(omega) J by one LAP
+    method, is farther than cross_tol (relative L2) from ``other``, the
+    same limit by the other method."""
     rel = spectral.lebesgue_norm(u - other, 2) \
         / max(spectral.lebesgue_norm(u, 2), 1e-300)
     if rel > cross_tol:
@@ -510,7 +482,8 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
     extrapolate: Richardson limit of solve(omega + i*sign*delta_k, J)
     over delta_k = delta0 * 2^(-k), k < levels.
 
-    cross_tol compares the two methods and raises MethodsDisagree.
+    cross_tol also runs the other method and raises MethodsDisagree if
+    the two differ by more (see cross_check).
     """
     omega = float(omega)
     if omega == 0:
@@ -518,14 +491,19 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
     if method == 'extrapolate':
         sols = [spectral.solve(omega + 1j * sign * delta0 * 0.5 ** k, J, mat)
                 for k in range(levels)]
-        return spectral.Field(J.grid, richardson_limit([u.data for u in sols]))
-    if method != 'quadrature':
+        u = spectral.Field(J.grid, richardson_limit([v.data for v in sols]))
+        other = 'quadrature'
+    elif method == 'quadrature':
+        common, surface = _quadrature_parts(omega, J, mat, beta, margin,
+                                            n_sphere, n_radial)
+        u = common + sign * surface
+        other = 'extrapolate'
+    else:
         raise ValueError("method must be 'quadrature' or 'extrapolate'")
-    common, surface = _quadrature_parts(omega, J, mat, beta, margin,
-                                        n_sphere, n_radial)
-    u = common + sign * surface
     if cross_tol is not None:
-        cross_check(u, omega, J, mat, sign, cross_tol, delta0, levels)
+        cross_check(u, lap_solve(omega, J, mat, sign, other, beta, margin,
+                                 n_sphere, n_radial, delta0, levels),
+                    cross_tol)
     return u
 
 
@@ -548,7 +526,6 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid=None, thickness=0.5,
     sphere.  Returns (fit, deltas, ratios); the fitted slope is compared
     with -gamma of the Lebesgue pair.
     """
-    from . import region
     if grid is None:
         grid = spectral.Grid(2, 64) if mat.dim == 2 else spectral.Grid(3, 32)
     xi = grid.xi_flat()
@@ -570,6 +547,5 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid=None, thickness=0.5,
             best = max(best, spectral.lebesgue_norm(u, pair.q)
                        / spectral.lebesgue_norm(J, pair.p))
         ratios.append(best)
-    from .region import loglog_fit
-    return loglog_fit(deltas, ratios), np.asarray(deltas, float), \
+    return region.loglog_fit(deltas, ratios), np.asarray(deltas, float), \
         np.array(ratios)

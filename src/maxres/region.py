@@ -89,7 +89,7 @@ def kappa(pair, omega, variant='real_axis'):
 _SET_IDS = ('R0_half', 'R1', 'P_set')
 
 
-def membership(pair, set_id, predicate=None):
+def membership(pair, set_id):
     """Exact membership in the classical admissibility sets.
 
     R0_half: fixed-frequency boundedness range of the half Laplacian,
@@ -98,12 +98,7 @@ def membership(pair, set_id, predicate=None):
     x > (d+1)/(2d), y < (d-1)/(2d), minus the corners of the s = 2 strip.
     P_set: the supercritical polygon x - y >= 2/(d+1), x > (d+1)/(2d),
     y < (d-1)/(2d).
-
-    An optional predicate(pair) -> bool replaces the built-in rule, as a
-    hook for ranges with no closed-form description.
     """
-    if predicate is not None:
-        return bool(predicate(pair))
     x, y, d = pair.x, pair.y, pair.d
     t = x - y
     if set_id == 'R0_half':

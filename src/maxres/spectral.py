@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MeanNotZero, NonFiniteSymbol, OnSingularSet,
-                     RealFrequency)
+from .errors import MeanNotZero, OnSingularSet, RealFrequency
 from .materials import Material2, Material3
 from . import multiplier, symbol
 
@@ -143,37 +142,18 @@ def lebesgue_norm(f, p):
     return float((np.sum(mag ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def apply_symbol(f, symbol_fn, zero_mode=None):
-    """Apply a matrix-valued Fourier multiplier.
-
-    symbol_fn maps a (k, d) block of nonzero wavevectors to (k, m_out,
-    m_in) matrices; zero_mode is the matrix used at xi = 0 (default 0).
-    """
-    grid = f.grid
-    c = f.coeffs().reshape(f.ncomp, -1)
-    xi = grid.xi_flat()
-    nz = np.any(xi != 0, axis=-1)
-    idx = np.nonzero(nz)[0]
-    first = symbol_fn(xi[idx[:1]])
-    m_out = first.shape[-2]
-    out = np.zeros((m_out, c.shape[1]), dtype=complex)
-    for start in range(0, idx.size, _CHUNK):
-        sel = idx[start:start + _CHUNK]
-        mats = symbol_fn(xi[sel])
-        if not np.all(np.isfinite(mats)):
-            raise NonFiniteSymbol("symbol evaluation produced NaN/Inf")
-        out[:, sel] = np.einsum('kij,jk->ik', mats, c[:, sel])
-    if zero_mode is not None:
-        z = np.nonzero(~nz)[0]
-        out[:, z] = np.asarray(zero_mode) @ c[:, z]
-    return Field.from_coeffs(grid, out.reshape((m_out,) + (grid.n,) * grid.dim))
-
-
 def forward_operator(omega, u, mat):
-    """Apply the Maxwell operator P(omega, D) as a multiplier."""
-    m = 3 if mat.dim == 2 else 6
-    zero = 1j * omega * np.eye(m)
-    return apply_symbol(u, lambda xi: symbol.symbol_p(omega, xi, mat), zero)
+    """Apply the Maxwell operator P(omega, D) as a multiplier; at the zero
+    mode the symbol is i omega I."""
+    c = u.coeffs().reshape(u.ncomp, -1)
+    xi = u.grid.xi_flat()
+    out = np.empty_like(c)
+    for start in range(0, len(xi), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        # inline, so each symbol block is freed before the next is built
+        out[:, sl] = np.einsum('kij,jk->ik',
+                               symbol.symbol_p(omega, xi[sl], mat), c[:, sl])
+    return Field.from_coeffs(u.grid, out.reshape(u.data.shape))
 
 
 def _solve_coeffs(omega, c, grid, mat, mask=None, factors=None):
@@ -298,23 +278,12 @@ def leray_project(J, mat=None):
     grid = J.grid
     c = J.coeffs()
     xi = np.moveaxis(grid.xi_lattice(), -1, 0)
+    d = grid.dim
+    direction = xi if mat is None else np.einsum(
+        'ij,j...->i...', mat.eps if d == 2 else np.diag(mat.eps_diag), xi)
     out = c.copy()
-    if grid.dim == 2:
-        if mat is None:
-            direction = xi
-        else:
-            eps = mat.eps
-            direction = np.einsum('ij,j...->i...', eps, xi)
-        out[:2] = _project_block(c[:2], xi, direction)
-    else:
-        if mat is None:
-            dir_e = xi
-        else:
-            if not mat.is_canonical:
-                raise ValueError("leray_project needs a canonical material")
-            eps = np.diag(mat.eps_diag)
-            dir_e = np.einsum('ij,j...->i...', eps, xi)
-        out[:3] = _project_block(c[:3], xi, dir_e)
+    out[:d] = _project_block(c[:d], xi, direction)
+    if d == 3:
         out[3:] = _project_block(c[3:], xi, xi)
     return Field.from_coeffs(grid, out)
 

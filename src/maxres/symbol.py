@@ -92,20 +92,20 @@ def symbol_p(omega, xi, mat):
     return _symbol_3d(omega, xi, mat)
 
 
-def near_axis(xi, guard=AXIS_GUARD):
+def near_axis(xi):
     """3D wavevectors too close to the distinguished axis for the
-    closed-form eigenbasis: transverse |.|^2 below guard * |xi|^2.  The
+    closed-form eigenbasis: transverse |.|^2 below AXIS_GUARD * |xi|^2.  The
     zero vector is not near the axis, and no 2D wavevector is."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 3:
         return np.zeros(xi.shape[:-1], dtype=bool)
     n2 = np.einsum('...i,...i->...', xi, xi)
-    return xi[..., 1] ** 2 + xi[..., 2] ** 2 < guard * n2
+    return xi[..., 1] ** 2 + xi[..., 2] ** 2 < AXIS_GUARD * n2
 
 
-def _check_offaxis(xi, guard=AXIS_GUARD):
+def _check_offaxis(xi):
     """Raise DegenerateDirection at xi = 0 or near the 3D axis."""
-    if np.any(near_axis(xi, guard)) or not np.all(np.any(xi, axis=-1)):
+    if np.any(near_axis(xi)) or not np.all(np.any(xi, axis=-1)):
         raise DegenerateDirection(
             "wavevector too close to the distinguished axis (or zero); "
             "use direct 6x6 inversion")
@@ -235,7 +235,7 @@ def _basis_3d(xi, mat, dtype):
     return m, mi, np.stack([0.0 * n, 0.0 * n, -r, r, -ne, ne], axis=-1)
 
 
-def _eigen_basis(xi, mat, guard=AXIS_GUARD, dtype=float):
+def _eigen_basis(xi, mat, dtype=float):
     """The frequency-independent part of p = m d m_inv: the real
     eigenbasis m, m_inv (stored as ``dtype``) and the branch offsets rho
     with d = i diag(omega + rho),
@@ -248,13 +248,13 @@ def _eigen_basis(xi, mat, guard=AXIS_GUARD, dtype=float):
     xi = np.asarray(xi, dtype=float)
     if mat.dim == 3 and not mat.is_canonical:
         raise ValueError("the eigenbasis requires a canonicalized material")
-    _check_offaxis(xi, guard)
+    _check_offaxis(xi)
     if mat.dim == 2:
         return _basis_2d(xi, mat, dtype)
     return _basis_3d(xi, mat, dtype)
 
 
-def eigen_decomposition(omega, xi, mat, guard=AXIS_GUARD):
+def eigen_decomposition(omega, xi, mat):
     """Return (m, d, m_inv) with p = m d m_inv.
 
     2D: det m = -1 for every nonzero xi.  3D: the renormalized basis whose
@@ -264,7 +264,7 @@ def eigen_decomposition(omega, xi, mat, guard=AXIS_GUARD):
     # built complex rather than cast: mixing the real and complex array
     # sizes fragments the heap, and repeated verify runs grew the peak
     # RSS by 16 MiB
-    m, minv, rho = _eigen_basis(xi, mat, guard, complex)
+    m, minv, rho = _eigen_basis(xi, mat, complex)
     d = np.zeros(m.shape, dtype=complex)
     np.einsum('...ii->...i', d)[...] = 1j * (np.asarray(omega)[..., None]
                                              + rho)

@@ -96,7 +96,10 @@ def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
         omega = _random_omega(rng, per)
         m, d, m_inv = eigen_decomposition(omega, xi, mat)
         p = symbol_p(omega, xi, mat)
-        recon = np.einsum('nij,njk,nkl->nil', m, d, m_inv)
+        # m d m^{-1} as (m * diag d) m^{-1}, written into d's buffer so
+        # that no further (n, m, m) array is held
+        recon = np.matmul(m * np.diagonal(d, axis1=1, axis2=2)[:, None, :],
+                          m_inv, out=d)
         scale = np.abs(p).max(axis=(1, 2)) + 1.0
         defect = np.abs(recon - p).max(axis=(1, 2)) / scale
         i = int(np.argmax(defect))

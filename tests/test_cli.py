@@ -132,6 +132,16 @@ def test_lap_cross_tol_checks_each_sign(tmp_path):
                      '--out', str(tmp_path / 'o')]) == 2
 
 
+def test_lap_cross_tol_extrapolate_route(tmp_path, capsys):
+    # the extrapolate route is checked against quadrature
+    cfg = _write(tmp_path, 'lap.ini', LAP_INI
+                 + "\n[lap]\nmethod = extrapolate\ncross_tol = 1e-30\n")
+    assert cli.main(['lap', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('method cross-validation failed: ')
+
+
 def test_lap_noncanonical_material(tmp_path, capsys):
     # distinguished axis 3 and mu != 1: both quadrature parts go through
     # canonical form and agree with lap_solve
@@ -272,6 +282,47 @@ def test_unresolvable_spectrum_is_one_line_failure(tmp_path, capsys, cmd,
                      '--out', str(tmp_path / 'o')]) == 1
     err = capsys.readouterr().err
     assert err.startswith('GridTooCoarse: ') and err.count('\n') == 1
+
+
+AXIS2 = ("[grid]\ndim = 3\nn = 16\n"
+         "[material]\neps_axis = 0.5\neps_perp = 1.4\naxis = 2\n"
+         "[frequency]\nre = 2.9\nim = 0.3\n")
+
+
+@pytest.mark.parametrize('cmd,text', [
+    # the eigenbasis behind the probes and the annulus and cap sources
+    # is built in the canonical frame only
+    ('probe', AXIS2 + "[probe]\nfamily = blowup\n"),
+    ('probe', AXIS2 + "[probe]\nfamily = annulus\n"),
+    ('probe', AXIS2 + "[probe]\nfamily = knapp\n"),
+    ('solve', AXIS2 + "[source]\nkind = annulus\n"),
+    ('solve', AXIS2 + "[source]\nkind = knapp\n"),
+    ('verify', "[verify]\nflip_entry = 1\n"),
+    ('verify', "[verify]\nflip_entry = 9,9\n"),
+    ('verify', "[verify]\npoints = 5\n"),
+    ('region', "[region]\nmode = membership\npoints = 0.5\n"),
+], ids=['probe-blowup-axis2', 'probe-annulus-axis2', 'probe-knapp-axis2',
+        'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
+        'flip-out-of-range', 'verify-too-few-points', 'membership-one-value'])
+def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
+    cfg = _write(tmp_path, 'job.ini', text)
+    assert cli.main([cmd, '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error: ') and err.count('\n') == 1
+    if 'axis = 2' in text:
+        assert 'axis = 1 and mu = 1' in err
+
+
+def test_solenoidal_source_noncanonical(tmp_path, capsys):
+    # the oblique Leray projection works in the stored frame
+    cfg = _write(tmp_path, 'job.ini',
+                 AXIS2 + "[source]\nkind = solenoidal\nkmax = 4\n")
+    assert cli.main(['solve', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 0
+    text = capsys.readouterr().out
+    rho = float(text.split('divergence_rho_e_l2 = ')[1].splitlines()[0])
+    assert rho < 1e-9
 
 
 def test_lap_axis_mode_on_sphere_is_one_line_failure(tmp_path, capsys):

@@ -6,7 +6,8 @@ from maxres import multiplier as mp
 from maxres import region as rg
 from maxres import spectral as sp
 from maxres import symbol
-from maxres.errors import DegenerateDirection, OnSingularSet
+from maxres.errors import (DegenerateDirection, MethodsDisagree,
+                           OnSingularSet)
 from maxres.materials import Material2, Material3
 
 RNG = np.random.default_rng(23)
@@ -41,14 +42,21 @@ def test_cutoff_spec():
 
 
 def test_surface_quadrature_total_measure():
-    q2 = lap.surface_quadrature(3.0, np.eye(2), n=64)
-    assert q2.weights.sum() == pytest.approx(2 * np.pi * 3.0)
-    q3 = lap.surface_quadrature(2.0, np.eye(3), n=12)
-    assert q3.weights.sum() == pytest.approx(4 * np.pi * 4.0)
+    # one radius with coefficient 1: the polar rule's weights sum to the
+    # coarea (delta-shell) measure; a unit cutoff and L = 2 pi leave it
+    g2, g3 = sp.Grid(2, 8), sp.Grid(3, 8)
+    beta = lap.CutoffSpec(10.0, 20.0)
+
+    def measure(radius, Q, grid, n):
+        _, cf = lap._polar_points(np.array([radius]), np.array([1.0]), Q,
+                                  beta, grid, n)
+        return cf.sum().real
+
+    assert measure(3.0, np.eye(2), g2, 64) == pytest.approx(2 * np.pi * 3.0)
+    assert measure(2.0, np.eye(3), g3, 12) == pytest.approx(4 * np.pi * 4.0)
     # anisotropic ellipsoid: coarea measure carries det(Q)^(-1/2)
     Q = np.diag([0.7, 2.0, 2.0])
-    qa = lap.surface_quadrature(2.0, Q, n=12)
-    assert qa.weights.sum() == pytest.approx(
+    assert measure(2.0, Q, g3, 12) == pytest.approx(
         4 * np.pi * 4.0 / np.sqrt(np.linalg.det(Q)))
 
 
@@ -298,6 +306,10 @@ def test_lap_solve_cross_validation():
     J = far_current(g, MAT2, 3, OMEGA)
     u = lap.lap_solve(OMEGA, J, MAT2, cross_tol=1e-8)
     assert np.isfinite(u.data).all()
+    # either route checks against the other one
+    for method in ('quadrature', 'extrapolate'):
+        with pytest.raises(MethodsDisagree):
+            lap.lap_solve(OMEGA, J, MAT2, method=method, cross_tol=1e-30)
 
 
 def test_blowup_probe_slope():

@@ -75,11 +75,6 @@ def test_membership_witnesses():
         rg.membership(P(0.5, 0.5, 2), 'bogus')
 
 
-def test_membership_predicate_hook():
-    assert rg.membership(P(0.5, 0.5, 2), 'R1',
-                         predicate=lambda pair: pair.x == pair.y)
-
-
 def test_membership_duality_on_dyadic_lattice():
     for sid in ('R0_half', 'R1', 'P_set'):
         for d in (2, 3):
