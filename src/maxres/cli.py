@@ -284,12 +284,22 @@ def _parse_pair(cp, section='region'):
         raise ConfigError("invalid [%s] x, y: %s" % (section, exc))
 
 
+def _resolution(cp, default):
+    n = _get(cp, 'region', 'resolution', int, default=default)
+    if n < 2:
+        raise ConfigError("[region] resolution must be at least 2, got %d"
+                          % n)
+    return n
+
+
 def cmd_region(args, cp):
     mode = _get(cp, 'region', 'mode', str, default='gamma_map')
     out = _outdir(args)
     if mode == 'gamma_map':
         d = _get(cp, 'region', 'dim', int, default=3)
-        n = _get(cp, 'region', 'resolution', int, default=101)
+        if d not in (2, 3):
+            raise ConfigError("[region] dim must be 2 or 3, got %d" % d)
+        n = _resolution(cp, 101)
         rows = []
         for i in range(n):
             for j in range(n):
@@ -304,8 +314,11 @@ def cmd_region(args, cp):
     if mode == 'boundary':
         pair = _parse_pair(cp)
         ell = _get(cp, 'region', 'ell', float)
-        n = _get(cp, 'region', 'resolution', int, default=256)
-        query = RegionQuery(pair, ell)
+        n = _resolution(cp, 256)
+        try:
+            query = RegionQuery(pair, ell)
+        except ValueError as exc:
+            raise ConfigError("invalid [region] ell: %s" % exc)
         try:
             pts = region.z_boundary(query, resolution=n)
         except EmptyRegion as exc:

@@ -1,19 +1,26 @@
 """Limiting absorption: the resolvent at real frequency.
 
-Two routes to P_(+-)(omega) for real omega != 0:
+Two routes to P_(+-)(omega) for real omega != 0.  They compute
+different objects on lattice content near a characteristic sphere, and
+agree only when J has none within ``margin`` of every sphere:
 
-* ``extrapolate``: solve at omega + i*sign*delta for a geometric delta
-  sequence and Richardson-extrapolate to delta = 0.
-* ``quadrature``: split the multiplier into its smooth background and
-  the singular scalars 1/(i(omega - rho)); the smooth part acts on the
-  frequency lattice, the singular part is evaluated as a continuum
-  principal value plus a surface integral over the characteristic
-  sphere, using off-grid quadrature nodes and the semidiscrete
-  transform of the grid samples.
+* ``extrapolate`` gives the periodic limit lim P(omega +- i0)^{-1} on
+  the lattice: the Richardson limit of the resolvent at omega + i*sign*
+  delta_k for a geometric delta sequence.  The limit is linear, so it is
+  taken once on the scalar resolvents 1/(i(omega_k + rho)) of one
+  frequency-independent eigenbasis, followed by one inverse FFT.
+* ``quadrature`` keeps the lattice inverse away from the spheres and
+  replaces the near-sphere lattice values with the continuum principal
+  value plus +-i*pi times the coarea measure of the semidiscrete
+  transform on each sphere (the Sokhotsky-Plemelj split): the smooth
+  background acts on the lattice, the singular scalars
+  1/(i(omega - rho)) are evaluated with off-grid quadrature nodes.
 
 Scalar model operators (e_delta, pv_part, surface_part) expose the same
 machinery for a single flavor norm, which is where the Sokhotsky limit
-e_delta -> pv + i*pi*(surface) is quantitatively verified.
+e_delta -> pv + i*pi*(surface) is quantitatively verified.  The blow-up
+probe reuses the eigenbasis too: its plane-wave samples are
+eigenvectors, so its norm ratios are closed forms.
 """
 
 from dataclasses import dataclass
@@ -387,6 +394,40 @@ def richardson_limit(values):
     return T[-1][-1]
 
 
+def _extrapolate(omega, J, mat, sign, delta0, levels):
+    """richardson_limit of solve(omega + i y_k, J), y_k = sign delta0
+    2^(-k), k < levels, taken on the scalars: the limit is a fixed linear
+    combination sum_k a_k, so off-axis modes need one eigenbasis with
+    w = sum_k a_k / (i(omega + i y_k + rho)), and the few direct modes
+    (near-axis 3D, and the zero mode, where p = i omega I) the same
+    combination of their direct inverses."""
+    if isinstance(mat, Material3) and not mat.is_canonical:
+        canon, Jc, record = symbol.canonicalize(mat, J)
+        return record.backward_fields(
+            _extrapolate(omega, Jc, canon, sign, delta0, levels))
+    a = richardson_limit(list(np.eye(levels)))
+    y = sign * delta0 * 0.5 ** np.arange(levels)
+
+    def factors(xi):
+        # 1/(i(x + i y)) = -(y + i x) / (x^2 + y^2), x = omega + rho
+        m, minv, rho = symbol._eigen_basis(xi, mat)
+        x = omega + rho
+        inv = 1.0 / (x[..., None] ** 2 + y ** 2)
+        return m, -(inv @ (a * y) + 1j * x * (inv @ a)), minv
+
+    grid = J.grid
+    xi = grid.xi_flat()
+    direct = symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1)
+    c = J.coeffs().reshape(J.ncomp, -1)
+    out = spectral._solve_coeffs(omega, c, grid, mat, ~direct, factors)
+    idx = np.nonzero(direct)[0]
+    rhs = c[:, idx].T[..., None]
+    for ak, om in zip(a, omega + 1j * y):
+        p = symbol.symbol_p(om, xi[idx], mat)
+        out[:, idx] += ak * np.linalg.solve(p, rhs)[..., 0].T
+    return spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
+
+
 def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
                       with_pv=True):
     """See quadrature_parts; with_pv=False skips common (None)."""
@@ -479,19 +520,20 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
     Sokhotsky weights (see quadrature_parts).  In 3D n_sphere must be
     even.
 
-    extrapolate: Richardson limit of solve(omega + i*sign*delta_k, J)
-    over delta_k = delta0 * 2^(-k), k < levels.
+    extrapolate: the periodic limit on the lattice, the Richardson limit
+    of solve(omega + i*sign*delta_k, J) over delta_k = delta0 * 2^(-k),
+    k < levels, taken on the scalar resolvents of one eigenbasis (one
+    FFT pair in all).
 
-    cross_tol also runs the other method and raises MethodsDisagree if
-    the two differ by more (see cross_check).
+    The two agree only on lattice content farther than margin from the
+    spheres.  cross_tol also runs the other method and raises
+    MethodsDisagree if the two differ by more (see cross_check).
     """
     omega = float(omega)
     if omega == 0:
         raise ValueError("omega must be nonzero real")
     if method == 'extrapolate':
-        sols = [spectral.solve(omega + 1j * sign * delta0 * 0.5 ** k, J, mat)
-                for k in range(levels)]
-        u = spectral.Field(J.grid, richardson_limit([v.data for v in sols]))
+        u = _extrapolate(omega, J, mat, sign, delta0, levels)
         other = 'quadrature'
     elif method == 'quadrature':
         common, surface = _quadrature_parts(omega, J, mat, beta, margin,
@@ -525,27 +567,39 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid=None, thickness=0.5,
     wavevectors drawn from a spectral annulus around the characteristic
     sphere.  Returns (fit, deltas, ratios); the fitted slope is compared
     with -gamma of the Lebesgue pair.
+
+    Each current is a plane wave along an eigenvector of the symbol, so
+    u = w_c J with the scalar resolvent w_c(|omega| + i*sign*delta) of
+    the singular column c, and the ratio is |w_c| vol^(1/q - 1/p) in
+    closed form (one _factors call per delta).  One grid solve, of the
+    best mode at the smallest delta, checks it: MethodsDisagree if the
+    two differ by more than 1e-10 relative.
     """
     if grid is None:
         grid = spectral.Grid(2, 64) if mat.dim == 2 else spectral.Grid(3, 32)
     xi = grid.xi_flat()
     sel, rho = region._annulus_modes(xi, omega, mat, thickness, flavor_index)
-    order = np.argsort(np.abs(rho - abs(omega)))
-    sel = sel[order[:48]]
+    sel = sel[np.argsort(np.abs(rho - abs(omega)))[:48]]
     col = multiplier._singular_columns(abs(omega), mat)[flavor_index]
-    m = symbol._eigen_basis(xi[sel], mat)[0]
+    scale = grid.volume ** (pair.y - pair.x)
+    deltas = np.asarray(deltas, float)
+    omegas = abs(omega) + 1j * sign * deltas
+    facs = [multiplier._factors(om, xi[sel], mat) for om in omegas]
+    w = np.array([np.abs(f[1][:, col]) for f in facs])
+    ratios = w.max(axis=1) * scale
+    # the end-to-end check: the best plane wave at the smallest delta
+    k = np.argmin(deltas)
+    i = np.argmax(w[k])
     ncomp = 3 if mat.dim == 2 else 6
-    ratios = []
-    for delta in deltas:
-        best = 0.0
-        for i in range(sel.size):
-            c = np.zeros((ncomp, grid.npoints), dtype=complex)
-            c[:, sel[i]] = m[i, :, col]
-            J = spectral.Field.from_coeffs(
-                grid, c.reshape((ncomp,) + (grid.n,) * grid.dim))
-            u = spectral.solve(abs(omega) + 1j * sign * delta, J, mat)
-            best = max(best, spectral.lebesgue_norm(u, pair.q)
-                       / spectral.lebesgue_norm(J, pair.p))
-        ratios.append(best)
-    return region.loglog_fit(deltas, ratios), np.asarray(deltas, float), \
-        np.array(ratios)
+    c = np.zeros((ncomp, grid.npoints), dtype=complex)
+    c[:, sel[i]] = facs[k][0][i, :, col]
+    J = spectral.Field.from_coeffs(
+        grid, c.reshape((ncomp,) + (grid.n,) * grid.dim))
+    u = spectral.solve(omegas[k], J, mat)
+    solved = (spectral.lebesgue_norm(u, pair.q)
+              / spectral.lebesgue_norm(J, pair.p))
+    if abs(solved - ratios[k]) > 1e-10 * ratios[k]:
+        raise MethodsDisagree(
+            "blow-up ratio at delta = %g: closed form %.17g, grid solve "
+            "%.17g" % (deltas[k], ratios[k], solved))
+    return region.loglog_fit(deltas, ratios), deltas, ratios

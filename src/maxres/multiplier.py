@@ -31,7 +31,7 @@ vectorized over a leading batch of wavevectors.
 import numpy as np
 
 from .errors import RealFrequency
-from .symbol import _eigen_basis, norm_eps, norm_eps_prime
+from .symbol import _eigen_basis
 
 # 3D matrix entries that are identically zero; a sign flip there is
 # unobservable, so fault-injection sampling skips them.
@@ -54,39 +54,6 @@ def _factors(omega, xi, mat, skip=()):
         w = 1.0 / (1j * (omega + rho))
     w[..., list(skip)] = 0
     return m, w, minv
-
-
-def charge_column_2d(omega, xi, mat, J_hat):
-    """M_c applied to J, expressed through the charge rho_e = i xi . J_e."""
-    xi = np.asarray(xi, dtype=float)
-    J_hat = np.asarray(J_hat, dtype=complex)
-    e = mat.eps_inv
-    e11, e12, e22 = e[0, 0], e[0, 1], e[1, 1]
-    n = norm_eps_prime(xi, mat)
-    x1p = xi[..., 0] / n
-    x2p = xi[..., 1] / n
-    rho_e = 1j * (xi[..., 0] * J_hat[..., 0] + xi[..., 1] * J_hat[..., 1])
-    col = np.stack([e12 * x2p - e22 * x1p,
-                    e12 * x1p - e11 * x2p,
-                    np.zeros_like(x1p)], axis=-1)
-    return col * (rho_e / (mat.mu * omega * n))[..., None]
-
-
-def charge_column_3d(omega, xi, mat, J_hat):
-    """M_c applied to J through the charges rho_e, rho_m of both triples."""
-    xi = np.asarray(xi, dtype=float)
-    J_hat = np.asarray(J_hat, dtype=complex)
-    a, b = mat.a, mat.b
-    n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
-    ne = norm_eps(xi, mat)
-    xp = xi / n[..., None]
-    xt = xi / ne[..., None]
-    rho_e = 1j * np.einsum('...i,...i->...', xi, J_hat[..., :3])
-    rho_m = 1j * np.einsum('...i,...i->...', xi, J_hat[..., 3:])
-    fe = -(rho_e / (omega * ne))[..., None]
-    fm = -(rho_m / (omega * n))[..., None]
-    ecol = np.stack([b * xt[..., 0], a * xt[..., 1], a * xt[..., 2]], axis=-1)
-    return np.concatenate([ecol * fe, xp * fm], axis=-1)
 
 
 def sphere_qforms(mat):

@@ -264,9 +264,16 @@ def off_sphere_frequency(grid, mat, near=3.0):
     in a unit window around ``near``."""
     xi = grid.xi_flat()
     radii = np.concatenate([r.ravel() for r in characteristic_radii(xi, mat)])
-    radii = radii[(radii > 0) & (radii < grid.n // 2)]
+    radii = np.unique(radii[(radii > 0) & (radii < grid.n // 2)])
+    if radii.size == 0:
+        raise GridTooCoarse("no lattice flavor radius lies in (0, %d)"
+                            % (grid.n // 2))
     cand = np.linspace(near - 0.5, near + 0.5, 1001)
-    dist = np.abs(cand[:, None] - radii[None, :]).min(axis=1)
+    # the nearest radius is one of the two sorted neighbours
+    pos = np.searchsorted(radii, cand)
+    below = np.abs(cand - radii[np.maximum(pos - 1, 0)])
+    above = np.abs(cand - radii[np.minimum(pos, radii.size - 1)])
+    dist = np.minimum(below, above)
     return float(cand[np.argmax(dist)])
 
 
@@ -313,7 +320,8 @@ def knapp_source(grid, omega, mat, theta=None, tau=None):
     theta (default |omega|^(-1/2)) and radial thickness tau (default
     dist(omega, R)); the spectral profile is a smooth window in both
     variables, polarized along the singular eigenvector of the
-    euclidean-sphere flavor.
+    euclidean-sphere flavor.  Modes near the distinguished (first)
+    axis are left out, as in the annulus source.
     """
     if mat.dim != 3:
         raise ValueError("the cap construction is three-dimensional")
@@ -332,7 +340,10 @@ def knapp_source(grid, omega, mat, theta=None, tau=None):
                                 -1, 1))
     window = (np.exp(-0.5 * ((rho - lam) / tau) ** 2)
               * np.exp(-0.5 * (ang / theta) ** 2))
-    window[(n == 0) | (ang > 3 * theta) | (np.abs(rho - lam) > 3 * tau)] = 0.0
+    # modes on the distinguished axis have no closed-form eigenbasis;
+    # the default cap reaches them when 3 theta > pi/2, |omega| < 3.65
+    window[(n == 0) | symbol.near_axis(xi) | (ang > 3 * theta)
+           | (np.abs(rho - lam) > 3 * tau)] = 0.0
     sel = np.nonzero(window > 0)[0]
     if sel.size == 0:
         raise GridTooCoarse("cap contains no lattice modes")

@@ -15,6 +15,7 @@ from maxres import lap, multiplier, region as rg, spectral as sp, verify
 from maxres.errors import EmptyRegion
 from maxres.materials import Material2, Material3
 from maxres.region import LebesguePair as P
+from helpers import charge_column_2d, charge_column_3d
 
 MAT2 = Material2(1.3, 0.25, 0.9, mu=1.4)
 MAT3 = Material3(0.5, 1.0 / 0.7)
@@ -186,8 +187,7 @@ def test_criterion_5_charge_split(_verdict):
         xi = grid.xi_flat()
         nz = np.nonzero(np.any(xi != 0, axis=-1))[0]
         expect = np.zeros_like(c)
-        fn = (multiplier.charge_column_2d if mat.dim == 2
-              else multiplier.charge_column_3d)
+        fn = charge_column_2d if mat.dim == 2 else charge_column_3d
         expect[:, nz] = fn(omega, xi[nz], mat, c[:, nz].T).T
         got = diff.coeffs().reshape(ncomp, -1)
         worst = max(worst, np.abs(got - expect).max() / np.abs(c).max())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maxres import cli, fieldfile, lap
+from helpers import PerturbedFactors
 
 
 def _write(tmp_path, name, text):
@@ -301,9 +302,14 @@ AXIS2 = ("[grid]\ndim = 3\nn = 16\n"
     ('verify', "[verify]\nflip_entry = 9,9\n"),
     ('verify', "[verify]\npoints = 5\n"),
     ('region', "[region]\nmode = membership\npoints = 0.5\n"),
+    ('region', "[region]\nmode = gamma_map\nresolution = 1\n"),
+    ('region', "[region]\nmode = gamma_map\ndim = 4\n"),
+    ('region', "[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
+               "ell = -1\n"),
 ], ids=['probe-blowup-axis2', 'probe-annulus-axis2', 'probe-knapp-axis2',
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
-        'flip-out-of-range', 'verify-too-few-points', 'membership-one-value'])
+        'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
+        'gamma-map-resolution-1', 'gamma-map-dim-4', 'boundary-negative-ell'])
 def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     cfg = _write(tmp_path, 'job.ini', text)
     assert cli.main([cmd, '--config', cfg,
@@ -312,6 +318,38 @@ def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     assert err.startswith('error: ') and err.count('\n') == 1
     if 'axis = 2' in text:
         assert 'axis = 1 and mu = 1' in err
+
+
+@pytest.mark.parametrize('cmd,text', [
+    # at |omega| near 3 the default cap reaches the distinguished axis,
+    # whose modes the cap leaves out
+    ('probe', "[grid]\ndim = 3\nn = 16\n"
+              "[material]\neps_axis = 0.5\neps_perp = 1.4\n"
+              "[probe]\nfamily = knapp\n"),
+    ('solve', "[grid]\ndim = 3\nn = 32\n"
+              "[material]\neps_axis = 0.5\neps_perp = 1.4\n"
+              "[frequency]\nre = 2.9\nim = 0.3\n"
+              "[source]\nkind = knapp\n"),
+], ids=['probe', 'solve'])
+def test_knapp_cap_near_the_axis_runs(tmp_path, capsys, cmd, text):
+    cfg = _write(tmp_path, 'job.ini', text)
+    assert cli.main([cmd, '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 0
+    assert capsys.readouterr().err == ''
+
+
+def test_probe_blowup_closed_form_disagreement_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    # the closed form is off by 1e-8 relative, the grid solve is not
+    monkeypatch.setattr(lap, 'multiplier', PerturbedFactors())
+    cfg = _write(tmp_path, 'p.ini',
+                 "[grid]\ndim = 2\nn = 64\n"
+                 "[material]\neps11 = 1.0\neps22 = 1.0\n"
+                 "[probe]\nfamily = blowup\n")
+    assert cli.main(['probe', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 2
+    assert capsys.readouterr().err.startswith(
+        'method cross-validation failed: blow-up ratio')
 
 
 def test_solenoidal_source_noncanonical(tmp_path, capsys):

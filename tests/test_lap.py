@@ -9,6 +9,7 @@ from maxres import symbol
 from maxres.errors import (DegenerateDirection, MethodsDisagree,
                            OnSingularSet)
 from maxres.materials import Material2, Material3
+from helpers import PerturbedFactors
 
 RNG = np.random.default_rng(23)
 
@@ -336,3 +337,69 @@ def test_blowup_probe_isotropic_3d_skips_axis_modes():
     fit, _, _ = lap.lap_blowup_probe(
         omega, rg.LebesguePair(0.5, 0.5, 3), mat, deltas, grid=g)
     assert fit.slope == pytest.approx(-1.0, abs=0.05)
+
+
+def richardson_oracle(omega, J, mat, sign, delta0=0.1, levels=7):
+    """The extrapolate route as a loop: the Neville table over full grid
+    solves at omega + i sign delta0 2^(-k), k < levels."""
+    return lap.richardson_limit(
+        [sp.solve(omega + 1j * sign * delta0 * 0.5 ** k, J, mat).data
+         for k in range(levels)])
+
+
+@pytest.mark.parametrize('grid,mat', [
+    (sp.Grid(2, 128), MAT2),
+    (sp.Grid(3, 32), MAT3),
+    (sp.Grid(3, 16), Material3(0.5, 1.4, axis=3, mu=1.3)),
+    (sp.Grid(3, 16), Material3(1.0, 1.0)),
+], ids=['2d-128', '3d-32', '3d-16-axis3-mu', '3d-16-isotropic'])
+def test_extrapolate_matches_full_solve_oracle(grid, mat):
+    J = sp.random_band_limited(grid, 3 if grid.dim == 2 else 6, RNG)
+    c = J.coeffs().reshape(J.ncomp, -1)
+    assert np.abs(c[:, 0]).max() > 0.1          # a nonzero mean
+    if grid.n == 16 and mat.is_canonical:
+        # the isotropic case: 15 near-axis modes take the direct route
+        assert (symbol.near_axis(grid.xi_flat())
+                & (np.abs(c).max(axis=0) > 0)).sum() == 15
+    for sign in (+1, -1):
+        u = lap.lap_solve(OMEGA, J, mat, sign=sign, method='extrapolate')
+        assert _rel(u.data, richardson_oracle(OMEGA, J, mat, sign)) < 1e-12
+
+
+@pytest.mark.parametrize('grid,mat', [
+    (sp.Grid(2, 64), MAT2),
+    (sp.Grid(3, 16), MAT3),
+], ids=['2d-64', '3d-16'])
+def test_blowup_ratios_are_per_mode_solves(grid, mat):
+    # the probe's closed form |w_c| vol^(1/q - 1/p) against the grid
+    # solve of every sample
+    omega = rg.on_sphere_frequency(grid, mat)
+    pair = rg.LebesguePair(0.6, 0.3, grid.dim)
+    deltas = [2.0 ** -3, 2.0 ** -6, 2.0 ** -9]
+    _, _, ratios = lap.lap_blowup_probe(omega, pair, mat, deltas, grid=grid)
+    xi = grid.xi_flat()
+    sel, rho = rg._annulus_modes(xi, omega, mat, 0.5, 0)
+    sel = sel[np.argsort(np.abs(rho - omega))[:48]]
+    col = mp._singular_columns(omega, mat)[0]
+    m = symbol._eigen_basis(xi[sel], mat)[0]
+    ncomp = 3 if grid.dim == 2 else 6
+    for delta, got in zip(deltas, ratios):
+        best = 0.0
+        for i in range(sel.size):
+            c = np.zeros((ncomp, grid.npoints), dtype=complex)
+            c[:, sel[i]] = m[i, :, col]
+            J = sp.Field.from_coeffs(
+                grid, c.reshape((ncomp,) + (grid.n,) * grid.dim))
+            u = sp.solve(omega + 1j * delta, J, mat)
+            best = max(best, sp.lebesgue_norm(u, pair.q)
+                       / sp.lebesgue_norm(J, pair.p))
+        assert abs(got - best) <= 1e-12 * best
+
+
+def test_blowup_probe_checks_closed_form(monkeypatch):
+    monkeypatch.setattr(lap, 'multiplier', PerturbedFactors())
+    g = sp.Grid(2, 64)
+    omega = rg.on_sphere_frequency(g, MAT2)
+    with pytest.raises(MethodsDisagree, match='closed form'):
+        lap.lap_blowup_probe(omega, rg.LebesguePair(0.5, 0.5, 2), MAT2,
+                             [2.0 ** -3, 2.0 ** -6], grid=g)

@@ -3,10 +3,10 @@ import pytest
 
 from maxres.errors import DegenerateDirection, RealFrequency
 from maxres.materials import Material2, Material3
-from maxres.multiplier import (M3_ZERO_ENTRIES, _factors, charge_column_2d,
-                               charge_column_3d, regular_matrix,
+from maxres.multiplier import (M3_ZERO_ENTRIES, _factors, regular_matrix,
                                resolvent_matrix, singular_weights)
 from maxres.symbol import AXIS_GUARD, _eigen_basis, near_axis, symbol_p
+from helpers import charge_column_2d, charge_column_3d
 
 RNG = np.random.default_rng(7)
 

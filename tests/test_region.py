@@ -3,8 +3,9 @@ import pytest
 
 from maxres import region as rg
 from maxres import spectral as sp
-from maxres.errors import (EmptyRegion, ExponentOrder, OnSingularSet)
-from maxres.materials import Material2
+from maxres.errors import (EmptyRegion, ExponentOrder, GridTooCoarse,
+                           OnSingularSet)
+from maxres.materials import Material2, Material3
 from maxres.region import LebesguePair as P
 
 RNG = np.random.default_rng(31)
@@ -172,6 +173,38 @@ def test_frequency_pickers():
     assert np.abs(rho - om).min() == 0.0
     off = rg.off_sphere_frequency(g, MAT2, near=3.0)
     assert np.abs(rho[rho > 0] - off).min() > 1e-2
+
+
+def dense_off_sphere_frequency(grid, mat, near=3.0):
+    """The distance from each of 1001 candidates to every lattice flavor
+    radius, as one (candidates x radii) matrix."""
+    xi = grid.xi_flat()
+    radii = np.concatenate([r.ravel()
+                            for r in rg.characteristic_radii(xi, mat)])
+    radii = radii[(radii > 0) & (radii < grid.n // 2)]
+    cand = np.linspace(near - 0.5, near + 0.5, 1001)
+    dist = np.abs(cand[:, None] - radii[None, :]).min(axis=1)
+    return float(cand[np.argmax(dist)])
+
+
+@pytest.mark.parametrize('mat,ns', [
+    (MAT2, (16, 64, 128)),
+    (Material2(1.0, 0.0, 1.0), (16, 64)),
+    (Material3(0.5, 1.0 / 0.7), (8, 16)),
+    (Material3(1.0, 1.0), (8, 16)),
+], ids=['mat2', 'iso2', 'mat3', 'iso3'])
+def test_off_sphere_frequency_matches_dense_oracle(mat, ns):
+    for n in ns:
+        g = sp.Grid(mat.dim, n)
+        for near in (1.0, 3.0, 5.7):
+            assert rg.off_sphere_frequency(g, mat, near) \
+                == dense_off_sphere_frequency(g, mat, near)
+
+
+def test_off_sphere_frequency_needs_a_radius_in_band():
+    # eps = 0.01: the smallest lattice flavor radius is 10, beyond n/2
+    with pytest.raises(GridTooCoarse):
+        rg.off_sphere_frequency(sp.Grid(2, 4), Material2(0.01, 0.0, 0.01))
 
 
 def test_annulus_source_is_resolvent_eigenvector():

@@ -5,6 +5,7 @@ from maxres import spectral as sp
 from maxres import symbol
 from maxres.errors import MeanNotZero, RealFrequency
 from maxres.materials import Material2, Material3
+from helpers import charge_column_2d, charge_column_3d
 
 RNG = np.random.default_rng(19)
 
@@ -122,7 +123,6 @@ def test_oblique_leray_noncanonical_matches_canonical_frame(mat):
 def test_oblique_leray_annihilates_charge_part():
     # removing the eps-oblique projection reproduces exactly the charge
     # contribution of the solve
-    from maxres import multiplier
     for mat, ncomp in ((MAT2, 3), (MAT3, 6)):
         g = sp.Grid(2, 32) if mat.dim == 2 else sp.Grid(3, 16)
         J = sp.random_band_limited(g, ncomp, RNG)
@@ -133,8 +133,7 @@ def test_oblique_leray_annihilates_charge_part():
         xi = g.xi_flat()
         nz = np.nonzero(np.any(xi != 0, axis=-1))[0]
         expect = np.zeros_like(c)
-        fn = (multiplier.charge_column_2d if mat.dim == 2
-              else multiplier.charge_column_3d)
+        fn = charge_column_2d if mat.dim == 2 else charge_column_3d
         expect[:, nz] = fn(OMEGA, xi[nz], mat, c[:, nz].T).T
         got = diff.coeffs().reshape(ncomp, -1)
         assert np.abs(got - expect).max() < 1e-12
