@@ -14,8 +14,9 @@ The package is organized bottom-up:
   singular weights at real frequency.
 * :mod:`maxres.spectral`   FFT grids, fields and multiplier operators:
   solve, Riesz transforms, Leray projection, fractional Laplacians.
-* :mod:`maxres.lap`        limiting absorption: principal-value and
-  surface-measure quadrature, extrapolation, blow-up probes.
+* :mod:`maxres.lap`        limiting absorption: both real-frequency
+  limits as one pair common +- jump (lap_parts) by principal-value and
+  surface-measure quadrature or by extrapolation, blow-up probes.
 * :mod:`maxres.region`     Lebesgue-exponent region arithmetic and
   empirical operator-norm scaling probes.
 * :mod:`maxres.verify`     randomized invariant suites with a
@@ -38,9 +39,8 @@ from .spectral import (Field, Grid, divergence_and_charges,
                        half_laplacian_resolvent, lebesgue_norm,
                        leray_project, random_band_limited, riesz,
                        scalar_field, solve)
-from .lap import (CutoffSpec, e_delta, lap_blowup_probe, lap_solve, pv_part,
-                  quadrature_parts, richardson_limit, surface_part,
-                  surface_terms)
+from .lap import (CutoffSpec, e_delta, lap_blowup_probe, lap_parts, lap_solve,
+                  pv_part, richardson_limit, surface_part, surface_terms)
 from .region import (LebesguePair, RegionQuery, alpha, annulus_source,
                      eigenvalue_enclosure, gamma, kappa, knapp_source,
                      loglog_fit, membership, norm_scaling_probe,
@@ -61,8 +61,8 @@ __all__ = [
     'Field', 'Grid', 'divergence_and_charges', 'forward_operator',
     'fractional_laplacian', 'half_laplacian_resolvent', 'lebesgue_norm',
     'leray_project', 'random_band_limited', 'riesz', 'scalar_field', 'solve',
-    'CutoffSpec', 'e_delta', 'lap_blowup_probe', 'lap_solve', 'pv_part',
-    'quadrature_parts', 'richardson_limit', 'surface_part', 'surface_terms',
+    'CutoffSpec', 'e_delta', 'lap_blowup_probe', 'lap_parts', 'lap_solve',
+    'pv_part', 'richardson_limit', 'surface_part', 'surface_terms',
     'LebesguePair', 'RegionQuery', 'alpha', 'annulus_source',
     'eigenvalue_enclosure', 'gamma', 'kappa', 'knapp_source', 'loglog_fit',
     'membership', 'norm_scaling_probe', 'off_sphere_frequency',

@@ -7,10 +7,10 @@ Subcommands:
 * ``verify``  randomized symbol/multiplier invariant suites; exit 0 iff
               every suite passes, otherwise exit 1 with the first
               failing witness.
-* ``lap``     real-frequency limiting solutions for both signs, writes
-              both fields and prints the difference-identity defect; a
-              cross-validation disagreement between the two evaluation
-              methods exits with code 2.
+* ``lap``     real-frequency limiting solutions for both signs from one
+              lap.lap_parts call, writes both fields and prints the
+              difference-identity defect; a cross-validation disagreement
+              between the two methods, at either sign, exits with code 2.
 * ``region``  exponent-region arithmetic: gamma maps, membership
               tables and Z-region boundaries as CSV.
 * ``probe``   empirical operator-norm scaling probes, CSV of
@@ -240,26 +240,25 @@ def cmd_lap(args, cp):
     grid = parse_grid(cp)
     mat = parse_material(cp)
     omega = parse_omega(cp)
-    if omega.imag != 0:
-        raise ConfigError("lap requires real omega; use solve otherwise")
+    if omega.imag != 0 or omega.real == 0 or not np.isfinite(omega.real):
+        raise ConfigError("lap requires [frequency] im = 0 and a finite "
+                          "re != 0; use solve for complex omega")
     rng = np.random.default_rng(args.seed)
     J = build_source(cp, grid, mat, rng)
     method = _get(cp, 'lap', 'method', str, default='quadrature')
+    if method not in ('quadrature', 'extrapolate'):
+        raise ConfigError("unknown [lap] method %r" % method)
     cross = _get(cp, 'lap', 'cross_tol', float, default=0.0)
+    if not 0 <= cross < np.inf:
+        raise ConfigError("[lap] cross_tol must be finite and >= 0, got %r"
+                          % cross)
     out = _outdir(args)
-    if method == 'quadrature':
-        # the sign-independent part is computed once for both limits
-        common, surf = lap.quadrature_parts(omega.real, J, mat)
-        u_plus, u_minus = common + surf, common - surf
-        if cross > 0:
-            for u, sign in ((u_plus, +1), (u_minus, -1)):
-                lap.cross_check(u, lap.lap_solve(omega.real, J, mat, sign,
-                                                 'extrapolate'), cross)
-    else:
-        kw = dict(method=method, cross_tol=cross or None)
-        u_plus = lap.lap_solve(omega.real, J, mat, sign=+1, **kw)
-        u_minus = lap.lap_solve(omega.real, J, mat, sign=-1, **kw)
-        surf = lap.surface_terms(omega.real, J, mat)
+    common, jump = lap.lap_parts(omega.real, J, mat, method,
+                                 cross_tol=cross or None)
+    u_plus, u_minus = common + jump, common - jump
+    # the defect compares with the quadrature surface term, the jump there
+    surf = jump if method == 'quadrature' \
+        else lap.surface_terms(omega.real, J, mat)
     fieldfile.write_field(os.path.join(out, 'fields_plus.mxfd'), u_plus)
     fieldfile.write_field(os.path.join(out, 'fields_minus.mxfd'), u_minus)
     diff = (u_plus - u_minus) - 2.0 * surf

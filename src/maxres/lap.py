@@ -1,20 +1,24 @@
 """Limiting absorption: the resolvent at real frequency.
 
-Two routes to P_(+-)(omega) for real omega != 0.  They compute
-different objects on lattice content near a characteristic sphere, and
-agree only when J has none within ``margin`` of every sphere:
+lap_parts gives both boundary values P_(+-)(omega) J, real omega != 0,
+as one pair: P_(+-) J = common +- jump; lap_solve picks a sign.  Its two
+routes compute different objects on lattice content near a
+characteristic sphere, and agree only when J has none within
+``margin`` of every sphere:
 
 * ``extrapolate`` gives the periodic limit lim P(omega +- i0)^{-1} on
-  the lattice: the Richardson limit of the resolvent at omega + i*sign*
-  delta_k for a geometric delta sequence.  The limit is linear, so it is
-  taken once on the scalar resolvents 1/(i(omega_k + rho)) of one
-  frequency-independent eigenbasis, followed by one inverse FFT.
+  the lattice: per sign, the Richardson limit of the resolvent at
+  omega + i*sign*delta_k for a geometric delta sequence.  The limit is
+  linear, so it is taken once on the scalar resolvents
+  1/(i(omega_k + rho)) of one frequency-independent eigenbasis; the
+  half-sum and half-difference of the two signs are the pair.
 * ``quadrature`` keeps the lattice inverse away from the spheres and
   replaces the near-sphere lattice values with the continuum principal
   value plus +-i*pi times the coarea measure of the semidiscrete
   transform on each sphere (the Sokhotsky-Plemelj split): the smooth
   background acts on the lattice, the singular scalars
-  1/(i(omega - rho)) are evaluated with off-grid quadrature nodes.
+  1/(i(omega - rho)) are evaluated with off-grid quadrature nodes.  The
+  surface term is the jump.
 
 Scalar model operators (e_delta, pv_part, surface_part) expose the same
 machinery for a single flavor norm, which is where the Sokhotsky limit
@@ -394,43 +398,52 @@ def richardson_limit(values):
     return T[-1][-1]
 
 
-def _extrapolate(omega, J, mat, sign, delta0, levels):
-    """richardson_limit of solve(omega + i y_k, J), y_k = sign delta0
-    2^(-k), k < levels, taken on the scalars: the limit is a fixed linear
-    combination sum_k a_k, so off-axis modes need one eigenbasis with
-    w = sum_k a_k / (i(omega + i y_k + rho)), and the few direct modes
-    (near-axis 3D, and the zero mode, where p = i omega I) the same
-    combination of their direct inverses."""
+def _extrapolate(omega, J, mat, delta0, levels):
+    """lap_parts' extrapolate route: per sign, richardson_limit of
+    solve(omega + i y_k, J), y_k = sign delta0 2^(-k), k < levels, taken
+    on the scalars: the limit is a fixed linear combination sum_k a_k, so
+    off-axis modes need one eigenbasis with w = sum_k a_k / (i(omega +
+    i y_k + rho)), and the few direct modes (near-axis 3D, and the zero
+    mode, where p = i omega I) the same combination of their direct
+    inverses."""
     if isinstance(mat, Material3) and not mat.is_canonical:
         canon, Jc, record = symbol.canonicalize(mat, J)
-        return record.backward_fields(
-            _extrapolate(omega, Jc, canon, sign, delta0, levels))
+        return tuple(record.backward_fields(p) for p in
+                     _extrapolate(omega, Jc, canon, delta0, levels))
     a = richardson_limit(list(np.eye(levels)))
-    y = sign * delta0 * 0.5 ** np.arange(levels)
-
-    def factors(xi):
-        # 1/(i(x + i y)) = -(y + i x) / (x^2 + y^2), x = omega + rho
-        m, minv, rho = symbol._eigen_basis(xi, mat)
-        x = omega + rho
-        inv = 1.0 / (x[..., None] ** 2 + y ** 2)
-        return m, -(inv @ (a * y) + 1j * x * (inv @ a)), minv
-
     grid = J.grid
     xi = grid.xi_flat()
     direct = symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1)
-    c = J.coeffs().reshape(J.ncomp, -1)
-    out = spectral._solve_coeffs(omega, c, grid, mat, ~direct, factors)
     idx = np.nonzero(direct)[0]
+    c = J.coeffs().reshape(J.ncomp, -1)
     rhs = c[:, idx].T[..., None]
-    for ak, om in zip(a, omega + 1j * y):
-        p = symbol.symbol_p(om, xi[idx], mat)
-        out[:, idx] += ak * np.linalg.solve(p, rhs)[..., 0].T
-    return spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
+
+    def limit(sign):
+        y = sign * delta0 * 0.5 ** np.arange(levels)
+
+        def factors(xi):
+            # 1/(i(x + i y)) = -(y + i x) / (x^2 + y^2), x = omega + rho
+            m, minv, rho = symbol._eigen_basis(xi, mat)
+            x = omega + rho
+            inv = 1.0 / (x[..., None] ** 2 + y ** 2)
+            return m, -(inv @ (a * y) + 1j * x * (inv @ a)), minv
+
+        out = spectral._solve_coeffs(omega, c, grid, mat, ~direct, factors)
+        for ak, om in zip(a, omega + 1j * y):
+            p = symbol.symbol_p(om, xi[idx], mat)
+            out[:, idx] += ak * np.linalg.solve(p, rhs)[..., 0].T
+        return out
+
+    plus, minus = limit(+1), limit(-1)
+    return tuple(spectral.Field.from_coeffs(grid,
+                                            (0.5 * v).reshape(J.data.shape))
+                 for v in (plus + minus, plus - minus))
 
 
 def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
                       with_pv=True):
-    """See quadrature_parts; with_pv=False skips common (None)."""
+    """lap_parts' quadrature route: (common, surface), surface =
+    surface_terms(sign=+1); with_pv=False skips common (None)."""
     omega = float(omega)
     if omega == 0:
         raise ValueError("omega must be nonzero real")
@@ -486,73 +499,60 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
     return common, surface
 
 
-def quadrature_parts(omega, J, mat, beta=None, margin=0.35, n_sphere=None,
-                     n_radial=24):
-    """lap_solve's quadrature route for both signs in one pass:
-    (common, surface) with P_(+-)(omega) J = common +- surface, where
-    surface = surface_terms(sign=+1) and common (lattice background and
-    principal values) is shared by both limits."""
-    return _quadrature_parts(omega, J, mat, beta, margin, n_sphere,
-                             n_radial)
+def lap_parts(omega, J, mat, method='quadrature', beta=None, margin=0.35,
+              n_sphere=None, n_radial=24, delta0=0.1, levels=7,
+              cross_tol=None):
+    """Both limiting-absorption solutions at real omega as one pair
+    (common, jump), P_(+-)(omega) J = common +- jump, by the route
+    ``method`` (see the module docstring).
 
-
-def cross_check(u, other, cross_tol):
-    """Raise MethodsDisagree if u, the limit P_(sign)(omega) J by one LAP
-    method, is farther than cross_tol (relative L2) from ``other``, the
-    same limit by the other method."""
-    rel = spectral.lebesgue_norm(u - other, 2) \
-        / max(spectral.lebesgue_norm(u, 2), 1e-300)
-    if rel > cross_tol:
-        raise MethodsDisagree(
-            "extrapolate and quadrature differ by %.3e relative" % rel)
+    quadrature splits lattice modes within relative flavor distance
+    margin of a sphere, with cutoff beta and n_sphere (even in 3D) by
+    n_radial nodes; its jump is surface_terms(sign=+1).  extrapolate
+    takes the limit over delta_k = delta0 * 2^(-k), k < levels.
+    cross_tol (finite, >= 0) runs the other route once too and raises
+    MethodsDisagree if they differ by more, relative L2, at either sign."""
+    omega = float(omega)
+    if omega == 0:
+        raise ValueError("omega must be nonzero real")
+    if cross_tol is not None and not 0 <= cross_tol < np.inf:
+        raise ValueError("cross_tol must be finite and >= 0, got %r"
+                         % (cross_tol,))
+    routes = {
+        'quadrature': lambda: _quadrature_parts(omega, J, mat, beta, margin,
+                                                n_sphere, n_radial),
+        'extrapolate': lambda: _extrapolate(omega, J, mat, delta0, levels)}
+    if method not in routes:
+        raise ValueError("method must be 'quadrature' or 'extrapolate'")
+    common, jump = routes[method]()
+    if cross_tol is not None:
+        o_common, o_jump = routes['extrapolate' if method == 'quadrature'
+                                  else 'quadrature']()
+        for sign in (+1, -1):
+            u = common + sign * jump
+            rel = (spectral.lebesgue_norm(u - (o_common + sign * o_jump), 2)
+                   / max(spectral.lebesgue_norm(u, 2), 1e-300))
+            if rel > cross_tol:
+                raise MethodsDisagree(
+                    "extrapolate and quadrature differ by %.3e relative at "
+                    "sign %+d" % (rel, sign))
+    return common, jump
 
 
 def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
               margin=0.35, n_sphere=None, n_radial=24, delta0=0.1,
               levels=7, cross_tol=None):
-    """The limiting-absorption solution P_(+-)(omega) J at real omega.
-
-    quadrature: lattice modes at relative flavor distance >= margin from
-    every characteristic sphere get the real-frequency resolvent matrix
-    directly; the remaining near-sphere content is handled by the smooth
-    background on the lattice plus, per singular sphere, a continuum
-    principal-value integral and the surface term carried by the
-    Sokhotsky weights (see quadrature_parts).  In 3D n_sphere must be
-    even.
-
-    extrapolate: the periodic limit on the lattice, the Richardson limit
-    of solve(omega + i*sign*delta_k, J) over delta_k = delta0 * 2^(-k),
-    k < levels, taken on the scalar resolvents of one eigenbasis (one
-    FFT pair in all).
-
-    The two agree only on lattice content farther than margin from the
-    spheres.  cross_tol also runs the other method and raises
-    MethodsDisagree if the two differ by more (see cross_check).
-    """
-    omega = float(omega)
-    if omega == 0:
-        raise ValueError("omega must be nonzero real")
-    if method == 'extrapolate':
-        u = _extrapolate(omega, J, mat, sign, delta0, levels)
-        other = 'quadrature'
-    elif method == 'quadrature':
-        common, surface = _quadrature_parts(omega, J, mat, beta, margin,
-                                            n_sphere, n_radial)
-        u = common + sign * surface
-        other = 'extrapolate'
-    else:
-        raise ValueError("method must be 'quadrature' or 'extrapolate'")
-    if cross_tol is not None:
-        cross_check(u, lap_solve(omega, J, mat, sign, other, beta, margin,
-                                 n_sphere, n_radial, delta0, levels),
-                    cross_tol)
-    return u
+    """The limiting-absorption solution P_(+-)(omega) J at real omega:
+    common + sign * jump of lap_parts, which describes the arguments."""
+    common, jump = lap_parts(omega, J, mat, method, beta, margin, n_sphere,
+                             n_radial, delta0, levels, cross_tol)
+    return common + sign * jump
 
 
 def surface_terms(omega, J, mat, sign=+1, beta=None, margin=0.35,
                   n_sphere=None):
-    """The assembled surface contributions of lap_solve's quadrature
-    route (all characteristic spheres); no principal value is computed."""
+    """sign times the jump of lap_parts' quadrature route (all
+    characteristic spheres); no principal value is computed."""
     _, surface = _quadrature_parts(omega, J, mat, beta, margin, n_sphere,
                                    None, with_pv=False)
     return sign * surface

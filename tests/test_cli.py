@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,32 @@ def test_lap_cross_tol_extrapolate_route(tmp_path, capsys):
                      '--out', str(tmp_path / 'o')]) == 2
     err = capsys.readouterr().err
     assert err.startswith('method cross-validation failed: ')
+
+
+@pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
+def test_lap_cross_tol_runs_each_route_once(tmp_path, monkeypatch, method):
+    # the principal value does not depend on the sign, so one quadrature
+    # pass serves both limits and both cross-checks; the extrapolate
+    # route's report line adds one surface-only pass
+    quad, extra = lap._quadrature_parts, lap._extrapolate
+    calls = {'pv': 0, 'extrapolate': 0}
+
+    def counted_quad(*args, **kw):
+        bound = inspect.signature(quad).bind(*args, **kw)
+        calls['pv'] += bound.arguments.get('with_pv', True)
+        return quad(*args, **kw)
+
+    def counted_extra(*args, **kw):
+        calls['extrapolate'] += 1
+        return extra(*args, **kw)
+
+    monkeypatch.setattr(lap, '_quadrature_parts', counted_quad)
+    monkeypatch.setattr(lap, '_extrapolate', counted_extra)
+    cfg = _write(tmp_path, 'lap.ini', LAP_INI.replace('kmax = 6', 'kmax = 1')
+                 + "\n[lap]\nmethod = %s\ncross_tol = 1e-8\n" % method)
+    assert cli.main(['lap', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 0
+    assert calls == {'pv': 1, 'extrapolate': 1}
 
 
 def test_lap_noncanonical_material(tmp_path, capsys):
@@ -306,10 +334,19 @@ AXIS2 = ("[grid]\ndim = 3\nn = 16\n"
     ('region', "[region]\nmode = gamma_map\ndim = 4\n"),
     ('region', "[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
                "ell = -1\n"),
+    ('lap', LAP_INI.replace('re = 3.1', 're = 0')),
+    ('lap', LAP_INI + "[lap]\nmethod = bogus\n"),
+    ('lap', LAP_INI + "[lap]\nmethod = quadrature\ncross_tol = -1e-8\n"),
+    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = -1e-8\n"),
+    ('lap', LAP_INI + "[lap]\ncross_tol = nan\n"),
+    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = inf\n"),
 ], ids=['probe-blowup-axis2', 'probe-annulus-axis2', 'probe-knapp-axis2',
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
         'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
-        'gamma-map-resolution-1', 'gamma-map-dim-4', 'boundary-negative-ell'])
+        'gamma-map-resolution-1', 'gamma-map-dim-4', 'boundary-negative-ell',
+        'lap-re-0', 'lap-unknown-method', 'lap-negative-cross-tol-quadrature',
+        'lap-negative-cross-tol-extrapolate', 'lap-nan-cross-tol',
+        'lap-inf-cross-tol'])
 def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     cfg = _write(tmp_path, 'job.ini', text)
     assert cli.main([cmd, '--config', cfg,

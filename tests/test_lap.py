@@ -252,7 +252,7 @@ def test_difference_identity(mat, grid, ncomp):
 ])
 def test_lap_solve_is_common_plus_minus_surface(mat, grid, ncomp):
     J = sp.random_band_limited(grid, ncomp, RNG)
-    common, surface = lap.quadrature_parts(OMEGA, J, mat)
+    common, surface = lap.lap_parts(OMEGA, J, mat)
     st = lap.surface_terms(OMEGA, J, mat)
     assert _rel(surface.data, st.data) < 1e-14
     for sign in (+1, -1):
@@ -281,7 +281,7 @@ def test_axis_mode_on_sphere_is_on_singular_set():
     g = sp.Grid(3, 16)
     J = sp.random_band_limited(g, 6, RNG)
     with pytest.raises(OnSingularSet, match=r'omega = 3 .*\(3, 0, 0\)'):
-        lap.quadrature_parts(3.0, J, Material3(1.0, 1.0))
+        lap.lap_parts(3.0, J, Material3(1.0, 1.0))
 
 
 def test_odd_n_sphere_rejected_in_3d():
@@ -311,6 +311,32 @@ def test_lap_solve_cross_validation():
     for method in ('quadrature', 'extrapolate'):
         with pytest.raises(MethodsDisagree):
             lap.lap_solve(OMEGA, J, MAT2, method=method, cross_tol=1e-30)
+
+
+@pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
+@pytest.mark.parametrize('tol', [-1e-8, np.nan, np.inf])
+def test_bad_cross_tol_is_refused(method, tol):
+    # rel > nan is False, so a NaN tolerance would pass every check
+    J = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match='cross_tol'):
+        lap.lap_parts(1.0, J, MAT2, method=method, cross_tol=tol)
+    with pytest.raises(ValueError, match='cross_tol'):
+        lap.lap_solve(1.0, J, MAT2, method=method, cross_tol=tol)
+
+
+@pytest.mark.parametrize('grid,mat', [
+    (sp.Grid(2, 128), MAT2),
+    (sp.Grid(3, 16), Material3(1.0, 1.0)),
+], ids=['2d-128', '3d-16-isotropic'])
+def test_extrapolate_has_no_jump_off_the_spheres(grid, mat):
+    # no lattice mode lies on a sphere, so the periodic limits from the
+    # two half planes coincide up to the Richardson error
+    omega = rg.off_sphere_frequency(grid, mat)
+    J = sp.random_band_limited(grid, 3 if grid.dim == 2 else 6,
+                               np.random.default_rng(5), kmax=grid.n // 2)
+    common, jump = lap.lap_parts(omega, J, mat, method='extrapolate')
+    assert (sp.lebesgue_norm(2.0 * jump, 2)
+            / sp.lebesgue_norm(common + jump, 2)) < 1e-5
 
 
 def test_blowup_probe_slope():
