@@ -104,6 +104,9 @@ def require_canonical(mat, what):
 def parse_omega(cp):
     re = _get(cp, 'frequency', 're', float)
     im = _get(cp, 'frequency', 'im', float, default=0.0)
+    if not (np.isfinite(re) and np.isfinite(im)):
+        raise ConfigError("[frequency] re and im must be finite, got "
+                          "re = %r, im = %r" % (re, im))
     return complex(re, im)
 
 
@@ -177,6 +180,11 @@ def cmd_solve(args, cp):
     if omega.imag == 0:
         raise ConfigError("Im(omega) = 0: use the lap subcommand for "
                           "real-frequency limiting solutions")
+    q = _get(cp, 'tolerances', 'charge_q', float, default=2.0)
+    tol = _get(cp, 'tolerances', 'residual', float, default=1e-10)
+    if not (1 <= q <= np.inf and 0 < tol < np.inf):
+        raise ConfigError("[tolerances] needs 1 <= charge_q <= inf and a "
+                          "finite residual > 0, got %r and %r" % (q, tol))
     rng = np.random.default_rng(args.seed)
     J = build_source(cp, grid, mat, rng)
     u = spectral.solve(omega, J, mat)
@@ -185,7 +193,6 @@ def cmd_solve(args, cp):
     resid = spectral.forward_operator(omega, u, mat) - J
     rel = spectral.lebesgue_norm(resid, 2) / spectral.lebesgue_norm(J, 2)
     charges = spectral.divergence_and_charges(J)
-    q = _get(cp, 'tolerances', 'charge_q', float, default=2.0)
     lines = ['omega = %s' % omega,
              'residual_rel_l2 = %s' % format_float(rel)]
     for name, rho in (('rho_e', charges.rho_e), ('rho_m', charges.rho_m)):
@@ -197,7 +204,6 @@ def cmd_solve(args, cp):
             lines.append('halfinv_laplacian_%s_l%s = %s'
                          % (name, format_float(q), format_float(nrm)))
     _emit(lines, os.path.join(out, 'solve_report.txt'))
-    tol = _get(cp, 'tolerances', 'residual', float, default=1e-10)
     return EXIT_OK if rel < tol else EXIT_FAIL
 
 
@@ -240,9 +246,9 @@ def cmd_lap(args, cp):
     grid = parse_grid(cp)
     mat = parse_material(cp)
     omega = parse_omega(cp)
-    if omega.imag != 0 or omega.real == 0 or not np.isfinite(omega.real):
-        raise ConfigError("lap requires [frequency] im = 0 and a finite "
-                          "re != 0; use solve for complex omega")
+    if omega.imag != 0 or omega.real == 0:
+        raise ConfigError("lap requires [frequency] im = 0 and re != 0; "
+                          "use solve for complex omega")
     rng = np.random.default_rng(args.seed)
     J = build_source(cp, grid, mat, rng)
     method = _get(cp, 'lap', 'method', str, default='quadrature')

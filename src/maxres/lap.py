@@ -9,9 +9,9 @@ characteristic sphere, and agree only when J has none within
 * ``extrapolate`` gives the periodic limit lim P(omega +- i0)^{-1} on
   the lattice: per sign, the Richardson limit of the resolvent at
   omega + i*sign*delta_k for a geometric delta sequence.  The limit is
-  linear, so it is taken once on the scalar resolvents
-  1/(i(omega_k + rho)) of one frequency-independent eigenbasis; the
-  half-sum and half-difference of the two signs are the pair.
+  a fixed combination sum_k a_k of the resolvents, so each sign is one
+  _solve_coeffs pass with the weights a_k; the half-sum and
+  half-difference of the two signs are the pair.
 * ``quadrature`` keeps the lattice inverse away from the spheres and
   replaces the near-sphere lattice values with the continuum principal
   value plus +-i*pi times the coarea measure of the semidiscrete
@@ -370,8 +370,8 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
 # full limiting-absorption solves
 
 def _real_resolvent(omega, xi, mat):
-    """The resolvent factors (m, w, m_inv) at real omega (finite off the
-    spheres)."""
+    """The resolvent factors (m, w, m_inv) at real omega; unused in maxres,
+    kept because bench/tracing.py wraps it by name."""
     return multiplier._factors(omega, xi, mat)
 
 
@@ -400,42 +400,19 @@ def richardson_limit(values):
 
 def _extrapolate(omega, J, mat, delta0, levels):
     """lap_parts' extrapolate route: per sign, richardson_limit of
-    solve(omega + i y_k, J), y_k = sign delta0 2^(-k), k < levels, taken
-    on the scalars: the limit is a fixed linear combination sum_k a_k, so
-    off-axis modes need one eigenbasis with w = sum_k a_k / (i(omega +
-    i y_k + rho)), and the few direct modes (near-axis 3D, and the zero
-    mode, where p = i omega I) the same combination of their direct
-    inverses."""
+    solve(omega + i y_k, J), y_k = sign delta0 2^(-k), k < levels.  The
+    limit is a fixed linear combination sum_k a_k of the solves, so each
+    sign is one _solve_coeffs pass with the weights a_k."""
     if isinstance(mat, Material3) and not mat.is_canonical:
         canon, Jc, record = symbol.canonicalize(mat, J)
         return tuple(record.backward_fields(p) for p in
                      _extrapolate(omega, Jc, canon, delta0, levels))
     a = richardson_limit(list(np.eye(levels)))
-    grid = J.grid
-    xi = grid.xi_flat()
-    direct = symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1)
-    idx = np.nonzero(direct)[0]
+    y = delta0 * 0.5 ** np.arange(levels)
     c = J.coeffs().reshape(J.ncomp, -1)
-    rhs = c[:, idx].T[..., None]
-
-    def limit(sign):
-        y = sign * delta0 * 0.5 ** np.arange(levels)
-
-        def factors(xi):
-            # 1/(i(x + i y)) = -(y + i x) / (x^2 + y^2), x = omega + rho
-            m, minv, rho = symbol._eigen_basis(xi, mat)
-            x = omega + rho
-            inv = 1.0 / (x[..., None] ** 2 + y ** 2)
-            return m, -(inv @ (a * y) + 1j * x * (inv @ a)), minv
-
-        out = spectral._solve_coeffs(omega, c, grid, mat, ~direct, factors)
-        for ak, om in zip(a, omega + 1j * y):
-            p = symbol.symbol_p(om, xi[idx], mat)
-            out[:, idx] += ak * np.linalg.solve(p, rhs)[..., 0].T
-        return out
-
-    plus, minus = limit(+1), limit(-1)
-    return tuple(spectral.Field.from_coeffs(grid,
+    plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, c, J.grid, mat,
+                                          weights=a) for s in (+1, -1))
+    return tuple(spectral.Field.from_coeffs(J.grid,
                                             (0.5 * v).reshape(J.data.shape))
                  for v in (plus + minus, plus - minus))
 
@@ -466,17 +443,13 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
     c = J.coeffs().reshape(J.ncomp, -1)
     common = None
     if with_pv:
-        # the full real-frequency inverse off the spheres (and at the
-        # zero mode), the smooth background near them; near-axis modes
-        # bypass the split, since off the spheres the direct inverse is
-        # their limiting value
-        out = spectral._solve_coeffs(
-            omega, c, grid, mat, ~near,
-            lambda xi: _real_resolvent(omega, xi, mat))
+        # the real-frequency inverse off the spheres and at the zero mode,
+        # the smooth background near them; near-axis modes bypass the
+        # split (off the spheres the direct inverse is their limit)
+        out = spectral._solve_coeffs([omega], c, grid, mat, ~near)
         out += spectral._solve_coeffs(
-            omega, c, grid, mat, near,
-            lambda xi: multiplier._factors(
-                omega, xi, mat, multiplier._singular_columns(omega, mat)))
+            [omega], c, grid, mat, near,
+            skip=multiplier._singular_columns(omega, mat))
         common = spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
     near &= ~symbol.near_axis(grid.xi_flat())
     surface = spectral.Field.zeros(grid, J.ncomp)
@@ -543,7 +516,10 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
               margin=0.35, n_sphere=None, n_radial=24, delta0=0.1,
               levels=7, cross_tol=None):
     """The limiting-absorption solution P_(+-)(omega) J at real omega:
-    common + sign * jump of lap_parts, which describes the arguments."""
+    common + sign * jump of lap_parts, which describes the arguments;
+    sign is +1 or -1."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
     common, jump = lap_parts(omega, J, mat, method, beta, margin, n_sphere,
                              n_radial, delta0, levels, cross_tol)
     return common + sign * jump

@@ -18,14 +18,16 @@ and M_c = sum_{c < d-1} m[:, c] m^{-1}[c, :] / (i omega) the charge
 sphere k, { <xi, q_k xi> = omega^2 } with q_k from ``sphere_qforms``;
 at real omega != 0 the singular one is d - 1 + 2k + (omega < 0).
 
-Every evaluator starts from the factors (m, w, m^{-1}) of ``_factors``,
-w = d^{-1} with the skipped columns set to 0: ``resolvent_matrix`` and
-``regular_matrix`` (singular columns skipped) assemble (m w) m^{-1},
-``singular_weights`` returns the projectors of the singular columns, which
-the limiting-absorption machinery weights by principal values and
-surface deltas, and ``spectral`` applies the factors to lattice
-coefficients without assembling matrices.  Every evaluator is
-vectorized over a leading batch of wavevectors.
+Every evaluator combines the real eigenbasis m with w = d^{-1} from
+``_scalar_resolvents``, skipped columns set to 0 (``_factors`` packs both):
+``resolvent_matrix`` and ``regular_matrix`` (singular columns skipped)
+assemble (m w) m^{-1}, ``singular_weights`` returns the projectors of the
+singular columns, which the limiting-absorption machinery weights by
+principal values and surface deltas, and ``spectral._solve_coeffs``
+applies m (w * (m^{-1} c)) to lattice coefficients, with w any fixed
+combination sum_k a_k / (i(omega_k + rho)) (one frequency for ``solve``,
+a Richardson limit for the LAP).  Every evaluator is vectorized over a
+leading batch of wavevectors.
 """
 
 import numpy as np
@@ -44,16 +46,21 @@ def _rmatmul(a, z):
     return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-def _factors(omega, xi, mat, skip=()):
-    """(m, w, m_inv): the real eigenbasis and w = d^{-1} per column, with
-    the columns in ``skip`` set to 0."""
-    m, minv, rho = _eigen_basis(xi, mat)
-    # at real omega a lattice mode can sit exactly on the singular
-    # sphere; the inf lands in a skipped column
+def _scalar_resolvents(omegas, rho, weights=(1.0,), skip=()):
+    """w = sum_k weights_k / (i(omegas_k + rho)) per column, with the
+    columns in ``skip`` set to 0."""
+    # the inf of a mode exactly on a sphere (real omega) is in a skipped column
     with np.errstate(divide='ignore', invalid='ignore'):
-        w = 1.0 / (1j * (omega + rho))
+        terms = (a / (1j * (om + rho)) for a, om in zip(weights, omegas))
+        w = sum(terms, next(terms))
     w[..., list(skip)] = 0
-    return m, w, minv
+    return w
+
+
+def _factors(omega, xi, mat, skip=()):
+    """(m, w, m_inv): the real eigenbasis and w = d^{-1}, skip columns 0."""
+    m, minv, rho = _eigen_basis(xi, mat)
+    return m, _scalar_resolvents([omega], rho, skip=skip), minv
 
 
 def sphere_qforms(mat):

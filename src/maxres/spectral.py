@@ -156,36 +156,34 @@ def forward_operator(omega, u, mat):
     return Field.from_coeffs(u.grid, out.reshape(u.data.shape))
 
 
-def _solve_coeffs(omega, c, grid, mat, mask=None, factors=None):
-    """Inverse multiplier on flattened coefficients (canonical material).
-
-    Only the modes in ``mask`` (default all) are inverted.  ``factors``
-    maps a block of wavevectors off the axis to their closed-form
-    inverse-symbol factors (m, w, m_inv) (default: multiplier._factors),
-    applied as m (w * (m_inv c)) without forming a matrix; near-axis 3D
-    modes get a direct solve and the zero mode 1/(i omega).
-    """
-    if factors is None:
-        def factors(xi):
-            return multiplier._factors(omega, xi, mat)
+def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
+    """The lattice inverse sum_k weights_k P(omegas_k)^{-1} c on flattened
+    coefficients (canonical material) and the modes in ``mask`` (default
+    all; the others are 0).  Off the axis: one eigenbasis per chunk,
+    applied as m (w * (m^{-1} c)) with w from multiplier._scalar_resolvents
+    (the ``skip`` columns 0).  Near-axis 3D modes and the zero mode, where
+    p(omega, 0) = i omega I, get the same combination of direct solves."""
     xi = grid.xi_flat()
     out = np.zeros_like(c)
-    nz = np.any(xi != 0, axis=-1)
     active = np.abs(c).sum(axis=0) > 0
     if mask is not None:
         active &= mask
-    onaxis = active & symbol.near_axis(xi)
-    idx = np.nonzero(active & nz & ~onaxis)[0]
+    direct = active & (symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1))
+    idx = np.nonzero(active & ~direct)[0]
     for start in range(0, idx.size, _CHUNK):
         sel = idx[start:start + _CHUNK]
-        m, w, minv = factors(xi[sel])
+        m, minv, rho = symbol._eigen_basis(xi[sel], mat)
+        w = multiplier._scalar_resolvents(omegas, rho, weights, skip)
         v = w * multiplier._rmatmul(minv, c[:, sel].T[..., None])[..., 0]
         out[:, sel] = multiplier._rmatmul(m, v[..., None])[..., 0].T
-    idx = np.nonzero(onaxis)[0]
-    if idx.size:
+    idx = np.nonzero(direct)[0]
+    if idx.size == 0:
+        return out
+    rhs = c[:, idx].T[..., None]
+    for a, omega in zip(weights, omegas):
         p = symbol.symbol_p(omega, xi[idx], mat)
         try:
-            out[:, idx] = np.linalg.solve(p, c[:, idx].T[..., None])[..., 0].T
+            out[:, idx] += a * np.linalg.solve(p, rhs)[..., 0].T
         except np.linalg.LinAlgError:
             # only at real omega: a near-axis mode on a characteristic
             # sphere, where the symbol has a zero eigenvalue
@@ -195,8 +193,6 @@ def _solve_coeffs(omega, c, grid, mat, mask=None, factors=None):
                 "characteristic sphere, where the symbol is singular"
                 % (omega.real, tuple(int(v) for v in
                                      np.rint(k * grid.length / TAU))))
-    zero = np.nonzero(active & ~nz)[0]
-    out[:, zero] = c[:, zero] / (1j * omega)
     return out
 
 
@@ -205,8 +201,8 @@ def solve(omega, J, mat):
 
     Requires Im(omega) != 0.  Lattice modes off the distinguished axis
     use the closed-form inverse symbol, applied through its eigenbasis
-    factors; on-axis 3D modes fall back to a direct 6x6 solve, and the
-    zero mode is (i omega)^{-1} J(0).
+    factors; near-axis 3D modes and the zero mode, where the symbol is
+    i omega I, fall back to a direct solve (_solve_coeffs).
     Non-canonical 3D materials are routed through canonical form.
     """
     omega = complex(omega)
@@ -217,9 +213,8 @@ def solve(omega, J, mat):
         canon, Jc, record = symbol.canonicalize(mat, J)
         return record.backward_fields(solve(omega, Jc, canon))
     c = J.coeffs().reshape(J.ncomp, -1)
-    out = _solve_coeffs(omega, c, J.grid, mat)
-    shape = (J.ncomp,) + (J.grid.n,) * J.grid.dim
-    return Field.from_coeffs(J.grid, out.reshape(shape))
+    out = _solve_coeffs([omega], c, J.grid, mat)
+    return Field.from_coeffs(J.grid, out.reshape(J.data.shape))
 
 
 def _flavor_qform(flavor, mat, dim):
@@ -302,8 +297,6 @@ def fractional_laplacian(f, s):
         raise MeanNotZero("negative-order multiplier on a field with mean")
     mult = np.zeros_like(rho)
     mult[~zero] = rho[~zero] ** s
-    if s == 0:
-        mult[~zero] = 1.0
     out = c * mult
     return Field.from_coeffs(grid, out.reshape(f.data.shape))
 

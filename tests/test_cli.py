@@ -316,6 +316,9 @@ def test_unresolvable_spectrum_is_one_line_failure(tmp_path, capsys, cmd,
 AXIS2 = ("[grid]\ndim = 3\nn = 16\n"
          "[material]\neps_axis = 0.5\neps_perp = 1.4\naxis = 2\n"
          "[frequency]\nre = 2.9\nim = 0.3\n")
+SOLVE16 = ("[grid]\ndim = 2\nn = 16\n"
+           "[material]\neps11 = 2.0\neps22 = 1.2\n"
+           "[frequency]\nre = 2\nim = 0.5\n")
 
 
 @pytest.mark.parametrize('cmd,text', [
@@ -340,13 +343,21 @@ AXIS2 = ("[grid]\ndim = 3\nn = 16\n"
     ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = -1e-8\n"),
     ('lap', LAP_INI + "[lap]\ncross_tol = nan\n"),
     ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = inf\n"),
+    # non-finite frequencies, a charge exponent below 1 and a NaN
+    # residual tolerance (a check that could never pass)
+    ('solve', SOLVE16.replace('re = 2', 're = nan')),
+    ('solve', SOLVE16.replace('im = 0.5', 'im = inf')),
+    ('solve', SOLVE16 + "[tolerances]\ncharge_q = 0.5\n"),
+    ('solve', SOLVE16 + "[tolerances]\ncharge_q = nan\n"),
+    ('solve', SOLVE16 + "[tolerances]\nresidual = nan\n"),
 ], ids=['probe-blowup-axis2', 'probe-annulus-axis2', 'probe-knapp-axis2',
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
         'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
         'gamma-map-resolution-1', 'gamma-map-dim-4', 'boundary-negative-ell',
         'lap-re-0', 'lap-unknown-method', 'lap-negative-cross-tol-quadrature',
         'lap-negative-cross-tol-extrapolate', 'lap-nan-cross-tol',
-        'lap-inf-cross-tol'])
+        'lap-inf-cross-tol', 'solve-nan-re', 'solve-inf-im',
+        'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan'])
 def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     cfg = _write(tmp_path, 'job.ini', text)
     assert cli.main([cmd, '--config', cfg,

@@ -324,6 +324,15 @@ def test_bad_cross_tol_is_refused(method, tol):
         lap.lap_solve(1.0, J, MAT2, method=method, cross_tol=tol)
 
 
+@pytest.mark.parametrize('sign', [0, 2, -0.5, np.nan])
+def test_lap_solve_refuses_other_signs(sign):
+    # common + sign * jump is a boundary value only at sign = +-1;
+    # sign = 0 would be the half-sum of the two
+    J = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match='sign'):
+        lap.lap_solve(1.0, J, MAT2, sign=sign)
+
+
 @pytest.mark.parametrize('grid,mat', [
     (sp.Grid(2, 128), MAT2),
     (sp.Grid(3, 16), Material3(1.0, 1.0)),
