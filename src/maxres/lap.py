@@ -303,7 +303,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
         xi = grid.xi_flat()
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
         mult = beta(xi) / (rho - (omega + 1j * sign * delta))
-        c = f.coeffs().reshape(f.ncomp, -1) * mult
+        c = f._spectrum().reshape(f.ncomp, -1) * mult
         return spectral.Field.from_coeffs(grid, c.reshape(f.data.shape))
     if method != 'quadrature':
         raise ValueError("method must be 'lattice' or 'quadrature'")
@@ -409,7 +409,7 @@ def _extrapolate(omega, J, mat, delta0, levels):
                      _extrapolate(omega, Jc, canon, delta0, levels))
     a = richardson_limit(list(np.eye(levels)))
     y = delta0 * 0.5 ** np.arange(levels)
-    c = J.coeffs().reshape(J.ncomp, -1)
+    c = J._spectrum().reshape(J.ncomp, -1)
     plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, c, J.grid, mat,
                                           weights=a) for s in (+1, -1))
     return tuple(spectral.Field.from_coeffs(J.grid,
@@ -440,7 +440,7 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
     if beta is None:
         beta = default_cutoff(grid, omega, mat)
     _, near = _mode_masks(grid, omega, mat, margin)
-    c = J.coeffs().reshape(J.ncomp, -1)
+    c = J._spectrum().reshape(J.ncomp, -1)
     common = None
     if with_pv:
         # the real-frequency inverse off the spheres and at the zero mode,
@@ -482,7 +482,8 @@ def lap_parts(omega, J, mat, method='quadrature', beta=None, margin=0.35,
     quadrature splits lattice modes within relative flavor distance
     margin of a sphere, with cutoff beta and n_sphere (even in 3D) by
     n_radial nodes; its jump is surface_terms(sign=+1).  extrapolate
-    takes the limit over delta_k = delta0 * 2^(-k), k < levels.
+    takes the limit over delta_k = delta0 * 2^(-k), k < levels (an
+    integer >= 1, delta0 finite and > 0; both are checked on either route).
     cross_tol (finite, >= 0) runs the other route once too and raises
     MethodsDisagree if they differ by more, relative L2, at either sign."""
     omega = float(omega)
@@ -491,6 +492,14 @@ def lap_parts(omega, J, mat, method='quadrature', beta=None, margin=0.35,
     if cross_tol is not None and not 0 <= cross_tol < np.inf:
         raise ValueError("cross_tol must be finite and >= 0, got %r"
                          % (cross_tol,))
+    # levels = 0 has no table, delta0 = 0 takes no limit and a negative
+    # delta0 swaps the two signs
+    if not (isinstance(levels, (int, np.integer)) and levels >= 1):
+        raise ValueError("levels must be an integer >= 1, got %r"
+                         % (levels,))
+    if not 0 < delta0 < np.inf:
+        raise ValueError("delta0 must be finite and > 0, got %r"
+                         % (delta0,))
     routes = {
         'quadrature': lambda: _quadrature_parts(omega, J, mat, beta, margin,
                                                 n_sphere, n_radial),

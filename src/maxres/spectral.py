@@ -4,6 +4,12 @@ Fields live on a cubic periodic grid; spectral coefficients follow the
 convention f(x) = sum_k c_k exp(i x . xi_k) with xi_k = 2 pi k / length,
 c = fftn(f) / n^d.  All multiplier identities are exact on the discrete
 frequency lattice.
+
+A Field built from coefficients keeps them next to its samples, read-only,
+and every multiplier here reads those exact coefficients instead of
+transforming the samples again.  A band-limited source then has exact
+zeros outside its band, and the lattice inverse and the forward operator
+touch only the modes where the coefficients are nonzero.
 """
 
 from dataclasses import dataclass
@@ -76,11 +82,17 @@ class Grid:
 class Field:
     """Multi-component complex field sampled on a grid.
 
-    data has shape (ncomp, n, ..., n), component-major.
+    data has shape (ncomp, n, ..., n), component-major.  A Field made by
+    from_coeffs also keeps the coefficients it was made from, and both
+    arrays are read-only, so that they cannot drift apart; fields made
+    from samples, by copy() or by arithmetic keep none and stay writable.
     """
 
     grid: Grid
     data: np.ndarray
+
+    # the exact coefficients, when the field was built from them
+    _kept = None
 
     def __post_init__(self):
         expect = (self.grid.n,) * self.grid.dim
@@ -99,18 +111,42 @@ class Field:
         return cls(grid, np.zeros((ncomp,) + (grid.n,) * grid.dim,
                                   dtype=complex))
 
+    @classmethod
+    def _with_coeffs(cls, grid, data, c):
+        """A field with samples ``data`` that keeps ``c`` as its exact
+        coefficients; both are made read-only (c through a view)."""
+        f = cls(grid, data)
+        f.data.flags.writeable = False
+        f._kept = c.view()
+        f._kept.flags.writeable = False
+        return f
+
     def copy(self):
         return Field(self.grid, self.data.copy())
 
-    def coeffs(self):
-        """Spectral coefficients, shape (ncomp, n, ..., n)."""
+    def _spectrum(self):
+        """The coefficients, shape (ncomp, n, ..., n), for reading only:
+        the kept array itself, or one FFT of the samples."""
+        if self._kept is not None:
+            return self._kept
         axes = tuple(range(1, self.grid.dim + 1))
-        return np.fft.fftn(self.data, axes=axes) / self.grid.npoints
+        return np.fft.fftn(self.data, axes=axes, norm='forward')
+
+    def coeffs(self):
+        """Spectral coefficients, shape (ncomp, n, ..., n), as a fresh
+        writable array: a copy of the kept ones, or an FFT of the
+        samples."""
+        c = self._spectrum()
+        return c.copy() if c is self._kept else c
 
     @classmethod
     def from_coeffs(cls, grid, c):
+        """The field with coefficients ``c``.  It keeps a read-only view
+        of c as its exact spectrum, so c must not be written afterwards."""
+        c = np.asarray(c, dtype=complex)
         axes = tuple(range(1, grid.dim + 1))
-        return cls(grid, np.fft.ifftn(c * grid.npoints, axes=axes))
+        return cls._with_coeffs(grid, np.fft.ifftn(c, axes=axes,
+                                                   norm='forward'), c)
 
     def __add__(self, other):
         return Field(self.grid, self.data + other.data)
@@ -142,17 +178,26 @@ def lebesgue_norm(f, p):
     return float((np.sum(mag ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
+def _support(c):
+    """Modes where some component of the flattened coefficients is not
+    exactly 0."""
+    return np.any(c != 0, axis=0)
+
+
 def forward_operator(omega, u, mat):
     """Apply the Maxwell operator P(omega, D) as a multiplier; at the zero
-    mode the symbol is i omega I."""
-    c = u.coeffs().reshape(u.ncomp, -1)
+    mode the symbol is i omega I.  Modes where u's coefficients are 0
+    stay 0 without building the symbol."""
+    c = u._spectrum().reshape(u.ncomp, -1)
     xi = u.grid.xi_flat()
-    out = np.empty_like(c)
-    for start in range(0, len(xi), _CHUNK):
-        sl = slice(start, start + _CHUNK)
+    out = np.zeros_like(c)
+    idx = np.nonzero(_support(c))[0]
+    for start in range(0, idx.size, _CHUNK):
+        sel = idx[start:start + _CHUNK]
         # inline, so each symbol block is freed before the next is built
-        out[:, sl] = np.einsum('kij,jk->ik',
-                               symbol.symbol_p(omega, xi[sl], mat), c[:, sl])
+        out[:, sel] = np.einsum('kij,jk->ik',
+                                symbol.symbol_p(omega, xi[sel], mat),
+                                c[:, sel])
     return Field.from_coeffs(u.grid, out.reshape(u.data.shape))
 
 
@@ -162,10 +207,11 @@ def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
     all; the others are 0).  Off the axis: one eigenbasis per chunk,
     applied as m (w * (m^{-1} c)) with w from multiplier._scalar_resolvents
     (the ``skip`` columns 0).  Near-axis 3D modes and the zero mode, where
-    p(omega, 0) = i omega I, get the same combination of direct solves."""
+    p(omega, 0) = i omega I, get the same combination of direct solves.
+    Modes where c is exactly 0 are skipped."""
     xi = grid.xi_flat()
     out = np.zeros_like(c)
-    active = np.abs(c).sum(axis=0) > 0
+    active = _support(c)
     if mask is not None:
         active &= mask
     direct = active & (symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1))
@@ -202,7 +248,9 @@ def solve(omega, J, mat):
     Requires Im(omega) != 0.  Lattice modes off the distinguished axis
     use the closed-form inverse symbol, applied through its eigenbasis
     factors; near-axis 3D modes and the zero mode, where the symbol is
-    i omega I, fall back to a direct solve (_solve_coeffs).
+    i omega I, fall back to a direct solve (_solve_coeffs).  Only modes
+    where J's coefficients are nonzero are touched, so a J built from
+    band-limited coefficients costs its band, not the grid.
     Non-canonical 3D materials are routed through canonical form.
     """
     omega = complex(omega)
@@ -211,8 +259,10 @@ def solve(omega, J, mat):
                             "use the lap module at real frequency")
     if isinstance(mat, Material3) and not mat.is_canonical:
         canon, Jc, record = symbol.canonicalize(mat, J)
-        return record.backward_fields(solve(omega, Jc, canon))
-    c = J.coeffs().reshape(J.ncomp, -1)
+        u = solve(omega, Jc, canon)
+        del Jc          # freed before backward_fields allocates
+        return record.backward_fields(u)
+    c = J._spectrum().reshape(J.ncomp, -1)
     out = _solve_coeffs([omega], c, J.grid, mat)
     return Field.from_coeffs(J.grid, out.reshape(J.data.shape))
 
@@ -246,7 +296,7 @@ def riesz(f, i, flavor='euclidean', mat=None):
     rho = flavor_norm(xi, flavor, mat, grid.dim)
     with np.errstate(divide='ignore', invalid='ignore'):
         mult = np.where(rho > 0, xi[:, i - 1] / np.where(rho > 0, rho, 1.0), 0.0)
-    c = f.coeffs().reshape(f.ncomp, -1) * mult
+    c = f._spectrum().reshape(f.ncomp, -1) * mult
     return Field.from_coeffs(grid, c.reshape(f.data.shape))
 
 
@@ -271,7 +321,7 @@ def leray_project(J, mat=None):
     leave a discretely divergence-free field; the zero mode is kept.
     """
     grid = J.grid
-    c = J.coeffs()
+    c = J._spectrum()
     xi = np.moveaxis(grid.xi_lattice(), -1, 0)
     d = grid.dim
     direction = xi if mat is None else np.einsum(
@@ -289,7 +339,7 @@ def fractional_laplacian(f, s):
     Negative orders require a mean-zero field.
     """
     grid = f.grid
-    c = f.coeffs().reshape(f.ncomp, -1)
+    c = f._spectrum().reshape(f.ncomp, -1)
     xi = grid.xi_flat()
     rho = np.sqrt(np.einsum('ki,ki->k', xi, xi))
     zero = rho == 0
@@ -312,7 +362,7 @@ class Charges:
 def divergence_and_charges(J):
     """Spectral divergence i xi . J per block; zero mode exactly 0."""
     grid = J.grid
-    c = J.coeffs()
+    c = J._spectrum()
     xi = np.moveaxis(grid.xi_lattice(), -1, 0)
     if grid.dim == 2:
         rho_e = 1j * np.einsum('i...,i...->...', xi, c[:2])
@@ -333,13 +383,14 @@ def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     xi = grid.xi_flat()
     rho = flavor_norm(xi, flavor, mat, grid.dim)
     mult = 1.0 / (omega + sign * rho)
-    c = f.coeffs().reshape(f.ncomp, -1) * mult
+    c = f._spectrum().reshape(f.ncomp, -1) * mult
     return Field.from_coeffs(grid, c.reshape(f.data.shape))
 
 
 def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
                         mat=None):
-    """Random field with spectrum in |k| <= kmax per axis (default n/4)."""
+    """Random field with spectrum in |k| <= kmax per axis (default n/4);
+    it keeps its coefficients, which are exactly 0 outside the band."""
     if kmax is None:
         kmax = grid.n // 4
     k = grid.k_axis()

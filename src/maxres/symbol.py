@@ -304,7 +304,9 @@ class TransformRecord:
 
     Stores the cyclic axis permutation and the permeability that was
     folded into the permittivity; knows how to map currents into the
-    canonical frame and solution fields back out.
+    canonical frame and solution fields back out.  A field that keeps
+    its coefficients (spectral.Field.from_coeffs) keeps them through
+    both maps: the lattice has the same permutation symmetry as the grid.
     """
 
     def __init__(self, perm, mu):
@@ -315,24 +317,31 @@ class TransformRecord:
             inv[p] = i
         self.inv_perm = tuple(inv)
 
-    def _permute(self, field, perm):
-        data = field.data
+    def _permute(self, field, perm, op):
+        """The field with axes and components moved by ``perm`` and the
+        magnetic block combined with mu by the ufunc ``op``, in one
+        preallocated copy; kept coefficients move the same way."""
         comp = list(perm) + [3 + p for p in perm]
-        data = data[comp]
-        data = np.transpose(data, axes=[0] + [1 + p for p in perm])
-        return type(field)(field.grid, np.ascontiguousarray(data))
+
+        def moved(a):
+            out = np.empty(a.shape, a.dtype)
+            for i, j in enumerate(comp):
+                out[i] = a[j].transpose(perm)
+            op(out[3:], self.mu, out=out[3:])
+            return out
+
+        data = moved(field.data)
+        if field._kept is None:
+            return type(field)(field.grid, data)
+        return type(field)._with_coeffs(field.grid, data, moved(field._kept))
 
     def forward_currents(self, J):
         """Permute axes/components and rescale the magnetic current."""
-        out = self._permute(J, self.perm)
-        out.data[3:] /= self.mu
-        return out
+        return self._permute(J, self.perm, np.true_divide)
 
     def backward_fields(self, u):
         """Undo the permutation and restore the magnetic components."""
-        out = type(u)(u.grid, u.data.copy())
-        out.data[3:] *= self.mu
-        return self._permute(out, self.inv_perm)
+        return self._permute(u, self.inv_perm, np.multiply)
 
 
 def canonicalize(mat, currents=None):

@@ -324,6 +324,21 @@ def test_bad_cross_tol_is_refused(method, tol):
         lap.lap_solve(1.0, J, MAT2, method=method, cross_tol=tol)
 
 
+@pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
+@pytest.mark.parametrize('key,value', [
+    ('levels', 0), ('levels', -1), ('levels', 2.0),
+    ('delta0', 0.0), ('delta0', -0.1), ('delta0', np.nan),
+    ('delta0', np.inf)])
+def test_bad_extrapolate_inputs_are_refused(method, key, value):
+    # levels = 0 has no Neville table, delta0 = 0 takes no limit, and a
+    # negative delta0 swaps the two boundary values
+    J = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=key):
+        lap.lap_parts(3.1, J, MAT2, method=method, **{key: value})
+    with pytest.raises(ValueError, match=key):
+        lap.lap_solve(3.1, J, MAT2, method=method, **{key: value})
+
+
 @pytest.mark.parametrize('sign', [0, 2, -0.5, np.nan])
 def test_lap_solve_refuses_other_signs(sign):
     # common + sign * jump is a boundary value only at sign = +-1;
@@ -393,9 +408,11 @@ def test_extrapolate_matches_full_solve_oracle(grid, mat):
     c = J.coeffs().reshape(J.ncomp, -1)
     assert np.abs(c[:, 0]).max() > 0.1          # a nonzero mean
     if grid.n == 16 and mat.is_canonical:
-        # the isotropic case: 15 near-axis modes take the direct route
+        # the isotropic case: the near-axis modes in the band, the axis
+        # modes with 0 < |k| <= n/4, take the direct route (the source
+        # keeps its exact coefficients, which are 0 outside the band)
         assert (symbol.near_axis(grid.xi_flat())
-                & (np.abs(c).max(axis=0) > 0)).sum() == 15
+                & (np.abs(c).max(axis=0) > 0)).sum() == 2 * (grid.n // 4)
     for sign in (+1, -1):
         u = lap.lap_solve(OMEGA, J, mat, sign=sign, method='extrapolate')
         assert _rel(u.data, richardson_oracle(OMEGA, J, mat, sign)) < 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maxres import region as rg
 from maxres import spectral as sp
 from maxres import symbol
 from maxres.errors import MeanNotZero, RealFrequency
@@ -184,3 +185,82 @@ def test_random_band_limited_support():
     xi = g.xi_flat()
     outside = np.abs(xi).max(axis=1) > 5
     assert np.abs(c[:, outside]).max() < 1e-12 * np.abs(c).max()
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _kept_sources():
+    g2, g3 = sp.Grid(2, 32), sp.Grid(3, 16)
+    yield sp.random_band_limited(g2, 3, RNG)
+    yield sp.random_band_limited(g3, 6, RNG, solenoidal=True, mat=MAT3)
+    yield rg.annulus_source(g3, 2.5, MAT3)
+    yield rg.knapp_source(g3, 2.5 + 0.5j, MAT3)
+    for mat in (Material3(0.5, 1.4, axis=2, mu=1.3),
+                Material3(2.5, 0.8, axis=3, mu=0.7)):
+        canon, Jc, record = symbol.canonicalize(
+            mat, sp.random_band_limited(g3, 6, RNG))
+        yield Jc
+        yield record.backward_fields(sp.solve(OMEGA, Jc, canon))
+
+
+def test_kept_coefficients_are_the_fft_of_the_samples():
+    for f in _kept_sources():
+        kept = f._spectrum()
+        assert kept is f._kept
+        axes = tuple(range(1, f.grid.dim + 1))
+        fft = np.fft.fftn(f.data, axes=axes) / f.grid.npoints
+        assert _rel(fft, kept) < 1e-15
+
+
+def test_kept_coefficients_are_read_only():
+    g = sp.Grid(2, 16)
+    c = RNG.standard_normal((3, 16, 16)) + 0j
+    f = sp.Field.from_coeffs(g, c)
+    with pytest.raises(ValueError, match='read-only'):
+        f.data[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match='read-only'):
+        f._spectrum()[0, 0, 0] = 1.0
+    # coeffs() is a fresh writable copy, and the caller's array is as
+    # writable as it was
+    got = f.coeffs()
+    assert got.flags.writeable and c.flags.writeable
+    assert not np.shares_memory(got, f._spectrum())
+    assert np.array_equal(got, c)
+    got[0, 0, 0] = 7.0
+    assert f._spectrum()[0, 0, 0] == c[0, 0, 0]
+    # fields from samples, copies and arithmetic keep nothing
+    for h in (sp.Field(g, f.data.copy()), f.copy(), f + f, 2.0 * f):
+        assert h._kept is None and h.data.flags.writeable
+
+
+def test_solve_touches_only_the_source_band(monkeypatch):
+    g = sp.Grid(3, 16)
+    J = sp.random_band_limited(g, 6, RNG, kmax=3)
+    rows = []
+    basis = symbol._eigen_basis
+
+    def counted(xi, mat, *args):
+        rows.append(len(xi))
+        return basis(xi, mat, *args)
+
+    monkeypatch.setattr(symbol, '_eigen_basis', counted)
+    u = sp.solve(OMEGA, J, MAT3)
+    xi = g.xi_flat()
+    band = (np.any(J._spectrum().reshape(6, -1) != 0, axis=0)
+            & ~symbol.near_axis(xi) & np.any(xi != 0, axis=-1))
+    assert sum(rows) == band.sum() == 7 ** 3 - 7
+    monkeypatch.undo()
+    # the same samples without kept coefficients: every mode is solved
+    ref = sp.solve(OMEGA, sp.Field(g, J.data.copy()), MAT3)
+    assert _rel(u.data, ref.data) < 1e-14
+
+
+def test_forward_operator_on_kept_coefficients():
+    g = sp.Grid(3, 16)
+    u = sp.solve(OMEGA, sp.random_band_limited(g, 6, RNG), MAT3)
+    assert u._kept is not None
+    got = sp.forward_operator(OMEGA, u, MAT3)
+    ref = sp.forward_operator(OMEGA, sp.Field(g, u.data.copy()), MAT3)
+    assert _rel(got.data, ref.data) < 1e-14
