@@ -8,9 +8,10 @@ Subcommands:
               every suite passes, otherwise exit 1 with the first
               failing witness.
 * ``lap``     real-frequency limiting solutions for both signs from one
-              lap.lap_parts call, writes both fields and prints the
-              difference-identity defect; a cross-validation disagreement
-              between the two methods, at either sign, exits with code 2.
+              lap.lap_parts call, writes both fields and, on the
+              quadrature route, prints the difference-identity defect; a
+              cross-validation disagreement between the two methods, at
+              either sign, exits with code 2.
 * ``region``  exponent-region arithmetic: gamma maps, membership
               tables and Z-region boundaries as CSV.
 * ``probe``   empirical operator-norm scaling probes, CSV of
@@ -122,6 +123,8 @@ def build_source(cp, grid, mat, rng):
         return f
     if kind in ('random', 'solenoidal'):
         kmax = _get(cp, 'source', 'kmax', int, default=grid.n // 4)
+        if kmax < 0:
+            raise ConfigError("[source] kmax must be >= 0, got %d" % kmax)
         return spectral.random_band_limited(
             grid, ncomp, rng, kmax=kmax,
             solenoidal=(kind == 'solenoidal'), mat=mat)
@@ -187,11 +190,17 @@ def cmd_solve(args, cp):
                           "finite residual > 0, got %r and %r" % (q, tol))
     rng = np.random.default_rng(args.seed)
     J = build_source(cp, grid, mat, rng)
+    scale = spectral.lebesgue_norm(J, 2)
+    if scale == 0:
+        raise ConfigError("the source is zero: its L2 norm is 0, so the "
+                          "relative residual is undefined")
     u = spectral.solve(omega, J, mat)
     out = _outdir(args)
+    # the only samples the job needs; the norms below are Parseval sums
+    # of coefficients when J holds them (q = 2 for the potentials)
     fieldfile.write_field(os.path.join(out, 'fields.mxfd'), u)
     resid = spectral.forward_operator(omega, u, mat) - J
-    rel = spectral.lebesgue_norm(resid, 2) / spectral.lebesgue_norm(J, 2)
+    rel = spectral.lebesgue_norm(resid, 2) / scale
     charges = spectral.divergence_and_charges(J)
     lines = ['omega = %s' % omega,
              'residual_rel_l2 = %s' % format_float(rel)]
@@ -262,18 +271,19 @@ def cmd_lap(args, cp):
     common, jump = lap.lap_parts(omega.real, J, mat, method,
                                  cross_tol=cross or None)
     u_plus, u_minus = common + jump, common - jump
-    # the defect compares with the quadrature surface term, the jump there
-    surf = jump if method == 'quadrature' \
-        else lap.surface_terms(omega.real, J, mat)
     fieldfile.write_field(os.path.join(out, 'fields_plus.mxfd'), u_plus)
     fieldfile.write_field(os.path.join(out, 'fields_minus.mxfd'), u_minus)
-    diff = (u_plus - u_minus) - 2.0 * surf
-    denom = max(spectral.lebesgue_norm(u_plus, 2),
-                spectral.lebesgue_norm(u_minus, 2), 1e-300)
-    defect = spectral.lebesgue_norm(diff, 2) / denom
     lines = ['omega = %s' % format_float(omega.real),
-             'method = %s' % method,
-             'difference_identity_defect = %s' % format_float(defect)]
+             'method = %s' % method]
+    if method == 'quadrature':
+        # the jump is the quadrature surface term; the other route's jump
+        # is a different method's, and the defect against it reads ~1
+        diff = (u_plus - u_minus) - 2.0 * jump
+        denom = max(spectral.lebesgue_norm(u_plus, 2),
+                    spectral.lebesgue_norm(u_minus, 2), 1e-300)
+        defect = spectral.lebesgue_norm(diff, 2) / denom
+        lines.append('difference_identity_defect = %s'
+                     % format_float(defect))
     _emit(lines, os.path.join(out, 'lap_report.txt'))
     return EXIT_OK
 
@@ -382,7 +392,13 @@ def cmd_probe(args, cp):
         raise ConfigError("probe family knapp needs a 3D grid")
     if family in ('radial', 'knapp'):
         vary = _get(cp, 'probe', 'vary', str, default='dist')
+        if vary not in ('dist', 'modulus'):
+            raise ConfigError("[probe] vary must be dist or modulus, got %r"
+                              % vary)
         count = _get(cp, 'probe', 'samples', int, default=6)
+        if count < 2:
+            raise ConfigError("[probe] samples must be at least 2 to fit "
+                              "a slope, got %d" % count)
         if vary == 'dist':
             base = region.on_sphere_frequency(grid, mat)
             omegas = [base + 1j * 2.0 ** -k for k in range(2, 2 + count)]

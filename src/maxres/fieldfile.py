@@ -31,14 +31,16 @@ def write_field(path, field):
     """Write a Field to ``path`` in the MXFD format."""
     grid = field.grid
     dim = grid.dim
-    ncomp = field.data.shape[0]
+    ncomp = field.ncomp
     header = MAGIC + struct.pack("<3I", VERSION, dim, ncomp)
     header += struct.pack("<%dI" % dim, *([grid.n] * dim))
     header += struct.pack("<%dd" % dim, *([grid.length] * dim))
-    samples = np.ascontiguousarray(field.data, dtype=np.complex128)
+    # written straight from the array's buffer, with no copy when the
+    # samples are already contiguous little-endian complex128
+    samples = np.ascontiguousarray(field.data, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(samples.astype("<c16").tobytes())
+        fh.write(samples)
 
 
 def read_field(path):

@@ -304,7 +304,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
         mult = beta(xi) / (rho - (omega + 1j * sign * delta))
         c = f._spectrum().reshape(f.ncomp, -1) * mult
-        return spectral.Field.from_coeffs(grid, c.reshape(f.data.shape))
+        return spectral.Field.from_coeffs(grid, c.reshape(f.shape))
     if method != 'quadrature':
         raise ValueError("method must be 'lattice' or 'quadrature'")
     if n_sphere is None:
@@ -413,7 +413,7 @@ def _extrapolate(omega, J, mat, delta0, levels):
     plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, c, J.grid, mat,
                                           weights=a) for s in (+1, -1))
     return tuple(spectral.Field.from_coeffs(J.grid,
-                                            (0.5 * v).reshape(J.data.shape))
+                                            (0.5 * v).reshape(J.shape))
                  for v in (plus + minus, plus - minus))
 
 
@@ -450,13 +450,13 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
         out += spectral._solve_coeffs(
             [omega], c, grid, mat, near,
             skip=multiplier._singular_columns(omega, mat))
-        common = spectral.Field.from_coeffs(grid, out.reshape(J.data.shape))
+        common = spectral.Field.from_coeffs(grid, out.reshape(J.shape))
     near &= ~symbol.near_axis(grid.xi_flat())
     surface = spectral.Field.zeros(grid, J.ncomp)
     if not np.any(near):
         return common, surface
     J_near = spectral.Field.from_coeffs(
-        grid, np.where(near, c, 0).reshape(J.data.shape))
+        grid, np.where(near, c, 0).reshape(J.shape))
     # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
     pv_sign = 1j if omega > 0 else -1j
     for k, qform in enumerate(multiplier.sphere_qforms(mat)):

@@ -364,6 +364,8 @@ def norm_scaling_probe(pair, mat, family, omegas, grid=None, vary='dist',
     The families are lower-bound witnesses: fitted slopes may fall short
     of the predicted exponent but should not exceed it.
     """
+    if vary not in ('dist', 'modulus'):
+        raise ValueError("vary must be 'dist' or 'modulus'")
     if grid is None:
         grid = spectral.Grid(2, 64) if mat.dim == 2 else spectral.Grid(3, 32)
     xs, ys = [], []

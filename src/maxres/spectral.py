@@ -5,11 +5,13 @@ convention f(x) = sum_k c_k exp(i x . xi_k) with xi_k = 2 pi k / length,
 c = fftn(f) / n^d.  All multiplier identities are exact on the discrete
 frequency lattice.
 
-A Field built from coefficients keeps them next to its samples, read-only,
-and every multiplier here reads those exact coefficients instead of
-transforming the samples again.  A band-limited source then has exact
-zeros outside its band, and the lattice inverse and the forward operator
-touch only the modes where the coefficients are nonzero.
+A Field holds samples or coefficients and computes the other array only
+when it is read.  Every multiplier here reads coefficients and returns a
+coefficient field, and an L^2 norm of a coefficient field is Parseval's
+sum, so a chain of multipliers runs no FFT until its samples are read.
+A band-limited source has exact zeros outside its band, and the lattice
+inverse and the forward operator touch only the modes where the
+coefficients are nonzero.
 """
 
 from dataclasses import dataclass
@@ -78,48 +80,61 @@ class Grid:
         return np.stack(mesh, axis=-1).reshape(-1, self.dim)
 
 
-@dataclass
 class Field:
-    """Multi-component complex field sampled on a grid.
+    """Multi-component complex field on a grid, shape (ncomp, n, ..., n),
+    component-major.
 
-    data has shape (ncomp, n, ..., n), component-major.  A Field made by
-    from_coeffs also keeps the coefficients it was made from, and both
-    arrays are read-only, so that they cannot drift apart; fields made
-    from samples, by copy() or by arithmetic keep none and stay writable.
+    A field holds samples or spectral coefficients and computes the other
+    array only when something reads it.  ``Field(grid, data)`` holds the
+    samples, writable, and each coefficient read is one FFT.
+    ``from_coeffs`` holds the coefficients, read-only; the samples are
+    synthesized on the first read and cached read-only, so the two
+    cannot drift apart.  Every multiplier here reads coefficients, so a
+    solve, its residual and its divergences run no FFT until someone
+    reads ``data``.
     """
 
-    grid: Grid
-    data: np.ndarray
+    def __init__(self, grid, data):
+        self.grid = grid
+        self._data = data
+        # the exact coefficients, when the field was built from them
+        self._kept = None
+        self._check(data)
 
-    # the exact coefficients, when the field was built from them
-    _kept = None
-
-    def __post_init__(self):
+    def _check(self, a):
         expect = (self.grid.n,) * self.grid.dim
-        if self.data.shape[1:] != expect:
+        if a.shape[1:] != expect:
             raise ValueError("field data shape %r does not match grid %r"
-                             % (self.data.shape, expect))
-        if not np.all(np.isfinite(self.data)):
+                             % (a.shape, expect))
+        if not np.all(np.isfinite(a)):
             raise ValueError("field data must be finite")
 
     @property
+    def _axes(self):
+        return tuple(range(1, self.grid.dim + 1))
+
+    @property
+    def data(self):
+        """The samples; for a coefficient field one inverse FFT, made on
+        the first read and cached read-only."""
+        if self._data is None:
+            self._data = np.fft.ifftn(self._kept, axes=self._axes,
+                                      norm='forward')
+            self._data.flags.writeable = False
+        return self._data
+
+    @property
+    def shape(self):
+        return (self._data if self._kept is None else self._kept).shape
+
+    @property
     def ncomp(self):
-        return self.data.shape[0]
+        return self.shape[0]
 
     @classmethod
     def zeros(cls, grid, ncomp):
         return cls(grid, np.zeros((ncomp,) + (grid.n,) * grid.dim,
                                   dtype=complex))
-
-    @classmethod
-    def _with_coeffs(cls, grid, data, c):
-        """A field with samples ``data`` that keeps ``c`` as its exact
-        coefficients; both are made read-only (c through a view)."""
-        f = cls(grid, data)
-        f.data.flags.writeable = False
-        f._kept = c.view()
-        f._kept.flags.writeable = False
-        return f
 
     def copy(self):
         return Field(self.grid, self.data.copy())
@@ -129,8 +144,7 @@ class Field:
         the kept array itself, or one FFT of the samples."""
         if self._kept is not None:
             return self._kept
-        axes = tuple(range(1, self.grid.dim + 1))
-        return np.fft.fftn(self.data, axes=axes, norm='forward')
+        return np.fft.fftn(self._data, axes=self._axes, norm='forward')
 
     def coeffs(self):
         """Spectral coefficients, shape (ncomp, n, ..., n), as a fresh
@@ -141,20 +155,32 @@ class Field:
 
     @classmethod
     def from_coeffs(cls, grid, c):
-        """The field with coefficients ``c``.  It keeps a read-only view
-        of c as its exact spectrum, so c must not be written afterwards."""
-        c = np.asarray(c, dtype=complex)
-        axes = tuple(range(1, grid.dim + 1))
-        return cls._with_coeffs(grid, np.fft.ifftn(c, axes=axes,
-                                                   norm='forward'), c)
+        """The field with coefficients ``c``, which it keeps through a
+        read-only view, so c must not be written afterwards.  No FFT runs
+        until the samples are read."""
+        f = cls.__new__(cls)
+        f.grid = grid
+        f._data = None
+        f._kept = np.asarray(c, dtype=complex).view()
+        f._kept.flags.writeable = False
+        f._check(f._kept)
+        return f
+
+    def _combine(self, other, op):
+        # in coefficients when both operands hold them, else in samples
+        if self._kept is not None and other._kept is not None:
+            return Field.from_coeffs(self.grid, op(self._kept, other._kept))
+        return Field(self.grid, op(self.data, other.data))
 
     def __add__(self, other):
-        return Field(self.grid, self.data + other.data)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        return Field(self.grid, self.data - other.data)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, c):
+        if self._kept is not None:
+            return Field.from_coeffs(self.grid, self._kept * c)
         return Field(self.grid, self.data * c)
 
     __rmul__ = __mul__
@@ -169,7 +195,11 @@ def lebesgue_norm(f, p):
     """Discrete L^p norm (cell-volume-weighted; p = inf gives the max).
 
     Vector fields use the pointwise Euclidean magnitude over components.
+    For p = 2 a coefficient field takes Parseval's identity (the
+    'forward' normalization), (volume sum |c|^2)^(1/2), and no FFT.
     """
+    if f._kept is not None and p == 2:
+        return float(np.sqrt(f.grid.volume * np.vdot(f._kept, f._kept).real))
     mag = np.sqrt(np.sum(np.abs(f.data) ** 2, axis=0))
     if np.isinf(p):
         return float(mag.max())
@@ -198,7 +228,7 @@ def forward_operator(omega, u, mat):
         out[:, sel] = np.einsum('kij,jk->ik',
                                 symbol.symbol_p(omega, xi[sel], mat),
                                 c[:, sel])
-    return Field.from_coeffs(u.grid, out.reshape(u.data.shape))
+    return Field.from_coeffs(u.grid, out.reshape(u.shape))
 
 
 def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
@@ -264,7 +294,7 @@ def solve(omega, J, mat):
         return record.backward_fields(u)
     c = J._spectrum().reshape(J.ncomp, -1)
     out = _solve_coeffs([omega], c, J.grid, mat)
-    return Field.from_coeffs(J.grid, out.reshape(J.data.shape))
+    return Field.from_coeffs(J.grid, out.reshape(J.shape))
 
 
 def _flavor_qform(flavor, mat, dim):
@@ -297,7 +327,7 @@ def riesz(f, i, flavor='euclidean', mat=None):
     with np.errstate(divide='ignore', invalid='ignore'):
         mult = np.where(rho > 0, xi[:, i - 1] / np.where(rho > 0, rho, 1.0), 0.0)
     c = f._spectrum().reshape(f.ncomp, -1) * mult
-    return Field.from_coeffs(grid, c.reshape(f.data.shape))
+    return Field.from_coeffs(grid, c.reshape(f.shape))
 
 
 def _project_block(c_block, xi, direction):
@@ -348,7 +378,7 @@ def fractional_laplacian(f, s):
     mult = np.zeros_like(rho)
     mult[~zero] = rho[~zero] ** s
     out = c * mult
-    return Field.from_coeffs(grid, out.reshape(f.data.shape))
+    return Field.from_coeffs(grid, out.reshape(f.shape))
 
 
 @dataclass
@@ -384,22 +414,24 @@ def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     rho = flavor_norm(xi, flavor, mat, grid.dim)
     mult = 1.0 / (omega + sign * rho)
     c = f._spectrum().reshape(f.ncomp, -1) * mult
-    return Field.from_coeffs(grid, c.reshape(f.data.shape))
+    return Field.from_coeffs(grid, c.reshape(f.shape))
 
 
 def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
                         mat=None):
-    """Random field with spectrum in |k| <= kmax per axis (default n/4);
-    it keeps its coefficients, which are exactly 0 outside the band."""
+    """Random coefficient field with spectrum in |k| <= kmax per axis
+    (default n/4), exactly 0 outside the band.  Normals are drawn on the
+    band only, indices in FFT storage order, real parts then imaginary
+    parts; at kmax >= n/2 the band is the whole grid."""
     if kmax is None:
         kmax = grid.n // 4
-    k = grid.k_axis()
-    keep1 = np.abs(k) <= kmax
-    mask = keep1
-    for _ in range(grid.dim - 1):
-        mask = np.multiply.outer(mask, keep1)
-    shape = (ncomp,) + (grid.n,) * grid.dim
-    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0, got %r" % (kmax,))
+    band = np.nonzero(np.abs(grid.k_axis()) <= kmax)[0]
+    shape = (ncomp,) + (band.size,) * grid.dim
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = np.zeros((ncomp,) + (grid.n,) * grid.dim, dtype=complex)
+    c[np.ix_(np.arange(ncomp), *([band] * grid.dim))] = vals
     f = Field.from_coeffs(grid, c)
     if solenoidal:
         f = leray_project(f, mat)

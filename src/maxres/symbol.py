@@ -304,9 +304,9 @@ class TransformRecord:
 
     Stores the cyclic axis permutation and the permeability that was
     folded into the permittivity; knows how to map currents into the
-    canonical frame and solution fields back out.  A field that keeps
-    its coefficients (spectral.Field.from_coeffs) keeps them through
-    both maps: the lattice has the same permutation symmetry as the grid.
+    canonical frame and solution fields back out.  A coefficient field
+    (spectral.Field.from_coeffs) stays one through both maps: the lattice
+    has the same permutation symmetry as the grid.
     """
 
     def __init__(self, perm, mu):
@@ -320,20 +320,17 @@ class TransformRecord:
     def _permute(self, field, perm, op):
         """The field with axes and components moved by ``perm`` and the
         magnetic block combined with mu by the ufunc ``op``, in one
-        preallocated copy; kept coefficients move the same way."""
+        preallocated copy of the array the field holds: its kept
+        coefficients if any, else its samples."""
         comp = list(perm) + [3 + p for p in perm]
-
-        def moved(a):
-            out = np.empty(a.shape, a.dtype)
-            for i, j in enumerate(comp):
-                out[i] = a[j].transpose(perm)
-            op(out[3:], self.mu, out=out[3:])
-            return out
-
-        data = moved(field.data)
+        held = field._data if field._kept is None else field._kept
+        out = np.empty(held.shape, held.dtype)
+        for i, j in enumerate(comp):
+            out[i] = held[j].transpose(perm)
+        op(out[3:], self.mu, out=out[3:])
         if field._kept is None:
-            return type(field)(field.grid, data)
-        return type(field)._with_coeffs(field.grid, data, moved(field._kept))
+            return type(field)(field.grid, out)
+        return type(field).from_coeffs(field.grid, out)
 
     def forward_currents(self, J):
         """Permute axes/components and rescale the magnetic current."""

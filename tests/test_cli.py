@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from maxres import cli, fieldfile, lap
+from maxres import cli, fieldfile, lap, spectral
 from helpers import PerturbedFactors
 
 
@@ -48,6 +48,60 @@ def test_solve_writes_field_and_report(tmp_path, capsys):
     assert u.data.shape == (3, 32, 32)
     report = (out / 'solve_report.txt').read_text()
     assert report in text or text.endswith(report)
+
+
+SOLVE3 = """
+[grid]
+dim = 3
+n = 16
+
+[material]
+eps_axis = 0.5
+eps_perp = 1.4
+axis = 3
+mu = 0.7
+
+[frequency]
+re = 2.1
+im = 0.4
+
+[source]
+kind = %s
+"""
+
+
+@pytest.mark.parametrize('kind', ['random', 'solenoidal'])
+def test_solve_runs_one_fft(tmp_path, capsys, monkeypatch, kind):
+    # the source, the solve, the residual and the charge norms stay in
+    # coefficients; only the written field is synthesized
+    calls = []
+    for name in ('fft', 'ifft', 'fftn', 'ifftn', 'fft2', 'ifft2'):
+        fn = getattr(spectral.np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(spectral.np.fft, name, counted)
+    cfg = _write(tmp_path, 'job.ini', SOLVE3 % kind)
+    out = tmp_path / 'out'
+    assert cli.main(['solve', '--config', cfg, '--out', str(out),
+                     '--seed', '4']) == 0
+    monkeypatch.undo()
+    assert calls == ['ifftn']
+    # the written samples satisfy P u = J to the CLI's tolerance
+    cp = cli.load_config(cfg)
+    grid, mat = cli.parse_grid(cp), cli.parse_material(cp)
+    J = cli.build_source(cp, grid, mat, np.random.default_rng(4))
+    u = fieldfile.read_field(out / 'fields.mxfd')
+    assert u._kept is None
+    resid = spectral.forward_operator(complex(2.1, 0.4), u, mat) - J
+    rel = spectral.lebesgue_norm(resid, 2) / spectral.lebesgue_norm(J, 2)
+    assert rel < 1e-10
+    # and the reported Parseval residual is the sample residual's, both
+    # relative to |J|
+    text = capsys.readouterr().out
+    reported = float(text.split('residual_rel_l2 = ')[1].splitlines()[0])
+    assert abs(reported - rel) < 1e-14
 
 
 def test_solve_is_deterministic(tmp_path):
@@ -148,13 +202,13 @@ def test_lap_cross_tol_extrapolate_route(tmp_path, capsys):
 @pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
 def test_lap_cross_tol_runs_each_route_once(tmp_path, monkeypatch, method):
     # the principal value does not depend on the sign, so one quadrature
-    # pass serves both limits and both cross-checks; the extrapolate
-    # route's report line adds one surface-only pass
+    # pass serves both limits and both cross-checks, on either route
     quad, extra = lap._quadrature_parts, lap._extrapolate
-    calls = {'pv': 0, 'extrapolate': 0}
+    calls = {'quadrature': 0, 'pv': 0, 'extrapolate': 0}
 
     def counted_quad(*args, **kw):
         bound = inspect.signature(quad).bind(*args, **kw)
+        calls['quadrature'] += 1
         calls['pv'] += bound.arguments.get('with_pv', True)
         return quad(*args, **kw)
 
@@ -168,7 +222,22 @@ def test_lap_cross_tol_runs_each_route_once(tmp_path, monkeypatch, method):
                  + "\n[lap]\nmethod = %s\ncross_tol = 1e-8\n" % method)
     assert cli.main(['lap', '--config', cfg,
                      '--out', str(tmp_path / 'o')]) == 0
-    assert calls == {'pv': 1, 'extrapolate': 1}
+    assert calls == {'quadrature': 1, 'pv': 1, 'extrapolate': 1}
+
+
+def test_lap_extrapolate_runs_no_quadrature(tmp_path, capsys, monkeypatch):
+    # without cross_tol the extrapolate route builds no off-grid term and
+    # reports no difference-identity defect
+    def refuse(*args, **kw):
+        raise AssertionError('quadrature pass on the extrapolate route')
+
+    monkeypatch.setattr(lap, '_quadrature_parts', refuse)
+    cfg = _write(tmp_path, 'lap.ini',
+                 LAP_INI + "\n[lap]\nmethod = extrapolate\n")
+    assert cli.main(['lap', '--config', cfg,
+                     '--out', str(tmp_path / 'o')]) == 0
+    text = capsys.readouterr().out
+    assert text == 'omega = 3.1\nmethod = extrapolate\n'
 
 
 def test_lap_noncanonical_material(tmp_path, capsys):
@@ -319,6 +388,9 @@ AXIS2 = ("[grid]\ndim = 3\nn = 16\n"
 SOLVE16 = ("[grid]\ndim = 2\nn = 16\n"
            "[material]\neps11 = 2.0\neps22 = 1.2\n"
            "[frequency]\nre = 2\nim = 0.5\n")
+PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
+           "[material]\neps11 = 1.0\neps22 = 1.0\n"
+           "[probe]\nfamily = annulus\n")
 
 
 @pytest.mark.parametrize('cmd,text', [
@@ -350,6 +422,12 @@ SOLVE16 = ("[grid]\ndim = 2\nn = 16\n"
     ('solve', SOLVE16 + "[tolerances]\ncharge_q = 0.5\n"),
     ('solve', SOLVE16 + "[tolerances]\ncharge_q = nan\n"),
     ('solve', SOLVE16 + "[tolerances]\nresidual = nan\n"),
+    # an empty band, and a zero source whose relative residual is 0/0
+    ('solve', SOLVE16 + "[source]\nkind = random\nkmax = -3\n"),
+    ('solve', SOLVE16 + "[source]\nkind = file\npath = ZERO_MXFD\n"),
+    # a slope needs two samples; vary has two values
+    ('probe', PROBE16 + "samples = 1\n"),
+    ('probe', PROBE16 + "vary = other\n"),
 ], ids=['probe-blowup-axis2', 'probe-annulus-axis2', 'probe-knapp-axis2',
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
         'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
@@ -357,8 +435,15 @@ SOLVE16 = ("[grid]\ndim = 2\nn = 16\n"
         'lap-re-0', 'lap-unknown-method', 'lap-negative-cross-tol-quadrature',
         'lap-negative-cross-tol-extrapolate', 'lap-nan-cross-tol',
         'lap-inf-cross-tol', 'solve-nan-re', 'solve-inf-im',
-        'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan'])
+        'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan',
+        'solve-negative-kmax', 'solve-zero-source', 'probe-one-sample',
+        'probe-unknown-vary'])
 def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
+    if 'ZERO_MXFD' in text:
+        zero = tmp_path / 'zero.mxfd'
+        fieldfile.write_field(zero, spectral.Field.zeros(spectral.Grid(2, 16),
+                                                         3))
+        text = text.replace('ZERO_MXFD', str(zero))
     cfg = _write(tmp_path, 'job.ini', text)
     assert cli.main([cmd, '--config', cfg,
                      '--out', str(tmp_path / 'o')]) == 1

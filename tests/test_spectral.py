@@ -230,9 +230,14 @@ def test_kept_coefficients_are_read_only():
     assert np.array_equal(got, c)
     got[0, 0, 0] = 7.0
     assert f._spectrum()[0, 0, 0] == c[0, 0, 0]
-    # fields from samples, copies and arithmetic keep nothing
-    for h in (sp.Field(g, f.data.copy()), f.copy(), f + f, 2.0 * f):
+    # fields from samples and copies keep nothing
+    for h in (sp.Field(g, f.data.copy()), f.copy()):
         assert h._kept is None and h.data.flags.writeable
+    # arithmetic on coefficient fields stays in coefficients
+    for h, kept, samples in ((f + f, c + c, f.data + f.data),
+                             (2.0 * f, 2.0 * c, 2.0 * f.data)):
+        assert np.array_equal(h._kept, kept)
+        assert np.abs(h.data - samples).max() <= 1e-15 * np.abs(samples).max()
 
 
 def test_solve_touches_only_the_source_band(monkeypatch):
@@ -264,3 +269,85 @@ def test_forward_operator_on_kept_coefficients():
     got = sp.forward_operator(OMEGA, u, MAT3)
     ref = sp.forward_operator(OMEGA, sp.Field(g, u.data.copy()), MAT3)
     assert _rel(got.data, ref.data) < 1e-14
+
+
+@pytest.mark.parametrize('grid,ncomp', [(sp.Grid(2, 32), 3),
+                                        (sp.Grid(3, 16), 6)])
+def test_parseval_norm_matches_the_sample_sum(grid, ncomp):
+    f = sp.random_band_limited(grid, ncomp, RNG, kmax=grid.n // 2)
+    samples = sp.Field(grid, f.data.copy())
+    assert samples._kept is None and f._kept is not None
+    got, ref = sp.lebesgue_norm(f, 2), sp.lebesgue_norm(samples, 2)
+    assert abs(got - ref) <= 1e-14 * ref
+    # other exponents read the samples
+    assert sp.lebesgue_norm(f, 4) == sp.lebesgue_norm(samples, 4)
+
+
+def test_coefficient_field_synthesizes_its_samples_once(monkeypatch):
+    g = sp.Grid(3, 8)
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return ifftn(*args, **kw)
+
+    monkeypatch.setattr(sp.np.fft, 'ifftn', counted)
+    c = RNG.standard_normal((6, 8, 8, 8)) + 1j * RNG.standard_normal(
+        (6, 8, 8, 8))
+    f = sp.Field.from_coeffs(g, c)
+    assert f._data is None and f.shape == c.shape and f.ncomp == 6
+    assert not calls
+    first = f.data
+    assert f.data is first and len(calls) == 1
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match='read-only'):
+        f.data[0, 0, 0, 0] = 1.0
+    monkeypatch.undo()
+    ref = np.fft.ifftn(c, axes=(1, 2, 3)) * g.npoints
+    assert _rel(first, ref) < 1e-15
+
+
+def test_full_band_source_is_the_full_grid_draw():
+    # at kmax = n/2 the band is the whole grid: the same normals, in the
+    # same order, as a draw over the full grid times the band mask
+    for grid, ncomp in ((sp.Grid(2, 16), 3), (sp.Grid(3, 8), 6)):
+        f = sp.random_band_limited(grid, ncomp, np.random.default_rng(5),
+                                   kmax=grid.n // 2)
+        rng = np.random.default_rng(5)
+        keep1 = np.abs(grid.k_axis()) <= grid.n // 2
+        mask = keep1
+        for _ in range(grid.dim - 1):
+            mask = np.multiply.outer(mask, keep1)
+        shape = (ncomp,) + (grid.n,) * grid.dim
+        old = (rng.standard_normal(shape)
+               + 1j * rng.standard_normal(shape)) * mask
+        assert np.array_equal(f._kept, old)
+        assert f._kept.tobytes() == old.tobytes()
+
+
+def test_random_band_limited_draws_the_band_only():
+    g = sp.Grid(3, 16)
+    f = sp.random_band_limited(g, 6, np.random.default_rng(4), kmax=2)
+    band = np.abs(g.k_axis()) <= 2
+    inside = f._kept[np.ix_(range(6), band, band, band)]
+    rng = np.random.default_rng(4)
+    shape = (6, 5, 5, 5)
+    assert np.array_equal(inside, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+    assert np.count_nonzero(f._kept) == inside.size
+    with pytest.raises(ValueError, match='kmax'):
+        sp.random_band_limited(g, 6, RNG, kmax=-1)
+
+
+def test_canonical_form_moves_only_the_held_array():
+    mat = Material3(0.5, 1.4, axis=2, mu=1.3)
+    J = sp.random_band_limited(sp.Grid(3, 8), 6, RNG)
+    canon, Jc, record = symbol.canonicalize(mat, J)
+    assert Jc._data is None and Jc._kept is not None
+    back = record.backward_fields(Jc)
+    assert back._data is None and _rel(back._kept, J._kept) < 1e-15
+    # a sample field stays one
+    _, Js, _ = symbol.canonicalize(mat, sp.Field(J.grid, J.data.copy()))
+    assert Js._kept is None
+    assert _rel(Js.data, Jc.data) < 1e-15
