@@ -20,6 +20,12 @@ characteristic sphere, and agree only when J has none within
   1/(i(omega - rho)) are evaluated with off-grid quadrature nodes.  The
   surface term is the jump.
 
+Each off-grid term is one separable transform over its nodes.  The
+forward half reads the source's coefficients on their per-axis support
+S_a only (near-sphere content spans about 10 indices per axis) through
+Dirichlet kernels, ncomp * prod |S_a| multiply-adds per node; the
+synthesis half, ncomp * n^d per node, writes the whole grid.
+
 Scalar model operators (e_delta, pv_part, surface_part) expose the same
 machinery for a single flavor norm, which is where the Sokhotsky limit
 e_delta -> pv + i*pi*(surface) is quantitatively verified.  The blow-up
@@ -127,46 +133,74 @@ def sphere_quadrature(dim, n):
 # ---------------------------------------------------------------------------
 # semidiscrete transform at off-grid wavevectors
 
-# nodes per block: bounds the phase tables (nodes x n^(d-1)) at 32 MiB
-# for a 32^3 grid while keeping the BLAS products large
+# nodes per block: bounds the synthesis table (nodes x n^(d-1)) at 32 MiB
+# for a 32^3 grid while keeping the BLAS products large.  Per node the
+# synthesis costs ncomp * n^d multiply-adds, the forward ncomp * prod |S_a|
 _NODE_CHUNK = 2048
 
 
+def _khatri_rao(tabs):
+    """Row-wise Khatri-Rao product of (nodes, m_a) tables, last axis
+    fastest."""
+    kr = tabs[0]
+    for t in tabs[1:]:
+        kr = (kr[:, :, None] * t[:, None, :]).reshape(len(kr), -1)
+    return kr
+
+
 def _phase_blocks(grid, xi_pts):
-    """Per block of nodes, (slice, E1, KR): E1 = e^{i x_1 xi_1} of shape
-    (nodes, n) and KR the row-wise Khatri-Rao product of e^{i x_a xi_a},
-    a >= 2, of shape (nodes, n^(d-1)).  The grid is a tensor product, so
-    both transform directions are BLAS products with KR and no (grid
-    points x nodes) phase matrix is formed.
+    """Per block of nodes, (slice, tabs): tabs[a] = e^{i x xi_a} of shape
+    (nodes, n) on the axis coordinates x.  The grid is a tensor product,
+    so both transform directions are BLAS products with these tables and
+    no (grid points x nodes) phase matrix is formed.
 
     Grid coordinates are taken centered in [-L/2, L/2); this halves the
     largest phase gradient and with it the node counts the sphere and
-    radial rules need."""
-    x = grid.x_axis()
-    x = np.where(x >= 0.5 * grid.length, x - grid.length, x)
-    for s in range(0, len(xi_pts), _NODE_CHUNK):
-        pts = xi_pts[s:s + _NODE_CHUNK]
-        tabs = [np.exp(1j * np.outer(pts[:, a], x)) for a in range(grid.dim)]
-        kr = tabs[1]
-        for t in tabs[2:]:
-            kr = (kr[:, :, None] * t[:, None, :]).reshape(len(pts), -1)
-        yield slice(s, s + len(pts)), tabs[0], kr
+    radial rules need.  Blocks of s = 2^floor(log2(n)/2) coordinates never
+    straddle L/2, so each table is the outer product of the phases at the
+    block starts and at h * arange(s): n/s + s complex exps, not n."""
+    n = grid.n
+    s = 1 << (n.bit_length() - 1) // 2
+    h = grid.length / n
+    starts, offsets = h * grid.k_axis()[::s], h * np.arange(s)
+    for st in range(0, len(xi_pts), _NODE_CHUNK):
+        pts = xi_pts[st:st + _NODE_CHUNK]
+        tabs = [(np.exp(1j * np.outer(p, starts))[:, :, None]
+                 * np.exp(1j * np.outer(p, offsets))[:, None, :]
+                 ).reshape(len(pts), n) for p in pts.T]
+        yield slice(st, st + len(pts)), tabs
 
 
-def _forward(f, e1, kr):
-    """(1/N) sum_j f(x_j) e^{-i x_j xi_p} over one block of nodes."""
-    n = f.grid.n
-    g = f.data.reshape(f.ncomp * n, -1) @ kr.conj().T
-    return np.einsum('cjp,pj->cp', g.reshape(f.ncomp, n, -1),
-                     e1.conj()) / f.grid.npoints
+def _support_block(f):
+    """f's coefficients on the per-axis support S_a of its nonzero modes,
+    c[:, S_1, ..., S_d], and per axis the lattice phases e^{-i x xi_k} / n,
+    k in S_a, of shape (n, |S_a|)."""
+    c, n = f._spectrum(), f.grid.n
+    sup = [np.unique(i) for i in np.nonzero(np.any(c != 0, axis=0))]
+    # x_m xi_k = 2 pi m k / n for lattice xi_k, centered or not
+    roots = np.exp(-1j * TAU * np.arange(n) / n) / n
+    lat = [roots[np.outer(np.arange(n), s) % n] for s in sup]
+    return c[np.ix_(range(f.ncomp), *sup)], lat
+
+
+def _forward(cb, lat, tabs):
+    """(1/N) sum_j f(x_j) e^{-i x_j xi_p} over one block of nodes, from
+    f's coefficient block (_support_block): sum_k c_k prod_a D_a[p, k_a]
+    with the Dirichlet kernels D_a = conj(tabs_a @ lat_a)."""
+    ds = [(t @ l).conj() for t, l in zip(tabs, lat)]
+    kr = _khatri_rao(ds[1:])
+    ncomp, s1 = cb.shape[:2]
+    g = cb.reshape(ncomp * s1, kr.shape[1]) @ kr.T
+    return np.einsum('ckp,pk->cp', g.reshape(ncomp, s1, len(kr)), ds[0])
 
 
 def offgrid_transform(f, xi_pts):
     """Semidiscrete transform (1/N) sum_j f(x_j) e^{-i x_j xi} at
     arbitrary wavevectors; exact coefficients for band-limited f."""
+    cb, lat = _support_block(f)
     out = np.empty((f.ncomp, len(xi_pts)), dtype=complex)
-    for sl, e1, kr in _phase_blocks(f.grid, xi_pts):
-        out[:, sl] = _forward(f, e1, kr)
+    for sl, tabs in _phase_blocks(f.grid, xi_pts):
+        out[:, sl] = _forward(cb, lat, tabs)
     return out
 
 
@@ -177,12 +211,13 @@ def _apply_offgrid(J, xi_pts, coeffs, weight_fn=None, out_ncomp=None):
         out_ncomp = J.ncomp
     out = np.zeros((out_ncomp * grid.n, grid.npoints // grid.n),
                    dtype=complex)
-    for sl, e1, kr in _phase_blocks(grid, xi_pts):
-        vals = _forward(J, e1, kr)
+    cb, lat = _support_block(J)
+    for sl, tabs in _phase_blocks(grid, xi_pts):
+        vals = _forward(cb, lat, tabs)
         if weight_fn is not None:
             vals = np.einsum('pij,jp->ip', weight_fn(xi_pts[sl]), vals)
-        amps = (vals * coeffs[sl])[:, None, :] * e1.T
-        out += amps.reshape(len(out), -1) @ kr
+        amps = (vals * coeffs[sl])[:, None, :] * tabs[0].T
+        out += amps.reshape(len(out), -1) @ _khatri_rao(tabs[1:])
     return spectral.Field(grid, out.reshape((out_ncomp,)
                                             + (grid.n,) * grid.dim))
 

@@ -14,6 +14,7 @@ inverse and the forward operator touch only the modes where the
 coefficients are nonzero.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +65,21 @@ class Grid:
         return (TAU / self.length) * self.k_axis()
 
     def xi_lattice(self):
-        """(n, ..., n, dim) array of lattice wavevectors."""
-        ax = self.xi_axis()
-        mesh = np.meshgrid(*([ax] * self.dim), indexing='ij')
-        return np.stack(mesh, axis=-1)
+        """(n, ..., n, dim) array of lattice wavevectors, read-only."""
+        return self.xi_flat().reshape((self.n,) * self.dim + (self.dim,))
 
+    # one entry: a job works on one grid, and a second cached lattice
+    # would only raise the peak memory of a process that alternates grids
+    @functools.lru_cache(maxsize=1)
     def xi_flat(self):
-        return self.xi_lattice().reshape(-1, self.dim)
+        """(n^d, dim) array of lattice wavevectors, read-only; built once
+        and reused while the same (or an equal) grid asks for it."""
+        # broadcast views: the stack is the lattice's only copy
+        mesh = np.meshgrid(*([self.xi_axis()] * self.dim), indexing='ij',
+                           copy=False)
+        xi = np.stack(mesh, axis=-1).reshape(-1, self.dim)
+        xi.flags.writeable = False
+        return xi
 
     def x_axis(self):
         return np.arange(self.n) * (self.length / self.n)

@@ -127,6 +127,69 @@ def test_offgrid_matches_dense_oracle(dim, n, npts):
                     ref) < 1e-12
 
 
+def _shell_current(g, ncomp, r_lo, r_hi):
+    """Random coefficients on the lattice modes with r_lo <= |k| < r_hi,
+    the way J_near sits on a characteristic sphere; negative k are
+    stored wrapped to n + k."""
+    k = g.xi_flat() * (g.length / sp.TAU)
+    r = np.linalg.norm(k, axis=1)
+    shell = (r >= r_lo) & (r < r_hi)
+    c = np.zeros((ncomp, g.npoints), dtype=complex)
+    c[:, shell] = (RNG.standard_normal((ncomp, shell.sum()))
+                   + 1j * RNG.standard_normal((ncomp, shell.sum())))
+    return sp.Field.from_coeffs(g, c.reshape((ncomp,) + (g.n,) * g.dim))
+
+
+def _sample_current(g, ncomp):
+    """A sample field, whose coefficients fill the whole grid."""
+    return sp.Field(g, RNG.standard_normal((ncomp,) + (g.n,) * g.dim)
+                    + 1j * RNG.standard_normal((ncomp,) + (g.n,) * g.dim))
+
+
+@pytest.mark.parametrize('dim,n,npts', [(2, 32, 400), (3, 16, 300)])
+@pytest.mark.parametrize('make', [
+    lambda g: _shell_current(g, 3, 3.0, 4.5),
+    lambda g: _sample_current(g, 3),
+], ids=['shell', 'samples'])
+def test_offgrid_support_inputs_match_dense_oracle(dim, n, npts, make):
+    g = sp.Grid(dim, n)
+    J = make(g)
+    xi = RNG.uniform(-n, n, (npts, dim))
+    cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
+    vals, plain = dense_offgrid(J, xi, cf)
+    assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
+    assert _rel(lap._apply_offgrid(J, xi, cf).data, plain) < 1e-12
+
+
+@pytest.mark.parametrize('dim,n', [(2, 32), (3, 16)])
+def test_offgrid_zero_field_gives_zeros(dim, n):
+    g = sp.Grid(dim, n)
+    J = sp.Field.from_coeffs(g, np.zeros((3,) + (n,) * dim, dtype=complex))
+    xi = RNG.uniform(-n, n, (50, dim))
+    cf = RNG.standard_normal(50) + 0j
+    assert lap.offgrid_transform(J, xi).shape == (3, 50)
+    assert not np.any(lap.offgrid_transform(J, xi))
+    out = lap._apply_offgrid(J, xi, cf)
+    assert out.shape == J.shape and not np.any(out.data)
+
+
+@pytest.mark.parametrize('n', [2 ** p for p in range(2, 10)])
+def test_factored_phase_tables(n):
+    # each table is built from n/s + s exps, s = 2^floor(log2(n)/2); it
+    # must equal the direct one to 1e-14 per unit of phase (a phase of
+    # size t is itself only known to about 1e-16 t)
+    g = sp.Grid(2, n)
+    x = (g.length / n) * g.k_axis()                  # centered coordinates
+    assert x.min() == -g.length / 2 and x.max() < g.length / 2
+    band = np.pi * n / g.length
+    xi = RNG.uniform(-2 * band, 2 * band, (300, 2))  # half beyond the band
+    for sl, tabs in lap._phase_blocks(g, xi):
+        for a, tab in enumerate(tabs):
+            phase = np.outer(xi[sl, a], x)
+            err = np.abs(tab - np.exp(1j * phase))
+            assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(phase)))
+
+
 def test_e_delta_lattice_single_mode():
     g = sp.Grid(2, 32)
     x = g.x_axis()

@@ -25,6 +25,20 @@ def test_grid_basics():
         sp.Grid(4, 8)
 
 
+def test_xi_lattice_built_once_and_read_only():
+    g = sp.Grid(3, 8, length=3.0)
+    xi = g.xi_flat()
+    assert sp.Grid(3, 8, length=3.0).xi_flat() is xi     # equal grids share
+    ax = (2 * np.pi / 3.0) * g.k_axis()
+    mesh = np.stack(np.meshgrid(ax, ax, ax, indexing='ij'), axis=-1)
+    assert np.array_equal(xi, mesh.reshape(-1, 3))
+    assert np.array_equal(g.xi_lattice(), mesh)
+    for a in (xi, g.xi_lattice()):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert sp.Grid(2, 8).xi_flat().shape == (64, 2)
+
+
 def test_fft_convention_plane_wave():
     # exp(i k.x) has a single unit coefficient at mode k
     g = sp.Grid(2, 16)
