@@ -11,7 +11,9 @@ coefficient field, and an L^2 norm of a coefficient field is Parseval's
 sum, so a chain of multipliers runs no FFT until its samples are read.
 A band-limited source has exact zeros outside its band, and the lattice
 inverse and the forward operator touch only the modes where the
-coefficients are nonzero.
+coefficients are nonzero, and build their per-mode matrices block by
+block (symbol._blocks): each (block, ncomp, ncomp) array is about 2 MiB,
+so it stays in a core's L2 cache between its construction and its use.
 """
 
 import functools
@@ -24,9 +26,6 @@ from .materials import Material2, Material3
 from . import multiplier, symbol
 
 TAU = 2.0 * np.pi
-
-# lattice chunk size for building multiplier matrices or factors
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,8 @@ def forward_operator(omega, u, mat):
     xi = u.grid.xi_flat()
     out = np.zeros_like(c)
     idx = np.nonzero(_support(c))[0]
-    for start in range(0, idx.size, _CHUNK):
-        sel = idx[start:start + _CHUNK]
+    for blk in symbol._blocks(idx.size, u.ncomp):
+        sel = idx[blk]
         # inline, so each symbol block is freed before the next is built
         out[:, sel] = np.einsum('kij,jk->ik',
                                 symbol.symbol_p(omega, xi[sel], mat),
@@ -243,11 +242,13 @@ def forward_operator(omega, u, mat):
 def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
     """The lattice inverse sum_k weights_k P(omegas_k)^{-1} c on flattened
     coefficients (canonical material) and the modes in ``mask`` (default
-    all; the others are 0).  Off the axis: one eigenbasis per chunk,
-    applied as m (w * (m^{-1} c)) with w from multiplier._scalar_resolvents
-    (the ``skip`` columns 0).  Near-axis 3D modes and the zero mode, where
-    p(omega, 0) = i omega I, get the same combination of direct solves.
-    Modes where c is exactly 0 are skipped."""
+    all; the others are 0).  Off the axis: one eigenbasis per block of
+    symbol._blocks (cache-sized, so each (block, ncomp, ncomp) factor
+    stays in L2 while it is applied), applied as m (w * (m^{-1} c)) with
+    w from multiplier._scalar_resolvents (the ``skip`` columns 0).
+    Near-axis 3D modes and the zero mode, where p(omega, 0) = i omega I,
+    get the same combination of direct solves.  Modes where c is exactly
+    0 are skipped."""
     xi = grid.xi_flat()
     out = np.zeros_like(c)
     active = _support(c)
@@ -255,8 +256,8 @@ def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
         active &= mask
     direct = active & (symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1))
     idx = np.nonzero(active & ~direct)[0]
-    for start in range(0, idx.size, _CHUNK):
-        sel = idx[start:start + _CHUNK]
+    for blk in symbol._blocks(idx.size, c.shape[0]):
+        sel = idx[blk]
         m, minv, rho = symbol._eigen_basis(xi[sel], mat)
         w = multiplier._scalar_resolvents(omegas, rho, weights, skip)
         v = w * multiplier._rmatmul(minv, c[:, sel].T[..., None])[..., 0]

@@ -254,6 +254,28 @@ def test_kept_coefficients_are_read_only():
         assert np.abs(h.data - samples).max() <= 1e-15 * np.abs(samples).max()
 
 
+def test_block_boundaries_change_no_bit(monkeypatch):
+    g = sp.Grid(3, 16)
+    c = sp.random_band_limited(g, 6, np.random.default_rng(23),
+                               kmax=8)._spectrum().reshape(6, -1)
+    xi = g.xi_flat()
+    # the full band holds the zero mode and the near-axis modes
+    assert np.all(c[:, 0] != 0) and np.all(c[:, symbol.near_axis(xi)] != 0)
+    u = sp.Field.from_coeffs(g, c.reshape((6,) + (16,) * 3))
+
+    def run():
+        return (sp._solve_coeffs([OMEGA], c, g, MAT3),
+                sp._solve_coeffs([2.7, 2.7 + 0.1j], c, g, MAT3,
+                                 weights=(2.0, -1.0), skip=(3, 5),
+                                 mask=np.abs(xi).max(axis=1) > 2),
+                sp.forward_operator(OMEGA, u, MAT3)._kept)
+
+    ref = run()
+    monkeypatch.setattr(symbol, '_block_rows', lambda ncomp: 97)
+    for got, want in zip(run(), ref):
+        assert np.array_equal(got, want)
+
+
 def test_solve_touches_only_the_source_band(monkeypatch):
     g = sp.Grid(3, 16)
     J = sp.random_band_limited(g, 6, RNG, kmax=3)
