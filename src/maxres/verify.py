@@ -101,7 +101,8 @@ def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
     ncomp = 3 if dim == 2 else 6
     per = n_points // len(mats)
     worst, witness = 0.0, {}
-    # 2D: the worst |det m + 1|; 3D: the worst distance outside a bracket
+    # 2D: the worst |det m + 1|; 3D: the worst signed distance outside a
+    # bracket (negative inside)
     det_worst, det_witness = 0.0, {}
     extras = {}
     for mat in mats:
@@ -122,7 +123,7 @@ def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
             recon = _rmatmul(minv.swapaxes(1, 2), md_t).swapaxes(1, 2)
             scale = np.abs(p).max(axis=(1, 2)) + 1.0
             i, defect = _worst(np.abs(recon - p).max(axis=(1, 2)) / scale)
-            if defect > worst:
+            if defect > worst or not witness:
                 worst = defect
                 witness = {'omega': complex(om[i]), 'xi': xs[i].tolist(),
                            'material': repr(mat)}
@@ -135,7 +136,7 @@ def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
                 highs.append(ratio.max())
                 excess = np.maximum(lo - ratio, ratio - hi)
             j, excess = _worst(excess)
-            if excess > det_worst:
+            if excess > det_worst or not det_witness:
                 det_worst = excess
                 det_witness = {'xi': xs[j].tolist(), 'material': repr(mat)}
                 if dim == 2:
@@ -150,7 +151,7 @@ def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
         extras['det_defect'] = det_worst
         det_ok = det_worst < det_tol
     else:
-        det_ok = det_worst == 0.0
+        det_ok = det_worst <= 0.0
     passed = worst < tol and det_ok
     if passed:
         witness = {}
@@ -182,21 +183,17 @@ def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
                 xs = batch[blk]
                 p = symbol_p(omega, xs, mat)
                 axis = near_axis(xs)
-                if axis.any():
-                    M = np.empty_like(p)
-                    M[~axis] = resolvent_matrix(omega, xs[~axis], mat,
-                                                flip_entry=flip_entry)
-                    # near-axis fallback: direct 6x6 inversion
-                    M[axis] = np.linalg.inv(p[axis])
-                else:
-                    M = resolvent_matrix(omega, xs, mat,
-                                         flip_entry=flip_entry)
+                # near-axis fallback: the closed form at a placeholder
+                # off-axis direction, overwritten by direct 6x6 inversion
+                M = resolvent_matrix(omega, np.where(axis[:, None], 1.0, xs),
+                                     mat, flip_entry=flip_entry)
+                M[axis] = np.linalg.inv(p[axis])
                 prod = p @ M
                 scale = (np.abs(p).max(axis=(1, 2))
                          * np.abs(M).max(axis=(1, 2)) + 1.0)
                 i, defect = _worst(np.abs(prod - eye).max(axis=(1, 2))
                                    / scale)
-                if defect > worst:
+                if defect > worst or not witness:
                     worst = defect
                     ij = np.unravel_index(np.argmax(np.abs(prod[i] - eye)),
                                           prod[i].shape)

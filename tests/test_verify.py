@@ -68,6 +68,26 @@ def test_det_witness_names_the_failing_material(monkeypatch):
     assert lo <= w['det_ratio'] <= hi
 
 
+@pytest.mark.parametrize('suite,kw,key,dim', [
+    (verify.diagonalization_suite, {'tol': 0.0, 'det_tol': 1.0}, 'omega', 2),
+    (verify.diagonalization_suite, {'tol': 0.0, 'det_tol': 1.0}, 'omega', 3),
+    # the 3D determinant check has no tolerance
+    (verify.diagonalization_suite, {'tol': 1.0, 'det_tol': 0.0},
+     'det_defect', 2),
+    (verify.inverse_suite, {'tol': 0.0}, 'entry', 2),
+    (verify.inverse_suite, {'tol': 0.0}, 'entry', 3),
+])
+def test_failed_check_with_exact_zero_defects_has_a_witness(
+        monkeypatch, suite, kw, key, dim):
+    # every defect exactly 0, which fails a tolerance of 0
+    monkeypatch.setattr(verify, '_worst', lambda defect: (0, 0.0))
+    rep = suite(np.random.default_rng(5), 3_000, dim=dim, **kw)
+    assert not rep.passed
+    assert rep.witness['material'] == repr(
+        (verify.MATERIALS_2D if dim == 2 else verify.MATERIALS_3D)[0])
+    assert key in rep.witness
+
+
 def test_2d_det_witness_names_its_defect():
     rep = verify.diagonalization_suite(np.random.default_rng(5), 3_000,
                                        dim=2, det_tol=1e-17)
