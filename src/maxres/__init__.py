@@ -33,7 +33,7 @@ from .errors import (ConfigError, DegenerateDirection, EmptyRegion,
 from .materials import Material2, Material3, material3_from_diag
 from .symbol import (canonicalize, det_diagnostics, eigen_decomposition,
                      symbol_p)
-from .multiplier import resolvent_matrix, regular_matrix, singular_weights
+from .multiplier import resolvent_matrix, singular_weights
 from .spectral import (Field, Grid, divergence_and_charges,
                        forward_operator, fractional_laplacian,
                        half_laplacian_resolvent, lebesgue_norm,
@@ -57,7 +57,7 @@ __all__ = [
     'OnSingularSet', 'QuadratureNotConverged', 'RealFrequency',
     'Material2', 'Material3', 'material3_from_diag',
     'canonicalize', 'det_diagnostics', 'eigen_decomposition', 'symbol_p',
-    'resolvent_matrix', 'regular_matrix', 'singular_weights',
+    'resolvent_matrix', 'singular_weights',
     'Field', 'Grid', 'divergence_and_charges', 'forward_operator',
     'fractional_laplacian', 'half_laplacian_resolvent', 'lebesgue_norm',
     'leray_project', 'random_band_limited', 'riesz', 'scalar_field', 'solve',

@@ -218,20 +218,12 @@ def cmd_solve(args, cp):
 
 def cmd_verify(args, cp):
     n_points = _get(cp, 'verify', 'points', int, default=100_000)
-    if n_points < 24:
-        # three materials per suite, eight frequency batches per material
-        raise ConfigError("[verify] points must be at least 24, got %d"
-                          % n_points)
-    flip = None
-    if cp.has_option('verify', 'flip_entry'):
-        flip = _get(cp, 'verify', 'flip_entry',
-                    lambda raw: tuple(int(v) for v in raw.split(',')))
-        if (len(flip) != 2 or not all(0 <= v < 6 for v in flip)
-                or flip in verify.M3_ZERO_ENTRIES):
-            raise ConfigError("flip_entry %r is not a nonzero entry i,j "
-                              "(0-based) of the 3D inverse symbol" % (flip,))
-    reports = verify.run_all(seed=args.seed, n_points=n_points,
-                             flip_entry=flip)
+    flip = _get(cp, 'verify', 'flip_entry',
+                lambda raw: tuple(int(v) for v in raw.split(',')), default=())
+    try:
+        reports = verify.run_all(args.seed, n_points, flip or None)
+    except ValueError as exc:
+        raise ConfigError("invalid [verify]: %s" % exc)
     out = _outdir(args)
     lines = []
     code = EXIT_OK

@@ -18,26 +18,20 @@ and M_c = sum_{c < d-1} m[:, c] m^{-1}[c, :] / (i omega) the charge
 sphere k, { <xi, q_k xi> = omega^2 } with q_k from ``sphere_qforms``;
 at real omega != 0 the singular one is d - 1 + 2k + (omega < 0).
 
-Every evaluator combines the real eigenbasis m with w = d^{-1} from
-``_scalar_resolvents``, skipped columns set to 0 (``_factors`` packs both):
-``resolvent_matrix`` and ``regular_matrix`` (singular columns skipped)
-assemble (m w) m^{-1}, ``singular_weights`` returns the projectors of the
-singular columns, which the limiting-absorption machinery weights by
-principal values and surface deltas, and ``spectral._solve_coeffs``
-applies m (w * (m^{-1} c)) to lattice coefficients, with w any fixed
-combination sum_k a_k / (i(omega_k + rho)) (one frequency for ``solve``,
-a Richardson limit for the LAP).  Every evaluator is vectorized over a
-leading batch of wavevectors.
+``_apply`` is the one inverse apply: m (w * (m^{-1} c)) on columns c,
+with w = d^{-1} from ``_scalar_resolvents`` (any fixed combination
+sum_k a_k / (i(omega_k + rho)), skipped columns 0).  ``solve`` and the
+LAP run it on lattice coefficients (``spectral._solve_coeffs``), and
+``resolvent_matrix``, which ``verify`` checks, on the identity.
+``singular_weights`` returns the projectors of the singular columns,
+which the LAP weights by principal values and surface deltas.  All are
+vectorized over a leading batch of wavevectors.
 """
 
 import numpy as np
 
+from . import symbol
 from .errors import RealFrequency
-from .symbol import _eigen_basis
-
-# 3D matrix entries that are identically zero; a sign flip there is
-# unobservable, so fault-injection sampling skips them.
-M3_ZERO_ENTRIES = ((0, 3), (3, 0))
 
 
 def _rmatmul(a, z):
@@ -59,7 +53,7 @@ def _scalar_resolvents(omegas, rho, weights=(1.0,), skip=()):
 
 def _factors(omega, xi, mat, skip=()):
     """(m, w, m_inv): the real eigenbasis and w = d^{-1}, skip columns 0."""
-    m, minv, rho = _eigen_basis(xi, mat)
+    m, minv, rho = symbol._eigen_basis(xi, mat)
     return m, _scalar_resolvents([omega], rho, skip=skip), minv
 
 
@@ -79,46 +73,30 @@ def _singular_columns(omega, mat):
     return range(mat.dim - 1 + int(omega < 0), 3 * (mat.dim - 1), 2)
 
 
-def _assemble(omega, xi, mat, skip=(), flip_entry=None):
-    """(m w) m_inv: sum_j W_j s_j over the columns not in ``skip``, plus
-    M_c.  flip_entry=(i, j) negates entry (i, j) of the term sum (M_c is
-    left as it is); this fault-injection hook exists for the verification
-    suite's mutation test and must stay None in production use."""
-    m, w, minv = _factors(omega, xi, mat, skip)
-    M = _rmatmul(m, w[..., :, None] * minv)
-    if flip_entry is not None:
-        i, j = flip_entry
-        c = slice(mat.dim - 1, None)
-        M[..., i, j] -= 2 * np.einsum('...c,...c,...c->...', m[..., i, c],
-                                      w[..., c], minv[..., c, j])
-    return M
+def _apply(omegas, xi, c, mat, weights=(1.0,), skip=()):
+    """sum_k weights_k P(omegas_k)^{-1} c off the axis, the ``skip``
+    columns left out, as m (w * (m^{-1} c)) on c of shape (..., ncomp, k)."""
+    m, minv, rho = symbol._eigen_basis(xi, mat)
+    w = _scalar_resolvents(omegas, rho, weights, skip)
+    return _rmatmul(m, w[..., None] * _rmatmul(minv, c))
 
 
-def resolvent_matrix(omega, xi, mat, flip_entry=None):
-    """Full inverse symbol M + M_c at Im(omega) != 0.
+def resolvent_matrix(omega, xi, mat):
+    """Full inverse symbol M + M_c at Im(omega) != 0: _apply on I.
 
     Raises DegenerateDirection at xi = 0 and near the 3D distinguished
-    axis, where the caller inverts the symbol directly.  ``flip_entry``
-    is the fault-injection hook of _assemble.
+    axis, where the caller inverts the symbol directly.
     """
     if omega.imag == 0:
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
-    return _assemble(omega, xi, mat, flip_entry=flip_entry)
-
-
-def regular_matrix(omega, xi, mat):
-    """Resolvent at real omega with every singular term removed: the
-    smooth background, to which the singular spheres add principal-value
-    and surface terms through their singular_weights."""
-    omega = float(omega)
-    return _assemble(omega, xi, mat, skip=_singular_columns(omega, mat))
+    return _apply([omega], xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat)
 
 
 def singular_weights(omega, xi, mat):
     """[(W, q_k)] per characteristic sphere k: the real eigenprojector
     W = m[:, c] m_inv[c, :] of the column c singular at real omega, and
     the sphere's quadratic form."""
-    m, minv, _ = _eigen_basis(xi, mat)
+    m, minv, _ = symbol._eigen_basis(xi, mat)
     cols = _singular_columns(omega, mat)
     return [(m[..., :, c, None] * minv[..., None, c, :], q)
             for c, q in zip(cols, sphere_qforms(mat))]

@@ -242,10 +242,9 @@ def forward_operator(omega, u, mat):
 def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
     """The lattice inverse sum_k weights_k P(omegas_k)^{-1} c on flattened
     coefficients (canonical material) and the modes in ``mask`` (default
-    all; the others are 0).  Off the axis: one eigenbasis per block of
-    symbol._blocks (cache-sized, so each (block, ncomp, ncomp) factor
-    stays in L2 while it is applied), applied as m (w * (m^{-1} c)) with
-    w from multiplier._scalar_resolvents (the ``skip`` columns 0).
+    all; the others are 0).  Off the axis: multiplier._apply (the
+    ``skip`` columns 0) per block of symbol._blocks, cache-sized so each
+    (block, ncomp, ncomp) factor stays in L2 while it is applied.
     Near-axis 3D modes and the zero mode, where p(omega, 0) = i omega I,
     get the same combination of direct solves.  Modes where c is exactly
     0 are skipped."""
@@ -258,10 +257,9 @@ def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
     idx = np.nonzero(active & ~direct)[0]
     for blk in symbol._blocks(idx.size, c.shape[0]):
         sel = idx[blk]
-        m, minv, rho = symbol._eigen_basis(xi[sel], mat)
-        w = multiplier._scalar_resolvents(omegas, rho, weights, skip)
-        v = w * multiplier._rmatmul(minv, c[:, sel].T[..., None])[..., 0]
-        out[:, sel] = multiplier._rmatmul(m, v[..., None])[..., 0].T
+        rhs = c[:, sel].T[..., None]
+        out[:, sel] = multiplier._apply(omegas, xi[sel], rhs, mat, weights,
+                                        skip)[..., 0].T
     idx = np.nonzero(direct)[0]
     if idx.size == 0:
         return out

@@ -8,14 +8,12 @@ memory does not grow with the number of points:
   normalization det m = -1, and the constancy of the 3D renormalized
   determinant |det m| / alpha^4 against frozen per-material brackets.
 * :func:`inverse_suite` checks the master identity p (M + M_c) = I for
-  the closed-form inverse (m d^{-1} m^{-1} through the eigenprojectors
-  of ``multiplier``), including the isotropic case and the near-axis
-  fallback (direct 6x6 inversion).
-
-``inverse_suite`` accepts a ``flip_entry`` fault-injection hook that
-negates one entry of the 3D term sum sum_j W_j s_j, leaving the charge
-part M_c as it is; a single sign error anywhere must blow the identity
-far past tolerance and be reported with a witness point.
+  ``resolvent_matrix``, which is ``multiplier._apply`` on the identity:
+  the apply that ``solve`` and the LAP run on lattice coefficients.  It
+  covers the isotropic case, the axis guard band and the near-axis
+  fallback (direct 6x6 inversion).  Its ``flip_entry`` fault-injection
+  hook (``_flip``) negates one entry of the 3D term sum; a single sign
+  error anywhere must fail the suite, with a witness point.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import Material2, Material3
-from .multiplier import M3_ZERO_ENTRIES, _rmatmul, resolvent_matrix
-from .symbol import _blocks, _eigen_basis, near_axis, symbol_p
+from .multiplier import _apply, _rmatmul, resolvent_matrix
+from .symbol import AXIS_GUARD, _blocks, _eigen_basis, near_axis, symbol_p
 
 # Default materials exercised by both suites.  The first entry of each
 # list is isotropic; the others are genuinely anisotropic.
@@ -49,6 +47,10 @@ DET3_BRACKETS = {
     (0.4, 1.25): (7.1554175279993 - 1e-10, 7.1554175279994 + 1e-10),
 }
 
+# 3D matrix entries that are identically zero; a sign flip there is
+# unobservable, so the fault-injection hook refuses them.
+M3_ZERO_ENTRIES = ((0, 3), (3, 0))
+
 
 def _bracket_key(mat):
     return (round(mat.a, 12), round(mat.b, 12))
@@ -68,12 +70,19 @@ class SuiteReport:
 
 
 def _random_xi(rng, n, dim, axis_fraction=0.0):
-    """Random wavevectors; a fraction is squeezed onto the axis (3D)."""
+    """Random wavevectors.  In 3D a fraction is squeezed onto the axis
+    (inverted directly), and as many are drawn in the guard band
+    s^2/|xi|^2 in [AXIS_GUARD, 1e-6), where the closed form is used."""
     xi = rng.normal(0.0, 2.0, size=(n, dim))
     xi[np.abs(xi).max(axis=1) < 1e-3] += 1.0
     if dim == 3 and axis_fraction > 0:
         k = int(n * axis_fraction)
         xi[:k, 1:] *= 1e-6
+        band = xi[k:2 * k]
+        band[np.abs(band[:, 0]) < 1e-3, 0] = 1.0
+        r = AXIS_GUARD * 10.0 ** rng.uniform(0.0, 2.0, (k, 1))
+        band[:, 1:] *= np.sqrt(r / (1.0 - r) * band[:, :1] ** 2
+                               / (band[:, 1:] ** 2).sum(1, keepdims=True))
     return xi
 
 
@@ -81,6 +90,32 @@ def _random_omega(rng, n):
     re = rng.uniform(-4.0, 4.0, size=n)
     im = rng.uniform(0.2, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     return re + 1j * im
+
+
+def _points(n_points, dim, least, flip_entry=None):
+    """(materials, ncomp, points per material) of a suite, after checking
+    that there are at least ``least`` points per material and that
+    ``flip_entry`` is None or a nonzero entry (i, j) of the 3D inverse
+    symbol; a bad value raises a ValueError that names it."""
+    mats = MATERIALS_2D if dim == 2 else MATERIALS_3D
+    per = n_points // len(mats)
+    if per < least:
+        raise ValueError("n_points = %d gives %d points per material, "
+                         "fewer than %d" % (n_points, per, least))
+    if flip_entry is not None and (
+            dim != 3 or tuple(flip_entry) in M3_ZERO_ENTRIES
+            or tuple(flip_entry) not in np.ndindex(6, 6)):
+        raise ValueError("flip_entry %r is not a nonzero entry i,j "
+                         "(0-based) of the 3D inverse symbol" % (flip_entry,))
+    return mats, 3 * (dim - 1), per
+
+
+def _flip(M, omega, xi, mat, entry):
+    """Fault injection, in place: negate entry (i, j) of the 3D term sum
+    sum_j W_j s_j in M, that is of _apply on column j without M_c."""
+    i, j = entry
+    col = np.eye(6, dtype=complex)[:, j, None]
+    M[:, i, j] -= 2 * _apply([omega], xi, col, mat, skip=(0, 1))[:, i, 0]
 
 
 def _worst(defect):
@@ -97,9 +132,7 @@ def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
     eigenbasis that the solvers use, block by block (symbol._blocks).
     A failed check names its worst point: the worst reconstruction, else
     the determinant furthest from its target."""
-    mats = MATERIALS_2D if dim == 2 else MATERIALS_3D
-    ncomp = 3 if dim == 2 else 6
-    per = n_points // len(mats)
+    mats, ncomp, per = _points(n_points, dim, 1)
     worst, witness = 0.0, {}
     # 2D: the worst |det m + 1|; 3D: the worst signed distance outside a
     # bracket (negative inside)
@@ -166,11 +199,8 @@ def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
 def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
     """Check p (M + M_c) = I for the closed-form inverse symbol, on
     per-omega batches split into blocks (symbol._blocks)."""
-    mats = MATERIALS_2D if dim == 2 else MATERIALS_3D
-    per = n_points // len(mats)
-    worst = 0.0
-    witness = {}
-    ncomp = 3 if dim == 2 else 6
+    mats, ncomp, per = _points(n_points, dim, 8, flip_entry)
+    worst, witness = 0.0, {}
     eye = np.eye(ncomp)
     for mat in mats:
         xi = _random_xi(rng, per, dim, axis_fraction=0.02 if dim == 3 else 0.0)
@@ -185,8 +215,10 @@ def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
                 axis = near_axis(xs)
                 # near-axis fallback: the closed form at a placeholder
                 # off-axis direction, overwritten by direct 6x6 inversion
-                M = resolvent_matrix(omega, np.where(axis[:, None], 1.0, xs),
-                                     mat, flip_entry=flip_entry)
+                off = np.where(axis[:, None], 1.0, xs)
+                M = resolvent_matrix(omega, off, mat)
+                if flip_entry is not None:
+                    _flip(M, omega, off, mat, flip_entry)
                 M[axis] = np.linalg.inv(p[axis])
                 prod = p @ M
                 scale = (np.abs(p).max(axis=(1, 2))
@@ -195,11 +227,9 @@ def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
                                    / scale)
                 if defect > worst or not witness:
                     worst = defect
-                    ij = np.unravel_index(np.argmax(np.abs(prod[i] - eye)),
-                                          prod[i].shape)
+                    ij = divmod(int(np.argmax(np.abs(prod[i] - eye))), ncomp)
                     witness = {'omega': omega, 'xi': xs[i].tolist(),
-                               'entry': tuple(int(v) for v in ij),
-                               'material': repr(mat)}
+                               'entry': ij, 'material': repr(mat)}
     passed = worst < tol
     return SuiteReport(name='inverse_%dd' % dim, count=per * len(mats),
                        max_defect=worst, tolerance=tol, passed=passed,
@@ -207,10 +237,10 @@ def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
 
 
 def run_all(seed=0, n_points=100_000, flip_entry=None):
-    """Run every suite; returns the list of reports."""
+    """Run every suite, after checking the inputs; returns the reports."""
+    _points(n_points, 3, 8, flip_entry)
     rng = np.random.default_rng(seed)
-    reports = [diagonalization_suite(rng, n_points, dim=2),
-               diagonalization_suite(rng, n_points, dim=3),
-               inverse_suite(rng, n_points, dim=2),
-               inverse_suite(rng, n_points, dim=3, flip_entry=flip_entry)]
-    return reports
+    return [diagonalization_suite(rng, n_points, dim=2),
+            diagonalization_suite(rng, n_points, dim=3),
+            inverse_suite(rng, n_points, dim=2),
+            inverse_suite(rng, n_points, dim=3, flip_entry=flip_entry)]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from maxres import lap, multiplier, region as rg, spectral as sp, verify
+from maxres import lap, region as rg, spectral as sp, verify
 from maxres.errors import EmptyRegion
 from maxres.materials import Material2, Material3
 from maxres.region import LebesguePair as P
@@ -376,7 +376,7 @@ def test_criterion_9_mutation_detection(_verdict):
     t0 = time.time()
     rng = np.random.default_rng(109)
     entries = [(i, j) for i in range(6) for j in range(6)
-               if (i, j) not in multiplier.M3_ZERO_ENTRIES]
+               if (i, j) not in verify.M3_ZERO_ENTRIES]
     picks = [entries[k] for k in
              rng.choice(len(entries), size=10, replace=False)]
     caught = []

@@ -3,9 +3,10 @@ import pytest
 
 from maxres.errors import DegenerateDirection, RealFrequency
 from maxres.materials import Material2, Material3
-from maxres.multiplier import (M3_ZERO_ENTRIES, _factors, regular_matrix,
+from maxres.multiplier import (_apply, _factors, _singular_columns,
                                resolvent_matrix, singular_weights)
 from maxres.symbol import AXIS_GUARD, _eigen_basis, near_axis, symbol_p
+from maxres.verify import M3_ZERO_ENTRIES, _flip
 from helpers import charge_column_2d, charge_column_3d
 
 RNG = np.random.default_rng(7)
@@ -107,13 +108,20 @@ def test_charge_column_matches_mc(mat):
     assert np.abs(direct - col).max() < 1e-12
 
 
+def _regular(omega, xi, mat):
+    """The resolvent at real omega with every singular column skipped:
+    _apply on the identity."""
+    eye = np.eye(3 if mat.dim == 2 else 6, dtype=complex)
+    return _apply([omega], xi, eye, mat, skip=_singular_columns(omega, mat))
+
+
 def test_regular_plus_singular_reassembles():
     # at real omega away from the spheres, the resolvent equals
     # regular + sum W / (i (omega - rho))
     omega = 3.1
     for mat in (MAT2, MAT3):
         xi = _random_xi(300, mat.dim)
-        reg = regular_matrix(omega, xi, mat)
+        reg = _regular(omega, xi, mat)
         total = reg.copy()
         for W, q in singular_weights(omega, xi, mat):
             rho = np.sqrt(np.einsum('ni,ij,nj->n', xi, q, xi))
@@ -132,7 +140,7 @@ def test_negative_omega_singular_flavor():
     assert not np.allclose(Wp, Wm)
     # reassembly at negative omega still inverts the symbol
     omega = -3.1
-    reg = regular_matrix(omega, xi, MAT2)
+    reg = _regular(omega, xi, MAT2)
     W, q = singular_weights(omega, xi, MAT2)[0]
     rho = np.sqrt(np.einsum('ni,ij,nj->n', xi, q, xi))
     total = reg + W / (1j * (omega + rho))[:, None, None]
@@ -155,7 +163,8 @@ def test_flip_entry_breaks_inverse():
     xi = _random_xi(100, 3)
     omega = 1.2 + 0.9j
     p = symbol_p(omega, xi, MAT3)
-    M = resolvent_matrix(omega, xi, MAT3, flip_entry=(2, 4))
+    M = resolvent_matrix(omega, xi, MAT3)
+    _flip(M, omega, xi, MAT3, (2, 4))
     prod = np.einsum('nij,njk->nik', p, M)
     assert np.abs(prod - np.eye(6)).max() > 1e-3
 

@@ -1,12 +1,14 @@
 """The randomized verification suites: block boundaries, witnesses and
 memory that does not grow with the number of points."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxres import symbol, verify
+from maxres import multiplier, spectral, symbol, verify
+from maxres.materials import Material3
 
 
 def _fields(rep):
@@ -131,3 +133,54 @@ def test_nan_symbol_fails_the_suite(monkeypatch, suite, dim):
     assert not rep.passed
     assert rep.max_defect == np.inf
     assert len(rep.witness['xi']) == dim
+
+
+@pytest.mark.parametrize('suite,n_points,dim,kw,name', [
+    # fewer than eight points per material leave no frequency batch
+    (verify.inverse_suite, 20, 2, {}, 'n_points = 20'),
+    # no point at all for a material: an empty check must not pass
+    (verify.diagonalization_suite, 2, 3, {}, 'n_points = 2'),
+    (verify.diagonalization_suite, 2, 2, {}, 'n_points = 2'),
+    (verify.inverse_suite, 3_000, 3, {'flip_entry': (0, 3)}, '(0, 3)'),
+    (verify.inverse_suite, 3_000, 3, {'flip_entry': (9, 9)}, '(9, 9)'),
+    (verify.inverse_suite, 3_000, 3, {'flip_entry': (1,)}, '(1,)'),
+    (verify.inverse_suite, 3_000, 2, {'flip_entry': (1, 2)}, '(1, 2)'),
+])
+def test_bad_suite_input_names_itself(suite, n_points, dim, kw, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        suite(np.random.default_rng(0), n_points, dim=dim, **kw)
+
+
+def test_run_all_checks_its_inputs_first(monkeypatch):
+    monkeypatch.setattr(verify, 'diagonalization_suite', None)
+    with pytest.raises(ValueError, match='n_points = 23'):
+        verify.run_all(0, 23)
+    with pytest.raises(ValueError, match=re.escape('(3, 0)')):
+        verify.run_all(0, 3_000, flip_entry=(3, 0))
+
+
+def _sign_flipped_apply(omegas, xi, c, mat, weights=(1.0,), skip=()):
+    """multiplier._apply with the first propagating column of w negated."""
+    m, minv, rho = symbol._eigen_basis(xi, mat)
+    w = multiplier._scalar_resolvents(omegas, rho, weights, skip)
+    w[..., mat.dim - 1] *= -1
+    return multiplier._rmatmul(m, w[..., None] * multiplier._rmatmul(minv, c))
+
+
+@pytest.mark.parametrize('broken', [False, True])
+def test_suite_and_solver_share_one_apply(monkeypatch, broken):
+    # a fault in the one inverse apply fails both the suite and the solve
+    if broken:
+        monkeypatch.setattr(multiplier, '_apply', _sign_flipped_apply)
+    rep = verify.inverse_suite(np.random.default_rng(3), 3_000, dim=3)
+    assert rep.passed is not broken
+    assert bool(rep.witness) is broken
+    mat = Material3(0.5, 1.0 / 0.7)
+    J = spectral.random_band_limited(spectral.Grid(3, 16), 6,
+                                     np.random.default_rng(3), mat=mat)
+    omega = 2.1 + 0.4j
+    u = spectral.solve(omega, J, mat)
+    resid = spectral.forward_operator(omega, u, mat) - J
+    rel = spectral.lebesgue_norm(resid, 2) / spectral.lebesgue_norm(J, 2)
+    # the CLI's default residual tolerance
+    assert (rel < 1e-10) is not broken, rel
