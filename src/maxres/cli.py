@@ -120,7 +120,8 @@ def build_source(cp, grid, mat, rng):
         f = fieldfile.read_field(path)
         if f.grid.dim != grid.dim or f.grid.n != grid.n:
             raise ConfigError("source file grid does not match [grid]")
-        return f
+        # one FFT; the solve, its residual and the charges read the block
+        return spectral._in_coeffs(f)
     if kind in ('random', 'solenoidal'):
         kmax = _get(cp, 'source', 'kmax', int, default=grid.n // 4)
         if kmax < 0:

@@ -172,15 +172,14 @@ def _phase_blocks(grid, xi_pts):
 
 
 def _support_block(f):
-    """f's coefficients on the per-axis support S_a of its nonzero modes,
-    c[:, S_1, ..., S_d], and per axis the lattice phases e^{-i x xi_k} / n,
+    """f's coefficient block on its held per-axis support S_a
+    (spectral.Field), and per axis the lattice phases e^{-i x xi_k} / n,
     k in S_a, of shape (n, |S_a|)."""
-    c, n = f._spectrum(), f.grid.n
-    sup = [np.unique(i) for i in np.nonzero(np.any(c != 0, axis=0))]
+    c, sup = f._held()
+    n = f.grid.n
     # x_m xi_k = 2 pi m k / n for lattice xi_k, centered or not
     roots = np.exp(-1j * TAU * np.arange(n) / n) / n
-    lat = [roots[np.outer(np.arange(n), s) % n] for s in sup]
-    return c[np.ix_(range(f.ncomp), *sup)], lat
+    return c, [roots[np.outer(np.arange(n), s) % n] for s in sup]
 
 
 def _forward(cb, lat, tabs):
@@ -335,11 +334,10 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
         beta = _band_cutoff(grid)
     qform = spectral._flavor_qform(flavor, mat, grid.dim)
     if method == 'lattice':
-        xi = grid.xi_flat()
+        c, xi = spectral._modes(f)
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
         mult = beta(xi) / (rho - (omega + 1j * sign * delta))
-        c = f._spectrum().reshape(f.ncomp, -1) * mult
-        return spectral.Field.from_coeffs(grid, c.reshape(f.shape))
+        return spectral._like(f, c * mult)
     if method != 'quadrature':
         raise ValueError("method must be 'lattice' or 'quadrature'")
     if n_sphere is None:
@@ -410,9 +408,9 @@ def _real_resolvent(omega, xi, mat):
     return multiplier._factors(omega, xi, mat)
 
 
-def _mode_masks(grid, omega, mat, margin):
-    """Lattice indices split by distance to the characteristic spheres."""
-    xi = grid.xi_flat()
+def _mode_masks(xi, omega, mat, margin):
+    """Masks (far, near) of the lattice modes xi, split by distance to
+    the characteristic spheres; the zero mode is in neither."""
     nz = np.any(xi != 0, axis=-1)
     dist = np.min([np.abs(rho - abs(omega))
                    for rho in region.characteristic_radii(xi, mat)], axis=0)
@@ -442,13 +440,12 @@ def _extrapolate(omega, J, mat, delta0, levels):
         canon, Jc, record = symbol.canonicalize(mat, J)
         return tuple(record.backward_fields(p) for p in
                      _extrapolate(omega, Jc, canon, delta0, levels))
+    J = spectral._in_coeffs(J)
     a = richardson_limit(list(np.eye(levels)))
     y = delta0 * 0.5 ** np.arange(levels)
-    c = J._spectrum().reshape(J.ncomp, -1)
-    plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, c, J.grid, mat,
+    plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, J, mat,
                                           weights=a) for s in (+1, -1))
-    return tuple(spectral.Field.from_coeffs(J.grid,
-                                            (0.5 * v).reshape(J.shape))
+    return tuple(spectral._like(J, 0.5 * v)
                  for v in (plus + minus, plus - minus))
 
 
@@ -474,24 +471,25 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
             "order puts a node on the distinguished axis" % n_sphere)
     if beta is None:
         beta = default_cutoff(grid, omega, mat)
-    _, near = _mode_masks(grid, omega, mat, margin)
-    c = J._spectrum().reshape(J.ncomp, -1)
+    J = spectral._in_coeffs(J)
+    c, xi = spectral._modes(J)
+    _, near = _mode_masks(xi, omega, mat, margin)
     common = None
     if with_pv:
         # the real-frequency inverse off the spheres and at the zero mode,
         # the smooth background near them; near-axis modes bypass the
         # split (off the spheres the direct inverse is their limit)
-        out = spectral._solve_coeffs([omega], c, grid, mat, ~near)
+        out = spectral._solve_coeffs([omega], J, mat, ~near)
         out += spectral._solve_coeffs(
-            [omega], c, grid, mat, near,
+            [omega], J, mat, near,
             skip=multiplier._singular_columns(omega, mat))
-        common = spectral.Field.from_coeffs(grid, out.reshape(J.shape))
-    near &= ~symbol.near_axis(grid.xi_flat())
+        common = spectral._like(J, out)
+    near &= ~symbol.near_axis(xi)
     surface = spectral.Field.zeros(grid, J.ncomp)
     if not np.any(near):
         return common, surface
-    J_near = spectral.Field.from_coeffs(
-        grid, np.where(near, c, 0).reshape(J.shape))
+    # held on its own support, which the off-grid forward reads
+    J_near = spectral._like(J, np.where(near, c, 0), tight=True)
     # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
     pv_sign = 1j if omega > 0 else -1j
     for k, qform in enumerate(multiplier.sphere_qforms(mat)):

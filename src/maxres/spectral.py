@@ -6,14 +6,17 @@ c = fftn(f) / n^d.  All multiplier identities are exact on the discrete
 frequency lattice.
 
 A Field holds samples or coefficients and computes the other array only
-when it is read.  Every multiplier here reads coefficients and returns a
-coefficient field, and an L^2 norm of a coefficient field is Parseval's
-sum, so a chain of multipliers runs no FFT until its samples are read.
-A band-limited source has exact zeros outside its band, and the lattice
-inverse and the forward operator touch only the modes where the
-coefficients are nonzero, and build their per-mode matrices block by
-block (symbol._blocks): each (block, ncomp, ncomp) array is about 2 MiB,
-so it stays in a core's L2 cache between its construction and its use.
+when it is read; a coefficient field holds a dense block on a per-axis
+support and is exactly 0 elsewhere (see Field), so a band-limited source
+holds its band.  Every multiplier here reads the block and the
+wavevectors of its support (_modes) and returns a field on the same
+support (_like), and an L^2 norm of a coefficient field is Parseval's sum
+over the block, so a chain of multipliers costs the band and runs no FFT
+until its samples are read.  The lattice inverse and the forward
+operator touch only the modes where the coefficients are nonzero, and
+build their per-mode matrices block by block (symbol._blocks): each
+(block, ncomp, ncomp) array is about 2 MiB, so it stays in a core's L2
+cache between its construction and its use.
 """
 
 import functools
@@ -63,18 +66,19 @@ class Grid:
     def xi_axis(self):
         return (TAU / self.length) * self.k_axis()
 
-    def xi_lattice(self):
-        """(n, ..., n, dim) array of lattice wavevectors, read-only."""
-        return self.xi_flat().reshape((self.n,) * self.dim + (self.dim,))
-
     # one entry: a job works on one grid, and a second cached lattice
     # would only raise the peak memory of a process that alternates grids
     @functools.lru_cache(maxsize=1)
     def xi_flat(self):
         """(n^d, dim) array of lattice wavevectors, read-only; built once
         and reused while the same (or an equal) grid asks for it."""
-        # broadcast views: the stack is the lattice's only copy
-        mesh = np.meshgrid(*([self.xi_axis()] * self.dim), indexing='ij',
+        return self._xi_on(_full_support(self))
+
+    def _xi_on(self, sup):
+        """(m, dim) wavevectors of the modes of a per-axis support, in the
+        order of its flattened block, read-only."""
+        # broadcast views: the stack is the only copy
+        mesh = np.meshgrid(*(self.xi_axis()[s] for s in sup), indexing='ij',
                            copy=False)
         xi = np.stack(mesh, axis=-1).reshape(-1, self.dim)
         xi.flags.writeable = False
@@ -94,28 +98,59 @@ class Field:
 
     A field holds samples or spectral coefficients and computes the other
     array only when something reads it.  ``Field(grid, data)`` holds the
-    samples, writable, and each coefficient read is one FFT.
-    ``from_coeffs`` holds the coefficients, read-only; the samples are
-    synthesized on the first read and cached read-only, so the two
-    cannot drift apart.  Every multiplier here reads coefficients, so a
-    solve, its residual and its divergences run no FFT until someone
-    reads ``data``.
+    samples, writable, and each coefficient read is one FFT.  A
+    coefficient field holds its coefficients only on a per-axis support
+    S_1 x ... x S_d (sorted storage indices per axis), as a read-only
+    block (ncomp, |S_1|, ..., |S_d|) in FFT storage order; every
+    coefficient outside the block is exactly 0.  Its samples are
+    synthesized on the first read (the block scattered into zeros, one
+    inverse FFT) and cached read-only, so the two cannot drift apart.
     """
 
     def __init__(self, grid, data):
         self.grid = grid
         self._data = data
-        # the exact coefficients, when the field was built from them
-        self._kept = None
-        self._check(data)
+        # the coefficient block, if held, its per-axis support (here the
+        # whole grid) and the support's wavevectors, once read
+        self._kept = self._xi = None
+        self._sup = _full_support(grid)
+        _check(data, (grid.n,) * grid.dim)
 
-    def _check(self, a):
-        expect = (self.grid.n,) * self.grid.dim
-        if a.shape[1:] != expect:
-            raise ValueError("field data shape %r does not match grid %r"
-                             % (a.shape, expect))
-        if not np.all(np.isfinite(a)):
-            raise ValueError("field data must be finite")
+    @classmethod
+    def _on_support(cls, grid, c, sup, xi=None):
+        """The field holding the block c on the per-axis support sup
+        (through a read-only view, so c must not be written afterwards)
+        and, if known, the support's wavevectors xi."""
+        f = cls.__new__(cls)
+        f.grid, f._data, f._sup, f._xi = grid, None, sup, xi
+        f._kept = np.asarray(c, dtype=complex).view()
+        f._kept.flags.writeable = False
+        _check(f._kept, tuple(map(len, sup)))
+        return f
+
+    @classmethod
+    def _tight(cls, grid, c, sup):
+        """The field with block c on sup, held on the per-axis support of
+        c's nonzero modes: c itself when that is all of sup."""
+        nz = np.any(c != 0, axis=0)
+        keep = [np.any(nz, axis=tuple(b for b in range(nz.ndim) if b != a))
+                for a in range(nz.ndim)]
+        if not all(k.all() for k in keep):
+            c = c[np.ix_(range(len(c)), *(np.nonzero(k)[0] for k in keep))]
+            sup = tuple(s[k] for s, k in zip(sup, keep))
+        return cls._on_support(grid, c, sup)
+
+    @classmethod
+    def from_coeffs(cls, grid, c):
+        """The field with the coefficient array ``c``, shape (ncomp, n,
+        ..., n), held on the per-axis support of its nonzero modes: a
+        copy of that block, or c itself through a read-only view when the
+        support is the whole grid, so c must not be written afterwards.
+        No FFT runs until the samples are read."""
+        c = np.asarray(c, dtype=complex)
+        # the values are checked on the block
+        _check(c, (grid.n,) * grid.dim, finite=False)
+        return cls._tight(grid, c, _full_support(grid))
 
     @property
     def _axes(self):
@@ -123,21 +158,22 @@ class Field:
 
     @property
     def data(self):
-        """The samples; for a coefficient field one inverse FFT, made on
-        the first read and cached read-only."""
+        """The samples; for a coefficient field one inverse FFT of the
+        full coefficient array, made on the first read and cached
+        read-only."""
         if self._data is None:
-            self._data = np.fft.ifftn(self._kept, axes=self._axes,
+            self._data = np.fft.ifftn(self._spectrum(), axes=self._axes,
                                       norm='forward')
             self._data.flags.writeable = False
         return self._data
 
     @property
     def shape(self):
-        return (self._data if self._kept is None else self._kept).shape
+        return (self.ncomp,) + (self.grid.n,) * self.grid.dim
 
     @property
     def ncomp(self):
-        return self.shape[0]
+        return len(self._data if self._kept is None else self._kept)
 
     @classmethod
     def zeros(cls, grid, ncomp):
@@ -147,38 +183,61 @@ class Field:
     def copy(self):
         return Field(self.grid, self.data.copy())
 
+    def _held(self):
+        """(block, support): the coefficients on the per-axis support,
+        for reading only; a sample field's support is the whole grid and
+        its block one FFT of the samples."""
+        return (self._spectrum() if self._kept is None else self._kept,
+                self._sup)
+
     def _spectrum(self):
         """The coefficients, shape (ncomp, n, ..., n), for reading only:
-        the kept array itself, or one FFT of the samples."""
-        if self._kept is not None:
+        the block itself when it covers the grid, else the block
+        scattered into zeros; one FFT of the samples."""
+        if self._kept is None:
+            return np.fft.fftn(self._data, axes=self._axes, norm='forward')
+        if self._kept.shape == self.shape:
             return self._kept
-        return np.fft.fftn(self._data, axes=self._axes, norm='forward')
+        c = _embed(self._kept, self._sup, _full_support(self.grid))
+        c.flags.writeable = False
+        return c
 
     def coeffs(self):
         """Spectral coefficients, shape (ncomp, n, ..., n), as a fresh
-        writable array: a copy of the kept ones, or an FFT of the
-        samples."""
-        c = self._spectrum()
-        return c.copy() if c is self._kept else c
+        writable array."""
+        if self._kept is None:
+            return self._spectrum()
+        return _embed(self._kept, self._sup, _full_support(self.grid))
 
-    @classmethod
-    def from_coeffs(cls, grid, c):
-        """The field with coefficients ``c``, which it keeps through a
-        read-only view, so c must not be written afterwards.  No FFT runs
-        until the samples are read."""
-        f = cls.__new__(cls)
-        f.grid = grid
-        f._data = None
-        f._kept = np.asarray(c, dtype=complex).view()
-        f._kept.flags.writeable = False
-        f._check(f._kept)
-        return f
+    def _permuted(self, comp, perm, fix):
+        """The field with component i taken from component comp[i] and
+        grid axis a from axis perm[a], in one fresh copy of the held array
+        (the block, whose support moves with it, or the samples); fix(out)
+        runs on the copy before it is wrapped."""
+        held = self._data if self._kept is None else self._kept
+        out = np.empty((len(comp),) + tuple(held.shape[1 + p] for p in perm),
+                       held.dtype)
+        for i, j in enumerate(comp):
+            out[i] = held[j].transpose(perm)
+        fix(out)
+        if self._kept is None:
+            return Field(self.grid, out)
+        return Field._on_support(self.grid, out,
+                                 tuple(self._sup[p] for p in perm))
 
     def _combine(self, other, op):
-        # in coefficients when both operands hold them, else in samples
-        if self._kept is not None and other._kept is not None:
-            return Field.from_coeffs(self.grid, op(self._kept, other._kept))
-        return Field(self.grid, op(self.data, other.data))
+        # on the blocks when both operands hold coefficients (on the union
+        # of the supports when they differ), else in samples
+        if self._kept is None or other._kept is None:
+            return Field(self.grid, op(self.data, other.data))
+        if all(s is t or np.array_equal(s, t)
+               for s, t in zip(self._sup, other._sup)):
+            return _like(self, op(self._kept, other._kept))
+        sup = tuple(np.union1d(s, t) for s, t in zip(self._sup, other._sup))
+        return Field._on_support(self.grid,
+                                 op(_embed(self._kept, self._sup, sup),
+                                    _embed(other._kept, other._sup, sup)),
+                                 sup)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -188,10 +247,61 @@ class Field:
 
     def __mul__(self, c):
         if self._kept is not None:
-            return Field.from_coeffs(self.grid, self._kept * c)
+            return _like(self, self._kept * c)
         return Field(self.grid, self.data * c)
 
     __rmul__ = __mul__
+
+
+def _check(a, shape, finite=True):
+    """A held array must have shape (ncomp,) + shape and finite values;
+    checking a block checks the whole field, whose other values are 0."""
+    if a.shape[1:] != shape:
+        raise ValueError("field data shape %r does not match %r"
+                         % (a.shape, shape))
+    if finite and not np.all(np.isfinite(a)):
+        raise ValueError("field data must be finite")
+
+
+def _full_support(grid):
+    return (np.arange(grid.n),) * grid.dim
+
+
+def _embed(c, sup, into):
+    """A fresh array (ncomp, |into_1|, ..., |into_d|) holding the block c
+    of support sup, per axis a subset of into, and 0 elsewhere."""
+    out = np.zeros((len(c),) + tuple(map(len, into)), dtype=complex)
+    out[np.ix_(range(len(c)), *(np.searchsorted(t, s)
+                                for s, t in zip(sup, into)))] = c
+    return out
+
+
+def _modes(f):
+    """(c, xi): f's coefficients on its held support (Field._held)
+    flattened to (ncomp, m), and the m wavevectors of those modes,
+    (m, dim), read-only and in the same order: rows of grid.xi_flat()."""
+    c, sup = f._held()
+    if f._xi is None:
+        full = all(len(s) == f.grid.n for s in sup)
+        f._xi = f.grid.xi_flat() if full else f.grid._xi_on(sup)
+    return c.reshape(len(c), -1), f._xi
+
+
+def _like(f, c, tight=False):
+    """The coefficient field on f's support with the flattened
+    coefficients c, (k, m) for any k; ``tight`` holds it on the support
+    of c's nonzero modes instead."""
+    c = c.reshape((len(c),) + tuple(map(len, f._sup)))
+    if tight:
+        return Field._tight(f.grid, c, f._sup)
+    return Field._on_support(f.grid, c, f._sup, f._xi)
+
+
+def _in_coeffs(f):
+    """f itself when it holds coefficients, else the coefficient field of
+    its samples: one FFT, after which multipliers read the block."""
+    return f if f._kept is not None else Field.from_coeffs(f.grid,
+                                                          f._spectrum())
 
 
 def scalar_field(grid, values):
@@ -204,7 +314,8 @@ def lebesgue_norm(f, p):
 
     Vector fields use the pointwise Euclidean magnitude over components.
     For p = 2 a coefficient field takes Parseval's identity (the
-    'forward' normalization), (volume sum |c|^2)^(1/2), and no FFT.
+    'forward' normalization), (volume sum |c|^2)^(1/2), on its block and
+    with no FFT.
     """
     if f._kept is not None and p == 2:
         return float(np.sqrt(f.grid.volume * np.vdot(f._kept, f._kept).real))
@@ -226,8 +337,7 @@ def forward_operator(omega, u, mat):
     """Apply the Maxwell operator P(omega, D) as a multiplier; at the zero
     mode the symbol is i omega I.  Modes where u's coefficients are 0
     stay 0 without building the symbol."""
-    c = u._spectrum().reshape(u.ncomp, -1)
-    xi = u.grid.xi_flat()
+    c, xi = _modes(u)
     out = np.zeros_like(c)
     idx = np.nonzero(_support(c))[0]
     for blk in symbol._blocks(idx.size, u.ncomp):
@@ -236,19 +346,20 @@ def forward_operator(omega, u, mat):
         out[:, sel] = np.einsum('kij,jk->ik',
                                 symbol.symbol_p(omega, xi[sel], mat),
                                 c[:, sel])
-    return Field.from_coeffs(u.grid, out.reshape(u.shape))
+    return _like(u, out)
 
 
-def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
-    """The lattice inverse sum_k weights_k P(omegas_k)^{-1} c on flattened
-    coefficients (canonical material) and the modes in ``mask`` (default
-    all; the others are 0).  Off the axis: multiplier._apply (the
-    ``skip`` columns 0) per block of symbol._blocks, cache-sized so each
-    (block, ncomp, ncomp) factor stays in L2 while it is applied.
+def _solve_coeffs(omegas, f, mat, mask=None, weights=(1.0,), skip=()):
+    """The lattice inverse sum_k weights_k P(omegas_k)^{-1} of f's
+    coefficients (canonical material), flattened over f's held modes
+    (_modes): on the modes in ``mask`` (default all; the others are 0).
+    Off the axis: multiplier._apply (the ``skip`` columns 0) per block of
+    symbol._blocks, cache-sized so each (block, ncomp, ncomp) factor
+    stays in L2 while it is applied.
     Near-axis 3D modes and the zero mode, where p(omega, 0) = i omega I,
-    get the same combination of direct solves.  Modes where c is exactly
-    0 are skipped."""
-    xi = grid.xi_flat()
+    get the same combination of direct solves.  Modes where the
+    coefficients are exactly 0 are skipped."""
+    c, xi = _modes(f)
     out = np.zeros_like(c)
     active = _support(c)
     if mask is not None:
@@ -276,7 +387,7 @@ def _solve_coeffs(omegas, c, grid, mat, mask=None, weights=(1.0,), skip=()):
                 "omega = %g puts the near-axis lattice mode %s on a "
                 "characteristic sphere, where the symbol is singular"
                 % (omega.real, tuple(int(v) for v in
-                                     np.rint(k * grid.length / TAU))))
+                                     np.rint(k * f.grid.length / TAU))))
     return out
 
 
@@ -286,9 +397,10 @@ def solve(omega, J, mat):
     Requires Im(omega) != 0.  Lattice modes off the distinguished axis
     use the closed-form inverse symbol, applied through its eigenbasis
     factors; near-axis 3D modes and the zero mode, where the symbol is
-    i omega I, fall back to a direct solve (_solve_coeffs).  Only modes
-    where J's coefficients are nonzero are touched, so a J built from
-    band-limited coefficients costs its band, not the grid.
+    i omega I, fall back to a direct solve (_solve_coeffs).  The solve
+    runs on J's held block, and only on its nonzero modes, so a J built
+    from band-limited coefficients costs its band, not the grid, and u
+    is held on the same support.
     Non-canonical 3D materials are routed through canonical form.
     """
     omega = complex(omega)
@@ -300,9 +412,7 @@ def solve(omega, J, mat):
         u = solve(omega, Jc, canon)
         del Jc          # freed before backward_fields allocates
         return record.backward_fields(u)
-    c = J._spectrum().reshape(J.ncomp, -1)
-    out = _solve_coeffs([omega], c, J.grid, mat)
-    return Field.from_coeffs(J.grid, out.reshape(J.shape))
+    return _like(J, _solve_coeffs([omega], J, mat))
 
 
 def _flavor_qform(flavor, mat, dim):
@@ -329,13 +439,11 @@ def riesz(f, i, flavor='euclidean', mat=None):
 
     The zero mode is sent to 0.  Component index i is 1-based.
     """
-    grid = f.grid
-    xi = grid.xi_flat()
-    rho = flavor_norm(xi, flavor, mat, grid.dim)
+    c, xi = _modes(f)
+    rho = flavor_norm(xi, flavor, mat, f.grid.dim)
     with np.errstate(divide='ignore', invalid='ignore'):
         mult = np.where(rho > 0, xi[:, i - 1] / np.where(rho > 0, rho, 1.0), 0.0)
-    c = f._spectrum().reshape(f.ncomp, -1) * mult
-    return Field.from_coeffs(grid, c.reshape(f.shape))
+    return _like(f, c * mult)
 
 
 def _project_block(c_block, xi, direction):
@@ -358,17 +466,16 @@ def leray_project(J, mat=None):
     complement the resolvent maps to pure charge terms.  Both versions
     leave a discretely divergence-free field; the zero mode is kept.
     """
-    grid = J.grid
-    c = J._spectrum()
-    xi = np.moveaxis(grid.xi_lattice(), -1, 0)
-    d = grid.dim
+    c, xi = _modes(J)
+    xi = xi.T
+    d = J.grid.dim
     direction = xi if mat is None else np.einsum(
         'ij,j...->i...', mat.eps if d == 2 else np.diag(mat.eps_diag), xi)
     out = c.copy()
     out[:d] = _project_block(c[:d], xi, direction)
     if d == 3:
         out[3:] = _project_block(c[3:], xi, xi)
-    return Field.from_coeffs(grid, out)
+    return _like(J, out)
 
 
 def fractional_laplacian(f, s):
@@ -376,17 +483,14 @@ def fractional_laplacian(f, s):
 
     Negative orders require a mean-zero field.
     """
-    grid = f.grid
-    c = f._spectrum().reshape(f.ncomp, -1)
-    xi = grid.xi_flat()
+    c, xi = _modes(f)
     rho = np.sqrt(np.einsum('ki,ki->k', xi, xi))
     zero = rho == 0
     if s < 0 and np.abs(c[:, zero]).max(initial=0.0) > 1e-12:
         raise MeanNotZero("negative-order multiplier on a field with mean")
     mult = np.zeros_like(rho)
     mult[~zero] = rho[~zero] ** s
-    out = c * mult
-    return Field.from_coeffs(grid, out.reshape(f.shape))
+    return _like(f, c * mult)
 
 
 @dataclass
@@ -399,17 +503,15 @@ class Charges:
 
 def divergence_and_charges(J):
     """Spectral divergence i xi . J per block; zero mode exactly 0."""
-    grid = J.grid
-    c = J._spectrum()
-    xi = np.moveaxis(grid.xi_lattice(), -1, 0)
-    if grid.dim == 2:
-        rho_e = 1j * np.einsum('i...,i...->...', xi, c[:2])
+    c, xi = _modes(J)
+    xi = xi.T
+    d = J.grid.dim
+    rho_e = 1j * np.einsum('i...,i...->...', xi, c[:d])
+    if d == 2:
         rho_m = np.zeros_like(rho_e)
     else:
-        rho_e = 1j * np.einsum('i...,i...->...', xi, c[:3])
         rho_m = 1j * np.einsum('i...,i...->...', xi, c[3:])
-    return Charges(Field.from_coeffs(grid, rho_e[None]),
-                   Field.from_coeffs(grid, rho_m[None]))
+    return Charges(_like(J, rho_e[None]), _like(J, rho_m[None]))
 
 
 def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
@@ -417,20 +519,18 @@ def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     omega = complex(omega)
     if omega.imag == 0:
         raise RealFrequency("half-Laplacian resolvent needs Im(omega) != 0")
-    grid = f.grid
-    xi = grid.xi_flat()
-    rho = flavor_norm(xi, flavor, mat, grid.dim)
-    mult = 1.0 / (omega + sign * rho)
-    c = f._spectrum().reshape(f.ncomp, -1) * mult
-    return Field.from_coeffs(grid, c.reshape(f.shape))
+    c, xi = _modes(f)
+    rho = flavor_norm(xi, flavor, mat, f.grid.dim)
+    return _like(f, c * (1.0 / (omega + sign * rho)))
 
 
 def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
                         mat=None):
     """Random coefficient field with spectrum in |k| <= kmax per axis
-    (default n/4), exactly 0 outside the band.  Normals are drawn on the
-    band only, indices in FFT storage order, real parts then imaginary
-    parts; at kmax >= n/2 the band is the whole grid."""
+    (default n/4), exactly 0 outside the band, and held on the band.
+    Normals are drawn on the band only, indices in FFT storage order,
+    real parts then imaginary parts; at kmax >= n/2 the band is the
+    whole grid."""
     if kmax is None:
         kmax = grid.n // 4
     if kmax < 0:
@@ -438,9 +538,7 @@ def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
     band = np.nonzero(np.abs(grid.k_axis()) <= kmax)[0]
     shape = (ncomp,) + (band.size,) * grid.dim
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c = np.zeros((ncomp,) + (grid.n,) * grid.dim, dtype=complex)
-    c[np.ix_(np.arange(ncomp), *([band] * grid.dim))] = vals
-    f = Field.from_coeffs(grid, c)
+    f = Field._on_support(grid, vals, (band,) * grid.dim)
     if solenoidal:
         f = leray_project(f, mat)
     return f

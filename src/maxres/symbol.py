@@ -318,7 +318,7 @@ class TransformRecord:
     Stores the cyclic axis permutation and the permeability that was
     folded into the permittivity; knows how to map currents into the
     canonical frame and solution fields back out.  A coefficient field
-    (spectral.Field.from_coeffs) stays one through both maps: the lattice
+    stays one through both maps, on the permuted support: the lattice
     has the same permutation symmetry as the grid.
     """
 
@@ -332,18 +332,12 @@ class TransformRecord:
 
     def _permute(self, field, perm, op):
         """The field with axes and components moved by ``perm`` and the
-        magnetic block combined with mu by the ufunc ``op``, in one
-        preallocated copy of the array the field holds: its kept
-        coefficients if any, else its samples."""
+        magnetic block combined with mu by the ufunc ``op``, in one copy
+        of the array the field holds (Field._permuted): its coefficient
+        block, whose support is permuted with it, else its samples."""
         comp = list(perm) + [3 + p for p in perm]
-        held = field._data if field._kept is None else field._kept
-        out = np.empty(held.shape, held.dtype)
-        for i, j in enumerate(comp):
-            out[i] = held[j].transpose(perm)
-        op(out[3:], self.mu, out=out[3:])
-        if field._kept is None:
-            return type(field)(field.grid, out)
-        return type(field).from_coeffs(field.grid, out)
+        return field._permuted(
+            comp, perm, lambda out: op(out[3:], self.mu, out=out[3:]))
 
     def forward_currents(self, J):
         """Permute axes/components and rescale the magnetic current."""

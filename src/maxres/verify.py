@@ -72,17 +72,21 @@ class SuiteReport:
 def _random_xi(rng, n, dim, axis_fraction=0.0):
     """Random wavevectors.  In 3D a fraction is squeezed onto the axis
     (inverted directly), and as many are drawn in the guard band
-    s^2/|xi|^2 in [AXIS_GUARD, 1e-6), where the closed form is used."""
+    s^2/|xi|^2 in [AXIS_GUARD, 1e-6), where the closed form is used;
+    both sets alternate on evenly spaced rows, so every run of n/8 rows
+    holds some of each."""
     xi = rng.normal(0.0, 2.0, size=(n, dim))
     xi[np.abs(xi).max(axis=1) < 1e-3] += 1.0
     if dim == 3 and axis_fraction > 0:
         k = int(n * axis_fraction)
-        xi[:k, 1:] *= 1e-6
-        band = xi[k:2 * k]
+        rows = np.linspace(0, n, 2 * k, endpoint=False).astype(int)
+        xi[rows[0::2], 1:] *= 1e-6
+        band = xi[rows[1::2]]
         band[np.abs(band[:, 0]) < 1e-3, 0] = 1.0
         r = AXIS_GUARD * 10.0 ** rng.uniform(0.0, 2.0, (k, 1))
         band[:, 1:] *= np.sqrt(r / (1.0 - r) * band[:, :1] ** 2
                                / (band[:, 1:] ** 2).sum(1, keepdims=True))
+        xi[rows[1::2]] = band
     return xi
 
 
@@ -205,10 +209,12 @@ def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
     for mat in mats:
         xi = _random_xi(rng, per, dim, axis_fraction=0.02 if dim == 3 else 0.0)
         omegas = _random_omega(rng, per)
-        # closed form wants one scalar omega per batch; stratify
-        for k in range(0, per, per // 8):
+        # closed form wants one scalar omega per batch: 8 batches, the
+        # last one taking the remainder
+        size = per // 8
+        for k in range(0, 8 * size, size):
             omega = complex(omegas[k])
-            batch = xi[k:k + per // 8]
+            batch = xi[k:per if k == 7 * size else k + size]
             for blk in _blocks(len(batch), ncomp):
                 xs = batch[blk]
                 p = symbol_p(omega, xs, mat)

@@ -104,6 +104,39 @@ def test_solve_runs_one_fft(tmp_path, capsys, monkeypatch, kind):
     assert abs(reported - rel) < 1e-14
 
 
+def test_file_source_solve_runs_one_fft_each_way(tmp_path, capsys,
+                                                 monkeypatch):
+    # the samples are transformed once; the solve, the residual and the
+    # charge norms read the coefficients, and only u is synthesized
+    first = tmp_path / 'first'
+    cfg = _write(tmp_path, 'job.ini', SOLVE3 % 'random')
+    assert cli.main(['solve', '--config', cfg, '--out', str(first)]) == 0
+    path = first / 'fields.mxfd'
+    cfg = _write(tmp_path, 'file.ini', SOLVE3 % ('file\npath = %s' % path))
+    calls = []
+    for name in ('fft', 'ifft', 'fftn', 'ifftn', 'fft2', 'ifft2'):
+        fn = getattr(spectral.np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(spectral.np.fft, name, counted)
+    out = tmp_path / 'out'
+    assert cli.main(['solve', '--config', cfg, '--out', str(out)]) == 0
+    monkeypatch.undo()
+    assert calls == ['fftn', 'ifftn']
+    # the reported residual is the sample residual's
+    J = fieldfile.read_field(path)
+    u = fieldfile.read_field(out / 'fields.mxfd')
+    resid = spectral.forward_operator(complex(2.1, 0.4), u,
+                                      cli.parse_material(cli.load_config(cfg)))
+    rel = (spectral.lebesgue_norm(resid - J, 2)
+           / spectral.lebesgue_norm(J, 2))
+    text = capsys.readouterr().out.split('residual_rel_l2 = ')[-1]
+    assert rel < 1e-10
+    assert abs(float(text.splitlines()[0]) - rel) < 1e-14
+
+
 def test_solve_is_deterministic(tmp_path):
     cfg = _write(tmp_path, 'job.ini', SOLVE_INI)
     outs = []

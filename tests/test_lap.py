@@ -22,7 +22,7 @@ def far_current(grid, mat, ncomp, omega, margin=0.5):
     """Random band-limited current with all near-sphere modes removed."""
     J = sp.random_band_limited(grid, ncomp, RNG)
     c = J.coeffs().reshape(ncomp, -1)
-    far, near = lap._mode_masks(grid, omega, mat, margin)
+    far, near = lap._mode_masks(grid.xi_flat(), omega, mat, margin)
     c[:, near] = 0
     return sp.Field.from_coeffs(grid, c.reshape(J.data.shape))
 
@@ -327,7 +327,7 @@ def test_near_sphere_axis_modes_use_direct_inverse():
     # 3D modes on the distinguished axis near a sphere skip the split;
     # the direct 6x6 inverse still solves them exactly
     g = sp.Grid(3, 16)
-    far, near = lap._mode_masks(g, OMEGA, MAT3, 0.35)
+    far, near = lap._mode_masks(g.xi_flat(), OMEGA, MAT3, 0.35)
     sel = near & symbol.near_axis(g.xi_flat())
     assert sel.any()
     c = np.zeros((6, g.npoints), dtype=complex)

@@ -184,3 +184,31 @@ def test_suite_and_solver_share_one_apply(monkeypatch, broken):
     rel = spectral.lebesgue_norm(resid, 2) / spectral.lebesgue_norm(J, 2)
     # the CLI's default residual tolerance
     assert (rel < 1e-10) is not broken, rel
+
+
+def test_inverse_suite_checks_hard_points_at_every_frequency(monkeypatch):
+    # the near-axis draws and the guard-band draws of each 3D material
+    # are spread over all 8 per-omega batches; 30,001 points leave a
+    # remainder, which joins the last batch rather than a ninth omega
+    seen = []
+    symbol_p = verify.symbol_p
+
+    def recorded(omega, xi, mat):
+        seen.append((repr(mat), omega, np.array(xi)))
+        return symbol_p(omega, xi, mat)
+
+    monkeypatch.setattr(verify, 'symbol_p', recorded)
+    rep = verify.inverse_suite(np.random.default_rng(2), 30_001, dim=3)
+    assert rep.passed and rep.count == 30_000
+    for mat in verify.MATERIALS_3D:
+        calls = [(om, xi) for m, om, xi in seen if m == repr(mat)]
+        assert sum(len(xi) for _, xi in calls) == 10_000
+        assert len({om for om, _ in calls}) == 8
+        axis, band = set(), set()
+        for om, xi in calls:
+            s2 = (xi[:, 1:] ** 2).sum(axis=1) / (xi ** 2).sum(axis=1)
+            if np.any(symbol.near_axis(xi)):
+                axis.add(om)
+            if np.any((s2 >= symbol.AXIS_GUARD) & (s2 < 1e-6)):
+                band.add(om)
+        assert len(axis) == len(band) == 8
