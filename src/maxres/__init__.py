@@ -9,9 +9,9 @@ The package is organized bottom-up:
   diagonalization p = m d m^{-1} and determinant diagnostics.
 * :mod:`maxres.multiplier` the closed-form inverse symbol from that one
   eigenbasis (rank-one eigenprojectors times scalar resolvents, plus the
-  charge part) as factors (m, d^{-1}, m^{-1}), and the matrices built
-  from them: the resolvent matrix, and the regular background and
-  singular weights at real frequency.
+  charge part) as factors (m, d^{-1}, m^{-1}), one apply of them
+  (_apply), the resolvent matrix and, at real frequency, the singular
+  weights.
 * :mod:`maxres.spectral`   FFT grids, fields and multiplier operators:
   solve, Riesz transforms, Leray projection, fractional Laplacians.
 * :mod:`maxres.lap`        limiting absorption: both real-frequency
@@ -27,8 +27,8 @@ The package is organized bottom-up:
 
 from .errors import (ConfigError, DegenerateDirection, EmptyRegion,
                      ExponentOrder, FieldFormatError, GridTooCoarse,
-                     MaxresError, MeanNotZero, MethodsDisagree,
-                     NotPartiallyAnisotropic, OnSingularSet,
+                     InvalidArgument, MaxresError, MeanNotZero,
+                     MethodsDisagree, NotPartiallyAnisotropic, OnSingularSet,
                      QuadratureNotConverged, RealFrequency)
 from .materials import Material2, Material3, material3_from_diag
 from .symbol import (canonicalize, det_diagnostics, eigen_decomposition,
@@ -52,8 +52,8 @@ __version__ = '0.1.0'
 
 __all__ = [
     'ConfigError', 'DegenerateDirection', 'EmptyRegion', 'ExponentOrder',
-    'FieldFormatError', 'GridTooCoarse', 'MaxresError', 'MeanNotZero',
-    'MethodsDisagree', 'NotPartiallyAnisotropic',
+    'FieldFormatError', 'GridTooCoarse', 'InvalidArgument', 'MaxresError',
+    'MeanNotZero', 'MethodsDisagree', 'NotPartiallyAnisotropic',
     'OnSingularSet', 'QuadratureNotConverged', 'RealFrequency',
     'Material2', 'Material3', 'material3_from_diag',
     'canonicalize', 'det_diagnostics', 'eigen_decomposition', 'symbol_p',

@@ -5,6 +5,10 @@ class MaxresError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidArgument(MaxresError, ValueError):
+    """An argument outside the domain where the package's formulas hold."""
+
+
 class DegenerateDirection(MaxresError):
     """Wavevector too close to the distinguished axis (or zero) for the
     closed-form diagonalization; callers fall back to direct inversion."""

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDirection, GridTooCoarse, MethodsDisagree,
-                     QuadratureNotConverged)
+from .errors import (DegenerateDirection, GridTooCoarse, InvalidArgument,
+                     MethodsDisagree, QuadratureNotConverged)
 from .materials import Material3
 from .spectral import TAU
 from . import multiplier, region, spectral, symbol
@@ -68,7 +68,7 @@ class CutoffSpec:
 
     def __post_init__(self):
         if not 0 < self.r_in < self.r_out:
-            raise ValueError("need 0 < r_in < r_out")
+            raise InvalidArgument("need 0 < r_in < r_out")
 
     def radial(self, r):
         return _smooth_step((np.asarray(r, dtype=float) - self.r_in)
@@ -317,6 +317,17 @@ def _radial_extent(qform, beta):
 # ---------------------------------------------------------------------------
 # scalar model operators
 
+def _model_args(f, omega, beta, flavor, mat, n_sphere, n_2d, n_3d):
+    """(beta, qform, n_sphere) of a scalar model operator at omega > 0,
+    with the band cutoff and n_2d or n_3d sphere nodes by default."""
+    if not omega > 0:
+        raise InvalidArgument("need omega > 0")
+    dim = f.grid.dim
+    return (_band_cutoff(f.grid) if beta is None else beta,
+            spectral._flavor_qform(flavor, mat, dim),
+            (n_2d if dim == 2 else n_3d) if n_sphere is None else n_sphere)
+
+
 def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
             mat=None, method='lattice', n_sphere=None, n_radial=32):
     """The regularized scalar operator with multiplier
@@ -327,21 +338,17 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
     of the semidiscrete transform, resolving the delta-width layer at
     the singular radius with a sinh substitution.
     """
-    if not (omega > 0 and 0 < delta < 0.5):
-        raise ValueError("need omega > 0 and 0 < delta < 1/2")
-    grid = f.grid
-    if beta is None:
-        beta = _band_cutoff(grid)
-    qform = spectral._flavor_qform(flavor, mat, grid.dim)
+    if not 0 < delta < 0.5:
+        raise InvalidArgument("need 0 < delta < 1/2")
+    beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
+                                        n_sphere, 192, 16)
     if method == 'lattice':
         c, xi = spectral._modes(f)
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
         mult = beta(xi) / (rho - (omega + 1j * sign * delta))
         return spectral._like(f, c * mult)
     if method != 'quadrature':
-        raise ValueError("method must be 'lattice' or 'quadrature'")
-    if n_sphere is None:
-        n_sphere = 192 if grid.dim == 2 else 16
+        raise InvalidArgument("method must be 'lattice' or 'quadrature'")
     r_max = _radial_extent(qform, beta)
     radii, coefs = _edelta_nodes(omega, r_max, delta, sign, n_radial)
     return _shell(f, radii, coefs, qform, beta, n_sphere)
@@ -362,14 +369,8 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
     QuadratureNotConverged is raised if the result moves by more.
     ``pairing=False`` integrates straight through the singular radius
     (only sensible when the transform of f vanishes there)."""
-    if not omega > 0:
-        raise ValueError("need omega > 0")
-    grid = f.grid
-    if beta is None:
-        beta = _band_cutoff(grid)
-    if n_sphere is None:
-        n_sphere = 192 if grid.dim == 2 else 16
-    qform = spectral._flavor_qform(flavor, mat, grid.dim)
+    beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
+                                        n_sphere, 192, 16)
     out = _pv_once(f, omega, beta, qform, n_sphere, n_radial, pairing=pairing)
     if tol is not None:
         fine = _pv_once(f, omega, beta, qform, 2 * n_sphere, 2 * n_radial,
@@ -388,14 +389,8 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
                  sign=+1, n_sphere=None):
     """sign * i * pi times the surface integral of beta * fhat over the
     characteristic sphere, synthesized on the grid."""
-    if not omega > 0:
-        raise ValueError("need omega > 0")
-    grid = f.grid
-    if beta is None:
-        beta = _band_cutoff(grid)
-    if n_sphere is None:
-        n_sphere = 128 if grid.dim == 2 else 12
-    qform = spectral._flavor_qform(flavor, mat, grid.dim)
+    beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
+                                        n_sphere, 128, 12)
     return _shell(f, [omega], [sign * 1j * np.pi], qform, beta, n_sphere)
 
 
@@ -455,7 +450,7 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
     surface_terms(sign=+1); with_pv=False skips common (None)."""
     omega = float(omega)
     if omega == 0:
-        raise ValueError("omega must be nonzero real")
+        raise InvalidArgument("omega must be nonzero real")
     if isinstance(mat, Material3) and not mat.is_canonical:
         canon, Jc, record = symbol.canonicalize(mat, J)
         return tuple(p if p is None else record.backward_fields(p)
@@ -521,24 +516,24 @@ def lap_parts(omega, J, mat, method='quadrature', beta=None, margin=0.35,
     MethodsDisagree if they differ by more, relative L2, at either sign."""
     omega = float(omega)
     if omega == 0:
-        raise ValueError("omega must be nonzero real")
+        raise InvalidArgument("omega must be nonzero real")
     if cross_tol is not None and not 0 <= cross_tol < np.inf:
-        raise ValueError("cross_tol must be finite and >= 0, got %r"
-                         % (cross_tol,))
+        raise InvalidArgument("cross_tol must be finite and >= 0, got %r"
+                              % (cross_tol,))
     # levels = 0 has no table, delta0 = 0 takes no limit and a negative
     # delta0 swaps the two signs
     if not (isinstance(levels, (int, np.integer)) and levels >= 1):
-        raise ValueError("levels must be an integer >= 1, got %r"
-                         % (levels,))
+        raise InvalidArgument("levels must be an integer >= 1, got %r"
+                              % (levels,))
     if not 0 < delta0 < np.inf:
-        raise ValueError("delta0 must be finite and > 0, got %r"
-                         % (delta0,))
+        raise InvalidArgument("delta0 must be finite and > 0, got %r"
+                              % (delta0,))
     routes = {
         'quadrature': lambda: _quadrature_parts(omega, J, mat, beta, margin,
                                                 n_sphere, n_radial),
         'extrapolate': lambda: _extrapolate(omega, J, mat, delta0, levels)}
     if method not in routes:
-        raise ValueError("method must be 'quadrature' or 'extrapolate'")
+        raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
     common, jump = routes[method]()
     if cross_tol is not None:
         o_common, o_jump = routes['extrapolate' if method == 'quadrature'
@@ -561,7 +556,7 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
     common + sign * jump of lap_parts, which describes the arguments;
     sign is +1 or -1."""
     if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
+        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
     common, jump = lap_parts(omega, J, mat, method, beta, margin, n_sphere,
                              n_radial, delta0, levels, cross_tol)
     return common + sign * jump

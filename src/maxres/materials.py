@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPartiallyAnisotropic
+from .errors import InvalidArgument, NotPartiallyAnisotropic
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,11 @@ class Material2:
     dim = 2
 
     def __post_init__(self):
-        if not (self.eps11 > 0 and self.eps11 * self.eps22 - self.eps12 ** 2 > 0):
-            raise ValueError("permittivity must be symmetric positive definite")
-        if not self.mu > 0:
-            raise ValueError("permeability must be positive")
+        # a finite eps11 and determinant leave eps12 and eps22 finite
+        if not (0 < self.eps11 < np.inf and 0 < self.det_eps < np.inf
+                and 0 < self.mu < np.inf):
+            raise InvalidArgument("need a finite, positive definite eps and "
+                                  "a finite mu > 0, got %r" % (self,))
 
     @property
     def eps(self):
@@ -37,7 +38,8 @@ class Material2:
 
     @property
     def det_eps(self):
-        return self.eps11 * self.eps22 - self.eps12 ** 2
+        # a product, not ** 2: a huge eps12 gives -inf, not OverflowError
+        return self.eps11 * self.eps22 - self.eps12 * self.eps12
 
     @property
     def eps_inv(self):
@@ -72,14 +74,22 @@ class Material3:
     dim = 3
 
     def __post_init__(self):
-        if not (self.eps_axis > 0 and self.eps_perp > 0 and self.mu > 0):
-            raise ValueError("material parameters must be positive")
+        if not all(0 < v < np.inf
+                   for v in (self.eps_axis, self.eps_perp, self.mu)):
+            raise InvalidArgument("material parameters must be finite and "
+                                  "positive, got %r" % (self,))
         if self.axis not in (1, 2, 3):
-            raise ValueError("axis must be 1, 2 or 3")
+            raise InvalidArgument("axis must be 1, 2 or 3")
 
     @property
     def is_canonical(self):
         return self.axis == 1 and self.mu == 1.0
+
+    def require_canonical(self, what):
+        """Refuse a material outside the frame where ``what`` exists."""
+        if not self.is_canonical:
+            raise InvalidArgument("%s needs axis = 1 and mu = 1 (got axis = "
+                                  "%d, mu = %g)" % (what, self.axis, self.mu))
 
     @property
     def a(self):
@@ -102,8 +112,7 @@ class Material3:
     def qform(self):
         """Matrix of the anisotropic norm |xi|^2 = b xi1^2 + a (xi2^2+xi3^2)
         (canonical materials only)."""
-        if not self.is_canonical:
-            raise ValueError("qform requires a canonicalized material")
+        self.require_canonical('qform')
         return np.diag([self.b, self.a, self.a])
 
 

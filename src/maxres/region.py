@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion, ExponentOrder, GridTooCoarse, OnSingularSet
+from .errors import (EmptyRegion, ExponentOrder, GridTooCoarse,
+                     InvalidArgument, OnSingularSet)
 from . import multiplier, spectral, symbol
 
 
@@ -25,9 +26,9 @@ class LebesguePair:
 
     def __post_init__(self):
         if not (0 <= self.x <= 1 and 0 <= self.y <= 1):
-            raise ValueError("reciprocal exponents must lie in [0, 1]")
+            raise InvalidArgument("reciprocal exponents must lie in [0, 1]")
         if self.d not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
+            raise InvalidArgument("dimension must be 2 or 3")
 
     @property
     def p(self):
@@ -79,7 +80,7 @@ def kappa(pair, omega, variant='real_axis'):
     elif variant == 'ray':
         dist = _ray_distance(omega)
     else:
-        raise ValueError("variant must be 'real_axis' or 'ray'")
+        raise InvalidArgument("variant must be 'real_axis' or 'ray'")
     if omega == 0 or dist == 0:
         raise OnSingularSet("kappa undefined at omega = %r (%s variant)"
                             % (omega, variant))
@@ -116,7 +117,7 @@ def membership(pair, set_id):
     if set_id == 'P_set':
         return (t >= 2.0 / (d + 1) and x > (d + 1.0) / (2 * d)
                 and y < (d - 1.0) / (2 * d))
-    raise ValueError("set_id must be one of %r" % (_SET_IDS,))
+    raise InvalidArgument("set_id must be one of %r" % (_SET_IDS,))
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,12 @@ class RegionQuery:
     t: float = 0.5
 
     def __post_init__(self):
-        if not self.ell > 0:
-            raise ValueError("ell must be positive")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.ell < np.inf:
+            raise InvalidArgument("ell must be finite and positive")
+        if not 0 < self.C < np.inf:
+            raise InvalidArgument("C must be finite and positive")
         if not 0 < self.t < 1:
-            raise ValueError("t must lie in (0, 1)")
+            raise InvalidArgument("t must lie in (0, 1)")
 
 
 def _check_empty(pair, ell):
@@ -231,7 +232,7 @@ def loglog_fit(xs, ys):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 2:
-        raise ValueError("need at least two points to fit")
+        raise InvalidArgument("need at least two points to fit")
     lx, ly = np.log(xs), np.log(ys)
     A = np.stack([lx, np.ones_like(lx)], axis=-1)
     coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
@@ -324,7 +325,7 @@ def knapp_source(grid, omega, mat, theta=None, tau=None):
     axis are left out, as in the annulus source.
     """
     if mat.dim != 3:
-        raise ValueError("the cap construction is three-dimensional")
+        raise InvalidArgument("the cap construction is three-dimensional")
     omega = complex(omega)
     lam = abs(omega)
     if theta is None:
@@ -365,7 +366,7 @@ def norm_scaling_probe(pair, mat, family, omegas, grid=None, vary='dist',
     of the predicted exponent but should not exceed it.
     """
     if vary not in ('dist', 'modulus'):
-        raise ValueError("vary must be 'dist' or 'modulus'")
+        raise InvalidArgument("vary must be 'dist' or 'modulus'")
     if grid is None:
         grid = spectral.Grid(2, 64) if mat.dim == 2 else spectral.Grid(3, 32)
     xs, ys = [], []
@@ -377,7 +378,7 @@ def norm_scaling_probe(pair, mat, family, omegas, grid=None, vary='dist',
         elif family == 'knapp':
             J = knapp_source(grid, omega, mat)
         else:
-            raise ValueError("family must be 'radial' or 'knapp'")
+            raise InvalidArgument("family must be 'radial' or 'knapp'")
         u = spectral.solve(omega, J, mat)
         ratio = (spectral.lebesgue_norm(u, pair.q)
                  / spectral.lebesgue_norm(J, pair.p))

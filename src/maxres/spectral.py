@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeanNotZero, OnSingularSet, RealFrequency
-from .materials import Material2, Material3
+from .errors import (InvalidArgument, MeanNotZero, OnSingularSet,
+                     RealFrequency)
+from .materials import Material3
 from . import multiplier, symbol
 
 TAU = 2.0 * np.pi
@@ -41,11 +42,12 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+            raise InvalidArgument("dim must be 2 or 3")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two, at least 4")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+            raise InvalidArgument("n must be a power of two, at least 4")
+        if not 0 < self.length <= np.finfo(float).max ** (1 / self.dim):
+            raise InvalidArgument("length must be positive with a finite "
+                                  "volume length^dim, got %r" % (self.length,))
 
     @property
     def npoints(self):
@@ -257,10 +259,10 @@ def _check(a, shape, finite=True):
     """A held array must have shape (ncomp,) + shape and finite values;
     checking a block checks the whole field, whose other values are 0."""
     if a.shape[1:] != shape:
-        raise ValueError("field data shape %r does not match %r"
-                         % (a.shape, shape))
+        raise InvalidArgument("field data shape %r does not match %r"
+                              % (a.shape, shape))
     if finite and not np.all(np.isfinite(a)):
-        raise ValueError("field data must be finite")
+        raise InvalidArgument("field data must be finite")
 
 
 def _full_support(grid):
@@ -322,9 +324,12 @@ def lebesgue_norm(f, p):
     mag = np.sqrt(np.sum(np.abs(f.data) ** 2, axis=0))
     if np.isinf(p):
         return float(mag.max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float((np.sum(mag ** p) * f.grid.cell_volume) ** (1.0 / p))
+    if not p >= 1:
+        raise InvalidArgument("p must be >= 1, got %r" % (p,))
+    # scaled by the largest magnitude, so that mag ** p cannot overflow
+    top = mag.max() or 1.0
+    return float(top * (np.sum((mag / top) ** p) * f.grid.cell_volume)
+                 ** (1.0 / p))
 
 
 def _support(c):
@@ -418,15 +423,11 @@ def solve(omega, J, mat):
 def _flavor_qform(flavor, mat, dim):
     if flavor == 'euclidean':
         return np.eye(dim)
-    if flavor == 'eps_prime':
-        if not isinstance(mat, Material2):
-            raise ValueError("eps_prime flavor needs a 2D material")
+    if (flavor, getattr(mat, 'dim', None)) in (('eps_prime', 2),
+                                                ('eps_tilde', 3)):
         return mat.qform
-    if flavor == 'eps_tilde':
-        if not isinstance(mat, Material3):
-            raise ValueError("eps_tilde flavor needs a 3D material")
-        return mat.qform
-    raise ValueError("unknown flavor %r" % (flavor,))
+    raise InvalidArgument("flavor %r does not apply to %r: eps_prime needs "
+                          "a 2D material, eps_tilde a 3D one" % (flavor, mat))
 
 
 def flavor_norm(xi, flavor, mat, dim):
@@ -534,7 +535,7 @@ def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
     if kmax is None:
         kmax = grid.n // 4
     if kmax < 0:
-        raise ValueError("kmax must be >= 0, got %r" % (kmax,))
+        raise InvalidArgument("kmax must be >= 0, got %r" % (kmax,))
     band = np.nonzero(np.abs(grid.k_axis()) <= kmax)[0]
     shape = (ncomp,) + (band.size,) * grid.dim
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

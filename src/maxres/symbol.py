@@ -53,8 +53,7 @@ def norm_eps_prime(xi, mat):
 
 def norm_eps(xi, mat):
     """Anisotropic 3D norm sqrt(b xi1^2 + a (xi2^2 + xi3^2))."""
-    if not mat.is_canonical:
-        raise ValueError("norm_eps requires a canonicalized material")
+    mat.require_canonical('norm_eps')
     xi = np.asarray(xi, dtype=float)
     return np.sqrt(mat.b * xi[..., 0] ** 2
                    + mat.a * (xi[..., 1] ** 2 + xi[..., 2] ** 2))
@@ -262,8 +261,8 @@ def _eigen_basis(xi, mat):
     Raises DegenerateDirection at xi = 0 or (3D) too close to the axis.
     """
     xi = np.asarray(xi, dtype=float)
-    if mat.dim == 3 and not mat.is_canonical:
-        raise ValueError("the eigenbasis requires a canonicalized material")
+    if mat.dim == 3:
+        mat.require_canonical('the closed-form eigenbasis')
     _check_offaxis(xi)
     if mat.dim == 2:
         return _basis_2d(xi, mat)

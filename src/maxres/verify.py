@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .materials import Material2, Material3
 from .multiplier import _apply, _rmatmul, resolvent_matrix
 from .symbol import AXIS_GUARD, _blocks, _eigen_basis, near_axis, symbol_p
@@ -100,17 +101,18 @@ def _points(n_points, dim, least, flip_entry=None):
     """(materials, ncomp, points per material) of a suite, after checking
     that there are at least ``least`` points per material and that
     ``flip_entry`` is None or a nonzero entry (i, j) of the 3D inverse
-    symbol; a bad value raises a ValueError that names it."""
+    symbol; a bad value raises an InvalidArgument that names it."""
     mats = MATERIALS_2D if dim == 2 else MATERIALS_3D
     per = n_points // len(mats)
     if per < least:
-        raise ValueError("n_points = %d gives %d points per material, "
-                         "fewer than %d" % (n_points, per, least))
+        raise InvalidArgument("n_points = %d gives %d points per material, "
+                              "fewer than %d" % (n_points, per, least))
     if flip_entry is not None and (
             dim != 3 or tuple(flip_entry) in M3_ZERO_ENTRIES
             or tuple(flip_entry) not in np.ndindex(6, 6)):
-        raise ValueError("flip_entry %r is not a nonzero entry i,j "
-                         "(0-based) of the 3D inverse symbol" % (flip_entry,))
+        raise InvalidArgument("flip_entry %r is not a nonzero entry i,j "
+                              "(0-based) of the 3D inverse symbol"
+                              % (flip_entry,))
     return mats, 3 * (dim - 1), per
 
 

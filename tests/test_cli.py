@@ -1,4 +1,7 @@
+import configparser
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,6 +464,21 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
     # a slope needs two samples; vary has two values
     ('probe', PROBE16 + "samples = 1\n"),
     ('probe', PROBE16 + "vary = other\n"),
+    # the material rules hold for every subcommand; a huge eps12 makes
+    # the determinant -inf, not an OverflowError
+    ('solve', SOLVE16.replace('eps11 = 2.0', 'eps11 = inf')),
+    ('solve', SOLVE16.replace('eps11 = 2.0', 'eps11 = 2.0\neps12 = 1e300')),
+    ('solve', SOLVE16.replace('eps22 = 1.2', 'eps22 = 1.2\nmu = inf')),
+    ('lap', "[grid]\ndim = 3\nn = 8\n[material]\neps_axis = inf\n"
+            "eps_perp = 1.4\n[frequency]\nre = 3.1\n"),
+    ('probe', PROBE16.replace('eps11 = 1.0', 'eps11 = inf')),
+    ('region', "[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
+               "ell = inf\n"),
+    # malformed files: no section header, a repeated key, and a '%' that
+    # is text, not interpolation
+    ('solve', "dim = 2\n"),
+    ('solve', "[grid]\ndim = 2\ndim = 3\n"),
+    ('solve', SOLVE16 + "[source]\nkind = file\npath = 100%\n"),
 ], ids=['probe-blowup-axis2', 'probe-annulus-axis2', 'probe-knapp-axis2',
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
         'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
@@ -470,7 +488,10 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
         'lap-inf-cross-tol', 'solve-nan-re', 'solve-inf-im',
         'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan',
         'solve-negative-kmax', 'solve-zero-source', 'probe-one-sample',
-        'probe-unknown-vary'])
+        'probe-unknown-vary', 'solve-inf-eps11', 'solve-huge-eps12',
+        'solve-inf-mu', 'lap-inf-eps-axis', 'probe-inf-eps11',
+        'boundary-inf-ell', 'no-section-header', 'repeated-key',
+        'percent-in-value'])
 def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     if 'ZERO_MXFD' in text:
         zero = tmp_path / 'zero.mxfd'
@@ -540,3 +561,77 @@ def test_lap_axis_mode_on_sphere_is_one_line_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith('OnSingularSet: ') and err.count('\n') == 1
     assert '(3, 0, 0)' in err and 'Traceback' not in err
+
+
+def _key_job(section, key):
+    """(subcommand, config) of a small job that reads [section] key."""
+    if section == 'verify':
+        return 'verify', "[verify]\npoints = 240\n"
+    if section == 'lap':
+        return 'lap', LAP_INI.replace('n = 32', 'n = 16')
+    if section == 'probe':
+        return 'probe', PROBE16 + "x = 0.5\ny = 0.5\n"
+    if section == 'region':
+        return 'region', {
+            'x': REGION_BOUNDARY, 'y': REGION_BOUNDARY,
+            'ell': REGION_BOUNDARY,
+            'points': "[region]\nmode = membership\npoints = 0.5,0.5\n",
+        }.get(key, "[region]\nmode = gamma_map\nresolution = 5\n")
+    if key in ('eps_axis', 'eps_perp', 'axis'):
+        return 'solve', AXIS2.replace('n = 16', 'n = 8')
+    if key in ('path', 'thickness'):
+        return 'solve', SOLVE16 + "[source]\nkind = %s\n" % (
+            'file' if key == 'path' else 'annulus')
+    return 'solve', SOLVE16 + "[source]\nkind = random\nkmax = 4\n"
+
+
+REGION_BOUNDARY = ("[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
+                   "ell = 1.3\nresolution = 16\n")
+NONFINITE = re.compile(r'(?<![A-Za-z_])(?:nan|inf)', re.I)
+
+
+@pytest.mark.parametrize('section,key', [(s, k) for s in cli.KEYS
+                                         for k in cli.KEYS[s]])
+def test_every_key_takes_any_value(tmp_path, capsys, section, key):
+    # each value either runs to finite numbers or is one error line
+    cmd, text = _key_job(section, key)
+    wrong = []
+    for value in ('nan', 'inf', '-1', '1e300', '', 'abc'):
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, value)
+        cfg = tmp_path / 'job.ini'
+        with open(cfg, 'w', encoding='utf-8') as fh:
+            cp.write(fh)
+        code = cli.main([cmd, '--config', str(cfg),
+                         '--out', str(tmp_path / 'o')])
+        out, err = capsys.readouterr()
+        if not (code == 0 and err == '' and not NONFINITE.search(out)
+                or code == 1 and err.count('\n') == 1
+                and 'Traceback' not in err):
+            wrong.append('%s = %r: exit %d, %r %r' % (key, value, code, out,
+                                                      err))
+    assert not wrong
+
+
+def test_unknown_key_names_the_closest(tmp_path, capsys):
+    cfg = _write(tmp_path, 'lap.ini',
+                 LAP_INI + "\n[lap]\nmetod = extrapolate\n")
+    out = tmp_path / 'o'
+    assert cli.main(['lap', '--config', cfg, '--out', str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error: ') and err.count('\n') == 1
+    assert 'metod' in err and 'method' in err
+    assert not out.exists()
+
+
+def test_readme_lists_every_key():
+    # the README's config block names exactly the keys the CLI reads
+    text = (Path(__file__).parents[1] / 'README.md').read_text('utf-8')
+    block = text.split('```ini\n')[1].split('```')[0]
+    cp = configparser.ConfigParser(inline_comment_prefixes=(';',))
+    cp.read_string(block)
+    assert {s: sorted(cp.options(s)) for s in cp.sections()} \
+        == {s: sorted(k) for s, k in cli.KEYS.items()}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxres.errors import NotPartiallyAnisotropic
+from maxres.errors import InvalidArgument, NotPartiallyAnisotropic
 from maxres.materials import Material2, Material3, material3_from_diag
 
 
@@ -41,6 +41,23 @@ def test_material3_rejects_invalid():
         Material3(0.0, 1.0)
     with pytest.raises(ValueError):
         Material3(1.0, 1.0, axis=4)
+
+
+@pytest.mark.parametrize('build', [
+    lambda: Material2(np.inf, 0.0, 1.0),
+    lambda: Material2(1.0, np.nan, 1.0),
+    lambda: Material2(1.0, 0.0, np.inf),
+    lambda: Material2(1.0, 1e300, 1.0),
+    lambda: Material2(1e200, 0.0, 1e200),
+    lambda: Material2(1.0, 0.0, 1.0, mu=np.inf),
+    lambda: Material3(np.inf, 1.0),
+    lambda: Material3(1.0, np.nan),
+    lambda: Material3(1.0, 1.0, mu=np.inf),
+], ids=['eps11-inf', 'eps12-nan', 'eps22-inf', 'eps12-huge', 'det-inf',
+        'mu2-inf', 'eps-axis-inf', 'eps-perp-nan', 'mu3-inf'])
+def test_materials_refuse_non_finite(build):
+    with pytest.raises(InvalidArgument):
+        build()
 
 
 def test_from_diag_axis_detection():

@@ -70,6 +70,15 @@ def test_lebesgue_norm_constant():
     assert sp.lebesgue_norm(f, np.inf) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize('p', [1e3, 1e300])
+def test_lebesgue_norm_large_exponent(p):
+    # 3^p overflows from p of about 640; the norm is 3 vol^(1/p)
+    g = sp.Grid(3, 8)
+    f = sp.scalar_field(g, np.full((8, 8, 8), 3.0))
+    assert sp.lebesgue_norm(f, p) == pytest.approx(
+        3.0 * g.volume ** (1.0 / p), rel=1e-14)
+
+
 @pytest.mark.parametrize('mat,ncomp', [(MAT2, 3), (MAT3, 6)])
 def test_solve_residual(mat, ncomp):
     g = sp.Grid(2, 32) if mat.dim == 2 else sp.Grid(3, 16)
