@@ -7,11 +7,11 @@ The package is organized bottom-up:
   3D partially anisotropic permittivity).
 * :mod:`maxres.symbol`     the first-order symbol, its closed-form
   diagonalization p = m d m^{-1} and determinant diagnostics.
-* :mod:`maxres.multiplier` the closed-form inverse symbol from that one
-  eigenbasis (rank-one eigenprojectors times scalar resolvents, plus the
-  charge part) as factors (m, d^{-1}, m^{-1}), one apply of them
-  (_apply), the resolvent matrix and, at real frequency, the singular
-  weights.
+* :mod:`maxres.multiplier` functions of the symbol's eigenvalues on that
+  one eigenbasis, m w(rho) m^{-1}, through one apply (_apply): the
+  closed-form inverse symbol (rank-one eigenprojectors times scalar
+  resolvents, plus the charge part), the resolvent matrix and the LAP's
+  singular-column weights.
 * :mod:`maxres.spectral`   FFT grids, fields and multiplier operators:
   solve, Riesz transforms, Leray projection, fractional Laplacians.
 * :mod:`maxres.lap`        limiting absorption: both real-frequency
@@ -33,7 +33,7 @@ from .errors import (ConfigError, DegenerateDirection, EmptyRegion,
 from .materials import Material2, Material3, material3_from_diag
 from .symbol import (canonicalize, det_diagnostics, eigen_decomposition,
                      symbol_p)
-from .multiplier import resolvent_matrix, singular_weights
+from .multiplier import resolvent_matrix
 from .spectral import (Field, Grid, divergence_and_charges,
                        forward_operator, fractional_laplacian,
                        half_laplacian_resolvent, lebesgue_norm,
@@ -57,7 +57,7 @@ __all__ = [
     'OnSingularSet', 'QuadratureNotConverged', 'RealFrequency',
     'Material2', 'Material3', 'material3_from_diag',
     'canonicalize', 'det_diagnostics', 'eigen_decomposition', 'symbol_p',
-    'resolvent_matrix', 'singular_weights',
+    'resolvent_matrix',
     'Field', 'Grid', 'divergence_and_charges', 'forward_operator',
     'fractional_laplacian', 'half_laplacian_resolvent', 'lebesgue_norm',
     'leray_project', 'random_band_limited', 'riesz', 'scalar_field', 'solve',

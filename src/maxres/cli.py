@@ -364,8 +364,7 @@ def cmd_probe(args, cp):
     if family == 'blowup':
         omega = region.on_sphere_frequency(grid, mat)
         deltas = [2.0 ** -k for k in range(3, 10)]
-        fit, ds, ratios = lap.lap_blowup_probe(omega, pair, mat, deltas,
-                                               grid=grid)
+        fit, ds, ratios = lap.lap_blowup_probe(omega, pair, mat, deltas, grid)
         write_csv(os.path.join(out, 'probe.csv'), ('delta', 'norm_ratio'),
                   list(zip(map(float, ds), map(float, ratios))))
         _emit(['family = blowup', 'omega = %s' % format_float(omega),
@@ -389,8 +388,7 @@ def cmd_probe(args, cp):
             omegas = [lam + 0.25j for lam in
                       np.linspace(4.0, 10.0, count)]
         fit, xs, ys = region.norm_scaling_probe(pair, mat, family, omegas,
-                                                grid=grid, vary=vary,
-                                                rng=rng)
+                                                grid, vary, rng)
         write_csv(os.path.join(out, 'probe.csv'), ('parameter', 'norm_ratio'),
                   list(zip(map(float, xs), map(float, ys))))
         _emit(['family = %s' % family, 'vary = %s' % vary,

@@ -3,14 +3,14 @@
 lap_parts gives both boundary values P_(+-)(omega) J, real omega != 0,
 as one pair: P_(+-) J = common +- jump; lap_solve picks a sign.  Its two
 routes compute different objects on lattice content near a
-characteristic sphere, and agree only when J has none within
-``margin`` of every sphere:
+characteristic sphere, and agree only when J has none within relative
+flavor distance MARGIN of every sphere:
 
 * ``extrapolate`` gives the periodic limit lim P(omega +- i0)^{-1} on
   the lattice: per sign, the Richardson limit of the resolvent at
-  omega + i*sign*delta_k for a geometric delta sequence.  The limit is
-  a fixed combination sum_k a_k of the resolvents, so each sign is one
-  _solve_coeffs pass with the weights a_k; the half-sum and
+  omega + i*sign*delta_k, delta_k = DELTA0 2^(-k), k < LEVELS.  The
+  limit is a fixed combination sum_k a_k of the resolvents, so each sign
+  is one _solve_coeffs pass with the weights a_k; the half-sum and
   half-difference of the two signs are the pair.
 * ``quadrature`` keeps the lattice inverse away from the spheres and
   replaces the near-sphere lattice values with the continuum principal
@@ -18,7 +18,9 @@ characteristic sphere, and agree only when J has none within
   transform on each sphere (the Sokhotsky-Plemelj split): the smooth
   background acts on the lattice, the singular scalars
   1/(i(omega - rho)) are evaluated with off-grid quadrature nodes.  The
-  surface term is the jump.
+  surface term is the jump.  Both weight each node by the eigenprojector
+  of the sphere's singular column, multiplier._apply with the indicator
+  of that column.
 
 Each off-grid term is one separable transform over its nodes.  The
 forward half reads the source's coefficients on their per-axis support
@@ -42,6 +44,10 @@ from .errors import (DegenerateDirection, GridTooCoarse, InvalidArgument,
 from .materials import Material3
 from .spectral import TAU
 from . import multiplier, region, spectral, symbol
+
+MARGIN = 0.35
+DELTA0 = 0.1
+LEVELS = 7
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +209,20 @@ def offgrid_transform(f, xi_pts):
     return out
 
 
-def _apply_offgrid(J, xi_pts, coeffs, weight_fn=None, out_ncomp=None):
-    """sum_p coeffs_p W(xi_p) Jhat(xi_p) e^{i x xi_p} in one pass."""
+def _apply_offgrid(J, xi_pts, coeffs, weight_fn=None):
+    """sum_p coeffs_p W(xi_p) Jhat(xi_p) e^{i x xi_p} in one pass, with
+    weight_fn(xi, v) = W(xi) v on v of shape (ncomp, nodes)."""
     grid = J.grid
-    if out_ncomp is None:
-        out_ncomp = J.ncomp
-    out = np.zeros((out_ncomp * grid.n, grid.npoints // grid.n),
+    out = np.zeros((J.ncomp * grid.n, grid.npoints // grid.n),
                    dtype=complex)
     cb, lat = _support_block(J)
     for sl, tabs in _phase_blocks(grid, xi_pts):
         vals = _forward(cb, lat, tabs)
         if weight_fn is not None:
-            vals = np.einsum('pij,jp->ip', weight_fn(xi_pts[sl]), vals)
+            vals = weight_fn(xi_pts[sl], vals)
         amps = (vals * coeffs[sl])[:, None, :] * tabs[0].T
         out += amps.reshape(len(out), -1) @ _khatri_rao(tabs[1:])
-    return spectral.Field(grid, out.reshape((out_ncomp,)
-                                            + (grid.n,) * grid.dim))
+    return spectral.Field(grid, out.reshape(J.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +402,18 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
 # full limiting-absorption solves
 
 def _real_resolvent(omega, xi, mat):
-    """The resolvent factors (m, w, m_inv) at real omega; unused in maxres,
-    kept because bench/tracing.py wraps it by name."""
-    return multiplier._factors(omega, xi, mat)
+    """The scalar resolvents d^{-1} at real omega, one per eigenbasis
+    column; unused in maxres, kept because bench/tracing.py wraps it."""
+    return multiplier._scalar_resolvents([omega],
+                                         symbol._eigen_basis(xi, mat)[2])
+
+
+def _column_weight(mat, col, scale):
+    """weight_fn of _apply_offgrid: v -> scale m[:, col] m^{-1}[col, :] v,
+    _apply with w = scale on column col and 0 on the others."""
+    w = scale * np.eye(3 * (mat.dim - 1))[col]
+    return lambda xi, v: multiplier._apply(xi, v.T[..., None], mat,
+                                           lambda rho: w)[..., 0].T
 
 
 def _mode_masks(xi, omega, mat, margin):
@@ -426,26 +439,25 @@ def richardson_limit(values):
     return T[-1][-1]
 
 
-def _extrapolate(omega, J, mat, delta0, levels):
+def _extrapolate(omega, J, mat):
     """lap_parts' extrapolate route: per sign, richardson_limit of
-    solve(omega + i y_k, J), y_k = sign delta0 2^(-k), k < levels.  The
+    solve(omega + i y_k, J), y_k = sign DELTA0 2^(-k), k < LEVELS.  The
     limit is a fixed linear combination sum_k a_k of the solves, so each
     sign is one _solve_coeffs pass with the weights a_k."""
     if isinstance(mat, Material3) and not mat.is_canonical:
         canon, Jc, record = symbol.canonicalize(mat, J)
-        return tuple(record.backward_fields(p) for p in
-                     _extrapolate(omega, Jc, canon, delta0, levels))
+        return tuple(record.backward_fields(p)
+                     for p in _extrapolate(omega, Jc, canon))
     J = spectral._in_coeffs(J)
-    a = richardson_limit(list(np.eye(levels)))
-    y = delta0 * 0.5 ** np.arange(levels)
+    a = richardson_limit(list(np.eye(LEVELS)))
+    y = DELTA0 * 0.5 ** np.arange(LEVELS)
     plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, J, mat,
                                           weights=a) for s in (+1, -1))
     return tuple(spectral._like(J, 0.5 * v)
                  for v in (plus + minus, plus - minus))
 
 
-def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
-                      with_pv=True):
+def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
     """lap_parts' quadrature route: (common, surface), surface =
     surface_terms(sign=+1); with_pv=False skips common (None)."""
     omega = float(omega)
@@ -454,9 +466,8 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
     if isinstance(mat, Material3) and not mat.is_canonical:
         canon, Jc, record = symbol.canonicalize(mat, J)
         return tuple(p if p is None else record.backward_fields(p)
-                     for p in _quadrature_parts(omega, Jc, canon, beta,
-                                                margin, n_sphere, n_radial,
-                                                with_pv))
+                     for p in _quadrature_parts(omega, Jc, canon, n_sphere,
+                                                n_radial, with_pv))
     grid = J.grid
     if n_sphere is None:
         n_sphere = 160 if grid.dim == 2 else 12
@@ -464,11 +475,10 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
         raise DegenerateDirection(
             "n_sphere must be even in 3D (got %d): an odd Gauss-Legendre "
             "order puts a node on the distinguished axis" % n_sphere)
-    if beta is None:
-        beta = default_cutoff(grid, omega, mat)
+    beta = default_cutoff(grid, omega, mat)
     J = spectral._in_coeffs(J)
     c, xi = spectral._modes(J)
-    _, near = _mode_masks(xi, omega, mat, margin)
+    _, near = _mode_masks(xi, omega, mat, MARGIN)
     common = None
     if with_pv:
         # the real-frequency inverse off the spheres and at the zero mode,
@@ -487,32 +497,30 @@ def _quadrature_parts(omega, J, mat, beta, margin, n_sphere, n_radial,
     J_near = spectral._like(J, np.where(near, c, 0), tight=True)
     # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
     pv_sign = 1j if omega > 0 else -1j
-    for k, qform in enumerate(multiplier.sphere_qforms(mat)):
-        def wfun(pts, k=k):
-            return multiplier.singular_weights(omega, pts, mat)[k][0]
+    for col, qform in zip(multiplier._singular_columns(omega, mat),
+                          multiplier.sphere_qforms(mat)):
         if with_pv:
             common = common + _pv_once(
                 J_near, abs(omega), beta, qform, n_sphere, n_radial,
-                weight_fn=lambda pts: pv_sign * wfun(pts),
-                window=2.0 * margin * abs(omega))
+                weight_fn=_column_weight(mat, col, pv_sign),
+                window=2.0 * MARGIN * abs(omega))
         surface = surface + _shell(J_near, [abs(omega)], [-np.pi], qform,
-                                   beta, n_sphere, wfun)
+                                   beta, n_sphere,
+                                   _column_weight(mat, col, 1.0))
     return common, surface
 
 
-def lap_parts(omega, J, mat, method='quadrature', beta=None, margin=0.35,
-              n_sphere=None, n_radial=24, delta0=0.1, levels=7,
-              cross_tol=None):
+def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
+              n_radial=24, cross_tol=None):
     """Both limiting-absorption solutions at real omega as one pair
     (common, jump), P_(+-)(omega) J = common +- jump, by the route
     ``method`` (see the module docstring).
 
     quadrature splits lattice modes within relative flavor distance
-    margin of a sphere, with cutoff beta and n_sphere (even in 3D) by
+    MARGIN of a sphere, with default_cutoff and n_sphere (even in 3D) by
     n_radial nodes; its jump is surface_terms(sign=+1).  extrapolate
-    takes the limit over delta_k = delta0 * 2^(-k), k < levels (an
-    integer >= 1, delta0 finite and > 0; both are checked on either route).
-    cross_tol (finite, >= 0) runs the other route once too and raises
+    takes the limit over delta_k = DELTA0 2^(-k), k < LEVELS.  cross_tol
+    (finite, >= 0) runs the other route once too and raises
     MethodsDisagree if they differ by more, relative L2, at either sign."""
     omega = float(omega)
     if omega == 0:
@@ -520,18 +528,10 @@ def lap_parts(omega, J, mat, method='quadrature', beta=None, margin=0.35,
     if cross_tol is not None and not 0 <= cross_tol < np.inf:
         raise InvalidArgument("cross_tol must be finite and >= 0, got %r"
                               % (cross_tol,))
-    # levels = 0 has no table, delta0 = 0 takes no limit and a negative
-    # delta0 swaps the two signs
-    if not (isinstance(levels, (int, np.integer)) and levels >= 1):
-        raise InvalidArgument("levels must be an integer >= 1, got %r"
-                              % (levels,))
-    if not 0 < delta0 < np.inf:
-        raise InvalidArgument("delta0 must be finite and > 0, got %r"
-                              % (delta0,))
     routes = {
-        'quadrature': lambda: _quadrature_parts(omega, J, mat, beta, margin,
-                                                n_sphere, n_radial),
-        'extrapolate': lambda: _extrapolate(omega, J, mat, delta0, levels)}
+        'quadrature': lambda: _quadrature_parts(omega, J, mat, n_sphere,
+                                                n_radial),
+        'extrapolate': lambda: _extrapolate(omega, J, mat)}
     if method not in routes:
         raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
     common, jump = routes[method]()
@@ -549,65 +549,57 @@ def lap_parts(omega, J, mat, method='quadrature', beta=None, margin=0.35,
     return common, jump
 
 
-def lap_solve(omega, J, mat, sign=+1, method='quadrature', beta=None,
-              margin=0.35, n_sphere=None, n_radial=24, delta0=0.1,
-              levels=7, cross_tol=None):
+def lap_solve(omega, J, mat, sign=+1, method='quadrature', n_sphere=None,
+              n_radial=24, cross_tol=None):
     """The limiting-absorption solution P_(+-)(omega) J at real omega:
     common + sign * jump of lap_parts, which describes the arguments;
     sign is +1 or -1."""
     if sign not in (+1, -1):
         raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
-    common, jump = lap_parts(omega, J, mat, method, beta, margin, n_sphere,
-                             n_radial, delta0, levels, cross_tol)
+    common, jump = lap_parts(omega, J, mat, method, n_sphere, n_radial,
+                             cross_tol)
     return common + sign * jump
 
 
-def surface_terms(omega, J, mat, sign=+1, beta=None, margin=0.35,
-                  n_sphere=None):
+def surface_terms(omega, J, mat, sign=+1, n_sphere=None):
     """sign times the jump of lap_parts' quadrature route (all
     characteristic spheres); no principal value is computed."""
-    _, surface = _quadrature_parts(omega, J, mat, beta, margin, n_sphere,
-                                   None, with_pv=False)
+    _, surface = _quadrature_parts(omega, J, mat, n_sphere, None,
+                                   with_pv=False)
     return sign * surface
 
 
-def lap_blowup_probe(omega, pair, mat, deltas, grid=None, thickness=0.5,
-                     flavor_index=0, sign=+1):
+def lap_blowup_probe(omega, pair, mat, deltas, grid):
     """Fit the growth of a resolvent-norm lower bound as delta -> 0.
 
     For each delta the bound is the best ratio ||u||_q / ||J||_p over
     single-mode currents polarized along the singular eigenvector, with
-    wavevectors drawn from a spectral annulus around the characteristic
-    sphere.  Returns (fit, deltas, ratios); the fitted slope is compared
-    with -gamma of the Lebesgue pair.
+    wavevectors drawn from a spectral annulus of thickness 0.5 around
+    the first characteristic sphere.  Returns (fit, deltas, ratios); the
+    fitted slope is compared with -gamma of the Lebesgue pair.
 
     Each current is a plane wave along an eigenvector of the symbol, so
-    u = w_c J with the scalar resolvent w_c(|omega| + i*sign*delta) of
-    the singular column c, and the ratio is |w_c| vol^(1/q - 1/p) in
-    closed form (one _factors call per delta).  One grid solve, of the
-    best mode at the smallest delta, checks it: MethodsDisagree if the
-    two differ by more than 1e-10 relative.
+    u = w_c J with the scalar resolvent w_c(|omega| + i*delta) of the
+    singular column c, and the ratio is |w_c| vol^(1/q - 1/p) in closed
+    form (one eigenbasis, one _scalar_resolvents call per delta).  One
+    grid solve, of the best mode at the smallest delta, checks it:
+    MethodsDisagree if the two differ by more than 1e-10 relative.
     """
-    if grid is None:
-        grid = spectral.Grid(2, 64) if mat.dim == 2 else spectral.Grid(3, 32)
     xi = grid.xi_flat()
-    sel, rho = region._annulus_modes(xi, omega, mat, thickness, flavor_index)
-    sel = sel[np.argsort(np.abs(rho - abs(omega)))[:48]]
-    col = multiplier._singular_columns(abs(omega), mat)[flavor_index]
+    sel, radii = region._annulus_modes(xi, omega, mat, 0.5)
+    sel = sel[np.argsort(np.abs(radii - abs(omega)))[:48]]
+    col = multiplier._singular_columns(abs(omega), mat)[0]
     scale = grid.volume ** (pair.y - pair.x)
     deltas = np.asarray(deltas, float)
-    omegas = abs(omega) + 1j * sign * deltas
-    facs = [multiplier._factors(om, xi[sel], mat) for om in omegas]
-    w = np.array([np.abs(f[1][:, col]) for f in facs])
+    omegas = abs(omega) + 1j * deltas
+    rho = symbol._eigen_basis(xi[sel], mat)[2]
+    w = np.array([np.abs(multiplier._scalar_resolvents([om], rho)[:, col])
+                  for om in omegas])
     ratios = w.max(axis=1) * scale
     # the end-to-end check: the best plane wave at the smallest delta
     k = np.argmin(deltas)
     i = np.argmax(w[k])
-    ncomp = 3 if mat.dim == 2 else 6
-    c = np.zeros((ncomp, grid.npoints), dtype=complex)
-    c[:, sel[i]] = facs[k][0][i, :, col]
-    J = spectral.Field.from_coeffs(
-        grid, c.reshape((ncomp,) + (grid.n,) * grid.dim))
+    J = region._polarized(grid, omega, mat, sel[i:i + 1], np.ones(1))
     u = spectral.solve(omegas[k], J, mat)
     solved = (spectral.lebesgue_norm(u, pair.q)
               / spectral.lebesgue_norm(J, pair.p))

@@ -18,14 +18,15 @@ and M_c = sum_{c < d-1} m[:, c] m^{-1}[c, :] / (i omega) the charge
 sphere k, { <xi, q_k xi> = omega^2 } with q_k from ``sphere_qforms``;
 at real omega != 0 the singular one is d - 1 + 2k + (omega < 0).
 
-``_apply`` is the one inverse apply: m (w * (m^{-1} c)) on columns c,
-with w = d^{-1} from ``_scalar_resolvents`` (any fixed combination
-sum_k a_k / (i(omega_k + rho)), skipped columns 0).  ``solve`` and the
+``_apply(xi, c, mat, w)`` is the one apply of a function of the
+symbol's eigenvalues: m (w(rho) * (m^{-1} c)) on columns c, with one
+scalar per eigenbasis column from w.  The inverse symbol is w = d^{-1}
+from ``_scalar_resolvents`` (any fixed combination
+sum_k a_k / (i(omega_k + rho)), skipped columns 0): ``solve`` and the
 LAP run it on lattice coefficients (``spectral._solve_coeffs``), and
-``resolvent_matrix``, which ``verify`` checks, on the identity.
-``singular_weights`` returns the projectors of the singular columns,
-which the LAP weights by principal values and surface deltas.  All are
-vectorized over a leading batch of wavevectors.
+``resolvent_matrix``, which ``verify`` checks, on the identity.  The
+LAP's Sokhotsky weights are the indicator of a singular column times
+a constant.  All are vectorized over a leading batch of wavevectors.
 """
 
 import numpy as np
@@ -51,12 +52,6 @@ def _scalar_resolvents(omegas, rho, weights=(1.0,), skip=()):
     return w
 
 
-def _factors(omega, xi, mat, skip=()):
-    """(m, w, m_inv): the real eigenbasis and w = d^{-1}, skip columns 0."""
-    m, minv, rho = symbol._eigen_basis(xi, mat)
-    return m, _scalar_resolvents([omega], rho, skip=skip), minv
-
-
 def sphere_qforms(mat):
     """Quadratic forms q_k of the characteristic spheres: sphere k is
     { <xi, q_k xi> = omega^2 }, where columns d - 1 + 2k and d + 2k of
@@ -73,12 +68,12 @@ def _singular_columns(omega, mat):
     return range(mat.dim - 1 + int(omega < 0), 3 * (mat.dim - 1), 2)
 
 
-def _apply(omegas, xi, c, mat, weights=(1.0,), skip=()):
-    """sum_k weights_k P(omegas_k)^{-1} c off the axis, the ``skip``
-    columns left out, as m (w * (m^{-1} c)) on c of shape (..., ncomp, k)."""
+def _apply(xi, c, mat, w):
+    """m (w(rho) * (m^{-1} c)) off the axis on c of shape (..., ncomp, k):
+    w maps rho (..., ncomp), the symbol's eigenvalues i(omega + rho), to
+    one scalar per eigenbasis column."""
     m, minv, rho = symbol._eigen_basis(xi, mat)
-    w = _scalar_resolvents(omegas, rho, weights, skip)
-    return _rmatmul(m, w[..., None] * _rmatmul(minv, c))
+    return _rmatmul(m, w(rho)[..., None] * _rmatmul(minv, c))
 
 
 def resolvent_matrix(omega, xi, mat):
@@ -89,14 +84,6 @@ def resolvent_matrix(omega, xi, mat):
     """
     if omega.imag == 0:
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
-    return _apply([omega], xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat)
+    return _apply(xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat,
+                  lambda rho: _scalar_resolvents([omega], rho))
 
-
-def singular_weights(omega, xi, mat):
-    """[(W, q_k)] per characteristic sphere k: the real eigenprojector
-    W = m[:, c] m_inv[c, :] of the column c singular at real omega, and
-    the sphere's quadratic form."""
-    m, minv, _ = symbol._eigen_basis(xi, mat)
-    cols = _singular_columns(omega, mat)
-    return [(m[..., :, c, None] * minv[..., None, c, :], q)
-            for c, q in zip(cols, sphere_qforms(mat))]

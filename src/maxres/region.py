@@ -181,7 +181,11 @@ def z_boundary(query, resolution=256):
     # build one quadrant and mirror it, so the reflection symmetries
     # hold to the last bit
     th = np.linspace(0.0, np.pi / 2, resolution // 4 + 2)[1:]
-    r = (ell * np.sin(th) ** g) ** (-1.0 / a)
+    with np.errstate(over='ignore', under='ignore', divide='ignore'):
+        r = (ell * np.sin(th) ** g) ** (-1.0 / a)
+    if not np.all((r > 0) & (r < np.inf)):
+        raise InvalidArgument("ell = %g puts the level curve at radii that "
+                              "are not finite positive doubles" % ell)
     quarter = r * np.exp(1j * th)
     upper = np.concatenate([-np.conj(quarter), quarter[-2::-1]])
     return np.concatenate([upper, np.conj(upper)[::-1]])
@@ -249,14 +253,15 @@ def characteristic_radii(xi, mat):
     return [np.sqrt(mat.b) * n, symbol.norm_eps(xi, mat)]
 
 
-def on_sphere_frequency(grid, mat, near=3.0, flavor_index=0):
-    """A frequency equal to the flavor radius of some interior lattice
-    mode, so that mode sits exactly on the characteristic sphere."""
+def on_sphere_frequency(grid, mat):
+    """A frequency equal to the flavor radius of the interior lattice
+    mode nearest 3, so that mode sits exactly on the first
+    characteristic sphere."""
     xi = grid.xi_flat()
-    rho = characteristic_radii(xi, mat)[flavor_index]
+    rho = characteristic_radii(xi, mat)[0]
     good = (rho > 0) & (rho < grid.n // 4)
     idx = np.nonzero(good)[0]
-    pick = idx[np.argmin(np.abs(rho[idx] - near))]
+    pick = idx[np.argmin(np.abs(rho[idx] - 3.0))]
     return float(rho[pick])
 
 
@@ -278,11 +283,11 @@ def off_sphere_frequency(grid, mat, near=3.0):
     return float(cand[np.argmax(dist)])
 
 
-def _annulus_modes(xi, omega, mat, thickness, flavor_index):
-    """Indices of the lattice modes whose flavor radius lies within
+def _annulus_modes(xi, omega, mat, thickness):
+    """Indices of the lattice modes whose first flavor radius lies within
     ``thickness`` of |omega|, and those radii.  Modes on the
     distinguished axis have no closed-form eigenbasis and are left out."""
-    rho = characteristic_radii(xi, mat)[flavor_index]
+    rho = characteristic_radii(xi, mat)[0]
     sel = np.nonzero((np.abs(rho - abs(omega)) < thickness) & (rho > 0)
                      & ~symbol.near_axis(xi))[0]
     if sel.size == 0:
@@ -291,35 +296,38 @@ def _annulus_modes(xi, omega, mat, thickness, flavor_index):
     return sel, rho[sel]
 
 
-def annulus_source(grid, omega, mat, thickness=1.0, flavor_index=0,
-                   rng=None):
-    """Current supported on a thin spectral annulus around the
+def _polarized(grid, omega, mat, sel, amps):
+    """The current with amps_i times the singular eigenvector of the first
+    characteristic sphere at lattice mode sel_i, and 0 elsewhere."""
+    m = symbol._eigen_basis(grid.xi_flat()[sel], mat)[0]
+    col = multiplier._singular_columns(abs(omega), mat)[0]
+    c = np.zeros((m.shape[-1], grid.npoints), dtype=complex)
+    c[:, sel] = (m[:, :, col] * amps[:, None]).T
+    return spectral.Field.from_coeffs(
+        grid, c.reshape((-1,) + (grid.n,) * grid.dim))
+
+
+def annulus_source(grid, omega, mat, thickness=1.0, rng=None):
+    """Current supported on a thin spectral annulus around the first
     characteristic sphere, polarized along the singular eigenvector.
 
     Modes whose flavor radius lies within ``thickness`` of |omega| get
     the eigenvector column whose eigenvalue is i(omega - rho); on those
     modes the resolvent acts as the scalar 1/(i(omega - rho)).
     """
-    xi = grid.xi_flat()
-    ncomp = 3 if mat.dim == 2 else 6
-    sel, _ = _annulus_modes(xi, omega, mat, thickness, flavor_index)
-    col = multiplier._singular_columns(abs(omega), mat)[flavor_index]
-    m = symbol._eigen_basis(xi[sel], mat)[0]
+    sel, _ = _annulus_modes(grid.xi_flat(), omega, mat, thickness)
     amps = np.ones(sel.size, dtype=complex)
     if rng is not None:
         amps = np.exp(2j * np.pi * rng.random(sel.size))
-    c = np.zeros((ncomp, grid.npoints), dtype=complex)
-    c[:, sel] = (m[:, :, col] * amps[:, None]).T
-    return spectral.Field.from_coeffs(
-        grid, c.reshape((ncomp,) + (grid.n,) * grid.dim))
+    return _polarized(grid, omega, mat, sel, amps)
 
 
-def knapp_source(grid, omega, mat, theta=None, tau=None):
+def knapp_source(grid, omega, mat):
     """Current concentrated on a cap of the characteristic sphere.
 
     The cap sits around the third frequency axis with angular width
-    theta (default |omega|^(-1/2)) and radial thickness tau (default
-    dist(omega, R)); the spectral profile is a smooth window in both
+    theta = |omega|^(-1/2) and radial thickness tau = dist(omega, R),
+    at least 0.75; the spectral profile is a smooth window in both
     variables, polarized along the singular eigenvector of the
     euclidean-sphere flavor.  Modes near the distinguished (first)
     axis are left out, as in the annulus source.
@@ -328,11 +336,8 @@ def knapp_source(grid, omega, mat, theta=None, tau=None):
         raise InvalidArgument("the cap construction is three-dimensional")
     omega = complex(omega)
     lam = abs(omega)
-    if theta is None:
-        theta = lam ** -0.5
-    if tau is None:
-        tau = abs(omega.imag)
-    tau = max(tau, 0.75)          # resolve at least one lattice shell
+    theta = lam ** -0.5
+    tau = max(abs(omega.imag), 0.75)    # resolve at least one lattice shell
     xi = grid.xi_flat()
     rho = characteristic_radii(xi, mat)[0]
     n = np.sqrt(np.einsum('ki,ki->k', xi, xi))
@@ -342,21 +347,17 @@ def knapp_source(grid, omega, mat, theta=None, tau=None):
     window = (np.exp(-0.5 * ((rho - lam) / tau) ** 2)
               * np.exp(-0.5 * (ang / theta) ** 2))
     # modes on the distinguished axis have no closed-form eigenbasis;
-    # the default cap reaches them when 3 theta > pi/2, |omega| < 3.65
+    # the cap reaches them when 3 theta > pi/2, |omega| < 3.65
     window[(n == 0) | symbol.near_axis(xi) | (ang > 3 * theta)
            | (np.abs(rho - lam) > 3 * tau)] = 0.0
     sel = np.nonzero(window > 0)[0]
     if sel.size == 0:
         raise GridTooCoarse("cap contains no lattice modes")
-    m = symbol._eigen_basis(xi[sel], mat)[0]
-    col = multiplier._singular_columns(abs(omega), mat)[0]
-    c = np.zeros((6, grid.npoints), dtype=complex)
-    c[:, sel] = (m[:, :, col] * window[sel, None]).T
-    return spectral.Field.from_coeffs(grid, c.reshape((6,) + (grid.n,) * 3))
+    return _polarized(grid, omega, mat, sel, window[sel])
 
 
-def norm_scaling_probe(pair, mat, family, omegas, grid=None, vary='dist',
-                       thickness=1.0, rng=None):
+def norm_scaling_probe(pair, mat, family, omegas, grid, vary='dist',
+                       rng=None):
     """Fit the growth of ||solve(omega)J||_q / ||J||_p over a family.
 
     family 'radial' uses the spectral annulus source, 'knapp' the cap
@@ -367,14 +368,11 @@ def norm_scaling_probe(pair, mat, family, omegas, grid=None, vary='dist',
     """
     if vary not in ('dist', 'modulus'):
         raise InvalidArgument("vary must be 'dist' or 'modulus'")
-    if grid is None:
-        grid = spectral.Grid(2, 64) if mat.dim == 2 else spectral.Grid(3, 32)
     xs, ys = [], []
     for omega in omegas:
         omega = complex(omega)
         if family == 'radial':
-            J = annulus_source(grid, abs(omega), mat, thickness=thickness,
-                               rng=rng)
+            J = annulus_source(grid, abs(omega), mat, rng=rng)
         elif family == 'knapp':
             J = knapp_source(grid, omega, mat)
         else:

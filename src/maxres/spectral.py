@@ -371,11 +371,14 @@ def _solve_coeffs(omegas, f, mat, mask=None, weights=(1.0,), skip=()):
         active &= mask
     direct = active & (symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1))
     idx = np.nonzero(active & ~direct)[0]
+
+    def w(rho):
+        return multiplier._scalar_resolvents(omegas, rho, weights, skip)
+
     for blk in symbol._blocks(idx.size, c.shape[0]):
         sel = idx[blk]
         rhs = c[:, sel].T[..., None]
-        out[:, sel] = multiplier._apply(omegas, xi[sel], rhs, mat, weights,
-                                        skip)[..., 0].T
+        out[:, sel] = multiplier._apply(xi[sel], rhs, mat, w)[..., 0].T
     idx = np.nonzero(direct)[0]
     if idx.size == 0:
         return out

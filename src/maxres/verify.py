@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .materials import Material2, Material3
-from .multiplier import _apply, _rmatmul, resolvent_matrix
+from .multiplier import (_apply, _rmatmul, _scalar_resolvents,
+                         resolvent_matrix)
 from .symbol import AXIS_GUARD, _blocks, _eigen_basis, near_axis, symbol_p
 
 # Default materials exercised by both suites.  The first entry of each
@@ -121,7 +122,8 @@ def _flip(M, omega, xi, mat, entry):
     sum_j W_j s_j in M, that is of _apply on column j without M_c."""
     i, j = entry
     col = np.eye(6, dtype=complex)[:, j, None]
-    M[:, i, j] -= 2 * _apply([omega], xi, col, mat, skip=(0, 1))[:, i, 0]
+    M[:, i, j] -= 2 * _apply(xi, col, mat, lambda rho: _scalar_resolvents(
+        [omega], rho, skip=(0, 1)))[:, i, 0]
 
 
 def _worst(defect):

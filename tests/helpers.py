@@ -3,12 +3,32 @@
 charge_column_2d / _3d are an independent oracle: the charge part M_c
 of the inverse symbol, typed through the charges rho_e = i xi . J_e and
 rho_m = i xi . J_m instead of the eigenbasis that maxres builds it from.
+projectors gives the rank-one eigenprojectors as explicit matrices, the
+reference for the weights that maxres applies without forming them.
 """
 
 import numpy as np
 
 from maxres import multiplier
-from maxres.symbol import norm_eps, norm_eps_prime
+from maxres.symbol import AXIS_GUARD, _eigen_basis, norm_eps, norm_eps_prime
+
+
+def projectors(xi, mat):
+    """Rank-one eigenprojectors m[:, c] m_inv[c, :], one per column c:
+    the d - 1 charge columns, then the terms W_j."""
+    m, minv, _ = _eigen_basis(xi, mat)
+    return [m[:, :, c, None] * minv[:, None, c, :]
+            for c in range(m.shape[-1])]
+
+
+def guard_band_xi(rng, n):
+    """3D wavevectors with s^2 / |xi|^2 in [AXIS_GUARD, 1e-6)."""
+    ratio = AXIS_GUARD * 10.0 ** rng.uniform(0.0, 2.0, n)
+    x1 = rng.normal(0.0, 2.0, n)
+    x1[np.abs(x1) < 1e-3] = 1.0
+    s = np.abs(x1) * np.sqrt(ratio / (1.0 - ratio))
+    phi = rng.uniform(0.0, 2 * np.pi, n)
+    return np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
 
 
 def charge_column_2d(omega, xi, mat, J_hat):
@@ -46,13 +66,12 @@ def charge_column_3d(omega, xi, mat, J_hat):
 
 class PerturbedFactors:
     """Stands in for the multiplier module inside ``lap`` (monkeypatch
-    ``lap.multiplier``): _factors is off by 1e-8 relative there, while
-    spectral.solve keeps the true factors."""
+    ``lap.multiplier``): _scalar_resolvents is off by 1e-8 relative there,
+    while spectral.solve keeps the true scalar resolvents."""
 
     def __getattr__(self, name):
         return getattr(multiplier, name)
 
     @staticmethod
-    def _factors(omega, xi, mat, skip=()):
-        m, w, minv = multiplier._factors(omega, xi, mat, skip)
-        return m, w * (1 + 1e-8), minv
+    def _scalar_resolvents(*args, **kwargs):
+        return multiplier._scalar_resolvents(*args, **kwargs) * (1 + 1e-8)

@@ -474,6 +474,11 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
     ('probe', PROBE16.replace('eps11 = 1.0', 'eps11 = inf')),
     ('region', "[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
                "ell = inf\n"),
+    # finite levels whose curve lies below or beyond the doubles
+    ('region', "[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
+               "resolution = 16\nell = 1e300\n"),
+    ('region', "[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
+               "resolution = 16\nell = 1e-300\n"),
     # malformed files: no section header, a repeated key, and a '%' that
     # is text, not interpolation
     ('solve', "dim = 2\n"),
@@ -490,7 +495,8 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
         'solve-negative-kmax', 'solve-zero-source', 'probe-one-sample',
         'probe-unknown-vary', 'solve-inf-eps11', 'solve-huge-eps12',
         'solve-inf-mu', 'lap-inf-eps-axis', 'probe-inf-eps11',
-        'boundary-inf-ell', 'no-section-header', 'repeated-key',
+        'boundary-inf-ell', 'boundary-huge-ell', 'boundary-tiny-ell',
+        'no-section-header', 'repeated-key',
         'percent-in-value'])
 def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     if 'ZERO_MXFD' in text:

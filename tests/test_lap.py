@@ -9,7 +9,7 @@ from maxres import symbol
 from maxres.errors import (DegenerateDirection, MethodsDisagree,
                            OnSingularSet)
 from maxres.materials import Material2, Material3
-from helpers import PerturbedFactors
+from helpers import PerturbedFactors, guard_band_xi, projectors
 
 RNG = np.random.default_rng(23)
 
@@ -104,27 +104,48 @@ def test_offgrid_matches_dense_oracle(dim, n, npts):
     # half the nodes inside the grid's band, half beyond it
     xi = RNG.uniform(-n, n, (npts, dim))
     cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
-    A = RNG.standard_normal((dim, 15))
+    A = RNG.standard_normal((dim, 9))
 
-    def weight_fn(pts):             # 3 components in, 5 out
-        return np.exp(1j * pts @ A).reshape(-1, 5, 3)
+    def weight_fn(pts):             # 3 components in, 3 out
+        return np.exp(1j * pts @ A).reshape(-1, 3, 3)
 
     vals, plain = dense_offgrid(J, xi, cf)
     assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
     assert _rel(lap._apply_offgrid(J, xi, cf).data, plain) < 1e-12
     _, weighted = dense_offgrid(J, xi, cf, weight_fn)
-    out = lap._apply_offgrid(J, xi, cf, weight_fn=weight_fn, out_ncomp=5)
+    out = lap._apply_offgrid(
+        J, xi, cf, lambda pts, v: np.einsum('pij,jp->ip', weight_fn(pts), v))
     assert _rel(out.data, weighted) < 1e-12
-    if dim == 3:
-        # the 6x6 weights of the 3D quadrature route
-        J6 = sp.random_band_limited(g, 6, RNG)
 
-        def sing_fn(pts):
-            return mp.singular_weights(OMEGA, pts, MAT3)[1][0]
 
-        _, ref = dense_offgrid(J6, xi, cf, sing_fn)
-        assert _rel(lap._apply_offgrid(J6, xi, cf, weight_fn=sing_fn).data,
-                    ref) < 1e-12
+@pytest.mark.parametrize('omega', [OMEGA, -OMEGA])
+@pytest.mark.parametrize('mat,n,band', [
+    (MAT2, 16, False),
+    (MAT3, 8, False),
+    (MAT3, 8, True),
+    (Material3(1.0, 1.0), 8, True),
+], ids=['2d', '3d', '3d-guard-band', '3d-isotropic-guard-band'])
+def test_offgrid_weights_match_projector_oracle(mat, n, band, omega):
+    # the quadrature route's node weights, _apply with a scaled indicator
+    # of each sphere's singular column, against the explicit rank-one
+    # projector m[:, c] m^{-1}[c, :] times the same scale
+    g = sp.Grid(mat.dim, n)
+    ncomp = 3 * (mat.dim - 1)
+    J = sp.random_band_limited(g, ncomp, RNG)
+    npts = 400
+    xi = (guard_band_xi(RNG, npts) if band
+          else RNG.uniform(-n, n, (npts, mat.dim)))
+    assert not symbol.near_axis(xi).any()
+    cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
+    P = projectors(xi, mat)
+    cols = mp._singular_columns(omega, mat)
+    assert len(cols) == mat.dim - 1            # one per sphere
+    for col in cols:
+        _, ref = dense_offgrid(J, xi, cf, lambda pts: P[col])
+        for scale in (1.0, 1j if omega > 0 else -1j):
+            out = lap._apply_offgrid(J, xi, cf,
+                                     lap._column_weight(mat, col, scale))
+            assert _rel(out.data, scale * ref) < 1e-12
 
 
 def _shell_current(g, ncomp, r_lo, r_hi):
@@ -387,21 +408,6 @@ def test_bad_cross_tol_is_refused(method, tol):
         lap.lap_solve(1.0, J, MAT2, method=method, cross_tol=tol)
 
 
-@pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
-@pytest.mark.parametrize('key,value', [
-    ('levels', 0), ('levels', -1), ('levels', 2.0),
-    ('delta0', 0.0), ('delta0', -0.1), ('delta0', np.nan),
-    ('delta0', np.inf)])
-def test_bad_extrapolate_inputs_are_refused(method, key, value):
-    # levels = 0 has no Neville table, delta0 = 0 takes no limit, and a
-    # negative delta0 swaps the two boundary values
-    J = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=key):
-        lap.lap_parts(3.1, J, MAT2, method=method, **{key: value})
-    with pytest.raises(ValueError, match=key):
-        lap.lap_solve(3.1, J, MAT2, method=method, **{key: value})
-
-
 @pytest.mark.parametrize('sign', [0, 2, -0.5, np.nan])
 def test_lap_solve_refuses_other_signs(sign):
     # common + sign * jump is a boundary value only at sign = +-1;
@@ -493,7 +499,7 @@ def test_blowup_ratios_are_per_mode_solves(grid, mat):
     deltas = [2.0 ** -3, 2.0 ** -6, 2.0 ** -9]
     _, _, ratios = lap.lap_blowup_probe(omega, pair, mat, deltas, grid=grid)
     xi = grid.xi_flat()
-    sel, rho = rg._annulus_modes(xi, omega, mat, 0.5, 0)
+    sel, rho = rg._annulus_modes(xi, omega, mat, 0.5)
     sel = sel[np.argsort(np.abs(rho - omega))[:48]]
     col = mp._singular_columns(omega, mat)[0]
     m = symbol._eigen_basis(xi[sel], mat)[0]

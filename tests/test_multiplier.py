@@ -3,11 +3,12 @@ import pytest
 
 from maxres.errors import DegenerateDirection, RealFrequency
 from maxres.materials import Material2, Material3
-from maxres.multiplier import (_apply, _factors, _singular_columns,
-                               resolvent_matrix, singular_weights)
+from maxres.multiplier import (_apply, _scalar_resolvents, _singular_columns,
+                               resolvent_matrix, sphere_qforms)
 from maxres.symbol import AXIS_GUARD, _eigen_basis, near_axis, symbol_p
 from maxres.verify import M3_ZERO_ENTRIES, _flip
-from helpers import charge_column_2d, charge_column_3d
+from helpers import (charge_column_2d, charge_column_3d, guard_band_xi,
+                     projectors)
 
 RNG = np.random.default_rng(7)
 
@@ -25,17 +26,10 @@ def _random_xi(n, dim):
     return xi
 
 
-def _projectors(xi, mat):
-    """Rank-one eigenprojectors m[:, c] m_inv[c, :], one per column c:
-    the d - 1 charge columns, then the terms W_j."""
-    m, minv, _ = _eigen_basis(xi, mat)
-    return [m[:, :, c, None] * minv[:, None, c, :]
-            for c in range(m.shape[-1])]
-
-
 def _charge_part(omega, xi, mat):
-    """M_c from the factors: the charge columns of (m w) m_inv."""
-    m, w, minv = _factors(omega, xi, mat)
+    """M_c from the eigenbasis: the charge columns of (m w) m_inv."""
+    m, minv, rho = _eigen_basis(xi, mat)
+    w = _scalar_resolvents([omega], rho)
     c = slice(0, mat.dim - 1)
     return np.einsum('nic,nc,ncj->nij', m[:, :, c], w[:, c], minv[:, c])
 
@@ -60,21 +54,11 @@ def test_inverse_identity_isotropic_3d():
     assert np.abs(np.einsum('nij,njk->nik', p, M) - np.eye(6)).max() < 1e-12
 
 
-def _guard_band_xi(n):
-    """3D wavevectors with s^2 / |xi|^2 in [AXIS_GUARD, 1e-6)."""
-    ratio = AXIS_GUARD * 10.0 ** RNG.uniform(0.0, 2.0, n)
-    x1 = RNG.normal(0.0, 2.0, n)
-    x1[np.abs(x1) < 1e-3] = 1.0
-    s = np.abs(x1) * np.sqrt(ratio / (1.0 - ratio))
-    phi = RNG.uniform(0.0, 2 * np.pi, n)
-    return np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
-
-
 @pytest.mark.parametrize('mat', [MAT3, Material3(1.0, 1.0)])
 def test_inverse_identity_just_outside_axis_guard(mat):
     # s^2 / |xi|^2 in [AXIS_GUARD, 1e-6): production uses the closed form
     # here, so it must still invert the symbol
-    xi = _guard_band_xi(400)
+    xi = guard_band_xi(RNG, 400)
     frac = (xi[:, 1] ** 2 + xi[:, 2] ** 2) / np.einsum('ni,ni->n', xi, xi)
     assert frac.min() >= AXIS_GUARD and frac.max() < 1e-6
     assert not near_axis(xi).any()
@@ -112,7 +96,9 @@ def _regular(omega, xi, mat):
     """The resolvent at real omega with every singular column skipped:
     _apply on the identity."""
     eye = np.eye(3 if mat.dim == 2 else 6, dtype=complex)
-    return _apply([omega], xi, eye, mat, skip=_singular_columns(omega, mat))
+    skip = _singular_columns(omega, mat)
+    return _apply(xi, eye, mat,
+                  lambda rho: _scalar_resolvents([omega], rho, skip=skip))
 
 
 def test_regular_plus_singular_reassembles():
@@ -123,9 +109,10 @@ def test_regular_plus_singular_reassembles():
         xi = _random_xi(300, mat.dim)
         reg = _regular(omega, xi, mat)
         total = reg.copy()
-        for W, q in singular_weights(omega, xi, mat):
+        P = projectors(xi, mat)
+        for c, q in zip(_singular_columns(omega, mat), sphere_qforms(mat)):
             rho = np.sqrt(np.einsum('ni,ij,nj->n', xi, q, xi))
-            total += W / (1j * (omega - rho))[:, None, None]
+            total += P[c] / (1j * (omega - rho))[:, None, None]
         p = symbol_p(omega + 0j, xi, mat)
         eye = np.eye(3 if mat.dim == 2 else 6)
         prod = np.einsum('nij,njk->nik', p, total)
@@ -135,13 +122,15 @@ def test_regular_plus_singular_reassembles():
 def test_negative_omega_singular_flavor():
     # for omega < 0 the other scalar branch carries the singularity
     xi = _random_xi(100, 2)
-    Wp = singular_weights(2.0, xi, MAT2)[0][0]
-    Wm = singular_weights(-2.0, xi, MAT2)[0][0]
+    P = projectors(xi, MAT2)
+    Wp = P[_singular_columns(2.0, MAT2)[0]]
+    Wm = P[_singular_columns(-2.0, MAT2)[0]]
     assert not np.allclose(Wp, Wm)
     # reassembly at negative omega still inverts the symbol
     omega = -3.1
     reg = _regular(omega, xi, MAT2)
-    W, q = singular_weights(omega, xi, MAT2)[0]
+    W = P[_singular_columns(omega, MAT2)[0]]
+    q = sphere_qforms(MAT2)[0]
     rho = np.sqrt(np.einsum('ni,ij,nj->n', xi, q, xi))
     total = reg + W / (1j * (omega + rho))[:, None, None]
     p = symbol_p(omega + 0j, xi, MAT2)
@@ -151,7 +140,7 @@ def test_negative_omega_singular_flavor():
 
 def test_zero_entries_are_zero():
     xi = _random_xi(100, 3)
-    WA, WB, WC, WD = _projectors(xi, MAT3)[2:]
+    WA, WB, WC, WD = projectors(xi, MAT3)[2:]
     Mc = _charge_part(1.0 + 1.0j, xi, MAT3)
     M = resolvent_matrix(1.0 + 1.0j, xi, MAT3)
     for i, j in M3_ZERO_ENTRIES:
@@ -176,8 +165,8 @@ def test_flip_entry_breaks_inverse():
 def test_projectors_resolve_identity(mat, band):
     # the terms W_j and the charge projector sum to I and are mutually
     # orthogonal idempotents, here and in the axis-guard band
-    xi = _guard_band_xi(300) if band else _random_xi(300, mat.dim)
-    P = _projectors(xi, mat)
+    xi = guard_band_xi(RNG, 300) if band else _random_xi(300, mat.dim)
+    P = projectors(xi, mat)
     nc = mat.dim - 1
     family = [sum(P[:nc])] + P[nc:]
     eye = np.eye(3 if mat.dim == 2 else 6)

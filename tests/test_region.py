@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from maxres import region as rg
 from maxres import spectral as sp
 from maxres.errors import (EmptyRegion, ExponentOrder, GridTooCoarse,
-                           OnSingularSet)
+                           InvalidArgument, OnSingularSet)
 from maxres.materials import Material2, Material3
 from maxres.region import LebesguePair as P
 
@@ -139,6 +141,19 @@ def test_z_boundary_curved_case():
                   - np.sort_complex(-np.conj(b))).max() < 1e-13
 
 
+@pytest.mark.parametrize('pair,ell', [
+    (P(0.6, 0.4, 2), 1e300),        # radii below the smallest double
+    (P(0.6, 0.4, 2), 1e-300),       # radii beyond the largest double
+    (P(0.9, 0.1, 2), 1e300),        # alpha < 0: the radius grows with ell
+], ids=['underflow', 'overflow', 'negative-alpha'])
+def test_z_boundary_refuses_unrepresentable_radii(pair, ell):
+    # the curve would be written as signed zeros or +-inf
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        with pytest.raises(InvalidArgument, match='ell'):
+            rg.z_boundary(rg.RegionQuery(pair, ell=ell), resolution=16)
+
+
 def test_eigenvalue_enclosure():
     g = sp.Grid(2, 16)
     V = sp.scalar_field(g, np.full((16, 16), 0.3))
@@ -168,7 +183,7 @@ def test_loglog_fit_exact_power_law():
 
 def test_frequency_pickers():
     g = sp.Grid(2, 64)
-    om = rg.on_sphere_frequency(g, MAT2, near=3.0)
+    om = rg.on_sphere_frequency(g, MAT2)
     rho = rg.characteristic_radii(g.xi_flat(), MAT2)[0]
     assert np.abs(rho - om).min() == 0.0
     off = rg.off_sphere_frequency(g, MAT2, near=3.0)
@@ -211,7 +226,7 @@ def test_annulus_source_is_resolvent_eigenvector():
     # on the annulus modes the resolvent acts as the scalar
     # 1/(i(omega - rho)); check against a direct solve
     g = sp.Grid(2, 64)
-    om = rg.on_sphere_frequency(g, MAT2, near=3.0)
+    om = rg.on_sphere_frequency(g, MAT2)
     J = rg.annulus_source(g, om, MAT2, thickness=1.0, rng=RNG)
     omega = om + 0.125j
     u = sp.solve(omega, J, MAT2)
@@ -250,7 +265,7 @@ def test_knapp_source_support():
 
 def test_norm_scaling_probe_blowup_slope():
     g = sp.Grid(2, 64)
-    om = rg.on_sphere_frequency(g, MAT2, near=3.0)
+    om = rg.on_sphere_frequency(g, MAT2)
     omegas = [om + 1j * 2.0 ** -k for k in range(3, 9)]
     fit, xs, ys = rg.norm_scaling_probe(P(0.5, 0.5, 2), MAT2, 'radial',
                                         omegas, grid=g, vary='dist')

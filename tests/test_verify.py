@@ -159,10 +159,10 @@ def test_run_all_checks_its_inputs_first(monkeypatch):
         verify.run_all(0, 3_000, flip_entry=(3, 0))
 
 
-def _sign_flipped_apply(omegas, xi, c, mat, weights=(1.0,), skip=()):
+def _sign_flipped_apply(xi, c, mat, w):
     """multiplier._apply with the first propagating column of w negated."""
     m, minv, rho = symbol._eigen_basis(xi, mat)
-    w = multiplier._scalar_resolvents(omegas, rho, weights, skip)
+    w = np.array(w(rho), dtype=complex)
     w[..., mat.dim - 1] *= -1
     return multiplier._rmatmul(m, w[..., None] * multiplier._rmatmul(minv, c))
 
