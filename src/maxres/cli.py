@@ -141,8 +141,7 @@ def build_source(cp, grid, mat, rng):
         f = fieldfile.read_field(path)
         if f.grid.dim != grid.dim or f.grid.n != grid.n:
             raise ConfigError("source file grid does not match [grid]")
-        # one FFT; the solve, its residual and the charges read the block
-        return spectral._in_coeffs(f)
+        return f
     if kind in ('random', 'solenoidal'):
         kmax = _get(cp, 'source', 'kmax', int, default=grid.n // 4)
         return spectral.random_band_limited(
@@ -371,11 +370,9 @@ def cmd_probe(args, cp):
                'fitted_slope = %s' % format_float(fit.slope),
                'fit_residual = %s' % format_float(fit.residual)])
         return EXIT_OK
-    if family == 'annulus':
-        family = 'radial'
     if family == 'knapp' and grid.dim != 3:
         raise ConfigError("probe family knapp needs a 3D grid")
-    if family in ('radial', 'knapp'):
+    if family in ('annulus', 'knapp'):
         vary = _get(cp, 'probe', 'vary', str, default='dist')
         count = _get(cp, 'probe', 'samples', int, default=6)
         if count < 2:
@@ -387,8 +384,10 @@ def cmd_probe(args, cp):
         else:
             omegas = [lam + 0.25j for lam in
                       np.linspace(4.0, 10.0, count)]
-        fit, xs, ys = region.norm_scaling_probe(pair, mat, family, omegas,
-                                                grid, vary, rng)
+        # the library calls the annulus family 'radial'
+        fit, xs, ys = region.norm_scaling_probe(
+            pair, mat, 'radial' if family == 'annulus' else family, omegas,
+            grid, vary, rng)
         write_csv(os.path.join(out, 'probe.csv'), ('parameter', 'norm_ratio'),
                   list(zip(map(float, xs), map(float, ys))))
         _emit(['family = %s' % family, 'vary = %s' % vary,

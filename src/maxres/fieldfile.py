@@ -69,5 +69,5 @@ def read_field(path):
             "file length %d does not match header (expected %d)"
             % (len(raw), expected))
     data = np.frombuffer(raw, dtype="<c16", count=count, offset=off)
-    data = data.astype(np.complex128).reshape((ncomp,) + (n,) * dim)
-    return Field(Grid(dim, n, length), data.copy())
+    # Field keeps its own read-only copy of the samples
+    return Field(Grid(dim, n, length), data.reshape((ncomp,) + (n,) * dim))

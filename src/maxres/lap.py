@@ -178,14 +178,13 @@ def _phase_blocks(grid, xi_pts):
 
 
 def _support_block(f):
-    """f's coefficient block on its held per-axis support S_a
-    (spectral.Field), and per axis the lattice phases e^{-i x xi_k} / n,
-    k in S_a, of shape (n, |S_a|)."""
-    c, sup = f._held()
+    """f's coefficient block on its per-axis support S_a (spectral.Field),
+    and per axis the lattice phases e^{-i x xi_k} / n, k in S_a, of shape
+    (n, |S_a|)."""
     n = f.grid.n
     # x_m xi_k = 2 pi m k / n for lattice xi_k, centered or not
     roots = np.exp(-1j * TAU * np.arange(n) / n) / n
-    return c, [roots[np.outer(np.arange(n), s) % n] for s in sup]
+    return f._kept, [roots[np.outer(np.arange(n), s) % n] for s in f._sup]
 
 
 def _forward(cb, lat, tabs):
@@ -448,7 +447,6 @@ def _extrapolate(omega, J, mat):
         canon, Jc, record = symbol.canonicalize(mat, J)
         return tuple(record.backward_fields(p)
                      for p in _extrapolate(omega, Jc, canon))
-    J = spectral._in_coeffs(J)
     a = richardson_limit(list(np.eye(LEVELS)))
     y = DELTA0 * 0.5 ** np.arange(LEVELS)
     plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, J, mat,
@@ -476,7 +474,6 @@ def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
             "n_sphere must be even in 3D (got %d): an odd Gauss-Legendre "
             "order puts a node on the distinguished axis" % n_sphere)
     beta = default_cutoff(grid, omega, mat)
-    J = spectral._in_coeffs(J)
     c, xi = spectral._modes(J)
     _, near = _mode_masks(xi, omega, mat, MARGIN)
     common = None

@@ -5,18 +5,17 @@ convention f(x) = sum_k c_k exp(i x . xi_k) with xi_k = 2 pi k / length,
 c = fftn(f) / n^d.  All multiplier identities are exact on the discrete
 frequency lattice.
 
-A Field holds samples or coefficients and computes the other array only
-when it is read; a coefficient field holds a dense block on a per-axis
-support and is exactly 0 elsewhere (see Field), so a band-limited source
-holds its band.  Every multiplier here reads the block and the
-wavevectors of its support (_modes) and returns a field on the same
-support (_like), and an L^2 norm of a coefficient field is Parseval's sum
-over the block, so a chain of multipliers costs the band and runs no FFT
-until its samples are read.  The lattice inverse and the forward
-operator touch only the modes where the coefficients are nonzero, and
-build their per-mode matrices block by block (symbol._blocks): each
-(block, ncomp, ncomp) array is about 2 MiB, so it stays in a core's L2
-cache between its construction and its use.
+A Field holds its coefficients as a dense block on a per-axis support
+and is exactly 0 elsewhere; its samples are a cached, read-only view
+(see Field), so a band-limited source holds its band.  Every multiplier
+here reads the block and the wavevectors of its support (_modes) and
+returns a field on the same support (_like), and an L^2 norm is
+Parseval's sum over the block, so a chain of multipliers costs the band
+and runs no FFT until its samples are read.  The lattice inverse and the
+forward operator touch only the modes where the coefficients are
+nonzero, and build their per-mode matrices block by block
+(symbol._blocks): each (block, ncomp, ncomp) array is about 2 MiB, so it
+stays in a core's L2 cache between its construction and its use.
 """
 
 import functools
@@ -41,6 +40,10 @@ class Grid:
     length: float = TAU
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer))
+                   for v in (self.dim, self.n)):
+            raise InvalidArgument("dim and n must be integers, got %r and %r"
+                                  % (self.dim, self.n))
         if self.dim not in (2, 3):
             raise InvalidArgument("dim must be 2 or 3")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
@@ -98,25 +101,29 @@ class Field:
     """Multi-component complex field on a grid, shape (ncomp, n, ..., n),
     component-major.
 
-    A field holds samples or spectral coefficients and computes the other
-    array only when something reads it.  ``Field(grid, data)`` holds the
-    samples, writable, and each coefficient read is one FFT.  A
-    coefficient field holds its coefficients only on a per-axis support
+    A field holds its spectral coefficients on a per-axis support
     S_1 x ... x S_d (sorted storage indices per axis), as a read-only
     block (ncomp, |S_1|, ..., |S_d|) in FFT storage order; every
-    coefficient outside the block is exactly 0.  Its samples are
-    synthesized on the first read (the block scattered into zeros, one
-    inverse FFT) and cached read-only, so the two cannot drift apart.
+    coefficient outside the block is exactly 0.  Its samples are a
+    cached, read-only view: ``Field(grid, data)`` transforms the given
+    samples once (one FFT) into a full-grid block and keeps a read-only
+    copy of them; any other field synthesizes its samples on the first
+    read (the block scattered into zeros, one inverse FFT).
     """
+
+    # numpy operators defer to the field's, so an array operand is
+    # refused, not broadcast over as an object array
+    __array_ufunc__ = None
 
     def __init__(self, grid, data):
         self.grid = grid
-        self._data = data
-        # the coefficient block, if held, its per-axis support (here the
-        # whole grid) and the support's wavevectors, once read
-        self._kept = self._xi = None
-        self._sup = _full_support(grid)
-        _check(data, (grid.n,) * grid.dim)
+        self._data = np.array(data, dtype=complex)
+        _check(self._data, (grid.n,) * grid.dim)
+        self._data.flags.writeable = False
+        # the support's wavevectors, once read
+        self._sup, self._xi = _full_support(grid), None
+        self._kept = np.fft.fftn(self._data, axes=self._axes, norm='forward')
+        self._kept.flags.writeable = False
 
     @classmethod
     def _on_support(cls, grid, c, sup, xi=None):
@@ -154,15 +161,21 @@ class Field:
         _check(c, (grid.n,) * grid.dim, finite=False)
         return cls._tight(grid, c, _full_support(grid))
 
+    @classmethod
+    def zeros(cls, grid, ncomp):
+        """The zero field: an empty block, with no n^d array built."""
+        return cls._on_support(grid, np.zeros((ncomp,) + (0,) * grid.dim),
+                               (np.arange(0),) * grid.dim)
+
     @property
     def _axes(self):
         return tuple(range(1, self.grid.dim + 1))
 
     @property
     def data(self):
-        """The samples; for a coefficient field one inverse FFT of the
-        full coefficient array, made on the first read and cached
-        read-only."""
+        """The samples, read-only: the ones the field was built from, or
+        one inverse FFT of the full coefficient array, made on the first
+        read and cached."""
         if self._data is None:
             self._data = np.fft.ifftn(self._spectrum(), axes=self._axes,
                                       norm='forward')
@@ -175,29 +188,12 @@ class Field:
 
     @property
     def ncomp(self):
-        return len(self._data if self._kept is None else self._kept)
-
-    @classmethod
-    def zeros(cls, grid, ncomp):
-        return cls(grid, np.zeros((ncomp,) + (grid.n,) * grid.dim,
-                                  dtype=complex))
-
-    def copy(self):
-        return Field(self.grid, self.data.copy())
-
-    def _held(self):
-        """(block, support): the coefficients on the per-axis support,
-        for reading only; a sample field's support is the whole grid and
-        its block one FFT of the samples."""
-        return (self._spectrum() if self._kept is None else self._kept,
-                self._sup)
+        return len(self._kept)
 
     def _spectrum(self):
         """The coefficients, shape (ncomp, n, ..., n), for reading only:
         the block itself when it covers the grid, else the block
-        scattered into zeros; one FFT of the samples."""
-        if self._kept is None:
-            return np.fft.fftn(self._data, axes=self._axes, norm='forward')
+        scattered into zeros."""
         if self._kept.shape == self.shape:
             return self._kept
         c = _embed(self._kept, self._sup, _full_support(self.grid))
@@ -207,31 +203,30 @@ class Field:
     def coeffs(self):
         """Spectral coefficients, shape (ncomp, n, ..., n), as a fresh
         writable array."""
-        if self._kept is None:
-            return self._spectrum()
         return _embed(self._kept, self._sup, _full_support(self.grid))
 
     def _permuted(self, comp, perm, fix):
         """The field with component i taken from component comp[i] and
-        grid axis a from axis perm[a], in one fresh copy of the held array
-        (the block, whose support moves with it, or the samples); fix(out)
-        runs on the copy before it is wrapped."""
-        held = self._data if self._kept is None else self._kept
-        out = np.empty((len(comp),) + tuple(held.shape[1 + p] for p in perm),
-                       held.dtype)
+        grid axis a from axis perm[a], in one fresh copy of the block,
+        whose support moves with it; fix(out) runs on the copy before it
+        is wrapped."""
+        out = np.empty((len(comp),) + tuple(self._kept.shape[1 + p]
+                                            for p in perm), complex)
         for i, j in enumerate(comp):
-            out[i] = held[j].transpose(perm)
+            out[i] = self._kept[j].transpose(perm)
         fix(out)
-        if self._kept is None:
-            return Field(self.grid, out)
         return Field._on_support(self.grid, out,
                                  tuple(self._sup[p] for p in perm))
 
     def _combine(self, other, op):
-        # on the blocks when both operands hold coefficients (on the union
-        # of the supports when they differ), else in samples
-        if self._kept is None or other._kept is None:
-            return Field(self.grid, op(self.data, other.data))
+        # on the blocks, on the union of the supports when they differ
+        if not isinstance(other, Field):
+            return NotImplemented
+        if other.grid != self.grid or other.ncomp != self.ncomp:
+            raise InvalidArgument(
+                "cannot combine a %d-component field on %r with a "
+                "%d-component field on %r"
+                % (self.ncomp, self.grid, other.ncomp, other.grid))
         if all(s is t or np.array_equal(s, t)
                for s, t in zip(self._sup, other._sup)):
             return _like(self, op(self._kept, other._kept))
@@ -248,9 +243,11 @@ class Field:
         return self._combine(other, np.subtract)
 
     def __mul__(self, c):
-        if self._kept is not None:
-            return _like(self, self._kept * c)
-        return Field(self.grid, self.data * c)
+        if np.ndim(c) != 0:
+            raise InvalidArgument("a field multiplies by scalars only, not "
+                                  "by a %s of shape %r"
+                                  % (type(c).__name__, np.shape(c)))
+        return _like(self, self._kept * c)
 
     __rmul__ = __mul__
 
@@ -279,14 +276,13 @@ def _embed(c, sup, into):
 
 
 def _modes(f):
-    """(c, xi): f's coefficients on its held support (Field._held)
-    flattened to (ncomp, m), and the m wavevectors of those modes,
-    (m, dim), read-only and in the same order: rows of grid.xi_flat()."""
-    c, sup = f._held()
+    """(c, xi): f's coefficient block flattened to (ncomp, m), and the m
+    wavevectors of its support, (m, dim), read-only and in the same
+    order: rows of grid.xi_flat()."""
     if f._xi is None:
-        full = all(len(s) == f.grid.n for s in sup)
-        f._xi = f.grid.xi_flat() if full else f.grid._xi_on(sup)
-    return c.reshape(len(c), -1), f._xi
+        full = all(len(s) == f.grid.n for s in f._sup)
+        f._xi = f.grid.xi_flat() if full else f.grid._xi_on(f._sup)
+    return f._kept.reshape(len(f._kept), -1), f._xi
 
 
 def _like(f, c, tight=False):
@@ -299,27 +295,20 @@ def _like(f, c, tight=False):
     return Field._on_support(f.grid, c, f._sup, f._xi)
 
 
-def _in_coeffs(f):
-    """f itself when it holds coefficients, else the coefficient field of
-    its samples: one FFT, after which multipliers read the block."""
-    return f if f._kept is not None else Field.from_coeffs(f.grid,
-                                                          f._spectrum())
-
-
 def scalar_field(grid, values):
     """Wrap a plain (n, ..., n) array as a one-component Field."""
-    return Field(grid, np.asarray(values, dtype=complex)[None])
+    return Field(grid, np.asarray(values)[None])
 
 
 def lebesgue_norm(f, p):
     """Discrete L^p norm (cell-volume-weighted; p = inf gives the max).
 
     Vector fields use the pointwise Euclidean magnitude over components.
-    For p = 2 a coefficient field takes Parseval's identity (the
-    'forward' normalization), (volume sum |c|^2)^(1/2), on its block and
-    with no FFT.
+    p = 2 is Parseval's identity (the 'forward' normalization),
+    (volume sum |c|^2)^(1/2), on the block and with no FFT; any other p
+    reads the samples.
     """
-    if f._kept is not None and p == 2:
+    if p == 2:
         return float(np.sqrt(f.grid.volume * np.vdot(f._kept, f._kept).real))
     mag = np.sqrt(np.sum(np.abs(f.data) ** 2, axis=0))
     if np.isinf(p):

@@ -316,9 +316,9 @@ class TransformRecord:
 
     Stores the cyclic axis permutation and the permeability that was
     folded into the permittivity; knows how to map currents into the
-    canonical frame and solution fields back out.  A coefficient field
-    stays one through both maps, on the permuted support: the lattice
-    has the same permutation symmetry as the grid.
+    canonical frame and solution fields back out.  Both maps move the
+    field's coefficient block and permute its support: the lattice has
+    the same permutation symmetry as the grid.
     """
 
     def __init__(self, perm, mu):
@@ -332,8 +332,7 @@ class TransformRecord:
     def _permute(self, field, perm, op):
         """The field with axes and components moved by ``perm`` and the
         magnetic block combined with mu by the ufunc ``op``, in one copy
-        of the array the field holds (Field._permuted): its coefficient
-        block, whose support is permuted with it, else its samples."""
+        of the field's coefficient block (Field._permuted)."""
         comp = list(perm) + [3 + p for p in perm]
         return field._permuted(
             comp, perm, lambda out: op(out[3:], self.mu, out=out[3:]))

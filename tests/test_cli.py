@@ -96,7 +96,10 @@ def test_solve_runs_one_fft(tmp_path, capsys, monkeypatch, kind):
     grid, mat = cli.parse_grid(cp), cli.parse_material(cp)
     J = cli.build_source(cp, grid, mat, np.random.default_rng(4))
     u = fieldfile.read_field(out / 'fields.mxfd')
-    assert u._kept is None
+    # a field read from a file holds the FFT of its samples, read-only
+    assert np.array_equal(u._kept, np.fft.fftn(u.data, axes=(1, 2, 3),
+                                               norm='forward'))
+    assert not u.data.flags.writeable and not u._kept.flags.writeable
     resid = spectral.forward_operator(complex(2.1, 0.4), u, mat) - J
     rel = spectral.lebesgue_norm(resid, 2) / spectral.lebesgue_norm(J, 2)
     assert rel < 1e-10
@@ -373,6 +376,17 @@ def test_probe_blowup_slope(tmp_path, capsys):
     lines = (out / 'probe.csv').read_text().splitlines()
     assert lines[0] == 'delta,norm_ratio'
     assert len(lines) == 8
+
+
+def test_probe_annulus_reports_its_family(tmp_path, capsys):
+    cfg = _write(tmp_path, 'p.ini',
+                 "[grid]\ndim = 2\nn = 16\n"
+                 "[material]\neps11 = 1.0\neps22 = 1.0\n"
+                 "[probe]\nfamily = annulus\n")
+    out = tmp_path / 'p'
+    assert cli.main(['probe', '--config', cfg, '--out', str(out)]) == 0
+    assert 'family = annulus' in capsys.readouterr().out.splitlines()
+    assert len((out / 'probe.csv').read_text().splitlines()) == 7
 
 
 def test_probe_knapp_needs_3d(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from maxres import region as rg
 from maxres import spectral as sp
 from maxres import symbol
-from maxres.errors import MeanNotZero, RealFrequency
+from maxres.errors import InvalidArgument, MeanNotZero, RealFrequency
 from maxres.materials import Material2, Material3
 from helpers import charge_column_2d, charge_column_3d
 
@@ -25,6 +25,11 @@ def test_grid_basics():
         sp.Grid(2, 12)          # not a power of two
     with pytest.raises(ValueError):
         sp.Grid(4, 8)
+    # dim and n are integers; numpy integers are accepted
+    for dim, n in ((2, 16.0), (2, '16'), (2.0, 8)):
+        with pytest.raises(InvalidArgument, match='integers'):
+            sp.Grid(dim, n)
+    assert sp.Grid(np.int64(2), np.int32(16)).npoints == 256
 
 
 def test_xi_lattice_built_once_and_read_only():
@@ -253,9 +258,17 @@ def test_kept_coefficients_are_read_only():
     assert np.array_equal(got, c)
     got[0, 0, 0] = 7.0
     assert f._spectrum()[0, 0, 0] == c[0, 0, 0]
-    # fields from samples and copies keep nothing
-    for h in (sp.Field(g, f.data.copy()), f.copy()):
-        assert h._kept is None and h.data.flags.writeable
+    # a field built from samples holds their FFT, and keeps a read-only
+    # copy of the caller's samples
+    s = f.data.copy()
+    h = sp.Field(g, s)
+    assert np.array_equal(h._kept, np.fft.fftn(s, axes=(1, 2),
+                                               norm='forward'))
+    assert np.array_equal(h.data, s) and not np.shares_memory(h.data, s)
+    for a in (h.data, h._kept):
+        with pytest.raises(ValueError, match='read-only'):
+            a[0, 0, 0] = 1.0
+    assert s.flags.writeable
     # arithmetic on coefficient fields stays in coefficients
     for h, kept, samples in ((f + f, c + c, f.data + f.data),
                              (2.0 * f, 2.0 * c, 2.0 * f.data)):
@@ -320,10 +333,11 @@ def test_forward_operator_on_kept_coefficients():
                                         (sp.Grid(3, 16), 6)])
 def test_parseval_norm_matches_the_sample_sum(grid, ncomp):
     f = sp.random_band_limited(grid, ncomp, RNG, kmax=grid.n // 2)
-    samples = sp.Field(grid, f.data.copy())
-    assert samples._kept is None and f._kept is not None
-    got, ref = sp.lebesgue_norm(f, 2), sp.lebesgue_norm(samples, 2)
-    assert abs(got - ref) <= 1e-14 * ref
+    ref = np.sqrt(np.sum(np.abs(f.data) ** 2) * grid.cell_volume)
+    samples = sp.Field(grid, f.data)
+    for h in (f, samples):
+        got = sp.lebesgue_norm(h, 2)
+        assert abs(got - ref) <= 1e-14 * ref
     # other exponents read the samples
     assert sp.lebesgue_norm(f, 4) == sp.lebesgue_norm(samples, 4)
 
@@ -393,9 +407,9 @@ def test_canonical_form_moves_only_the_held_array():
     back = record.backward_fields(Jc)
     assert back._data is None and _rel(back._spectrum(),
                                        J._spectrum()) < 1e-15
-    # a sample field stays one
-    _, Js, _ = symbol.canonicalize(mat, sp.Field(J.grid, J.data.copy()))
-    assert Js._kept is None
+    # a field built from samples moves its full-grid block the same way
+    _, Js, _ = symbol.canonicalize(mat, sp.Field(J.grid, J.data))
+    assert Js._data is None and Js._kept.shape == Js.shape
     assert _rel(Js.data, Jc.data) < 1e-15
 
 
@@ -458,3 +472,36 @@ def test_fields_on_different_supports_combine_on_their_union():
                     (b - a, b.coeffs() - a.coeffs())):
         assert h._kept.shape == b._kept.shape
         assert np.array_equal(h._spectrum(), want)
+
+
+def test_field_sums_need_one_grid_and_one_component_count():
+    a = sp.random_band_limited(sp.Grid(2, 16), 3, RNG)
+    for b in (sp.random_band_limited(sp.Grid(2, 32), 3, RNG),
+              sp.random_band_limited(sp.Grid(2, 16, length=3.0), 3, RNG),
+              sp.random_band_limited(sp.Grid(2, 16), 1, RNG)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(InvalidArgument) as err:
+                op(a, b)
+            msg = str(err.value)
+            assert repr(a.grid) in msg and repr(b.grid) in msg
+            assert '%d-component' % a.ncomp in msg
+            assert '%d-component' % b.ncomp in msg
+    # a non-field operand is Python's TypeError, not an AttributeError
+    for other in (1.0, np.ones(3)):
+        with pytest.raises(TypeError):
+            a + other
+
+
+def test_fields_multiply_by_scalars_only():
+    g = sp.Grid(2, 16)
+    w = RNG.standard_normal((16, 16))
+    for f in (sp.random_band_limited(g, 3, RNG, kmax=8),
+              sp.random_band_limited(g, 3, RNG)):
+        for bad in (w, w[None], [1.0, 2.0], f):
+            with pytest.raises(InvalidArgument, match='scalars'):
+                f * bad
+            with pytest.raises(InvalidArgument, match='scalars'):
+                bad * f
+        for a in (2.0, np.float64(-1.5), np.array(0.5j), 3):
+            assert np.array_equal((f * a).coeffs(), f.coeffs() * a)
+            assert np.array_equal((a * f).coeffs(), f.coeffs() * a)
