@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import (DegenerateDirection, GridTooCoarse, InvalidArgument,
                      MethodsDisagree, QuadratureNotConverged)
-from .materials import Material3
 from .spectral import TAU
 from . import multiplier, region, spectral, symbol
 
@@ -443,10 +442,6 @@ def _extrapolate(omega, J, mat):
     solve(omega + i y_k, J), y_k = sign DELTA0 2^(-k), k < LEVELS.  The
     limit is a fixed linear combination sum_k a_k of the solves, so each
     sign is one _solve_coeffs pass with the weights a_k."""
-    if isinstance(mat, Material3) and not mat.is_canonical:
-        canon, Jc, record = symbol.canonicalize(mat, J)
-        return tuple(record.backward_fields(p)
-                     for p in _extrapolate(omega, Jc, canon))
     a = richardson_limit(list(np.eye(LEVELS)))
     y = DELTA0 * 0.5 ** np.arange(LEVELS)
     plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, J, mat,
@@ -458,14 +453,6 @@ def _extrapolate(omega, J, mat):
 def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
     """lap_parts' quadrature route: (common, surface), surface =
     surface_terms(sign=+1); with_pv=False skips common (None)."""
-    omega = float(omega)
-    if omega == 0:
-        raise InvalidArgument("omega must be nonzero real")
-    if isinstance(mat, Material3) and not mat.is_canonical:
-        canon, Jc, record = symbol.canonicalize(mat, J)
-        return tuple(p if p is None else record.backward_fields(p)
-                     for p in _quadrature_parts(omega, Jc, canon, n_sphere,
-                                                n_radial, with_pv))
     grid = J.grid
     if n_sphere is None:
         n_sphere = 160 if grid.dim == 2 else 12
@@ -525,16 +512,17 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     if cross_tol is not None and not 0 <= cross_tol < np.inf:
         raise InvalidArgument("cross_tol must be finite and >= 0, got %r"
                               % (cross_tol,))
+    canon, Jc, record = symbol.canonicalize(mat, J)
     routes = {
-        'quadrature': lambda: _quadrature_parts(omega, J, mat, n_sphere,
+        'quadrature': lambda: _quadrature_parts(omega, Jc, canon, n_sphere,
                                                 n_radial),
-        'extrapolate': lambda: _extrapolate(omega, J, mat)}
+        'extrapolate': lambda: _extrapolate(omega, Jc, canon)}
     if method not in routes:
         raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
-    common, jump = routes[method]()
+    common, jump = map(record.backward_fields, routes[method]())
     if cross_tol is not None:
-        o_common, o_jump = routes['extrapolate' if method == 'quadrature'
-                                  else 'quadrature']()
+        o_common, o_jump = map(record.backward_fields, routes[
+            'extrapolate' if method == 'quadrature' else 'quadrature']())
         for sign in (+1, -1):
             u = common + sign * jump
             rel = (spectral.lebesgue_norm(u - (o_common + sign * o_jump), 2)
@@ -561,9 +549,13 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', n_sphere=None,
 def surface_terms(omega, J, mat, sign=+1, n_sphere=None):
     """sign times the jump of lap_parts' quadrature route (all
     characteristic spheres); no principal value is computed."""
-    _, surface = _quadrature_parts(omega, J, mat, n_sphere, None,
+    omega = float(omega)
+    if omega == 0:
+        raise InvalidArgument("omega must be nonzero real")
+    canon, Jc, record = symbol.canonicalize(mat, J)
+    _, surface = _quadrature_parts(omega, Jc, canon, n_sphere, None,
                                    with_pv=False)
-    return sign * surface
+    return sign * record.backward_fields(surface)
 
 
 def lap_blowup_probe(omega, pair, mat, deltas, grid):

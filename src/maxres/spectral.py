@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (InvalidArgument, MeanNotZero, OnSingularSet,
                      RealFrequency)
-from .materials import Material3
 from . import multiplier, symbol
 
 TAU = 2.0 * np.pi
@@ -397,19 +396,17 @@ def solve(omega, J, mat):
     i omega I, fall back to a direct solve (_solve_coeffs).  The solve
     runs on J's held block, and only on its nonzero modes, so a J built
     from band-limited coefficients costs its band, not the grid, and u
-    is held on the same support.
-    Non-canonical 3D materials are routed through canonical form.
+    is held on the same support.  It runs in the canonical frame
+    (symbol.canonicalize), and u is mapped back.
     """
     omega = complex(omega)
     if omega.imag == 0:
         raise RealFrequency("solve needs Im(omega) != 0; "
                             "use the lap module at real frequency")
-    if isinstance(mat, Material3) and not mat.is_canonical:
-        canon, Jc, record = symbol.canonicalize(mat, J)
-        u = solve(omega, Jc, canon)
-        del Jc          # freed before backward_fields allocates
-        return record.backward_fields(u)
-    return _like(J, _solve_coeffs([omega], J, mat))
+    canon, Jc, record = symbol.canonicalize(mat, J)
+    u = _like(Jc, _solve_coeffs([omega], Jc, canon))
+    del Jc          # freed before backward_fields allocates
+    return record.backward_fields(u)
 
 
 def _flavor_qform(flavor, mat, dim):

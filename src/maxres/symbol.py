@@ -18,8 +18,8 @@ and matrices come back as (..., m, m).
 
 import numpy as np
 
-from .errors import DegenerateDirection
-from .materials import Material3
+from .errors import DegenerateDirection, InvalidArgument
+from .materials import Material2, Material3
 
 # Below this fraction of |xi|^2 in the transverse plane the 3D closed-form
 # eigenbasis is refused and callers invert the 6x6 symbol directly.
@@ -293,7 +293,8 @@ def det_diagnostics(xi, mat):
     """
     xi = np.asarray(xi, dtype=float)
     if not isinstance(mat, Material3):
-        raise TypeError("det_diagnostics applies to 3D materials")
+        raise InvalidArgument("det_diagnostics applies to 3D materials, got "
+                              "%r" % (mat,))
     n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
     if np.any(n == 0):
         raise DegenerateDirection("zero wavevector")
@@ -312,7 +313,7 @@ _AXIS_PERMS = {1: (0, 1, 2), 2: (1, 2, 0), 3: (2, 0, 1)}
 
 
 class TransformRecord:
-    """How a 3D material/current pair was brought to canonical form.
+    """How a material/current pair was brought to canonical form.
 
     Stores the cyclic axis permutation and the permeability that was
     folded into the permittivity; knows how to map currents into the
@@ -332,7 +333,9 @@ class TransformRecord:
     def _permute(self, field, perm, op):
         """The field with axes and components moved by ``perm`` and the
         magnetic block combined with mu by the ufunc ``op``, in one copy
-        of the field's coefficient block (Field._permuted)."""
+        of the field's coefficient block (Field._permuted), or none."""
+        if perm == (0, 1, 2) and self.mu == 1.0:
+            return field
         comp = list(perm) + [3 + p for p in perm]
         return field._permuted(
             comp, perm, lambda out: op(out[3:], self.mu, out=out[3:]))
@@ -347,7 +350,8 @@ class TransformRecord:
 
 
 def canonicalize(mat, currents=None):
-    """Bring a Material3 to axis=1, mu=1 form.
+    """Bring a material to axis=1, mu=1 form; a Material2 or a canonical
+    Material3 is its own, with ``currents`` itself and the identity map.
 
     Returns (canonical_material, transformed_currents, record).  The
     permutation is cyclic so the curl symbol is equivariant; the
@@ -355,8 +359,10 @@ def canonicalize(mat, currents=None):
     components of currents divided by mu on the way in and solution
     fields multiplied by mu on the way out.
     """
-    if not isinstance(mat, Material3):
-        raise TypeError("canonicalize applies to 3D materials")
+    if not isinstance(mat, (Material2, Material3)):
+        raise InvalidArgument("canonicalize takes a material, got %r" % (mat,))
+    if mat.dim == 2 or mat.is_canonical:
+        return mat, currents, TransformRecord((0, 1, 2), 1.0)
     record = TransformRecord(_AXIS_PERMS[mat.axis], mat.mu)
     canon = Material3(eps_axis=mat.mu * mat.eps_axis,
                       eps_perp=mat.mu * mat.eps_perp, axis=1, mu=1.0)
