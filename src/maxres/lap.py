@@ -450,12 +450,22 @@ def _extrapolate(omega, J, mat):
                  for v in (plus + minus, plus - minus))
 
 
+def _count(name, value):
+    """Refuse a node count that is not a positive integer."""
+    if not (isinstance(value, (int, np.integer)) and value > 0):
+        raise InvalidArgument("%s must be a positive integer, got %r"
+                              % (name, value))
+
+
 def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
     """lap_parts' quadrature route: (common, surface), surface =
     surface_terms(sign=+1); with_pv=False skips common (None)."""
     grid = J.grid
     if n_sphere is None:
         n_sphere = 160 if grid.dim == 2 else 12
+    _count('n_sphere', n_sphere)
+    if with_pv:
+        _count('n_radial', n_radial)
     if grid.dim == 3 and n_sphere % 2:
         raise DegenerateDirection(
             "n_sphere must be even in 3D (got %d): an odd Gauss-Legendre "
@@ -512,6 +522,7 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     if cross_tol is not None and not 0 <= cross_tol < np.inf:
         raise InvalidArgument("cross_tol must be finite and >= 0, got %r"
                               % (cross_tol,))
+    spectral._maxwell(J, mat)
     canon, Jc, record = symbol.canonicalize(mat, J)
     routes = {
         'quadrature': lambda: _quadrature_parts(omega, Jc, canon, n_sphere,
@@ -552,6 +563,7 @@ def surface_terms(omega, J, mat, sign=+1, n_sphere=None):
     omega = float(omega)
     if omega == 0:
         raise InvalidArgument("omega must be nonzero real")
+    spectral._maxwell(J, mat)
     canon, Jc, record = symbol.canonicalize(mat, J)
     _, surface = _quadrature_parts(omega, Jc, canon, n_sphere, None,
                                    with_pv=False)
@@ -574,12 +586,15 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid):
     grid solve, of the best mode at the smallest delta, checks it:
     MethodsDisagree if the two differ by more than 1e-10 relative.
     """
+    deltas = np.asarray(deltas, float)
+    if deltas.size < 2 or not np.all((deltas > 0) & (deltas < np.inf)):
+        raise InvalidArgument("need at least two finite deltas > 0, got %r"
+                              % (deltas,))
     xi = grid.xi_flat()
     sel, radii = region._annulus_modes(xi, omega, mat, 0.5)
     sel = sel[np.argsort(np.abs(radii - abs(omega)))[:48]]
     col = multiplier._singular_columns(abs(omega), mat)[0]
     scale = grid.volume ** (pair.y - pair.x)
-    deltas = np.asarray(deltas, float)
     omegas = abs(omega) + 1j * deltas
     rho = symbol._eigen_basis(xi[sel], mat)[2]
     w = np.array([np.abs(multiplier._scalar_resolvents([om], rho)[:, col])

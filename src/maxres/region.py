@@ -169,10 +169,7 @@ def z_boundary(query, resolution=256):
     a, g = alpha(pair), gamma(pair)
     _check_empty(pair, ell)
     if a == 0:
-        if g == 0:
-            # kappa == 1: level set is all of C \ R for ell >= 1
-            raise EmptyRegion("kappa is identically 1; the level curve "
-                              "kappa = %g is not a curve" % ell)
+        # gamma >= (d - 1)/(2d) > 0 on the line alpha = 0
         th = np.arcsin(min(ell ** (-1.0 / g), 1.0))
         rs = np.linspace(0.0, 2.0, resolution)
         upper = np.concatenate([(rs * np.exp(1j * (np.pi - th)))[::-1],

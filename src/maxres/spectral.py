@@ -326,10 +326,22 @@ def _support(c):
     return np.any(c != 0, axis=0)
 
 
+def _maxwell(f, mat=None):
+    """Refuse a field that is not a Maxwell field: 3 (d - 1) components
+    on a d-dimensional grid, and a material, if given, of dimension d."""
+    d = f.grid.dim
+    if f.ncomp != 3 * (d - 1) or getattr(mat, 'dim', d) != d:
+        raise InvalidArgument(
+            "a Maxwell field on a %dD grid has %d components and a %dD "
+            "material, got %d components and %r"
+            % (d, 3 * (d - 1), d, f.ncomp, mat))
+
+
 def forward_operator(omega, u, mat):
     """Apply the Maxwell operator P(omega, D) as a multiplier; at the zero
     mode the symbol is i omega I.  Modes where u's coefficients are 0
     stay 0 without building the symbol."""
+    _maxwell(u, mat)
     c, xi = _modes(u)
     out = np.zeros_like(c)
     idx = np.nonzero(_support(c))[0]
@@ -403,6 +415,7 @@ def solve(omega, J, mat):
     if omega.imag == 0:
         raise RealFrequency("solve needs Im(omega) != 0; "
                             "use the lap module at real frequency")
+    _maxwell(J, mat)
     canon, Jc, record = symbol.canonicalize(mat, J)
     u = _like(Jc, _solve_coeffs([omega], Jc, canon))
     del Jc          # freed before backward_fields allocates
@@ -429,6 +442,9 @@ def riesz(f, i, flavor='euclidean', mat=None):
 
     The zero mode is sent to 0.  Component index i is 1-based.
     """
+    if not (isinstance(i, (int, np.integer)) and 1 <= i <= f.grid.dim):
+        raise InvalidArgument("i must be an axis 1, ..., %d, got %r"
+                              % (f.grid.dim, i))
     c, xi = _modes(f)
     rho = flavor_norm(xi, flavor, mat, f.grid.dim)
     with np.errstate(divide='ignore', invalid='ignore'):
@@ -456,6 +472,7 @@ def leray_project(J, mat=None):
     complement the resolvent maps to pure charge terms.  Both versions
     leave a discretely divergence-free field; the zero mode is kept.
     """
+    _maxwell(J, mat)
     c, xi = _modes(J)
     xi = xi.T
     d = J.grid.dim
@@ -493,6 +510,7 @@ class Charges:
 
 def divergence_and_charges(J):
     """Spectral divergence i xi . J per block; zero mode exactly 0."""
+    _maxwell(J)
     c, xi = _modes(J)
     xi = xi.T
     d = J.grid.dim
@@ -509,6 +527,8 @@ def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     omega = complex(omega)
     if omega.imag == 0:
         raise RealFrequency("half-Laplacian resolvent needs Im(omega) != 0")
+    if sign not in (+1, -1):
+        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
     c, xi = _modes(f)
     rho = flavor_norm(xi, flavor, mat, f.grid.dim)
     return _like(f, c * (1.0 / (omega + sign * rho)))

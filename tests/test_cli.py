@@ -475,6 +475,15 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
     # an empty band, and a zero source whose relative residual is 0/0
     ('solve', SOLVE16 + "[source]\nkind = random\nkmax = -3\n"),
     ('solve', SOLVE16 + "[source]\nkind = file\npath = ZERO_MXFD\n"),
+    # a file source is a Maxwell field on the [grid] of the config
+    ('solve', SOLVE16 + "[source]\nkind = file\npath = ONE_COMPONENT_MXFD\n"),
+    ('lap', SOLVE16.replace('im = 0.5', 'im = 0')
+     + "[source]\nkind = file\npath = ONE_COMPONENT_MXFD\n"),
+    ('solve', SOLVE16.replace('n = 16', 'n = 32')
+     + "[source]\nkind = file\npath = ZERO_MXFD\n"),
+    # a missing key, and an unknown one with no close match
+    ('solve', SOLVE16.replace('eps22 = 1.2\n', '')),
+    ('solve', SOLVE16 + "[source]\nzzz = 1\n"),
     # a slope needs two samples; vary has two values
     ('probe', PROBE16 + "samples = 1\n"),
     ('probe', PROBE16 + "vary = other\n"),
@@ -506,7 +515,10 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
         'lap-negative-cross-tol-extrapolate', 'lap-nan-cross-tol',
         'lap-inf-cross-tol', 'solve-nan-re', 'solve-inf-im',
         'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan',
-        'solve-negative-kmax', 'solve-zero-source', 'probe-one-sample',
+        'solve-negative-kmax', 'solve-zero-source',
+        'solve-one-component-file', 'lap-one-component-file',
+        'solve-file-grid-mismatch', 'solve-missing-key',
+        'solve-unknown-key-no-match', 'probe-one-sample',
         'probe-unknown-vary', 'solve-inf-eps11', 'solve-huge-eps12',
         'solve-inf-mu', 'lap-inf-eps-axis', 'probe-inf-eps11',
         'boundary-inf-ell', 'boundary-huge-ell', 'boundary-tiny-ell',
@@ -518,6 +530,12 @@ def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
         fieldfile.write_field(zero, spectral.Field.zeros(spectral.Grid(2, 16),
                                                          3))
         text = text.replace('ZERO_MXFD', str(zero))
+    one_component = 'ONE_COMPONENT_MXFD' in text
+    if one_component:
+        one = tmp_path / 'one.mxfd'
+        fieldfile.write_field(one, spectral.scalar_field(
+            spectral.Grid(2, 16), np.ones((16, 16))))
+        text = text.replace('ONE_COMPONENT_MXFD', str(one))
     cfg = _write(tmp_path, 'job.ini', text)
     assert cli.main([cmd, '--config', cfg,
                      '--out', str(tmp_path / 'o')]) == 1
@@ -525,6 +543,8 @@ def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     assert err.startswith('error: ') and err.count('\n') == 1
     if 'axis = 2' in text:
         assert 'axis = 1 and mu = 1' in err
+    if one_component:
+        assert 'Maxwell field on a 2D grid has 3 components' in err
 
 
 @pytest.mark.parametrize('cmd,text', [

@@ -73,3 +73,15 @@ def test_noncubic_rejected(tmp_path):
     path.write_bytes(header + payload)
     with pytest.raises(FieldFormatError):
         fieldfile.read_field(path)
+
+
+@pytest.mark.parametrize('dim', [1, 4])
+def test_dimension_other_than_2_or_3_rejected(tmp_path, dim):
+    header = (fieldfile.MAGIC
+              + struct.pack('<3I', fieldfile.VERSION, dim, 1)
+              + struct.pack('<%dI' % dim, *([4] * dim))
+              + struct.pack('<%dd' % dim, *([2 * np.pi] * dim)))
+    path = tmp_path / 'dim.mxfd'
+    path.write_bytes(header + np.zeros(4 ** dim, dtype='<c16').tobytes())
+    with pytest.raises(FieldFormatError, match='dimension must be 2 or 3'):
+        fieldfile.read_field(path)

@@ -6,8 +6,9 @@ from maxres import multiplier as mp
 from maxres import region as rg
 from maxres import spectral as sp
 from maxres import symbol
-from maxres.errors import (DegenerateDirection, MethodsDisagree,
-                           OnSingularSet)
+from maxres.errors import (DegenerateDirection, InvalidArgument,
+                           MethodsDisagree, OnSingularSet,
+                           QuadratureNotConverged)
 from maxres.materials import Material2, Material3
 from helpers import PerturbedFactors, guard_band_xi, projectors
 
@@ -231,6 +232,8 @@ def test_e_delta_validation():
         lap.e_delta(f, -1.0, 0.1)
     with pytest.raises(ValueError):
         lap.e_delta(f, 2.0, 0.9)
+    with pytest.raises(InvalidArgument, match='method'):
+        lap.e_delta(f, 2.0, 0.1, method='lattise')
 
 
 def test_surface_part_closed_form():
@@ -524,3 +527,84 @@ def test_blowup_probe_checks_closed_form(monkeypatch):
     with pytest.raises(MethodsDisagree, match='closed form'):
         lap.lap_blowup_probe(omega, rg.LebesguePair(0.5, 0.5, 2), MAT2,
                              [2.0 ** -3, 2.0 ** -6], grid=g)
+
+
+@pytest.mark.parametrize('mat', [MAT3, Material3(0.5, 1.0 / 0.7, axis=2,
+                                                 mu=1.3)],
+                         ids=['canonical', 'axis2-mu1.3'])
+def test_one_frame_map_per_call(monkeypatch, mat):
+    # every entry point maps its current into the canonical frame once,
+    # and both lap_parts routes of a cross-checked call share that map
+    calls = []
+    real = symbol.canonicalize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symbol, 'canonicalize', counting)
+    J = sp.random_band_limited(sp.Grid(3, 16), 6, RNG, kmax=1)
+    runs = [lambda: sp.solve(OMEGA + 0.4j, J, mat),
+            lambda: lap.surface_terms(OMEGA, J, mat)]
+    for method in ('quadrature', 'extrapolate'):
+        for tol in (None, 10.0):
+            runs.append(lambda m=method, t=tol: lap.lap_parts(
+                OMEGA, J, mat, m, cross_tol=t))
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1 and calls[0][1] is J
+
+
+_F1 = sp.random_band_limited(sp.Grid(2, 16), 1, np.random.default_rng(1))
+_J2 = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(2))
+_J3 = sp.random_band_limited(sp.Grid(3, 16), 6, np.random.default_rng(3))
+BAD_ARGUMENTS = {
+    # riesz(f, 0) read the last axis through xi[:, -1]
+    'riesz-axis-0': (lambda: sp.riesz(_F1, 0), 'axis'),
+    'riesz-axis-3-in-2d': (lambda: sp.riesz(_F1, 3), 'axis'),
+    'riesz-axis-1.5': (lambda: sp.riesz(_F1, 1.5), 'axis'),
+    'half-laplacian-sign-5': (
+        lambda: sp.half_laplacian_resolvent(_F1, 1 + 1j, sign=5), 'sign'),
+    'lap-solve-n-sphere-0': (
+        lambda: lap.lap_solve(OMEGA, _J2, MAT2, n_sphere=0), 'n_sphere'),
+    'lap-parts-n-sphere-3.5': (
+        lambda: lap.lap_parts(OMEGA, _J2, MAT2, n_sphere=3.5), 'n_sphere'),
+    'surface-terms-n-sphere-0': (
+        lambda: lap.surface_terms(OMEGA, _J3, MAT3, n_sphere=0), 'n_sphere'),
+    'surface-terms-n-sphere-3.5': (
+        lambda: lap.surface_terms(OMEGA, _J2, MAT2, n_sphere=3.5),
+        'n_sphere'),
+    'lap-solve-n-radial-0': (
+        lambda: lap.lap_solve(OMEGA, _J3, MAT3, n_radial=0), 'n_radial'),
+    'lap-parts-n-radial-2.5': (
+        lambda: lap.lap_parts(OMEGA, _J2, MAT2, n_radial=2.5), 'n_radial'),
+    # a negative delta reached LAPACK, which printed DLASCL lines
+    'blowup-negative-delta': (
+        lambda: lap.lap_blowup_probe(3.0, rg.LebesguePair(0.5, 0.5, 2),
+                                     MAT2, [0.1, -0.05], sp.Grid(2, 32)),
+        'deltas'),
+    'blowup-one-delta': (
+        lambda: lap.lap_blowup_probe(3.0, rg.LebesguePair(0.5, 0.5, 2),
+                                     MAT2, [0.1], sp.Grid(2, 32)), 'deltas'),
+    'surface-terms-omega-0': (
+        lambda: lap.surface_terms(0.0, _J2, MAT2), 'nonzero'),
+    'det-diagnostics-material2': (
+        lambda: symbol.det_diagnostics(np.ones((2, 3)), MAT2), '3D'),
+}
+
+
+@pytest.mark.parametrize('case', sorted(BAD_ARGUMENTS))
+def test_bad_arguments_are_invalid_argument(capfd, case):
+    call, word = BAD_ARGUMENTS[case]
+    with pytest.raises(InvalidArgument, match=word):
+        call()
+    assert capfd.readouterr().err == ''
+
+
+def test_pv_part_raises_when_doubling_moves_it():
+    f = _smooth_annulus(sp.Grid(2, 32), 1.0, 4.0)
+    beta = lap.CutoffSpec(6.0, 9.0)
+    with pytest.raises(QuadratureNotConverged, match='doubling'):
+        lap.pv_part(f, 2.5, beta, n_sphere=8, n_radial=4, tol=1e-12)
+

@@ -54,6 +54,10 @@ def test_kappa_values():
         == pytest.approx(1.0 / 0.3)
     assert rg.kappa(P(0.5, 0.5, 2), w, variant='ray') \
         == pytest.approx(1.0 / abs(w))
+    # right of 0 the nearest point of [0, inf) is Re(omega): they agree
+    for w in (2.0 + 0.25j, 0.5 - 3.0j, 1e-3 + 1e-6j):
+        assert rg.kappa(P(0.6, 0.3, 3), w, variant='ray') \
+            == rg.kappa(P(0.6, 0.3, 3), w)
     with pytest.raises(OnSingularSet):
         rg.kappa(P(0.5, 0.5, 2), 2.0)
     with pytest.raises(ValueError):
@@ -273,3 +277,19 @@ def test_norm_scaling_probe_blowup_slope():
     # its slope approaches but must not exceed the predicted exponent
     assert -1.05 < fit.slope < -0.5
     assert np.all(xs[:-1] > xs[1:]) and np.all(ys[:-1] < ys[1:])
+
+
+@pytest.mark.parametrize('d', [2, 3])
+def test_gamma_is_positive_where_alpha_is_zero(d):
+    # z_boundary's cone branch divides by gamma: on the line
+    # x - y = 1/d, gamma >= 1 - (d + 1)/(2d) = (d - 1)/(2d) > 0
+    for y in DYADIC[DYADIC <= 1 - 1.0 / d]:
+        pair = P(y + 1.0 / d, y, d)
+        assert abs(rg.alpha(pair)) < 1e-15
+        assert rg.gamma(pair) >= (d - 1) / (2.0 * d) - 1e-15
+
+
+def test_norm_scaling_probe_refuses_an_unknown_family():
+    with pytest.raises(InvalidArgument, match='family'):
+        rg.norm_scaling_probe(P(0.5, 0.5, 2), MAT2, 'annulus', [3.0 + 0.5j],
+                              sp.Grid(2, 16))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maxres import lap
 from maxres import region as rg
 from maxres import spectral as sp
 from maxres import symbol
@@ -505,3 +506,86 @@ def test_fields_multiply_by_scalars_only():
         for a in (2.0, np.float64(-1.5), np.array(0.5j), 3):
             assert np.array_equal((f * a).coeffs(), f.coeffs() * a)
             assert np.array_equal((a * f).coeffs(), f.coeffs() * a)
+
+
+def _plane_wave(grid, k):
+    """The scalar field exp(i k . x), k an integer mode."""
+    x = np.stack(np.meshgrid(*[grid.x_axis()] * grid.dim, indexing='ij'))
+    return sp.scalar_field(grid, np.exp(1j * np.einsum('i,i...->...', k, x)))
+
+
+@pytest.mark.parametrize('grid,flavor,mat,q', [
+    # eps / (mu det eps), det eps = 2.0 * 1.2 - 0.3^2
+    (sp.Grid(2, 16), 'eps_prime', MAT2,
+     np.array([[2.0, 0.3], [0.3, 1.2]]) / (0.8 * 2.31)),
+    # diag(b, a, a) with a = 1 / eps_axis, b = 1 / eps_perp
+    (sp.Grid(3, 8), 'eps_tilde', MAT3, np.diag([0.7, 2.0, 2.0])),
+])
+def test_flavored_multipliers_on_a_plane_wave(grid, flavor, mat, q):
+    # on exp(i xi . x) the multipliers are the closed forms at xi:
+    # xi_i / |xi|_q and 1 / (omega +- |xi|_q), |xi|_q^2 = <xi, q xi>
+    k = np.array([2, -1, 3][:grid.dim])
+    f = _plane_wave(grid, k)
+    rho = np.sqrt(k @ q @ k)
+    for i in range(1, grid.dim + 1):
+        got = sp.riesz(f, i, flavor, mat)
+        assert np.abs(got.data - k[i - 1] / rho * f.data).max() < 1e-13
+    for sign in (+1, -1):
+        got = sp.half_laplacian_resolvent(f, OMEGA, sign, flavor, mat)
+        want = f.data / (OMEGA + sign * rho)
+        assert np.abs(got.data - want).max() < 1e-13
+
+
+def test_flavor_needs_a_material_of_its_dimension():
+    f = sp.random_band_limited(sp.Grid(2, 16), 1, RNG)
+    for flavor, mat in (('eps_tilde', MAT2), ('eps_prime', MAT3),
+                        ('eps_prime', None), ('other', MAT2)):
+        with pytest.raises(InvalidArgument, match='flavor'):
+            sp.riesz(f, 1, flavor, mat)
+
+
+def test_field_data_needs_the_grid_shape_and_finite_values():
+    g = sp.Grid(2, 8)
+    with pytest.raises(InvalidArgument, match='shape'):
+        sp.Field(g, np.zeros((3, 8, 4)))
+    for bad in (np.nan, np.inf):
+        data = np.zeros((3, 8, 8), dtype=complex)
+        data[1, 2, 3] = bad
+        with pytest.raises(InvalidArgument, match='finite'):
+            sp.Field(g, data)
+
+
+@pytest.mark.parametrize('p', [0.5, 0.0, -1.0, np.nan])
+def test_lebesgue_norm_needs_p_at_least_one(p):
+    f = sp.random_band_limited(sp.Grid(2, 8), 1, RNG)
+    with pytest.raises(InvalidArgument, match='p must be >= 1'):
+        sp.lebesgue_norm(f, p)
+
+
+_MAXWELL_CALLS = {
+    'solve': lambda J, mat: sp.solve(OMEGA, J, mat),
+    'forward_operator': lambda J, mat: sp.forward_operator(OMEGA, J, mat),
+    'leray_project': lambda J, mat: sp.leray_project(J, mat),
+    'divergence_and_charges': lambda J, mat: sp.divergence_and_charges(J),
+    'lap_parts': lambda J, mat: lap.lap_parts(3.1, J, mat),
+    'surface_terms': lambda J, mat: lap.surface_terms(3.1, J, mat),
+}
+
+
+@pytest.mark.parametrize('entry', sorted(_MAXWELL_CALLS))
+def test_entry_points_need_a_maxwell_field(entry):
+    # 3 (d - 1) components on a d-dimensional grid, and a material of
+    # dimension d; a 1-component field would reach numpy's matmul
+    call = _MAXWELL_CALLS[entry]
+    g2 = sp.Grid(2, 16)
+    bad = [(sp.random_band_limited(g2, 1, RNG), MAT2),
+           (sp.random_band_limited(sp.Grid(3, 8), 3, RNG), MAT3)]
+    if entry != 'divergence_and_charges':      # it takes no material
+        bad += [(sp.random_band_limited(g2, 6, RNG), MAT2),
+                (sp.random_band_limited(g2, 3, RNG), MAT3)]
+    for J, mat in bad:
+        with pytest.raises(InvalidArgument,
+                           match='Maxwell field on a %dD grid has %d '
+                           'components' % (J.grid.dim, 3 * J.grid.dim - 3)):
+            call(J, mat)
+    call(sp.random_band_limited(g2, 3, RNG), MAT2)       # the rule holds

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxres.errors import DegenerateDirection
+from maxres.errors import DegenerateDirection, InvalidArgument
 from maxres.materials import Material2, Material3
 from maxres.symbol import (canonicalize, det_diagnostics, eigen_decomposition,
                            norm_eps, norm_eps_prime, symbol_p)
@@ -101,3 +101,28 @@ def test_canonicalize_symbol_consistency():
     assert canon.axis == 1 and canon.mu == 1.0
     assert canon.eps_axis == pytest.approx(1.5)
     assert canon.eps_perp == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize('mat,dim', [(MAT2, 2), (MAT3, 3)], ids=['2d', '3d'])
+def test_canonical_materials_are_their_own_canonical_form(mat, dim):
+    from maxres.spectral import Grid, random_band_limited
+    J = random_band_limited(Grid(dim, 8), 3 * (dim - 1), RNG)
+    canon, Jc, record = canonicalize(mat, J)
+    assert canon is mat and Jc is J
+    assert (record.perm, record.mu) == ((0, 1, 2), 1.0)
+    # the identity map copies nothing, in either direction
+    assert record.forward_currents(J) is J
+    assert record.backward_fields(J) is J
+    assert canonicalize(mat)[1] is None
+
+
+@pytest.mark.parametrize('bad', [None, 2.0, 'Material3(1, 1)'])
+def test_canonicalize_takes_materials_only(bad):
+    with pytest.raises(InvalidArgument, match='canonicalize takes a material'):
+        canonicalize(bad)
+
+
+def test_det_diagnostics_refuses_the_zero_wavevector():
+    xi = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateDirection, match='zero wavevector'):
+        det_diagnostics(xi, MAT3)
