@@ -333,7 +333,8 @@ class TransformRecord:
     def _permute(self, field, perm, op):
         """The field with axes and components moved by ``perm`` and the
         magnetic block combined with mu by the ufunc ``op``, in one copy
-        of the field's coefficient block (Field._permuted), or none."""
+        of the field's coefficient block (Field._permuted); the identity
+        map returns the field itself."""
         if perm == (0, 1, 2) and self.mu == 1.0:
             return field
         comp = list(perm) + [3 + p for p in perm]
