@@ -11,12 +11,13 @@ The package is organized bottom-up:
   one eigenbasis, m w(rho) m^{-1}, through one apply (_apply): the
   closed-form inverse symbol (rank-one eigenprojectors times scalar
   resolvents, plus the charge part), the resolvent matrix and the LAP's
-  singular-column weights.
+  singular-column factors.
 * :mod:`maxres.spectral`   FFT grids, fields and multiplier operators:
   solve, Riesz transforms, Leray projection, fractional Laplacians.
 * :mod:`maxres.lap`        limiting absorption: both real-frequency
   limits as one pair common +- jump (lap_parts) by principal-value and
-  surface-measure quadrature or by extrapolation, blow-up probes.
+  surface-measure quadrature or as the exact periodic limit on the
+  lattice, blow-up probes.
 * :mod:`maxres.region`     Lebesgue-exponent region arithmetic and
   empirical operator-norm scaling probes.
 * :mod:`maxres.verify`     randomized invariant suites with a
@@ -40,7 +41,7 @@ from .spectral import (Field, Grid, divergence_and_charges,
                        leray_project, random_band_limited, riesz,
                        scalar_field, solve)
 from .lap import (CutoffSpec, e_delta, lap_blowup_probe, lap_parts, lap_solve,
-                  pv_part, richardson_limit, surface_part, surface_terms)
+                  pv_part, surface_part, surface_terms)
 from .region import (LebesguePair, RegionQuery, alpha, annulus_source,
                      eigenvalue_enclosure, gamma, kappa, knapp_source,
                      loglog_fit, membership, norm_scaling_probe,
@@ -62,7 +63,7 @@ __all__ = [
     'fractional_laplacian', 'half_laplacian_resolvent', 'lebesgue_norm',
     'leray_project', 'random_band_limited', 'riesz', 'scalar_field', 'solve',
     'CutoffSpec', 'e_delta', 'lap_blowup_probe', 'lap_parts', 'lap_solve',
-    'pv_part', 'richardson_limit', 'surface_part', 'surface_terms',
+    'pv_part', 'surface_part', 'surface_terms',
     'LebesguePair', 'RegionQuery', 'alpha', 'annulus_source',
     'eigenvalue_enclosure', 'gamma', 'kappa', 'knapp_source', 'loglog_fit',
     'membership', 'norm_scaling_probe', 'off_sphere_frequency',

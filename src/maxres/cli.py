@@ -10,8 +10,8 @@ Subcommands:
 * ``lap``     real-frequency limiting solutions for both signs from one
               lap.lap_parts call, writes both fields and, on the
               quadrature route, prints the difference-identity defect; a
-              cross-validation disagreement between the two methods, at
-              either sign, exits with code 2.
+              source mode on a characteristic sphere is refused
+              (OnSingularSet, exit 1).
 * ``region``  exponent-region arithmetic: gamma maps, membership
               tables and Z-region boundaries as CSV.
 * ``probe``   empirical operator-norm scaling probes, CSV of
@@ -20,8 +20,9 @@ Subcommands:
 Configuration is INI-style UTF-8 text (see the README for the keys); an
 unknown section or key (KEYS) is a configuration error.
 Exit codes: 0 success, 1 failure (including configuration errors),
-2 cross-validation disagreement.  A fixed ``--seed`` makes reports and
-output files byte-identical between runs.
+2 when the blow-up probe's closed form disagrees with its grid solve.
+A fixed ``--seed`` makes reports and output files byte-identical
+between runs.
 """
 
 import argparse
@@ -59,7 +60,7 @@ KEYS = {
     'source': ('kind', 'path', 'kmax', 'thickness'),
     'tolerances': ('charge_q', 'residual'),
     'verify': ('points', 'flip_entry'),
-    'lap': ('method', 'cross_tol'),
+    'lap': ('method',),
     'region': ('mode', 'dim', 'resolution', 'x', 'y', 'ell', 'points'),
     'probe': ('family', 'x', 'y', 'vary', 'samples'),
 }
@@ -270,10 +271,8 @@ def cmd_lap(args, cp):
     rng = np.random.default_rng(args.seed)
     J = build_source(cp, grid, mat, rng)
     method = _get(cp, 'lap', 'method', str, default='quadrature')
-    cross = _get(cp, 'lap', 'cross_tol', float, default=0.0)
     out = _outdir(args)
-    common, jump = lap.lap_parts(omega.real, J, mat, method,
-                                 cross_tol=cross or None)
+    common, jump = lap.lap_parts(omega.real, J, mat, method)
     u_plus, u_minus = common + jump, common - jump
     fieldfile.write_field(os.path.join(out, 'fields_plus.mxfd'), u_plus)
     fieldfile.write_field(os.path.join(out, 'fields_minus.mxfd'), u_minus)

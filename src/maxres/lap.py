@@ -6,12 +6,12 @@ routes compute different objects on lattice content near a
 characteristic sphere, and agree only when J has none within relative
 flavor distance MARGIN of every sphere:
 
-* ``extrapolate`` gives the periodic limit lim P(omega +- i0)^{-1} on
-  the lattice: per sign, the Richardson limit of the resolvent at
-  omega + i*sign*delta_k, delta_k = DELTA0 2^(-k), k < LEVELS.  The
-  limit is a fixed combination sum_k a_k of the resolvents, so each sign
-  is one _solve_coeffs pass with the weights a_k; the half-sum and
-  half-difference of the two signs are the pair.
+* ``extrapolate`` (a name kept from an earlier, extrapolating version
+  of the route) gives the periodic limit lim P(omega +- i0)^{-1} on the
+  lattice.  The periodic operator has pure point spectrum, so when no
+  mode of J lies on a characteristic sphere both limits are the
+  real-frequency lattice inverse P(omega)^{-1} J, one _solve_coeffs
+  pass, and the jump is exactly 0.
 * ``quadrature`` keeps the lattice inverse away from the spheres and
   replaces the near-sphere lattice values with the continuum principal
   value plus +-i*pi times the coarea measure of the semidiscrete
@@ -21,6 +21,12 @@ flavor distance MARGIN of every sphere:
   surface term is the jump.  Both weight each node by the eigenprojector
   of the sphere's singular column, multiplier._apply with the indicator
   of that column.
+
+lap_parts refuses, with OnSingularSet, a nonzero mode of J within
+relative flavor distance ON_SPHERE of a sphere that its route cannot
+take: on the lattice route any such mode, where the periodic limit does
+not exist; on the quadrature route a near-axis one, which bypasses the
+split.
 
 Each off-grid term is one separable transform over its nodes.  The
 forward half reads the source's coefficients on their per-axis support
@@ -40,13 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDirection, GridTooCoarse, InvalidArgument,
-                     MethodsDisagree, QuadratureNotConverged)
+                     MethodsDisagree, OnSingularSet, QuadratureNotConverged)
 from .spectral import TAU
 from . import multiplier, region, spectral, symbol
 
 MARGIN = 0.35
-DELTA0 = 0.1
-LEVELS = 7
+ON_SPHERE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +120,8 @@ def _inv_sqrt_spd(Q):
 
 
 def sphere_quadrature(dim, n):
-    """Nodes and weights on the euclidean unit sphere.
+    """Nodes and coefficients of a quadrature rule on the euclidean unit
+    sphere.
 
     2D: n-point trapezoid rule on the circle (spectrally accurate).
     3D: n-point Gauss-Legendre in the polar cosine times a 2n-point
@@ -319,11 +325,23 @@ def _radial_extent(qform, beta):
 # ---------------------------------------------------------------------------
 # scalar model operators
 
-def _model_args(f, omega, beta, flavor, mat, n_sphere, n_2d, n_3d):
+def _count(name, value):
+    """Refuse a node count that is not a positive integer."""
+    if not (isinstance(value, (int, np.integer)) and value > 0):
+        raise InvalidArgument("%s must be a positive integer, got %r"
+                              % (name, value))
+
+
+def _model_args(f, omega, beta, flavor, mat, n_sphere, n_2d, n_3d,
+                n_radial=None):
     """(beta, qform, n_sphere) of a scalar model operator at omega > 0,
-    with the band cutoff and n_2d or n_3d sphere nodes by default."""
+    with the band cutoff and n_2d or n_3d sphere nodes by default; the
+    node counts given must be positive integers."""
     if not omega > 0:
         raise InvalidArgument("need omega > 0")
+    for name, value in (('n_sphere', n_sphere), ('n_radial', n_radial)):
+        if value is not None:
+            _count(name, value)
     dim = f.grid.dim
     return (_band_cutoff(f.grid) if beta is None else beta,
             spectral._flavor_qform(flavor, mat, dim),
@@ -343,7 +361,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
     if not 0 < delta < 0.5:
         raise InvalidArgument("need 0 < delta < 1/2")
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
-                                        n_sphere, 192, 16)
+                                        n_sphere, 192, 16, n_radial)
     if method == 'lattice':
         c, xi = spectral._modes(f)
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
@@ -372,7 +390,7 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
     ``pairing=False`` integrates straight through the singular radius
     (only sensible when the transform of f vanishes there)."""
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
-                                        n_sphere, 192, 16)
+                                        n_sphere, 192, 16, n_radial)
     out = _pv_once(f, omega, beta, qform, n_sphere, n_radial, pairing=pairing)
     if tol is not None:
         fine = _pv_once(f, omega, beta, qform, 2 * n_sphere, 2 * n_radial,
@@ -402,7 +420,7 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
 def _real_resolvent(omega, xi, mat):
     """The scalar resolvents d^{-1} at real omega, one per eigenbasis
     column; unused in maxres, kept because bench/tracing.py wraps it."""
-    return multiplier._scalar_resolvents([omega],
+    return multiplier._scalar_resolvents(omega,
                                          symbol._eigen_basis(xi, mat)[2])
 
 
@@ -423,38 +441,6 @@ def _mode_masks(xi, omega, mat, margin):
     near = nz & (dist < margin * abs(omega))
     far = nz & ~near
     return far, near
-
-
-def richardson_limit(values):
-    """Limit of a sequence sampled at delta_k = delta0 * 2^(-k), assuming
-    an expansion in integer powers of delta; full Neville table."""
-    T = [list(values)]
-    for j in range(1, len(values)):
-        fac = 2.0 ** j
-        prev = T[-1]
-        T.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
-                  for i in range(len(prev) - 1)])
-    return T[-1][-1]
-
-
-def _extrapolate(omega, J, mat):
-    """lap_parts' extrapolate route: per sign, richardson_limit of
-    solve(omega + i y_k, J), y_k = sign DELTA0 2^(-k), k < LEVELS.  The
-    limit is a fixed linear combination sum_k a_k of the solves, so each
-    sign is one _solve_coeffs pass with the weights a_k."""
-    a = richardson_limit(list(np.eye(LEVELS)))
-    y = DELTA0 * 0.5 ** np.arange(LEVELS)
-    plus, minus = (spectral._solve_coeffs(omega + 1j * s * y, J, mat,
-                                          weights=a) for s in (+1, -1))
-    return tuple(spectral._like(J, 0.5 * v)
-                 for v in (plus + minus, plus - minus))
-
-
-def _count(name, value):
-    """Refuse a node count that is not a positive integer."""
-    if not (isinstance(value, (int, np.integer)) and value > 0):
-        raise InvalidArgument("%s must be a positive integer, got %r"
-                              % (name, value))
 
 
 def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
@@ -478,9 +464,9 @@ def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
         # the real-frequency inverse off the spheres and at the zero mode,
         # the smooth background near them; near-axis modes bypass the
         # split (off the spheres the direct inverse is their limit)
-        out = spectral._solve_coeffs([omega], J, mat, ~near)
+        out = spectral._solve_coeffs(omega, J, mat, ~near)
         out += spectral._solve_coeffs(
-            [omega], J, mat, near,
+            omega, J, mat, near,
             skip=multiplier._singular_columns(omega, mat))
         common = spectral._like(J, out)
     near &= ~symbol.near_axis(xi)
@@ -505,55 +491,51 @@ def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
 
 
 def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
-              n_radial=24, cross_tol=None):
+              n_radial=24):
     """Both limiting-absorption solutions at real omega as one pair
     (common, jump), P_(+-)(omega) J = common +- jump, by the route
     ``method`` (see the module docstring).
 
     quadrature splits lattice modes within relative flavor distance
     MARGIN of a sphere, with default_cutoff and n_sphere (even in 3D) by
-    n_radial nodes; its jump is surface_terms(sign=+1).  extrapolate
-    takes the limit over delta_k = DELTA0 2^(-k), k < LEVELS.  cross_tol
-    (finite, >= 0) runs the other route once too and raises
-    MethodsDisagree if they differ by more, relative L2, at either sign."""
+    n_radial nodes; its jump is surface_terms(sign=+1).  extrapolate is
+    the lattice inverse P(omega)^{-1} J with jump 0.  A mode of J on a
+    sphere that the route cannot take raises OnSingularSet, naming the
+    mode in the caller's axes."""
     omega = float(omega)
     if omega == 0:
         raise InvalidArgument("omega must be nonzero real")
-    if cross_tol is not None and not 0 <= cross_tol < np.inf:
-        raise InvalidArgument("cross_tol must be finite and >= 0, got %r"
-                              % (cross_tol,))
+    if method not in ('quadrature', 'extrapolate'):
+        raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
     spectral._maxwell(J, mat)
     canon, Jc, record = symbol.canonicalize(mat, J)
-    routes = {
-        'quadrature': lambda: _quadrature_parts(omega, Jc, canon, n_sphere,
-                                                n_radial),
-        'extrapolate': lambda: _extrapolate(omega, Jc, canon)}
-    if method not in routes:
-        raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
-    common, jump = map(record.backward_fields, routes[method]())
-    if cross_tol is not None:
-        o_common, o_jump = map(record.backward_fields, routes[
-            'extrapolate' if method == 'quadrature' else 'quadrature']())
-        for sign in (+1, -1):
-            u = common + sign * jump
-            rel = (spectral.lebesgue_norm(u - (o_common + sign * o_jump), 2)
-                   / max(spectral.lebesgue_norm(u, 2), 1e-300))
-            if rel > cross_tol:
-                raise MethodsDisagree(
-                    "extrapolate and quadrature differ by %.3e relative at "
-                    "sign %+d" % (rel, sign))
-    return common, jump
+    c, xi = spectral._modes(Jc)
+    check = spectral._support(c)
+    if method == 'quadrature':
+        check &= symbol.near_axis(xi)       # the split takes the others
+    xi = xi[check]
+    on = _mode_masks(xi, omega, canon, ON_SPHERE)[1]
+    if np.any(on):
+        k = np.rint(xi[on][0] * J.grid.length / TAU).astype(int)
+        raise OnSingularSet(
+            "omega = %g puts the lattice mode %s on a characteristic "
+            "sphere, where the real-frequency symbol is singular"
+            % (omega, tuple(int(k[p]) for p in record.inv_perm[:J.grid.dim])))
+    if method == 'quadrature':
+        return tuple(map(record.backward_fields, _quadrature_parts(
+            omega, Jc, canon, n_sphere, n_radial)))
+    u = spectral._like(Jc, spectral._solve_coeffs(omega, Jc, canon))
+    return record.backward_fields(u), spectral.Field.zeros(J.grid, J.ncomp)
 
 
 def lap_solve(omega, J, mat, sign=+1, method='quadrature', n_sphere=None,
-              n_radial=24, cross_tol=None):
+              n_radial=24):
     """The limiting-absorption solution P_(+-)(omega) J at real omega:
     common + sign * jump of lap_parts, which describes the arguments;
     sign is +1 or -1."""
     if sign not in (+1, -1):
         raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
-    common, jump = lap_parts(omega, J, mat, method, n_sphere, n_radial,
-                             cross_tol)
+    common, jump = lap_parts(omega, J, mat, method, n_sphere, n_radial)
     return common + sign * jump
 
 
@@ -597,7 +579,7 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid):
     scale = grid.volume ** (pair.y - pair.x)
     omegas = abs(omega) + 1j * deltas
     rho = symbol._eigen_basis(xi[sel], mat)[2]
-    w = np.array([np.abs(multiplier._scalar_resolvents([om], rho)[:, col])
+    w = np.array([np.abs(multiplier._scalar_resolvents(om, rho)[:, col])
                   for om in omegas])
     ratios = w.max(axis=1) * scale
     # the end-to-end check: the best plane wave at the smallest delta

@@ -21,11 +21,11 @@ at real omega != 0 the singular one is d - 1 + 2k + (omega < 0).
 ``_apply(xi, c, mat, w)`` is the one apply of a function of the
 symbol's eigenvalues: m (w(rho) * (m^{-1} c)) on columns c, with one
 scalar per eigenbasis column from w.  The inverse symbol is w = d^{-1}
-from ``_scalar_resolvents`` (any fixed combination
-sum_k a_k / (i(omega_k + rho)), skipped columns 0): ``solve`` and the
-LAP run it on lattice coefficients (``spectral._solve_coeffs``), and
+= 1 / (i(omega + rho)) from ``_scalar_resolvents`` (skipped columns 0):
+``solve`` and the LAP run it on lattice coefficients
+(``spectral._solve_coeffs``), and
 ``resolvent_matrix``, which ``verify`` checks, on the identity.  The
-LAP's Sokhotsky weights are the indicator of a singular column times
+LAP's Sokhotsky factors are the indicator of a singular column times
 a constant.  All are vectorized over a leading batch of wavevectors.
 """
 
@@ -41,13 +41,12 @@ def _rmatmul(a, z):
     return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-def _scalar_resolvents(omegas, rho, weights=(1.0,), skip=()):
-    """w = sum_k weights_k / (i(omegas_k + rho)) per column, with the
-    columns in ``skip`` set to 0."""
+def _scalar_resolvents(omega, rho, skip=()):
+    """w = 1 / (i(omega + rho)) per column, with the columns in ``skip``
+    set to 0."""
     # the inf of a mode exactly on a sphere (real omega) is in a skipped column
     with np.errstate(divide='ignore', invalid='ignore'):
-        terms = (a / (1j * (om + rho)) for a, om in zip(weights, omegas))
-        w = sum(terms, next(terms))
+        w = 1 / (1j * (omega + rho))
     w[..., list(skip)] = 0
     return w
 
@@ -85,5 +84,5 @@ def resolvent_matrix(omega, xi, mat):
     if omega.imag == 0:
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
     return _apply(xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat,
-                  lambda rho: _scalar_resolvents([omega], rho))
+                  lambda rho: _scalar_resolvents(omega, rho))
 

@@ -258,6 +258,9 @@ def on_sphere_frequency(grid, mat):
     rho = characteristic_radii(xi, mat)[0]
     good = (rho > 0) & (rho < grid.n // 4)
     idx = np.nonzero(good)[0]
+    if idx.size == 0:
+        raise GridTooCoarse("no lattice flavor radius lies in (0, %d)"
+                            % (grid.n // 4))
     pick = idx[np.argmin(np.abs(rho[idx] - 3.0))]
     return float(rho[pick])
 

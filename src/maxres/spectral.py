@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgument, MeanNotZero, OnSingularSet,
-                     RealFrequency)
+from .errors import InvalidArgument, MeanNotZero, RealFrequency
 from . import multiplier, symbol
 
 TAU = 2.0 * np.pi
@@ -354,16 +353,17 @@ def forward_operator(omega, u, mat):
     return _like(u, out)
 
 
-def _solve_coeffs(omegas, f, mat, mask=None, weights=(1.0,), skip=()):
-    """The lattice inverse sum_k weights_k P(omegas_k)^{-1} of f's
-    coefficients (canonical material), flattened over f's held modes
-    (_modes): on the modes in ``mask`` (default all; the others are 0).
-    Off the axis: multiplier._apply (the ``skip`` columns 0) per block of
+def _solve_coeffs(omega, f, mat, mask=None, skip=()):
+    """The lattice inverse P(omega)^{-1} of f's coefficients (canonical
+    material), flattened over f's held modes (_modes): on the modes in
+    ``mask`` (default all; the others are 0).  Off the axis:
+    multiplier._apply (the ``skip`` columns 0) per block of
     symbol._blocks, cache-sized so each (block, ncomp, ncomp) factor
     stays in L2 while it is applied.
     Near-axis 3D modes and the zero mode, where p(omega, 0) = i omega I,
-    get the same combination of direct solves.  Modes where the
-    coefficients are exactly 0 are skipped."""
+    get one batched direct solve; at real omega the caller keeps them
+    off the characteristic spheres, where the symbol is singular.  Modes
+    where the coefficients are exactly 0 are skipped."""
     c, xi = _modes(f)
     out = np.zeros_like(c)
     active = _support(c)
@@ -373,29 +373,16 @@ def _solve_coeffs(omegas, f, mat, mask=None, weights=(1.0,), skip=()):
     idx = np.nonzero(active & ~direct)[0]
 
     def w(rho):
-        return multiplier._scalar_resolvents(omegas, rho, weights, skip)
+        return multiplier._scalar_resolvents(omega, rho, skip)
 
     for blk in symbol._blocks(idx.size, c.shape[0]):
         sel = idx[blk]
         rhs = c[:, sel].T[..., None]
         out[:, sel] = multiplier._apply(xi[sel], rhs, mat, w)[..., 0].T
     idx = np.nonzero(direct)[0]
-    if idx.size == 0:
-        return out
-    rhs = c[:, idx].T[..., None]
-    for a, omega in zip(weights, omegas):
-        p = symbol.symbol_p(omega, xi[idx], mat)
-        try:
-            out[:, idx] += a * np.linalg.solve(p, rhs)[..., 0].T
-        except np.linalg.LinAlgError:
-            # only at real omega: a near-axis mode on a characteristic
-            # sphere, where the symbol has a zero eigenvalue
-            k = xi[idx[np.argmin(np.abs(np.linalg.det(p)))]]
-            raise OnSingularSet(
-                "omega = %g puts the near-axis lattice mode %s on a "
-                "characteristic sphere, where the symbol is singular"
-                % (omega.real, tuple(int(v) for v in
-                                     np.rint(k * f.grid.length / TAU))))
+    if idx.size:
+        out[:, idx] = np.linalg.solve(symbol.symbol_p(omega, xi[idx], mat),
+                                      c[:, idx].T[..., None])[..., 0].T
     return out
 
 
@@ -417,7 +404,7 @@ def solve(omega, J, mat):
                             "use the lap module at real frequency")
     _maxwell(J, mat)
     canon, Jc, record = symbol.canonicalize(mat, J)
-    u = _like(Jc, _solve_coeffs([omega], Jc, canon))
+    u = _like(Jc, _solve_coeffs(omega, Jc, canon))
     del Jc          # freed before backward_fields allocates
     return record.backward_fields(u)
 

@@ -123,7 +123,7 @@ def _flip(M, omega, xi, mat, entry):
     i, j = entry
     col = np.eye(6, dtype=complex)[:, j, None]
     M[:, i, j] -= 2 * _apply(xi, col, mat, lambda rho: _scalar_resolvents(
-        [omega], rho, skip=(0, 1)))[:, i, 0]
+        omega, rho, skip=(0, 1)))[:, i, 0]
 
 
 def _worst(defect):

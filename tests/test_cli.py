@@ -1,5 +1,4 @@
 import configparser
-import inspect
 import re
 from pathlib import Path
 
@@ -219,54 +218,9 @@ def test_lap_writes_both_signs(tmp_path, capsys):
         assert fieldfile.read_field(out / name).data.shape == (3, 32, 32)
 
 
-def test_lap_cross_tol_checks_each_sign(tmp_path):
-    # no two methods agree to 1e-30: the quadrature route still compares
-    # against extrapolation and exits with the disagreement code
-    cfg = _write(tmp_path, 'lap.ini',
-                 LAP_INI + "\n[lap]\nmethod = quadrature\ncross_tol = 1e-30\n")
-    assert cli.main(['lap', '--config', cfg,
-                     '--out', str(tmp_path / 'o')]) == 2
-
-
-def test_lap_cross_tol_extrapolate_route(tmp_path, capsys):
-    # the extrapolate route is checked against quadrature
-    cfg = _write(tmp_path, 'lap.ini', LAP_INI
-                 + "\n[lap]\nmethod = extrapolate\ncross_tol = 1e-30\n")
-    assert cli.main(['lap', '--config', cfg,
-                     '--out', str(tmp_path / 'o')]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith('method cross-validation failed: ')
-
-
-@pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
-def test_lap_cross_tol_runs_each_route_once(tmp_path, monkeypatch, method):
-    # the principal value does not depend on the sign, so one quadrature
-    # pass serves both limits and both cross-checks, on either route
-    quad, extra = lap._quadrature_parts, lap._extrapolate
-    calls = {'quadrature': 0, 'pv': 0, 'extrapolate': 0}
-
-    def counted_quad(*args, **kw):
-        bound = inspect.signature(quad).bind(*args, **kw)
-        calls['quadrature'] += 1
-        calls['pv'] += bound.arguments.get('with_pv', True)
-        return quad(*args, **kw)
-
-    def counted_extra(*args, **kw):
-        calls['extrapolate'] += 1
-        return extra(*args, **kw)
-
-    monkeypatch.setattr(lap, '_quadrature_parts', counted_quad)
-    monkeypatch.setattr(lap, '_extrapolate', counted_extra)
-    cfg = _write(tmp_path, 'lap.ini', LAP_INI.replace('kmax = 6', 'kmax = 1')
-                 + "\n[lap]\nmethod = %s\ncross_tol = 1e-8\n" % method)
-    assert cli.main(['lap', '--config', cfg,
-                     '--out', str(tmp_path / 'o')]) == 0
-    assert calls == {'quadrature': 1, 'pv': 1, 'extrapolate': 1}
-
-
 def test_lap_extrapolate_runs_no_quadrature(tmp_path, capsys, monkeypatch):
-    # without cross_tol the extrapolate route builds no off-grid term and
-    # reports no difference-identity defect
+    # the extrapolate route builds no off-grid term and reports no
+    # difference-identity defect
     def refuse(*args, **kw):
         raise AssertionError('quadrature pass on the extrapolate route')
 
@@ -422,6 +376,13 @@ def test_unknown_source_kind(tmp_path):
               "[material]\neps_axis = 1.0\neps_perp = 1.0\n"
               "[frequency]\nre = 30.0\nim = 0.5\n"
               "[source]\nkind = knapp\n"),
+    # no lattice radius in (0, n/4) = (0, 1) for the on-sphere frequency
+    ('probe', "[grid]\ndim = 2\nn = 4\n"
+              "[material]\neps11 = 1.0\neps22 = 1.0\n"
+              "[probe]\nfamily = blowup\n"),
+    ('probe', "[grid]\ndim = 2\nn = 4\n"
+              "[material]\neps11 = 1.0\neps22 = 1.0\n"
+              "[probe]\nfamily = annulus\n"),
 ])
 def test_unresolvable_spectrum_is_one_line_failure(tmp_path, capsys, cmd,
                                                    text):
@@ -461,10 +422,9 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
                "ell = -1\n"),
     ('lap', LAP_INI.replace('re = 3.1', 're = 0')),
     ('lap', LAP_INI + "[lap]\nmethod = bogus\n"),
-    ('lap', LAP_INI + "[lap]\nmethod = quadrature\ncross_tol = -1e-8\n"),
-    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = -1e-8\n"),
-    ('lap', LAP_INI + "[lap]\ncross_tol = nan\n"),
-    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = inf\n"),
+    # the lattice route is the exact periodic limit, with no second
+    # route to cross-check it against
+    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = 1e-8\n"),
     # non-finite frequencies, a charge exponent below 1 and a NaN
     # residual tolerance (a check that could never pass)
     ('solve', SOLVE16.replace('re = 2', 're = nan')),
@@ -511,9 +471,8 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
         'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
         'gamma-map-resolution-1', 'gamma-map-dim-4', 'boundary-negative-ell',
-        'lap-re-0', 'lap-unknown-method', 'lap-negative-cross-tol-quadrature',
-        'lap-negative-cross-tol-extrapolate', 'lap-nan-cross-tol',
-        'lap-inf-cross-tol', 'solve-nan-re', 'solve-inf-im',
+        'lap-re-0', 'lap-unknown-method', 'lap-unknown-key-cross-tol',
+        'solve-nan-re', 'solve-inf-im',
         'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan',
         'solve-negative-kmax', 'solve-zero-source',
         'solve-one-component-file', 'lap-one-component-file',
@@ -601,6 +560,22 @@ def test_lap_axis_mode_on_sphere_is_one_line_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith('OnSingularSet: ') and err.count('\n') == 1
     assert '(3, 0, 0)' in err and 'Traceback' not in err
+
+
+def test_lap_lattice_route_on_sphere_is_one_line_failure(tmp_path, capsys):
+    # isotropic 2D at omega = 3: the band holds the mode (0, 3) on the
+    # sphere, where the periodic limit does not exist
+    cfg = _write(tmp_path, 'job.ini',
+                 "[grid]\ndim = 2\nn = 32\n"
+                 "[material]\neps11 = 1.0\neps22 = 1.0\n"
+                 "[frequency]\nre = 3.0\n"
+                 "[source]\nkind = random\nkmax = 15\n"
+                 "[lap]\nmethod = extrapolate\n")
+    out = tmp_path / 'o'
+    assert cli.main(['lap', '--config', cfg, '--out', str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('OnSingularSet: omega = 3 ') and err.count('\n') == 1
+    assert not (out / 'fields_plus.mxfd').exists()
 
 
 def _key_job(section, key):

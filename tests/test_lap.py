@@ -296,15 +296,6 @@ def test_pv_convergence_tolerance():
     assert np.isfinite(out.data).all()
 
 
-def test_richardson_limit():
-    # u(delta) = u0 + c delta + d delta^2 is resolved exactly
-    u0, c, d = 1.7, -0.4, 2.3
-    deltas = [0.1 * 2.0 ** -k for k in range(5)]
-    vals = [u0 + c * t + d * t ** 2 for t in deltas]
-    lim = lap.richardson_limit([np.array([v]) for v in vals])
-    assert abs(lim[0] - u0) < 1e-12
-
-
 @pytest.mark.parametrize('mat,grid,ncomp', [
     (MAT2, sp.Grid(2, 64), 3),
     (MAT3, sp.Grid(3, 16), 6),
@@ -371,6 +362,30 @@ def test_axis_mode_on_sphere_is_on_singular_set():
         lap.lap_parts(3.0, J, Material3(1.0, 1.0))
 
 
+def test_lattice_route_refuses_a_mode_on_a_sphere():
+    # isotropic 2D at omega = 3: the band holds modes with |k| = 3, where
+    # the periodic limit does not exist; the quadrature route splits them
+    J = sp.random_band_limited(sp.Grid(2, 32), 3, np.random.default_rng(5),
+                               kmax=15)
+    mat = Material2(1.0, 0.0, 1.0)
+    with pytest.raises(OnSingularSet, match=r'omega = 3 .*\(0, 3\)'):
+        lap.lap_parts(3.0, J, mat, method='extrapolate')
+    common, jump = lap.lap_parts(3.0, J, mat)
+    assert np.isfinite(common.data).all() and np.isfinite(jump.data).all()
+
+
+@pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
+def test_on_sphere_mode_is_named_in_the_callers_axes(method):
+    # distinguished axis 2: the caller's mode (0, 3, 0) is the canonical
+    # near-axis mode (3, 0, 0), on both spheres at omega = 3
+    g = sp.Grid(3, 16)
+    c = np.zeros((6,) + (16,) * 3, dtype=complex)
+    c[:, 0, 3, 0] = 1.0
+    J = sp.Field.from_coeffs(g, c)
+    with pytest.raises(OnSingularSet, match=r'omega = 3 .*\(0, 3, 0\)'):
+        lap.lap_parts(3.0, J, Material3(1.0, 1.0, axis=2), method=method)
+
+
 def test_odd_n_sphere_rejected_in_3d():
     # an odd Gauss-Legendre order puts a node on the distinguished axis
     J = sp.random_band_limited(sp.Grid(3, 16), 6, RNG)
@@ -389,28 +404,6 @@ def test_lap_solve_negative_omega():
     assert (sp.lebesgue_norm(r, 2) / sp.lebesgue_norm(J, 2)) < 1e-10
 
 
-def test_lap_solve_cross_validation():
-    g = sp.Grid(2, 64)
-    J = far_current(g, MAT2, 3, OMEGA)
-    u = lap.lap_solve(OMEGA, J, MAT2, cross_tol=1e-8)
-    assert np.isfinite(u.data).all()
-    # either route checks against the other one
-    for method in ('quadrature', 'extrapolate'):
-        with pytest.raises(MethodsDisagree):
-            lap.lap_solve(OMEGA, J, MAT2, method=method, cross_tol=1e-30)
-
-
-@pytest.mark.parametrize('method', ['quadrature', 'extrapolate'])
-@pytest.mark.parametrize('tol', [-1e-8, np.nan, np.inf])
-def test_bad_cross_tol_is_refused(method, tol):
-    # rel > nan is False, so a NaN tolerance would pass every check
-    J = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(0))
-    with pytest.raises(ValueError, match='cross_tol'):
-        lap.lap_parts(1.0, J, MAT2, method=method, cross_tol=tol)
-    with pytest.raises(ValueError, match='cross_tol'):
-        lap.lap_solve(1.0, J, MAT2, method=method, cross_tol=tol)
-
-
 @pytest.mark.parametrize('sign', [0, 2, -0.5, np.nan])
 def test_lap_solve_refuses_other_signs(sign):
     # common + sign * jump is a boundary value only at sign = +-1;
@@ -426,13 +419,12 @@ def test_lap_solve_refuses_other_signs(sign):
 ], ids=['2d-128', '3d-16-isotropic'])
 def test_extrapolate_has_no_jump_off_the_spheres(grid, mat):
     # no lattice mode lies on a sphere, so the periodic limits from the
-    # two half planes coincide up to the Richardson error
+    # two half planes are one lattice inverse
     omega = rg.off_sphere_frequency(grid, mat)
     J = sp.random_band_limited(grid, 3 if grid.dim == 2 else 6,
                                np.random.default_rng(5), kmax=grid.n // 2)
     common, jump = lap.lap_parts(omega, J, mat, method='extrapolate')
-    assert (sp.lebesgue_norm(2.0 * jump, 2)
-            / sp.lebesgue_norm(common + jump, 2)) < 1e-5
+    assert sp.lebesgue_norm(jump, 2) == 0
 
 
 def test_blowup_probe_slope():
@@ -461,14 +453,6 @@ def test_blowup_probe_isotropic_3d_skips_axis_modes():
     assert fit.slope == pytest.approx(-1.0, abs=0.05)
 
 
-def richardson_oracle(omega, J, mat, sign, delta0=0.1, levels=7):
-    """The extrapolate route as a loop: the Neville table over full grid
-    solves at omega + i sign delta0 2^(-k), k < levels."""
-    return lap.richardson_limit(
-        [sp.solve(omega + 1j * sign * delta0 * 0.5 ** k, J, mat).data
-         for k in range(levels)])
-
-
 @pytest.mark.parametrize('grid,mat', [
     (sp.Grid(2, 128), MAT2),
     (sp.Grid(3, 32), MAT3),
@@ -485,9 +469,13 @@ def test_extrapolate_matches_full_solve_oracle(grid, mat):
         # keeps its exact coefficients, which are 0 outside the band)
         assert (symbol.near_axis(grid.xi_flat())
                 & (np.abs(c).max(axis=0) > 0)).sum() == 2 * (grid.n // 4)
+    # off the spheres both limits are the lattice inverse P(omega)^{-1} J
+    common, jump = lap.lap_parts(OMEGA, J, mat, method='extrapolate')
+    assert sp.lebesgue_norm(jump, 2) == 0
     for sign in (+1, -1):
         u = lap.lap_solve(OMEGA, J, mat, sign=sign, method='extrapolate')
-        assert _rel(u.data, richardson_oracle(OMEGA, J, mat, sign)) < 1e-12
+        r = sp.forward_operator(OMEGA, u, mat) - J
+        assert sp.lebesgue_norm(r, 2) <= 1e-13 * sp.lebesgue_norm(J, 2)
 
 
 @pytest.mark.parametrize('grid,mat', [
@@ -533,8 +521,7 @@ def test_blowup_probe_checks_closed_form(monkeypatch):
                                                  mu=1.3)],
                          ids=['canonical', 'axis2-mu1.3'])
 def test_one_frame_map_per_call(monkeypatch, mat):
-    # every entry point maps its current into the canonical frame once,
-    # and both lap_parts routes of a cross-checked call share that map
+    # every entry point maps its current into the canonical frame once
     calls = []
     real = symbol.canonicalize
 
@@ -547,9 +534,7 @@ def test_one_frame_map_per_call(monkeypatch, mat):
     runs = [lambda: sp.solve(OMEGA + 0.4j, J, mat),
             lambda: lap.surface_terms(OMEGA, J, mat)]
     for method in ('quadrature', 'extrapolate'):
-        for tol in (None, 10.0):
-            runs.append(lambda m=method, t=tol: lap.lap_parts(
-                OMEGA, J, mat, m, cross_tol=t))
+        runs.append(lambda m=method: lap.lap_parts(OMEGA, J, mat, m))
     for run in runs:
         calls.clear()
         run()
@@ -599,6 +584,26 @@ def test_bad_arguments_are_invalid_argument(capfd, case):
     call, word = BAD_ARGUMENTS[case]
     with pytest.raises(InvalidArgument, match=word):
         call()
+    assert capfd.readouterr().err == ''
+
+
+_F32 = sp.random_band_limited(sp.Grid(2, 32), 1, np.random.default_rng(4))
+MODEL_OPERATORS = {
+    'e_delta': lambda **kw: lap.e_delta(_F32, 2.5, 0.1, method='quadrature',
+                                        **kw),
+    'pv_part': lambda **kw: lap.pv_part(_F32, 2.5, **kw),
+    'surface_part': lambda **kw: lap.surface_part(_F32, 2.5, **kw),
+}
+
+
+# n_sphere = 0 divided by zero, 2.5 was a TypeError, and n_radial = 0
+# reached numpy's leggauss
+@pytest.mark.parametrize('op,key,value', [
+    (op, 'n_sphere', v) for op in MODEL_OPERATORS for v in (0, 2.5)] + [
+    (op, 'n_radial', v) for op in ('e_delta', 'pv_part') for v in (0, 2.5)])
+def test_model_operators_refuse_bad_node_counts(capfd, op, key, value):
+    with pytest.raises(InvalidArgument, match=key):
+        MODEL_OPERATORS[op](**{key: value})
     assert capfd.readouterr().err == ''
 
 

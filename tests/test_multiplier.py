@@ -29,7 +29,7 @@ def _random_xi(n, dim):
 def _charge_part(omega, xi, mat):
     """M_c from the eigenbasis: the charge columns of (m w) m_inv."""
     m, minv, rho = _eigen_basis(xi, mat)
-    w = _scalar_resolvents([omega], rho)
+    w = _scalar_resolvents(omega, rho)
     c = slice(0, mat.dim - 1)
     return np.einsum('nic,nc,ncj->nij', m[:, :, c], w[:, c], minv[:, c])
 
@@ -98,7 +98,7 @@ def _regular(omega, xi, mat):
     eye = np.eye(3 if mat.dim == 2 else 6, dtype=complex)
     skip = _singular_columns(omega, mat)
     return _apply(xi, eye, mat,
-                  lambda rho: _scalar_resolvents([omega], rho, skip=skip))
+                  lambda rho: _scalar_resolvents(omega, rho, skip=skip))
 
 
 def test_regular_plus_singular_reassembles():

@@ -226,6 +226,12 @@ def test_off_sphere_frequency_needs_a_radius_in_band():
         rg.off_sphere_frequency(sp.Grid(2, 4), Material2(0.01, 0.0, 0.01))
 
 
+def test_on_sphere_frequency_needs_a_radius_in_band():
+    # n = 4: every nonzero lattice radius is at least 1 = n/4
+    with pytest.raises(GridTooCoarse, match=r'\(0, 1\)'):
+        rg.on_sphere_frequency(sp.Grid(2, 4), Material2(1.0, 0.0, 1.0))
+
+
 def test_annulus_source_is_resolvent_eigenvector():
     # on the annulus modes the resolvent acts as the scalar
     # 1/(i(omega - rho)); check against a direct solve
