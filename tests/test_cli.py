@@ -423,8 +423,12 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
     ('lap', LAP_INI.replace('re = 3.1', 're = 0')),
     ('lap', LAP_INI + "[lap]\nmethod = bogus\n"),
     # the lattice route is the exact periodic limit, with no second
-    # route to cross-check it against
-    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = 1e-8\n"),
+    # route to cross-check it against: cross_tol is an unknown key,
+    # whatever its value
+    ('lap', LAP_INI + "[lap]\nmethod = quadrature\ncross_tol = -1e-8\n"),
+    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = -1e-8\n"),
+    ('lap', LAP_INI + "[lap]\ncross_tol = nan\n"),
+    ('lap', LAP_INI + "[lap]\nmethod = extrapolate\ncross_tol = inf\n"),
     # non-finite frequencies, a charge exponent below 1 and a NaN
     # residual tolerance (a check that could never pass)
     ('solve', SOLVE16.replace('re = 2', 're = nan')),
@@ -471,8 +475,9 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
         'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
         'gamma-map-resolution-1', 'gamma-map-dim-4', 'boundary-negative-ell',
-        'lap-re-0', 'lap-unknown-method', 'lap-unknown-key-cross-tol',
-        'solve-nan-re', 'solve-inf-im',
+        'lap-re-0', 'lap-unknown-method', 'lap-negative-cross-tol-quadrature',
+        'lap-negative-cross-tol-extrapolate', 'lap-nan-cross-tol',
+        'lap-inf-cross-tol', 'solve-nan-re', 'solve-inf-im',
         'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan',
         'solve-negative-kmax', 'solve-zero-source',
         'solve-one-component-file', 'lap-one-component-file',
@@ -502,6 +507,8 @@ def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
     assert err.startswith('error: ') and err.count('\n') == 1
     if 'axis = 2' in text:
         assert 'axis = 1 and mu = 1' in err
+    if 'cross_tol' in text:
+        assert 'unknown key in [lap]: cross_tol' in err
     if one_component:
         assert 'Maxwell field on a 2D grid has 3 components' in err
 
