@@ -432,43 +432,63 @@ def _column_weight(mat, col, scale):
                                            lambda rho: w)[..., 0].T
 
 
-def _mode_masks(xi, omega, mat, margin):
-    """Masks (far, near) of the lattice modes xi, split by distance to
-    the characteristic spheres; the zero mode is in neither."""
-    nz = np.any(xi != 0, axis=-1)
-    dist = np.min([np.abs(rho - abs(omega))
+def _sphere_distance(xi, omega, mat):
+    """Flavor distance of each wavevector xi to the nearest characteristic
+    sphere at real omega; the zero vector lies at |omega|."""
+    return np.min([np.abs(rho - abs(omega))
                    for rho in region.characteristic_radii(xi, mat)], axis=0)
-    near = nz & (dist < margin * abs(omega))
-    far = nz & ~near
-    return far, near
 
 
-def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
-    """lap_parts' quadrature route: (common, surface), surface =
-    surface_terms(sign=+1); with_pv=False skips common (None)."""
+def _entry(omega, J, mat, method):
+    """The start of lap_parts and surface_terms on the route ``method``:
+    checks omega, method and J, maps J into the canonical frame once and
+    refuses a mode on a sphere (see the module docstring) by each held
+    mode's _sphere_distance, computed once.  Returns (omega, canonical
+    material, canonical J, record, distances)."""
+    omega = float(omega)
+    if omega == 0:
+        raise InvalidArgument("omega must be nonzero real")
+    if method not in ('quadrature', 'extrapolate'):
+        raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
+    spectral._maxwell(J, mat)
+    canon, Jc, record = symbol.canonicalize(mat, J)
+    c, xi = spectral._modes(Jc)
+    dist = _sphere_distance(xi, omega, canon)
+    on = spectral._support(c) & (dist < ON_SPHERE * abs(omega))
+    if method == 'quadrature':
+        on &= symbol.near_axis(xi)          # the split takes the others
+    if np.any(on):
+        k = np.rint(xi[on][0] * J.grid.length / TAU).astype(int)
+        raise OnSingularSet(
+            "omega = %g puts the lattice mode %s on a characteristic "
+            "sphere, where the real-frequency symbol is singular"
+            % (omega, tuple(int(k[p]) for p in record.inv_perm[:J.grid.dim])))
+    return omega, canon, Jc, record, dist
+
+
+def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
+    """lap_parts' quadrature route on the canonical J, whose held modes lie
+    at distances dist from the spheres (_entry): (common, surface),
+    surface = surface_terms(sign=+1); n_radial=None computes no
+    principal value and gives common None."""
     grid = J.grid
     if n_sphere is None:
         n_sphere = 160 if grid.dim == 2 else 12
     _count('n_sphere', n_sphere)
-    if with_pv:
-        _count('n_radial', n_radial)
     if grid.dim == 3 and n_sphere % 2:
         raise DegenerateDirection(
             "n_sphere must be even in 3D (got %d): an odd Gauss-Legendre "
             "order puts a node on the distinguished axis" % n_sphere)
     beta = default_cutoff(grid, omega, mat)
     c, xi = spectral._modes(J)
-    _, near = _mode_masks(xi, omega, mat, MARGIN)
+    near = dist < MARGIN * abs(omega)
     common = None
-    if with_pv:
+    if n_radial is not None:
         # the real-frequency inverse off the spheres and at the zero mode,
         # the smooth background near them; near-axis modes bypass the
         # split (off the spheres the direct inverse is their limit)
-        out = spectral._solve_coeffs(omega, J, mat, ~near)
-        out += spectral._solve_coeffs(
-            omega, J, mat, near,
-            skip=multiplier._singular_columns(omega, mat))
-        common = spectral._like(J, out)
+        common = spectral._like(J, spectral._solve_coeffs(omega, J, mat,
+                                                          drop=near))
     near &= ~symbol.near_axis(xi)
     surface = spectral.Field.zeros(grid, J.ncomp)
     if not np.any(near):
@@ -479,7 +499,7 @@ def _quadrature_parts(omega, J, mat, n_sphere, n_radial, with_pv=True):
     pv_sign = 1j if omega > 0 else -1j
     for col, qform in zip(multiplier._singular_columns(omega, mat),
                           multiplier.sphere_qforms(mat)):
-        if with_pv:
+        if n_radial is not None:
             common = common + _pv_once(
                 J_near, abs(omega), beta, qform, n_sphere, n_radial,
                 weight_fn=_column_weight(mat, col, pv_sign),
@@ -502,28 +522,11 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     the lattice inverse P(omega)^{-1} J with jump 0.  A mode of J on a
     sphere that the route cannot take raises OnSingularSet, naming the
     mode in the caller's axes."""
-    omega = float(omega)
-    if omega == 0:
-        raise InvalidArgument("omega must be nonzero real")
-    if method not in ('quadrature', 'extrapolate'):
-        raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
-    spectral._maxwell(J, mat)
-    canon, Jc, record = symbol.canonicalize(mat, J)
-    c, xi = spectral._modes(Jc)
-    check = spectral._support(c)
+    omega, canon, Jc, record, dist = _entry(omega, J, mat, method)
     if method == 'quadrature':
-        check &= symbol.near_axis(xi)       # the split takes the others
-    xi = xi[check]
-    on = _mode_masks(xi, omega, canon, ON_SPHERE)[1]
-    if np.any(on):
-        k = np.rint(xi[on][0] * J.grid.length / TAU).astype(int)
-        raise OnSingularSet(
-            "omega = %g puts the lattice mode %s on a characteristic "
-            "sphere, where the real-frequency symbol is singular"
-            % (omega, tuple(int(k[p]) for p in record.inv_perm[:J.grid.dim])))
-    if method == 'quadrature':
+        _count('n_radial', n_radial)
         return tuple(map(record.backward_fields, _quadrature_parts(
-            omega, Jc, canon, n_sphere, n_radial)))
+            omega, Jc, canon, dist, n_sphere, n_radial)))
     u = spectral._like(Jc, spectral._solve_coeffs(omega, Jc, canon))
     return record.backward_fields(u), spectral.Field.zeros(J.grid, J.ncomp)
 
@@ -542,13 +545,8 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', n_sphere=None,
 def surface_terms(omega, J, mat, sign=+1, n_sphere=None):
     """sign times the jump of lap_parts' quadrature route (all
     characteristic spheres); no principal value is computed."""
-    omega = float(omega)
-    if omega == 0:
-        raise InvalidArgument("omega must be nonzero real")
-    spectral._maxwell(J, mat)
-    canon, Jc, record = symbol.canonicalize(mat, J)
-    _, surface = _quadrature_parts(omega, Jc, canon, n_sphere, None,
-                                   with_pv=False)
+    omega, canon, Jc, record, dist = _entry(omega, J, mat, 'quadrature')
+    _, surface = _quadrature_parts(omega, Jc, canon, dist, n_sphere, None)
     return sign * record.backward_fields(surface)
 
 

@@ -353,30 +353,33 @@ def forward_operator(omega, u, mat):
     return _like(u, out)
 
 
-def _solve_coeffs(omega, f, mat, mask=None, skip=()):
+def _solve_coeffs(omega, f, mat, drop=None):
     """The lattice inverse P(omega)^{-1} of f's coefficients (canonical
-    material), flattened over f's held modes (_modes): on the modes in
-    ``mask`` (default all; the others are 0).  Off the axis:
-    multiplier._apply (the ``skip`` columns 0) per block of
+    material), flattened over f's held modes (_modes), with the singular
+    columns (multiplier._singular_columns) set to 0 on the modes marked
+    in ``drop`` (real omega): there it is the smooth background of the
+    Sokhotsky split.  Off the axis: multiplier._apply per block of
     symbol._blocks, cache-sized so each (block, ncomp, ncomp) factor
-    stays in L2 while it is applied.
-    Near-axis 3D modes and the zero mode, where p(omega, 0) = i omega I,
-    get one batched direct solve; at real omega the caller keeps them
-    off the characteristic spheres, where the symbol is singular.  Modes
-    where the coefficients are exactly 0 are skipped."""
+    stays in L2 while it is applied.  Near-axis 3D modes and the zero
+    mode, where p(omega, 0) = i omega I, get one batched direct solve,
+    dropped or not; at real omega the caller keeps them off the
+    characteristic spheres, where the symbol is singular.  Modes where
+    the coefficients are exactly 0 are skipped."""
     c, xi = _modes(f)
     out = np.zeros_like(c)
     active = _support(c)
-    if mask is not None:
-        active &= mask
     direct = active & (symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1))
     idx = np.nonzero(active & ~direct)[0]
-
-    def w(rho):
-        return multiplier._scalar_resolvents(omega, rho, skip)
-
+    if drop is not None:
+        cols = list(multiplier._singular_columns(omega, mat))
     for blk in symbol._blocks(idx.size, c.shape[0]):
         sel = idx[blk]
+
+        def w(rho):
+            w = multiplier._scalar_resolvents(omega, rho)
+            if drop is not None:
+                w[np.ix_(np.nonzero(drop[sel])[0], cols)] = 0
+            return w
         rhs = c[:, sel].T[..., None]
         out[:, sel] = multiplier._apply(xi[sel], rhs, mat, w)[..., 0].T
     idx = np.nonzero(direct)[0]

@@ -46,8 +46,8 @@ def _scalar_mult(f, values):
 def _far_current(grid, mat, ncomp, omega, rng, margin=0.5):
     J = sp.random_band_limited(grid, ncomp, rng)
     c = J.coeffs().reshape(ncomp, -1)
-    far, near = lap._mode_masks(grid.xi_flat(), omega, mat, margin)
-    c[:, near] = 0
+    c[:, lap._sphere_distance(grid.xi_flat(), omega, mat)
+      < margin * omega] = 0
     return sp.Field.from_coeffs(grid, c.reshape(J.data.shape))
 
 

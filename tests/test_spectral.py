@@ -288,8 +288,8 @@ def test_block_boundaries_change_no_bit(monkeypatch):
 
     def run():
         return (sp._solve_coeffs(OMEGA, u, MAT3),
-                sp._solve_coeffs(2.7 + 0.1j, u, MAT3, skip=(3, 5),
-                                 mask=np.abs(xi).max(axis=1) > 2),
+                sp._solve_coeffs(2.7, u, MAT3,
+                                 drop=np.abs(xi).max(axis=1) > 2),
                 sp.forward_operator(OMEGA, u, MAT3)._spectrum())
 
     ref = run()
