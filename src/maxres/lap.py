@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDirection, GridTooCoarse, InvalidArgument,
-                     MethodsDisagree, OnSingularSet, QuadratureNotConverged)
+from .errors import (GridTooCoarse, InvalidArgument, MethodsDisagree,
+                     OnSingularSet, QuadratureNotConverged)
 from .spectral import TAU
 from . import multiplier, region, spectral, symbol
 
@@ -134,9 +134,9 @@ def sphere_quadrature(dim, n):
     c, wc = np.polynomial.legendre.leggauss(n)
     phi = TAU * np.arange(2 * n) / (2 * n)
     s = np.sqrt(1.0 - c ** 2)
-    pts = np.stack([np.outer(s, np.cos(phi)),
-                    np.outer(s, np.sin(phi)),
-                    np.outer(c, np.ones_like(phi))], axis=-1).reshape(-1, 3)
+    pts = np.stack([np.outer(c, np.ones_like(phi)),
+                    np.outer(s, np.cos(phi)),
+                    np.outer(s, np.sin(phi))], axis=-1).reshape(-1, 3)
     w = np.outer(wc, np.full(phi.shape, TAU / (2 * n))).ravel()
     return pts, w
 
@@ -475,10 +475,6 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
     if n_sphere is None:
         n_sphere = 160 if grid.dim == 2 else 12
     _count('n_sphere', n_sphere)
-    if grid.dim == 3 and n_sphere % 2:
-        raise DegenerateDirection(
-            "n_sphere must be even in 3D (got %d): an odd Gauss-Legendre "
-            "order puts a node on the distinguished axis" % n_sphere)
     beta = default_cutoff(grid, omega, mat)
     c, xi = spectral._modes(J)
     near = dist < MARGIN * abs(omega)

@@ -6,8 +6,7 @@ from maxres import multiplier as mp
 from maxres import region as rg
 from maxres import spectral as sp
 from maxres import symbol
-from maxres.errors import (DegenerateDirection, InvalidArgument,
-                           MethodsDisagree, OnSingularSet,
+from maxres.errors import (InvalidArgument, MethodsDisagree, OnSingularSet,
                            QuadratureNotConverged)
 from maxres.materials import Material2, Material3
 from helpers import PerturbedFactors, guard_band_xi, projectors
@@ -386,14 +385,34 @@ def test_on_sphere_mode_is_named_in_the_callers_axes(method):
         lap.lap_parts(3.0, J, Material3(1.0, 1.0, axis=2), method=method)
 
 
-def test_odd_n_sphere_rejected_in_3d():
-    # an odd Gauss-Legendre order puts a node on the distinguished axis
-    J = sp.random_band_limited(sp.Grid(3, 16), 6, RNG)
-    with pytest.raises(DegenerateDirection, match='n_sphere'):
-        lap.lap_solve(OMEGA, J, MAT3, n_sphere=13)
-    with pytest.raises(DegenerateDirection, match='n_sphere'):
-        lap.surface_terms(OMEGA, J, MAT3, n_sphere=13)
-    lap.surface_terms(OMEGA, J, MAT3, n_sphere=14)      # even orders run
+@pytest.fixture(scope='module')
+def full_3d_source():
+    return sp.random_band_limited(sp.Grid(3, 16), 6,
+                                  np.random.default_rng(5), kmax=8)
+
+
+@pytest.mark.parametrize('orders', [(31, 32), (32, 48)],
+                         ids=['odd-even', 'doubling'])
+def test_3d_surface_terms_converge_in_the_sphere_order(full_3d_source,
+                                                      orders):
+    # the sphere rule's pole is the distinguished axis, so the integrand
+    # is smooth in the rule's angles: an odd order is as good as an even
+    # one, and 32 -> 48 moves the jump by about 2e-13 (4.7e-4 with the
+    # pole on xi_3)
+    lo, hi = (lap.surface_terms(OMEGA, full_3d_source, MAT3, n_sphere=n)
+              for n in orders)
+    assert _rel(lo.data, hi.data) < 1e-10
+
+
+def test_no_sphere_node_is_near_the_axis():
+    # Gauss-Legendre in xi_1 puts no node at +-1, and each sphere's map
+    # R = q^(-1/2) keeps xi_1 as an axis: the smallest transverse
+    # fraction over n = 1..64 is about 5e-4, against AXIS_GUARD 1e-8
+    for n in range(1, 65):
+        u, _ = lap.sphere_quadrature(3, n)
+        for qform in mp.sphere_qforms(MAT3):
+            dirs = u @ lap._inv_sqrt_spd(qform).T
+            assert not symbol.near_axis(dirs).any(), n
 
 
 def test_lap_solve_negative_omega():
