@@ -445,9 +445,7 @@ def _entry(omega, J, mat, method):
     refuses a mode on a sphere (see the module docstring) by each held
     mode's _sphere_distance, computed once.  Returns (omega, canonical
     material, canonical J, record, distances)."""
-    omega = float(omega)
-    if omega == 0:
-        raise InvalidArgument("omega must be nonzero real")
+    omega = symbol._frequency(omega, real=True)
     if method not in ('quadrature', 'extrapolate'):
         raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
     spectral._maxwell(J, mat)

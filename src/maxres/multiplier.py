@@ -81,7 +81,7 @@ def resolvent_matrix(omega, xi, mat):
     Raises DegenerateDirection at xi = 0 and near the 3D distinguished
     axis, where the caller inverts the symbol directly.
     """
-    if omega.imag == 0:
+    if symbol._frequency(omega).imag == 0:
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
     return _apply(xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat,
                   lambda rho: _scalar_resolvents(omega, rho))

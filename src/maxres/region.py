@@ -73,7 +73,7 @@ def kappa(pair, omega, variant='real_axis'):
     variant 'real_axis' measures dist to the real line (|Im omega|);
     'ray' measures dist to [0, inf).
     """
-    omega = complex(omega)
+    omega = complex(symbol._frequency(omega))
     g = gamma(pair)
     if variant == 'real_axis':
         dist = abs(omega.imag)
@@ -148,7 +148,7 @@ def _check_empty(pair, ell):
 
 def z_region(query, omega):
     """Whether omega belongs to the sublevel region kappa <= ell."""
-    omega = complex(omega)
+    omega = complex(symbol._frequency(omega))
     if omega.imag == 0:
         raise OnSingularSet("membership is defined off the real axis")
     _check_empty(query.pair, query.ell)

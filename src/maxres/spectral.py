@@ -401,7 +401,7 @@ def solve(omega, J, mat):
     is held on the same support.  It runs in the canonical frame
     (symbol.canonicalize), and u is mapped back.
     """
-    omega = complex(omega)
+    omega = complex(symbol._frequency(omega))
     if omega.imag == 0:
         raise RealFrequency("solve needs Im(omega) != 0; "
                             "use the lap module at real frequency")
@@ -514,7 +514,7 @@ def divergence_and_charges(J):
 
 def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     """The scalar multiplier 1 / (omega +- |xi|_flavor)."""
-    omega = complex(omega)
+    omega = complex(symbol._frequency(omega))
     if omega.imag == 0:
         raise RealFrequency("half-Laplacian resolvent needs Im(omega) != 0")
     if sign not in (+1, -1):

@@ -99,8 +99,25 @@ def _symbol_3d(omega, xi, mat):
     return p
 
 
+def _frequency(omega, real=False):
+    """omega, a frequency or an array of them, if finite; with ``real``
+    one nonzero real number (an imaginary part of exactly 0 is accepted),
+    returned as a float.  Anything else raises InvalidArgument."""
+    w = np.asarray(omega)
+    if not (np.issubdtype(w.dtype, np.number) and np.all(np.isfinite(w))):
+        raise InvalidArgument("omega must be a finite number, got %r"
+                              % (omega,))
+    if not real:
+        return omega
+    if w.ndim or w.imag != 0 or w.real == 0:
+        raise InvalidArgument("omega must be a nonzero real number here, "
+                              "got %r" % (omega,))
+    return float(w.real)
+
+
 def symbol_p(omega, xi, mat):
     """Maxwell symbol p(omega, xi); p(omega, 0) = i omega I."""
+    _frequency(omega)
     xi = np.asarray(xi, dtype=float)
     if mat.dim == 2:
         return _symbol_2d(omega, xi, mat)

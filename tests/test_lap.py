@@ -606,6 +606,50 @@ def test_bad_arguments_are_invalid_argument(capfd, case):
     assert capfd.readouterr().err == ''
 
 
+_XI3 = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0]])
+_PAIR = rg.LebesguePair(0.6, 0.3, 3)
+BAD_FREQUENCIES = {
+    # float(3 + 1j) was a bare TypeError
+    'lap-parts-complex': lambda: lap.lap_parts(3 + 1j, _J2, MAT2),
+    'lap-solve-complex': lambda: lap.lap_solve(3 + 1j, _J2, MAT2),
+    'surface-terms-complex': lambda: lap.surface_terms(3 + 1j, _J3, MAT3),
+    # numpy's LinAlgError from the direct solve
+    'lap-parts-nan-extrapolate-3d': lambda: lap.lap_parts(
+        np.nan, _J3, MAT3, 'extrapolate'),
+    'solve-inf-imaginary': lambda: sp.solve(complex(1, np.inf), _J3, MAT3),
+    # "need 0 < r_in < r_out", or GridTooCoarse, from the cutoff
+    'surface-terms-nan': lambda: lap.surface_terms(np.nan, _J2, MAT2),
+    'lap-parts-inf': lambda: lap.lap_parts(np.inf, _J2, MAT2),
+    # NaN answers
+    'resolvent-matrix-nan': lambda: mp.resolvent_matrix(
+        complex(1, np.nan), _XI3, MAT3),
+    'symbol-p-nan': lambda: symbol.symbol_p(np.nan, _XI3, MAT3),
+    'symbol-p-array-nan': lambda: symbol.symbol_p(
+        np.array([1 + 1j, np.nan]), _XI3, MAT3),
+    'kappa-nan': lambda: rg.kappa(_PAIR, complex(1, np.nan)),
+    'half-laplacian-nan': lambda: sp.half_laplacian_resolvent(
+        _F1, complex(np.nan, 1)),
+    # False, with no error
+    'z-region-nan': lambda: rg.z_region(rg.RegionQuery(_PAIR, 2.0),
+                                        complex(1, np.nan)),
+}
+
+
+@pytest.mark.parametrize('case', sorted(BAD_FREQUENCIES))
+def test_bad_frequencies_are_invalid_argument(capfd, case):
+    # omega is finite everywhere, and real and nonzero at the LAP entries
+    with pytest.raises(InvalidArgument, match='omega'):
+        BAD_FREQUENCIES[case]()
+    assert capfd.readouterr().err == ''
+
+
+def test_lap_entries_accept_a_zero_imaginary_part():
+    for method in ('quadrature', 'extrapolate'):
+        for got, want in zip(lap.lap_parts(OMEGA + 0j, _J2, MAT2, method),
+                             lap.lap_parts(OMEGA, _J2, MAT2, method)):
+            assert np.array_equal(got.data, want.data)
+
+
 _F32 = sp.random_band_limited(sp.Grid(2, 32), 1, np.random.default_rng(4))
 MODEL_OPERATORS = {
     'e_delta': lambda **kw: lap.e_delta(_F32, 2.5, 0.1, method='quadrature',
