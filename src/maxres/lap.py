@@ -332,11 +332,10 @@ def _count(name, value):
                               % (name, value))
 
 
-def _model_args(f, omega, beta, flavor, mat, n_sphere, n_2d, n_3d,
-                n_radial=None):
+def _model_args(f, omega, beta, flavor, mat, n_sphere, n_radial=None):
     """(beta, qform, n_sphere) of a scalar model operator at omega > 0,
-    with the band cutoff and n_2d or n_3d sphere nodes by default; the
-    node counts given must be positive integers."""
+    with the band cutoff and 192 (2D) or 16 (3D) sphere nodes by default;
+    the node counts given must be positive integers."""
     if not omega > 0:
         raise InvalidArgument("need omega > 0")
     for name, value in (('n_sphere', n_sphere), ('n_radial', n_radial)):
@@ -345,7 +344,7 @@ def _model_args(f, omega, beta, flavor, mat, n_sphere, n_2d, n_3d,
     dim = f.grid.dim
     return (_band_cutoff(f.grid) if beta is None else beta,
             spectral._flavor_qform(flavor, mat, dim),
-            (n_2d if dim == 2 else n_3d) if n_sphere is None else n_sphere)
+            (192 if dim == 2 else 16) if n_sphere is None else n_sphere)
 
 
 def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
@@ -361,7 +360,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
     if not 0 < delta < 0.5:
         raise InvalidArgument("need 0 < delta < 1/2")
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
-                                        n_sphere, 192, 16, n_radial)
+                                        n_sphere, n_radial)
     if method == 'lattice':
         c, xi = spectral._modes(f)
         rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
@@ -390,7 +389,7 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
     ``pairing=False`` integrates straight through the singular radius
     (only sensible when the transform of f vanishes there)."""
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
-                                        n_sphere, 192, 16, n_radial)
+                                        n_sphere, n_radial)
     out = _pv_once(f, omega, beta, qform, n_sphere, n_radial, pairing=pairing)
     if tol is not None:
         fine = _pv_once(f, omega, beta, qform, 2 * n_sphere, 2 * n_radial,
@@ -410,7 +409,7 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
     """sign * i * pi times the surface integral of beta * fhat over the
     characteristic sphere, synthesized on the grid."""
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
-                                        n_sphere, 128, 12)
+                                        n_sphere)
     return _shell(f, [omega], [sign * 1j * np.pi], qform, beta, n_sphere)
 
 
