@@ -20,13 +20,15 @@ flavor distance MARGIN of every sphere:
   1/(i(omega - rho)) are evaluated with off-grid quadrature nodes.  The
   surface term is the jump.  Both weight each node by the eigenprojector
   of the sphere's singular column, multiplier._apply with the indicator
-  of that column.
+  of that column.  In 3D the sphere rule's pole is the axis xi_1, where
+  the spheres touch.
 
-lap_parts refuses, with OnSingularSet, a nonzero mode of J within
-relative flavor distance ON_SPHERE of a sphere that its route cannot
-take: on the lattice route any such mode, where the periodic limit does
-not exist; on the quadrature route a near-axis one, which bypasses the
-split.
+lap_parts and surface_terms share one entry, which finds each mode's
+distance to the spheres once for the MARGIN split and for the refusal,
+with OnSingularSet, of a nonzero mode of J within relative flavor
+distance ON_SPHERE of a sphere that its route cannot take: on the
+lattice route any such mode, where the periodic limit does not exist;
+on the quadrature route a near-axis one, which bypasses the split.
 
 Each off-grid term is one separable transform over its nodes.  The
 forward half reads the source's coefficients on their per-axis support
@@ -124,8 +126,9 @@ def sphere_quadrature(dim, n):
     sphere.
 
     2D: n-point trapezoid rule on the circle (spectrally accurate).
-    3D: n-point Gauss-Legendre in the polar cosine times a 2n-point
-    trapezoid rule in azimuth.
+    3D: n-point Gauss-Legendre in xi_1 times a 2n-point trapezoid rule in
+    the azimuth about it, so the pole is the distinguished axis and no
+    node lies on it (Gauss-Legendre has no node at +-1).
     """
     if dim == 2:
         th = TAU * np.arange(n) / n
@@ -510,8 +513,8 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     ``method`` (see the module docstring).
 
     quadrature splits lattice modes within relative flavor distance
-    MARGIN of a sphere, with default_cutoff and n_sphere (even in 3D) by
-    n_radial nodes; its jump is surface_terms(sign=+1).  extrapolate is
+    MARGIN of a sphere, with default_cutoff and n_sphere by n_radial
+    nodes; its jump is surface_terms(sign=+1).  extrapolate is
     the lattice inverse P(omega)^{-1} J with jump 0.  A mode of J on a
     sphere that the route cannot take raises OnSingularSet, naming the
     mode in the caller's axes."""
