@@ -339,7 +339,7 @@ def _model_args(f, omega, beta, flavor, mat, n_sphere, n_radial=None):
     """(beta, qform, n_sphere) of a scalar model operator at omega > 0,
     with the band cutoff and 192 (2D) or 16 (3D) sphere nodes by default;
     the node counts given must be positive integers."""
-    if not omega > 0:
+    if not symbol._frequency(omega, real=True) > 0:
         raise InvalidArgument("need omega > 0")
     for name, value in (('n_sphere', n_sphere), ('n_radial', n_radial)):
         if value is not None:

@@ -226,10 +226,6 @@ def _close(a, b):
             and np.linalg.norm(b - a) <= GOLDEN_RTOL * np.linalg.norm(a))
 
 
-def compute():
-    return {name: run(name) for name in JOBS}
-
-
 def load():
     with open(FIGURES, encoding='utf-8') as fh:
         return json.load(fh)
@@ -248,7 +244,7 @@ def _stored(figures):
 
 
 def main():
-    new = compute()
+    new = {name: run(name) for name in JOBS}
     old = load() if os.path.exists(FIGURES) else {}
     moved = differences(old, new)
     for path, a, b in moved:

@@ -629,6 +629,10 @@ BAD_FREQUENCIES = {
     'kappa-nan': lambda: rg.kappa(_PAIR, complex(1, np.nan)),
     'half-laplacian-nan': lambda: sp.half_laplacian_resolvent(
         _F1, complex(np.nan, 1)),
+    # a zero field, with RuntimeWarnings from the node coefficients
+    'e-delta-inf': lambda: lap.e_delta(_F1, np.inf, 0.1),
+    'pv-part-inf': lambda: lap.pv_part(_F1, np.inf),
+    'surface-part-inf': lambda: lap.surface_part(_F1, np.inf),
     # False, with no error
     'z-region-nan': lambda: rg.z_region(rg.RegionQuery(_PAIR, 2.0),
                                         complex(1, np.nan)),
