@@ -43,6 +43,9 @@ LAP2 = ("[grid]\ndim = 2\nn = 32\n" + MAT2
         + "[frequency]\nre = 3.1\n[source]\nkind = random\nkmax = 8\n")
 LAP3 = ("[grid]\ndim = 3\nn = 16\n" + ROTATED3
         + "[frequency]\nre = 3.1\n[source]\nkind = random\n")
+# the canonical material of the bench's 3D jobs, Material3(0.5, 1 / 0.7)
+CANON3 = ("[grid]\ndim = 3\nn = 16\n"
+          "[material]\neps_axis = 0.5\neps_perp = 1.4285714285714286\n")
 
 # name: (subcommand, config text, seed)
 JOBS = {
@@ -54,12 +57,18 @@ JOBS = {
         'solve', "[grid]\ndim = 3\nn = 16\n"
         "[material]\neps_axis = 0.5\neps_perp = 1.4\naxis = 3\nmu = 0.7\n"
         "[frequency]\nre = 2.1\nim = 0.4\n[source]\nkind = solenoidal\n", 4),
+    'solve_3d': ('solve', CANON3 + "[frequency]\nre = 2.3\nim = 0.5\n"
+                 "[source]\nkind = random\n", 9),
     'lap_quadrature_2d': ('lap', LAP2 + "[lap]\nmethod = quadrature\n", 1),
     'lap_extrapolate_2d': ('lap', LAP2 + "[lap]\nmethod = extrapolate\n", 1),
     'lap_quadrature_3d_rotated': (
         'lap', LAP3 + "[lap]\nmethod = quadrature\n", 2),
     'lap_extrapolate_3d_rotated': (
         'lap', LAP3 + "[lap]\nmethod = extrapolate\n", 2),
+    # the shape of the bench's quadrature3 job: full spectrum, axis 1
+    'lap_quadrature_3d': ('lap', CANON3 + "[frequency]\nre = 3.1\n"
+                          "[source]\nkind = random\nkmax = 8\n"
+                          "[lap]\nmethod = quadrature\n", 10),
     'probe_blowup': ('probe', "[grid]\ndim = 2\nn = 64\n"
                      "[material]\neps11 = 1.0\neps22 = 1.0\n"
                      "[probe]\nfamily = blowup\nx = 0.6\ny = 0.3\n", 5),
