@@ -30,11 +30,17 @@ distance ON_SPHERE of a sphere that its route cannot take: on the
 lattice route any such mode, where the periodic limit does not exist;
 on the quadrature route a near-axis one, which bypasses the split.
 
-Each off-grid term is one separable transform over its nodes.  The
+Each off-grid term is one separable transform over its nodes, taken in
+rings: a ring is one (radius, polar) pair of the sphere rule, whose
+2 n_sphere azimuth nodes share xi_1, and in 2D a single node.  The
 forward half reads the source's coefficients on their per-axis support
 S_a only (near-sphere content spans about 10 indices per axis) through
-Dirichlet kernels, ncomp * prod |S_a| multiply-adds per node; the
-synthesis half, ncomp * n^d per node, writes the whole grid.
+Dirichlet kernels: over k_1 once per ring, ncomp * prod |S_a|
+multiply-adds, then over the later axes per node, ncomp * |S_2| |S_3| in
+3D.  The synthesis half writes the whole grid: each ring's plane over
+the later axes, ncomp * n^(d-1) per node, then one GEMM of the axis-1
+phases over the rings, ncomp * n^d per ring.  Per node that is
+ncomp * (n^2 + n^3 / (2 n_sphere)) in 3D and ncomp * n^2 in 2D.
 
 Scalar model operators (e_delta, pv_part, surface_part) expose the same
 machinery for a single flavor norm, which is where the Sokhotsky limit
@@ -147,26 +153,16 @@ def sphere_quadrature(dim, n):
 # ---------------------------------------------------------------------------
 # semidiscrete transform at off-grid wavevectors
 
-# nodes per block: bounds the synthesis table (nodes x n^(d-1)) at 32 MiB
-# for a 32^3 grid while keeping the BLAS products large.  Per node the
-# synthesis costs ncomp * n^d multiply-adds, the forward ncomp * prod |S_a|
-_NODE_CHUNK = 2048
+# complex entries of the per-ring intermediates in one block of rings (16
+# MiB): the (ncomp, n, per_ring) operand and the (ncomp, n^(d-1)) plane
+_CHUNK = 1 << 20
 
 
-def _khatri_rao(tabs):
-    """Row-wise Khatri-Rao product of (nodes, m_a) tables, last axis
-    fastest."""
-    kr = tabs[0]
-    for t in tabs[1:]:
-        kr = (kr[:, :, None] * t[:, None, :]).reshape(len(kr), -1)
-    return kr
-
-
-def _phase_blocks(grid, xi_pts):
-    """Per block of nodes, (slice, tabs): tabs[a] = e^{i x xi_a} of shape
-    (nodes, n) on the axis coordinates x.  The grid is a tensor product,
-    so both transform directions are BLAS products with these tables and
-    no (grid points x nodes) phase matrix is formed.
+def _phase_table(grid, xi):
+    """e^{i x xi} on the axis coordinates x, of shape xi.shape + (n,).
+    The grid is a tensor product, so both transform directions are BLAS
+    products with these tables and no (grid points x nodes) phase matrix
+    is formed.
 
     Grid coordinates are taken centered in [-L/2, L/2); this halves the
     largest phase gradient and with it the node counts the sphere and
@@ -177,59 +173,100 @@ def _phase_blocks(grid, xi_pts):
     s = 1 << (n.bit_length() - 1) // 2
     h = grid.length / n
     starts, offsets = h * grid.k_axis()[::s], h * np.arange(s)
-    for st in range(0, len(xi_pts), _NODE_CHUNK):
-        pts = xi_pts[st:st + _NODE_CHUNK]
-        tabs = [(np.exp(1j * np.outer(p, starts))[:, :, None]
-                 * np.exp(1j * np.outer(p, offsets))[:, None, :]
-                 ).reshape(len(pts), n) for p in pts.T]
-        yield slice(st, st + len(pts)), tabs
+    xi = np.asarray(xi, dtype=float)[..., None]
+    return (np.exp(1j * xi * starts)[..., None]
+            * np.exp(1j * xi * offsets)[..., None, :]).reshape(
+                xi.shape[:-1] + (n,))
+
+
+def _ring_blocks(grid, ncomp, xi):
+    """Per block of the rings xi (rings, per_ring, d), (slice, tabs):
+    tabs[0] = e^{i x xi_1} once per ring, (rings, n), and for each later
+    axis a the per-node table (rings, per_ring, n).  A block holds about
+    _CHUNK entries of each per-ring intermediate."""
+    n, per_ring = grid.n, xi.shape[1]
+    step = max(1, _CHUNK // (ncomp * (per_ring * n + n ** (grid.dim - 1))))
+    for st in range(0, len(xi), step):
+        x = xi[st:st + step]
+        yield slice(st, st + len(x)), [_phase_table(grid, x[:, 0, 0])] + [
+            _phase_table(grid, x[:, :, a]) for a in range(1, grid.dim)]
 
 
 def _support_block(f):
-    """f's coefficient block on its per-axis support S_a (spectral.Field),
-    and per axis the lattice phases e^{-i x xi_k} / n, k in S_a, of shape
-    (n, |S_a|)."""
-    n = f.grid.n
+    """f's coefficient block on its per-axis support S_a (spectral.Field)
+    as (|S_1|, prod cols) with the components moved before the last axis,
+    cols = (|S_2|, ..., ncomp, |S_d|), and per axis the lattice phases
+    e^{-i x xi_k} / n, k in S_a, of shape (n, |S_a|)."""
+    n, kept = f.grid.n, np.moveaxis(f._kept, 0, -2)
     # x_m xi_k = 2 pi m k / n for lattice xi_k, centered or not
     roots = np.exp(-1j * TAU * np.arange(n) / n) / n
-    return f._kept, [roots[np.outer(np.arange(n), s) % n] for s in f._sup]
+    return (kept.reshape(len(kept), np.prod(kept.shape[1:])), kept.shape[1:],
+            [roots[np.outer(np.arange(n), s) % n] for s in f._sup])
 
 
-def _forward(cb, lat, tabs):
-    """(1/N) sum_j f(x_j) e^{-i x_j xi_p} over one block of nodes, from
-    f's coefficient block (_support_block): sum_k c_k prod_a D_a[p, k_a]
-    with the Dirichlet kernels D_a = conj(tabs_a @ lat_a)."""
-    ds = [(t @ l).conj() for t, l in zip(tabs, lat)]
-    kr = _khatri_rao(ds[1:])
-    ncomp, s1 = cb.shape[:2]
-    g = cb.reshape(ncomp * s1, kr.shape[1]) @ kr.T
-    return np.einsum('ckp,pk->cp', g.reshape(ncomp, s1, len(kr)), ds[0])
+def _forward(cb, tabs):
+    """(1/N) sum_j f(x_j) e^{-i x_j xi_p} at the nodes of a block of rings,
+    (rings, per_ring, ncomp), from f's coefficient block (_support_block):
+    sum_k c_k prod_a D_a[p, k_a] with the Dirichlet kernels
+    D_a = conj(tabs_a @ lat_a), summed over k_1 once per ring (one GEMM)
+    and over the later axes per node."""
+    block, cols, lat = cb
+    ds = [(t.reshape(-1, t.shape[-1]) @ l).conj().reshape(t.shape[:-1]
+                                                           + l.shape[1:])
+          for t, l in zip(tabs, lat)]
+    rings, per_ring = ds[1].shape[:2]
+    g = (ds[0] @ block).reshape((rings,) + cols)
+    if len(ds) == 3:        # over k_2: (rings, per_ring, ncomp, |S_3|)
+        g = (ds[1] @ g.reshape(rings, cols[0], cols[1] * cols[2])).reshape(
+            (rings, per_ring) + cols[1:])
+    else:
+        g = g[:, None]
+    return (g @ ds[-1][..., None])[..., 0]
+
+
+def _synthesize(v, tabs):
+    """sum_p v[r, p] prod_a tabs_a[r, p, x_a] over a block of rings, v of
+    shape (rings, per_ring, ncomp), as (n, prod planes) with planes
+    (n, ..., ncomp, n): each ring's plane, in 3D T_2^T diag(v) T_3 per
+    component (a batched matmul over the ring's nodes), then one GEMM of
+    the axis-1 table over the rings."""
+    rings, per_ring = v.shape[:2]
+    plane = v[..., None] * tabs[-1][:, :, None]     # (rings, per_ring, ncomp, n)
+    if len(tabs) == 3:
+        plane = tabs[1].swapaxes(1, 2) @ plane.reshape(rings, per_ring, -1)
+    # in 2D a ring is one node, whose plane is its (ncomp, n) product
+    return tabs[0].T @ plane.reshape(rings, -1)
 
 
 def offgrid_transform(f, xi_pts):
     """Semidiscrete transform (1/N) sum_j f(x_j) e^{-i x_j xi} at
-    arbitrary wavevectors; exact coefficients for band-limited f."""
-    cb, lat = _support_block(f)
-    out = np.empty((f.ncomp, len(xi_pts)), dtype=complex)
-    for sl, tabs in _phase_blocks(f.grid, xi_pts):
-        out[:, sl] = _forward(cb, lat, tabs)
+    arbitrary wavevectors xi_pts (npts, d), of shape (ncomp, npts); exact
+    coefficients for band-limited f."""
+    xi = np.asarray(xi_pts, dtype=float)[:, None]     # rings of one
+    cb = _support_block(f)
+    out = np.empty((f.ncomp, len(xi)), dtype=complex)
+    for sl, tabs in _ring_blocks(f.grid, f.ncomp, xi):
+        out[:, sl] = _forward(cb, tabs)[:, 0].T
     return out
 
 
-def _apply_offgrid(J, xi_pts, coeffs, weight_fn=None):
-    """sum_p coeffs_p W(xi_p) Jhat(xi_p) e^{i x xi_p} in one pass, with
-    weight_fn(xi, v) = W(xi) v on v of shape (ncomp, nodes)."""
-    grid = J.grid
-    out = np.zeros((J.ncomp * grid.n, grid.npoints // grid.n),
-                   dtype=complex)
-    cb, lat = _support_block(J)
-    for sl, tabs in _phase_blocks(grid, xi_pts):
-        vals = _forward(cb, lat, tabs)
+def _apply_offgrid(J, xi, coeffs, weight_fn=None):
+    """sum_p coeffs_p W(xi_p) Jhat(xi_p) e^{i x xi_p} in one pass over the
+    nodes xi, grouped in rings (rings, per_ring, d) whose nodes share xi_1
+    (_polar_points), with coeffs of shape (rings, per_ring) and
+    weight_fn(xi, v) = W(xi) v on v of shape (nodes, ncomp)."""
+    grid, ncomp = J.grid, J.ncomp
+    n = grid.n
+    out = np.zeros((n, ncomp * (grid.npoints // n)), dtype=complex)
+    cb = _support_block(J)
+    for sl, tabs in _ring_blocks(grid, ncomp, xi):
+        vals = _forward(cb, tabs)
         if weight_fn is not None:
-            vals = weight_fn(xi_pts[sl], vals)
-        amps = (vals * coeffs[sl])[:, None, :] * tabs[0].T
-        out += amps.reshape(len(out), -1) @ _khatri_rao(tabs[1:])
-    return spectral.Field(grid, out.reshape(J.shape))
+            vals = weight_fn(xi[sl].reshape(-1, grid.dim),
+                             vals.reshape(-1, ncomp)).reshape(vals.shape)
+        out += _synthesize(vals * coeffs[sl][..., None], tabs)
+    out = out.reshape((n,) * (grid.dim - 1) + (ncomp, n))
+    return spectral.Field(grid, np.moveaxis(out, -2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +332,25 @@ def _edelta_nodes(r0, r_max, delta, sign, n_radial):
 def _polar_points(radii, coefs, qform, beta, grid, n_sphere):
     """Expand radial nodes into full polar quadrature points with the
     coarea volume element, the cutoff and the continuum reproduction
-    scale (L / 2 pi)^d folded into the coefficients."""
+    scale (L / 2 pi)^d folded into the coefficients.
+
+    The points come in rings, (rings, per_ring, d) with coefficients
+    (rings, per_ring): a ring is one (radius, polar) pair of the 3D rule,
+    whose 2 n_sphere azimuth nodes share xi_1 because every 3D qform here
+    is canonical, diag(a, b, b); in 2D each node is a ring of one.  A ring
+    is dropped only if all its coefficients are 0."""
     dim = grid.dim
     u, w = sphere_quadrature(dim, n_sphere)
     R = _inv_sqrt_spd(qform)
     dirs = u @ R.T                                   # unit flavor radius
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+    per_ring = 2 * n_sphere if dim == 3 else 1
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, per_ring, dim)
     dets = np.linalg.det(np.asarray(qform, float)) ** -0.5
     cf = (coefs * radii ** (dim - 1))[:, None] * (dets * w)[None, :]
-    cf = cf.reshape(-1).astype(complex)
+    cf = cf.reshape(pts.shape[:2]).astype(complex)
     cf *= beta(pts)
     cf *= (grid.length / TAU) ** dim
-    keep = np.abs(cf) > 0
+    keep = np.any(np.abs(cf) > 0, axis=1)
     return pts[keep], cf[keep]
 
 
@@ -430,8 +474,8 @@ def _column_weight(mat, col, scale):
     """weight_fn of _apply_offgrid: v -> scale m[:, col] m^{-1}[col, :] v,
     _apply with w = scale on column col and 0 on the others."""
     w = scale * np.eye(3 * (mat.dim - 1))[col]
-    return lambda xi, v: multiplier._apply(xi, v.T[..., None], mat,
-                                           lambda rho: w)[..., 0].T
+    return lambda xi, v: multiplier._apply(xi, v[..., None], mat,
+                                           lambda rho: w)[..., 0]
 
 
 def _sphere_distance(xi, omega, mat):

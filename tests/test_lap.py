@@ -93,29 +93,110 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize('dim,n,npts', [
-    (2, 16, 300),
-    (3, 8, lap._NODE_CHUNK + 37),     # more than one node block
-    (3, 16, 200),
+def _random_rings(dim, rings, per_ring, n):
+    """rings (rings, per_ring, dim) of random wavevectors whose nodes share
+    xi_1, half inside the grid's band and half beyond it."""
+    xi = RNG.uniform(-n, n, (rings, per_ring, dim))
+    xi[..., 0] = xi[:, :1, 0]
+    return xi
+
+
+@pytest.mark.parametrize('dim,n,rings,per_ring', [
+    (2, 16, 300, 1),
+    # rings of one on 8^3 with 3 components: more than one block
+    (3, 8, lap._CHUNK // (3 * (8 + 8 ** 2)) + 37, 1),
+    (3, 16, 200, 1),
+    (3, 16, 20, 10),
 ])
-def test_offgrid_matches_dense_oracle(dim, n, npts):
+def test_offgrid_matches_dense_oracle(dim, n, rings, per_ring):
     g = sp.Grid(dim, n)
     J = sp.random_band_limited(g, 3, RNG)
-    # half the nodes inside the grid's band, half beyond it
-    xi = RNG.uniform(-n, n, (npts, dim))
-    cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
+    xi = _random_rings(dim, rings, per_ring, n)
+    flat = xi.reshape(-1, dim)
+    cf = (RNG.standard_normal((rings, per_ring))
+          + 1j * RNG.standard_normal((rings, per_ring)))
     A = RNG.standard_normal((dim, 9))
 
     def weight_fn(pts):             # 3 components in, 3 out
         return np.exp(1j * pts @ A).reshape(-1, 3, 3)
 
-    vals, plain = dense_offgrid(J, xi, cf)
-    assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
+    vals, plain = dense_offgrid(J, flat, cf.ravel())
+    assert _rel(lap.offgrid_transform(J, flat), vals) < 1e-12
     assert _rel(lap._apply_offgrid(J, xi, cf).data, plain) < 1e-12
-    _, weighted = dense_offgrid(J, xi, cf, weight_fn)
+    _, weighted = dense_offgrid(J, flat, cf.ravel(), weight_fn)
     out = lap._apply_offgrid(
-        J, xi, cf, lambda pts, v: np.einsum('pij,jp->ip', weight_fn(pts), v))
+        J, xi, cf, lambda pts, v: np.einsum('pij,pj->pi', weight_fn(pts), v))
     assert _rel(out.data, weighted) < 1e-12
+
+
+# the 3D qforms lap's rings are built on: both spheres of MAT3, those of
+# the isotropic material, and the euclidean and eps_tilde model flavors
+RING_QFORMS = {
+    'mat3-sphere-1': mp.sphere_qforms(MAT3)[0],
+    'mat3-sphere-2': mp.sphere_qforms(MAT3)[1],
+    'isotropic-sphere-1': mp.sphere_qforms(Material3(1.0, 1.0))[0],
+    'isotropic-sphere-2': mp.sphere_qforms(Material3(1.0, 1.0))[1],
+    'euclidean': sp._flavor_qform('euclidean', MAT3, 3),
+    'eps-tilde': sp._flavor_qform('eps_tilde', MAT3, 3),
+}
+
+
+@pytest.mark.parametrize('qform', RING_QFORMS.values(), ids=RING_QFORMS)
+@pytest.mark.parametrize('n_sphere', [1, 2, 5, 12, 31, 32])
+def test_every_ring_shares_xi_1(qform, n_sphere):
+    g = sp.Grid(3, 16)
+    radii = np.array([0.3, 2.0, 3.1, 7.5])
+    pts, cf = lap._polar_points(radii, np.ones(4), qform,
+                                lap.CutoffSpec(10.0, 20.0), g, n_sphere)
+    assert pts.shape == (4 * n_sphere, 2 * n_sphere, 3)
+    assert cf.shape == pts.shape[:2]
+    assert np.all(pts[..., 0] == pts[:, :1, 0])         # bit for bit
+
+
+@pytest.mark.parametrize('mat', [MAT3, Material3(1.0, 1.0)],
+                         ids=['mat3', 'isotropic'])
+@pytest.mark.parametrize('flavor', [None, 'euclidean', 'eps_tilde'])
+def test_polar_rings_match_dense_oracle(mat, flavor):
+    # real rings of _polar_points through _apply_offgrid, plain and with
+    # the Sokhotsky weights of each sphere, against the dense transform
+    g = sp.Grid(3, 8)
+    J = sp.random_band_limited(g, 6, RNG)
+    beta = lap.CutoffSpec(3.0, 3.6)
+    qforms = (mp.sphere_qforms(mat) if flavor is None
+              else [sp._flavor_qform(flavor, mat, 3)])
+    for qform in qforms:
+        radii, coefs = lap._radial_nodes(2.3, 4.0, 3)
+        pts, cf = lap._polar_points(radii, coefs, qform, beta, g, 5)
+        flat = pts.reshape(-1, 3)
+        _, plain = dense_offgrid(J, flat, cf.ravel())
+        assert _rel(lap._apply_offgrid(J, pts, cf).data, plain) < 1e-12
+        P = projectors(flat, mat)
+        for col in mp._singular_columns(OMEGA, mat):
+            _, ref = dense_offgrid(J, flat, cf.ravel(), lambda xi: P[col])
+            out = lap._apply_offgrid(J, pts, cf,
+                                     lap._column_weight(mat, col, 1j))
+            assert _rel(out.data, 1j * ref) < 1e-12
+
+
+def test_polar_points_drop_only_whole_rings():
+    g = sp.Grid(3, 16)
+    qform = mp.sphere_qforms(MAT3)[1]
+    radii = np.linspace(0.5, 12.0, 24)
+    beta = lap.CutoffSpec(4.0, 6.0)
+    pts, cf = lap._polar_points(radii, np.ones(24), qform, beta, g, 6)
+    every, _ = lap._polar_points(radii, np.ones(24), qform,
+                                 lap.CutoffSpec(30.0, 40.0), g, 6)
+    assert pts.shape[1:] == (12, 3) and 0 < len(pts) < len(every)
+    # the rings kept are exactly those inside the cutoff's support
+    inside = np.linalg.norm(every[:, 0], axis=-1) < beta.r_out
+    assert np.array_equal(pts, every[inside])
+    # a ring whose nodes straddle the cutoff's edge (round-off makes the
+    # cutoff 0 at some nodes of a ring and tiny at others) keeps its
+    # zero-coefficient nodes
+    half = lambda xi: (xi[..., 1] > 0).astype(float)   # noqa: E731
+    pts, cf = lap._polar_points(radii, np.ones(24), qform, half, g, 6)
+    assert np.array_equal(pts, every)
+    assert np.any(cf == 0, axis=1).all() and np.any(cf != 0, axis=1).all()
 
 
 @pytest.mark.parametrize('omega', [OMEGA, -OMEGA])
@@ -143,7 +224,7 @@ def test_offgrid_weights_match_projector_oracle(mat, n, band, omega):
     for col in cols:
         _, ref = dense_offgrid(J, xi, cf, lambda pts: P[col])
         for scale in (1.0, 1j if omega > 0 else -1j):
-            out = lap._apply_offgrid(J, xi, cf,
+            out = lap._apply_offgrid(J, xi[:, None], cf[:, None],
                                      lap._column_weight(mat, col, scale))
             assert _rel(out.data, scale * ref) < 1e-12
 
@@ -179,17 +260,21 @@ def test_offgrid_support_inputs_match_dense_oracle(dim, n, npts, make):
     cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
     vals, plain = dense_offgrid(J, xi, cf)
     assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
-    assert _rel(lap._apply_offgrid(J, xi, cf).data, plain) < 1e-12
+    assert _rel(lap._apply_offgrid(J, xi[:, None], cf[:, None]).data,
+                plain) < 1e-12
 
 
-@pytest.mark.parametrize('dim,n', [(2, 32), (3, 16)])
-def test_offgrid_zero_field_gives_zeros(dim, n):
+@pytest.mark.parametrize('dim,n,per_ring', [(2, 32, 1), (3, 16, 1),
+                                            (3, 16, 10)])
+def test_offgrid_zero_field_gives_zeros(dim, n, per_ring):
+    # the empty support: every S_a holds no index
     g = sp.Grid(dim, n)
     J = sp.Field.from_coeffs(g, np.zeros((3,) + (n,) * dim, dtype=complex))
-    xi = RNG.uniform(-n, n, (50, dim))
-    cf = RNG.standard_normal(50) + 0j
-    assert lap.offgrid_transform(J, xi).shape == (3, 50)
-    assert not np.any(lap.offgrid_transform(J, xi))
+    xi = _random_rings(dim, 50, per_ring, n)
+    cf = RNG.standard_normal((50, per_ring)) + 0j
+    flat = xi.reshape(-1, dim)
+    assert lap.offgrid_transform(J, flat).shape == (3, 50 * per_ring)
+    assert not np.any(lap.offgrid_transform(J, flat))
     out = lap._apply_offgrid(J, xi, cf)
     assert out.shape == J.shape and not np.any(out.data)
 
@@ -204,11 +289,10 @@ def test_factored_phase_tables(n):
     assert x.min() == -g.length / 2 and x.max() < g.length / 2
     band = np.pi * n / g.length
     xi = RNG.uniform(-2 * band, 2 * band, (300, 2))  # half beyond the band
-    for sl, tabs in lap._phase_blocks(g, xi):
-        for a, tab in enumerate(tabs):
-            phase = np.outer(xi[sl, a], x)
-            err = np.abs(tab - np.exp(1j * phase))
-            assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(phase)))
+    for a in range(2):
+        phase = np.outer(xi[:, a], x)
+        err = np.abs(lap._phase_table(g, xi[:, a]) - np.exp(1j * phase))
+        assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(phase)))
 
 
 def test_e_delta_lattice_single_mode():
