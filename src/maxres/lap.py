@@ -571,20 +571,27 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     return record.backward_fields(u), spectral.Field.zeros(J.grid, J.ncomp)
 
 
+def _sign(sign):
+    """Refuse a sign other than +1 or -1."""
+    if sign not in (+1, -1):
+        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
+
+
 def lap_solve(omega, J, mat, sign=+1, method='quadrature', n_sphere=None,
               n_radial=24):
     """The limiting-absorption solution P_(+-)(omega) J at real omega:
     common + sign * jump of lap_parts, which describes the arguments;
     sign is +1 or -1."""
-    if sign not in (+1, -1):
-        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
+    _sign(sign)
     common, jump = lap_parts(omega, J, mat, method, n_sphere, n_radial)
     return common + sign * jump
 
 
 def surface_terms(omega, J, mat, sign=+1, n_sphere=None):
     """sign times the jump of lap_parts' quadrature route (all
-    characteristic spheres); no principal value is computed."""
+    characteristic spheres), sign +1 or -1; no principal value is
+    computed."""
+    _sign(sign)
     omega, canon, Jc, record, dist = _entry(omega, J, mat, 'quadrature')
     _, surface = _quadrature_parts(omega, Jc, canon, dist, n_sphere, None)
     return sign * record.backward_fields(surface)
@@ -606,6 +613,7 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid):
     grid solve, of the best mode at the smallest delta, checks it:
     MethodsDisagree if the two differ by more than 1e-10 relative.
     """
+    omega = symbol._frequency(omega, real=True)
     deltas = np.asarray(deltas, float)
     if deltas.size < 2 or not np.all((deltas > 0) & (deltas < np.inf)):
         raise InvalidArgument("need at least two finite deltas > 0, got %r"

@@ -677,6 +677,12 @@ BAD_ARGUMENTS = {
                                      MAT2, [0.1], sp.Grid(2, 32)), 'deltas'),
     'surface-terms-omega-0': (
         lambda: lap.surface_terms(0.0, _J2, MAT2), 'nonzero'),
+    # sign = 0 gave the zero field, sign = 2 twice the jump
+    'surface-terms-sign-0': (
+        lambda: lap.surface_terms(OMEGA, _J2, MAT2, sign=0),
+        r'sign must be \+1 or -1, got 0'),
+    'surface-terms-sign-2': (
+        lambda: lap.surface_terms(OMEGA, _J3, MAT3, sign=2), 'sign'),
     'det-diagnostics-material2': (
         lambda: symbol.det_diagnostics(np.ones((2, 3)), MAT2), '3D'),
 }
@@ -717,6 +723,15 @@ BAD_FREQUENCIES = {
     'e-delta-inf': lambda: lap.e_delta(_F1, np.inf, 0.1),
     'pv-part-inf': lambda: lap.pv_part(_F1, np.inf),
     'surface-part-inf': lambda: lap.surface_part(_F1, np.inf),
+    # GridTooCoarse, "annulus contains no lattice modes"
+    'blowup-nan': lambda: lap.lap_blowup_probe(
+        np.nan, rg.LebesguePair(0.5, 0.5, 2), MAT2, [0.1, 0.05],
+        sp.Grid(2, 32)),
+    'blowup-inf': lambda: lap.lap_blowup_probe(
+        np.inf, _PAIR, MAT3, [0.1, 0.05], sp.Grid(3, 8)),
+    'blowup-complex': lambda: lap.lap_blowup_probe(
+        3 + 1j, rg.LebesguePair(0.5, 0.5, 2), MAT2, [0.1, 0.05],
+        sp.Grid(2, 32)),
     # False, with no error
     'z-region-nan': lambda: rg.z_region(rg.RegionQuery(_PAIR, 2.0),
                                         complex(1, np.nan)),
