@@ -153,8 +153,8 @@ def sphere_quadrature(dim, n):
 # ---------------------------------------------------------------------------
 # semidiscrete transform at off-grid wavevectors
 
-# complex entries of the per-ring intermediates in one block of rings (16
-# MiB): the (ncomp, n, per_ring) operand and the (ncomp, n^(d-1)) plane
+# complex entries of each per-ring intermediate in one block of rings (16
+# MiB): the (per_ring, ncomp, n) products and the (ncomp, n^(d-1)) planes
 _CHUNK = 1 << 20
 
 
@@ -224,20 +224,6 @@ def _forward(cb, tabs):
     return (g @ ds[-1][..., None])[..., 0]
 
 
-def _synthesize(v, tabs):
-    """sum_p v[r, p] prod_a tabs_a[r, p, x_a] over a block of rings, v of
-    shape (rings, per_ring, ncomp), as (n, prod planes) with planes
-    (n, ..., ncomp, n): each ring's plane, in 3D T_2^T diag(v) T_3 per
-    component (a batched matmul over the ring's nodes), then one GEMM of
-    the axis-1 table over the rings."""
-    rings, per_ring = v.shape[:2]
-    plane = v[..., None] * tabs[-1][:, :, None]     # (rings, per_ring, ncomp, n)
-    if len(tabs) == 3:
-        plane = tabs[1].swapaxes(1, 2) @ plane.reshape(rings, per_ring, -1)
-    # in 2D a ring is one node, whose plane is its (ncomp, n) product
-    return tabs[0].T @ plane.reshape(rings, -1)
-
-
 def offgrid_transform(f, xi_pts):
     """Semidiscrete transform (1/N) sum_j f(x_j) e^{-i x_j xi} at
     arbitrary wavevectors xi_pts (npts, d), of shape (ncomp, npts); exact
@@ -254,17 +240,28 @@ def _apply_offgrid(J, xi, coeffs, weight_fn=None):
     """sum_p coeffs_p W(xi_p) Jhat(xi_p) e^{i x xi_p} in one pass over the
     nodes xi, grouped in rings (rings, per_ring, d) whose nodes share xi_1
     (_polar_points), with coeffs of shape (rings, per_ring) and
-    weight_fn(xi, v) = W(xi) v on v of shape (nodes, ncomp)."""
+    weight_fn(xi, v) = W(xi) v on v of shape (nodes, ncomp).
+
+    The synthesis forms each ring's plane over the later axes, in 3D
+    T_2^T diag(v) T_3 per component by a batched matmul over the ring's
+    nodes (in 2D a ring is one node, whose plane is its product), then
+    writes the grid, laid out (n, ..., ncomp, n), with one GEMM of the
+    axis-1 table over the rings."""
     grid, ncomp = J.grid, J.ncomp
     n = grid.n
     out = np.zeros((n, ncomp * (grid.npoints // n)), dtype=complex)
     cb = _support_block(J)
     for sl, tabs in _ring_blocks(grid, ncomp, xi):
-        vals = _forward(cb, tabs)
+        v = _forward(cb, tabs)
         if weight_fn is not None:
-            vals = weight_fn(xi[sl].reshape(-1, grid.dim),
-                             vals.reshape(-1, ncomp)).reshape(vals.shape)
-        out += _synthesize(vals * coeffs[sl][..., None], tabs)
+            v = weight_fn(xi[sl].reshape(-1, grid.dim),
+                          v.reshape(-1, ncomp)).reshape(v.shape)
+        # (rings, per_ring, ncomp, n)
+        plane = (v * coeffs[sl][..., None])[..., None] * tabs[-1][:, :, None]
+        if grid.dim == 3:
+            plane = tabs[1].swapaxes(1, 2) @ plane.reshape(
+                plane.shape[:2] + (-1,))
+        out += tabs[0].T @ plane.reshape(len(plane), -1)
     out = out.reshape((n,) * (grid.dim - 1) + (ncomp, n))
     return spectral.Field(grid, np.moveaxis(out, -2, 0))
 
