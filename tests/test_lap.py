@@ -93,39 +93,31 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def _random_rings(dim, rings, per_ring, n):
-    """rings (rings, per_ring, dim) of random wavevectors whose nodes share
-    xi_1, half inside the grid's band and half beyond it."""
-    xi = RNG.uniform(-n, n, (rings, per_ring, dim))
-    xi[..., 0] = xi[:, :1, 0]
-    return xi
-
-
-@pytest.mark.parametrize('dim,n,rings,per_ring', [
-    (2, 16, 300, 1),
+@pytest.mark.parametrize('dim,n,npts', [
+    (2, 16, 300),
     # rings of one on 8^3 with 3 components: more than one block
-    (3, 8, lap._CHUNK // (3 * (8 + 8 ** 2)) + 37, 1),
-    (3, 16, 200, 1),
-    (3, 16, 20, 10),
+    (3, 8, lap._CHUNK // (3 * (8 + 8 ** 2)) + 37),
+    (3, 16, 200),
 ])
-def test_offgrid_matches_dense_oracle(dim, n, rings, per_ring):
+def test_offgrid_matches_dense_oracle(dim, n, npts):
     g = sp.Grid(dim, n)
     J = sp.random_band_limited(g, 3, RNG)
-    xi = _random_rings(dim, rings, per_ring, n)
-    flat = xi.reshape(-1, dim)
-    cf = (RNG.standard_normal((rings, per_ring))
-          + 1j * RNG.standard_normal((rings, per_ring)))
+    # half the nodes inside the grid's band, half beyond it
+    xi = RNG.uniform(-n, n, (npts, dim))
+    cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
     A = RNG.standard_normal((dim, 9))
 
     def weight_fn(pts):             # 3 components in, 3 out
         return np.exp(1j * pts @ A).reshape(-1, 3, 3)
 
-    vals, plain = dense_offgrid(J, flat, cf.ravel())
-    assert _rel(lap.offgrid_transform(J, flat), vals) < 1e-12
-    assert _rel(lap._apply_offgrid(J, xi, cf).data, plain) < 1e-12
-    _, weighted = dense_offgrid(J, flat, cf.ravel(), weight_fn)
+    vals, plain = dense_offgrid(J, xi, cf)
+    assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
+    assert _rel(lap._apply_offgrid(J, xi[:, None], cf[:, None]).data,
+                plain) < 1e-12
+    _, weighted = dense_offgrid(J, xi, cf, weight_fn)
     out = lap._apply_offgrid(
-        J, xi, cf, lambda pts, v: np.einsum('pij,pj->pi', weight_fn(pts), v))
+        J, xi[:, None], cf[:, None],
+        lambda pts, v: np.einsum('pij,pj->pi', weight_fn(pts), v))
     assert _rel(out.data, weighted) < 1e-12
 
 
@@ -264,19 +256,21 @@ def test_offgrid_support_inputs_match_dense_oracle(dim, n, npts, make):
                 plain) < 1e-12
 
 
-@pytest.mark.parametrize('dim,n,per_ring', [(2, 32, 1), (3, 16, 1),
-                                            (3, 16, 10)])
-def test_offgrid_zero_field_gives_zeros(dim, n, per_ring):
+@pytest.mark.parametrize('dim,n', [(2, 32), (3, 16)])
+def test_offgrid_zero_field_gives_zeros(dim, n):
     # the empty support: every S_a holds no index
     g = sp.Grid(dim, n)
     J = sp.Field.from_coeffs(g, np.zeros((3,) + (n,) * dim, dtype=complex))
-    xi = _random_rings(dim, 50, per_ring, n)
-    cf = RNG.standard_normal((50, per_ring)) + 0j
-    flat = xi.reshape(-1, dim)
-    assert lap.offgrid_transform(J, flat).shape == (3, 50 * per_ring)
-    assert not np.any(lap.offgrid_transform(J, flat))
-    out = lap._apply_offgrid(J, xi, cf)
-    assert out.shape == J.shape and not np.any(out.data)
+    xi = RNG.uniform(-n, n, (50, dim))
+    assert lap.offgrid_transform(J, xi).shape == (3, 50)
+    assert not np.any(lap.offgrid_transform(J, xi))
+    # rings of one, and in 3D five rings of ten nodes sharing xi_1
+    rings = [xi[:, None]] + ([xi.reshape(5, 10, 3)] if dim == 3 else [])
+    for pts in rings:
+        pts[..., 0] = pts[:, :1, 0]
+        cf = RNG.standard_normal(pts.shape[:2]) + 0j
+        out = lap._apply_offgrid(J, pts, cf)
+        assert out.shape == J.shape and not np.any(out.data)
 
 
 @pytest.mark.parametrize('n', [2 ** p for p in range(2, 10)])
