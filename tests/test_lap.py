@@ -185,7 +185,9 @@ def test_polar_points_drop_only_whole_rings():
     # a ring whose nodes straddle the cutoff's edge (round-off makes the
     # cutoff 0 at some nodes of a ring and tiny at others) keeps its
     # zero-coefficient nodes
-    half = lambda xi: (xi[..., 1] > 0).astype(float)   # noqa: E731
+    def half(xi):
+        return (xi[..., 1] > 0).astype(float)
+
     pts, cf = lap._polar_points(radii, np.ones(24), qform, half, g, 6)
     assert np.array_equal(pts, every)
     assert np.any(cf == 0, axis=1).all() and np.any(cf != 0, axis=1).all()
