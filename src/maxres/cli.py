@@ -291,8 +291,9 @@ def cmd_lap(args, cp):
     return EXIT_OK
 
 
-def _resolution(cp, default):
-    n = _get(cp, 'region', 'resolution', int, default=default)
+def _resolution(cp):
+    """gamma_map's [region] resolution, which no library call checks."""
+    n = _get(cp, 'region', 'resolution', int, default=101)
     if n < 2:
         raise ConfigError("[region] resolution must be at least 2, got %d"
                           % n)
@@ -304,7 +305,7 @@ def cmd_region(args, cp):
     out = _outdir(args)
     if mode == 'gamma_map':
         d = _get(cp, 'region', 'dim', int, default=3)
-        n = _resolution(cp, 101)
+        n = _resolution(cp)
         rows = [(i / (n - 1), j / (n - 1)) for i in range(n) for j in range(n)]
         rows = [(x, y, float(region.gamma(LebesguePair(x, y, d))))
                 for x, y in rows]
@@ -318,7 +319,7 @@ def cmd_region(args, cp):
         pair = LebesguePair(_get(cp, 'region', 'x', float),
                             _get(cp, 'region', 'y', float), dim)
         query = RegionQuery(pair, _get(cp, 'region', 'ell', float))
-        n = _resolution(cp, 256)
+        n = _get(cp, 'region', 'resolution', int, default=256)
         try:
             pts = region.z_boundary(query, resolution=n)
         except EmptyRegion as exc:

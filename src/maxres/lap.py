@@ -85,8 +85,9 @@ class CutoffSpec:
     r_out: float
 
     def __post_init__(self):
-        if not 0 < self.r_in < self.r_out:
-            raise InvalidArgument("need 0 < r_in < r_out")
+        if not 0 < self.r_in < self.r_out < np.inf:
+            raise InvalidArgument("need 0 < r_in < r_out < inf, got r_in = "
+                                  "%r, r_out = %r" % (self.r_in, self.r_out))
 
     def radial(self, r):
         return _smooth_step((np.asarray(r, dtype=float) - self.r_in)
@@ -407,8 +408,8 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
                                         n_sphere, n_radial)
     if method == 'lattice':
         c, xi = spectral._modes(f)
-        rho = np.sqrt(np.einsum('ki,ij,kj->k', xi, qform, xi))
-        mult = beta(xi) / (rho - (omega + 1j * sign * delta))
+        mult = beta(xi) / (symbol._qnorm(xi, qform)
+                           - (omega + 1j * sign * delta))
         return spectral._like(f, c * mult)
     if method != 'quadrature':
         raise InvalidArgument("method must be 'lattice' or 'quadrature'")

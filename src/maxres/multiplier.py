@@ -54,7 +54,8 @@ def _scalar_resolvents(omega, rho, skip=()):
 def sphere_qforms(mat):
     """Quadratic forms q_k of the characteristic spheres: sphere k is
     { <xi, q_k xi> = omega^2 }, where columns d - 1 + 2k and d + 2k of
-    the eigenbasis are singular."""
+    the eigenbasis are singular; a wavevector's radius on it is
+    symbol._qnorm(xi, q_k) (region.characteristic_radii)."""
     if mat.dim == 2:
         return [mat.qform]
     return [mat.b * np.eye(3), mat.qform]

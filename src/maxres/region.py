@@ -165,6 +165,9 @@ def z_boundary(query, resolution=256):
     complex points covers the upper half and its conjugate mirror, and
     is symmetric under reflection in both axes.
     """
+    if not (isinstance(resolution, (int, np.integer)) and resolution >= 2):
+        raise InvalidArgument("resolution must be an integer >= 2, got %r"
+                              % (resolution,))
     pair, ell = query.pair, query.ell
     a, g = alpha(pair), gamma(pair)
     _check_empty(pair, ell)
@@ -205,6 +208,8 @@ def eigenvalue_enclosure(query, V, p, q):
     The potential norm is taken in L^r with 1/r = 1/p - 1/q; the
     criterion is ||V||_r <= t / (C ell), non-strict.
     """
+    if not p >= 1:
+        raise InvalidArgument("need p >= 1, got p=%r" % (p,))
     if q <= p:
         raise ExponentOrder("need q > p, got p=%r q=%r" % (p, q))
     r = 1.0 / (1.0 / p - 1.0 / q)
@@ -234,6 +239,9 @@ def loglog_fit(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.size < 2:
         raise InvalidArgument("need at least two points to fit")
+    if not np.all((xs > 0) & (xs < np.inf) & (ys > 0) & (ys < np.inf)):
+        raise InvalidArgument("a log-log fit needs finite positive points, "
+                              "got xs = %r, ys = %r" % (xs, ys))
     lx, ly = np.log(xs), np.log(ys)
     A = np.stack([lx, np.ones_like(lx)], axis=-1)
     coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
@@ -244,10 +252,7 @@ def loglog_fit(xs, ys):
 
 def characteristic_radii(xi, mat):
     """Flavor norms whose level-|omega| sets are the singular spheres."""
-    if mat.dim == 2:
-        return [symbol.norm_eps_prime(xi, mat)]
-    n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
-    return [np.sqrt(mat.b) * n, symbol.norm_eps(xi, mat)]
+    return [symbol._qnorm(xi, q) for q in multiplier.sphere_qforms(mat)]
 
 
 def on_sphere_frequency(grid, mat):
@@ -315,6 +320,7 @@ def annulus_source(grid, omega, mat, thickness=1.0, rng=None):
     the eigenvector column whose eigenvalue is i(omega - rho); on those
     modes the resolvent acts as the scalar 1/(i(omega - rho)).
     """
+    symbol._frequency(omega)
     sel, _ = _annulus_modes(grid.xi_flat(), omega, mat, thickness)
     amps = np.ones(sel.size, dtype=complex)
     if rng is not None:
@@ -332,9 +338,9 @@ def knapp_source(grid, omega, mat):
     euclidean-sphere flavor.  Modes near the distinguished (first)
     axis are left out, as in the annulus source.
     """
+    omega = complex(symbol._frequency(omega))
     if mat.dim != 3:
         raise InvalidArgument("the cap construction is three-dimensional")
-    omega = complex(omega)
     lam = abs(omega)
     theta = lam ** -0.5
     tau = max(abs(omega.imag), 0.75)    # resolve at least one lattice shell

@@ -423,8 +423,7 @@ def _flavor_qform(flavor, mat, dim):
 
 
 def flavor_norm(xi, flavor, mat, dim):
-    q = _flavor_qform(flavor, mat, dim)
-    return np.sqrt(np.einsum('...i,ij,...j->...', xi, q, xi))
+    return symbol._qnorm(xi, _flavor_qform(flavor, mat, dim))
 
 
 def riesz(f, i, flavor='euclidean', mat=None):

@@ -2,8 +2,10 @@
 and a rewrite of figures.json.
 
 Each job is one ``maxres`` subcommand on a fixed config and seed, at
-Tier-1 sizes (3D grids of at most 16^3).  Its figures are the values the
-report prints and, for each field file it writes, the L2 norm and the
+Tier-1 sizes (3D grids of at most 16^3); a config naming SOURCE_MXFD
+reads a source field that the job first writes into its temp dir.  Its
+figures are the values the report prints, every row of each CSV file it
+writes and, for each field file it writes, the L2 norm and the
 coefficients at a few fixed modes.  test_golden.py recomputes them and
 compares each against figures.json:
 
@@ -59,6 +61,12 @@ JOBS = {
         "[frequency]\nre = 2.1\nim = 0.4\n[source]\nkind = solenoidal\n", 4),
     'solve_3d': ('solve', CANON3 + "[frequency]\nre = 2.3\nim = 0.5\n"
                  "[source]\nkind = random\n", 9),
+    # the source's samples are read back and transformed once, then
+    # mapped into the canonical frame
+    'solve_3d_rotated_file': (
+        'solve', "[grid]\ndim = 3\nn = 16\n" + ROTATED3
+        + "[frequency]\nre = 2.1\nim = 0.4\n"
+        "[source]\nkind = file\npath = SOURCE_MXFD\n", 11),
     'lap_quadrature_2d': ('lap', LAP2 + "[lap]\nmethod = quadrature\n", 1),
     'lap_extrapolate_2d': ('lap', LAP2 + "[lap]\nmethod = extrapolate\n", 1),
     'lap_quadrature_3d_rotated': (
@@ -78,7 +86,20 @@ JOBS = {
                     "[material]\neps_axis = 0.5\neps_perp = 1.4\n"
                     "[probe]\nfamily = knapp\nx = 0.6\ny = 0.3\n", 7),
     'verify_2e4': ('verify', "[verify]\npoints = 20000\n", 8),
+    'region_gamma_map': ('region', "[region]\nmode = gamma_map\ndim = 3\n"
+                         "resolution = 5\n", 0),
+    'region_boundary': ('region', "[region]\nmode = boundary\nx = 0.6\n"
+                        "y = 0.4\ndim = 2\nell = 1.3\nresolution = 16\n", 0),
+    # each set both holds and fails, and the last point lies on the
+    # corner that R0_half leaves out
+    'region_membership': ('region', "[region]\nmode = membership\ndim = 3\n"
+                          "points = 0.5,0.25;0.8,0.2;0.9,0.1;0.3,0.4;"
+                          "1,0.6666666666666666\n", 0),
 }
+
+# the source field of a SOURCE_MXFD job: band-limited on this grid, drawn
+# from the job's seed
+SOURCE_GRID = spectral.Grid(3, 16)
 
 # fixed modes (per-axis integer frequencies) whose coefficients are kept;
 # all lie inside the source bands above
@@ -149,7 +170,7 @@ def _field(path):
 def _csv(path):
     with open(path, encoding='utf-8') as fh:
         rows = fh.read().splitlines()[1:]
-    return [[float(v) for v in row.split(',')] for row in rows]
+    return [[_value(v) for v in row.split(',')] for row in rows]
 
 
 def run(name):
@@ -157,6 +178,11 @@ def run(name):
     fields and CSV rows."""
     command, ini, seed = JOBS[name]
     with tempfile.TemporaryDirectory() as tmp:
+        if 'SOURCE_MXFD' in ini:
+            source = os.path.join(tmp, 'source.mxfd')
+            fieldfile.write_field(source, spectral.random_band_limited(
+                SOURCE_GRID, 6, np.random.default_rng(seed)))
+            ini = ini.replace('SOURCE_MXFD', source)
         cfg = os.path.join(tmp, 'job.ini')
         with open(cfg, 'w', encoding='utf-8') as fh:
             fh.write(ini)

@@ -10,7 +10,7 @@ reference for the weights that maxres applies without forming them.
 import numpy as np
 
 from maxres import multiplier
-from maxres.symbol import AXIS_GUARD, _eigen_basis, norm_eps, norm_eps_prime
+from maxres.symbol import AXIS_GUARD, _eigen_basis
 
 
 def projectors(xi, mat):
@@ -31,13 +31,20 @@ def guard_band_xi(rng, n):
     return np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
 
 
+def qform_norm(xi, mat):
+    """sqrt(<xi, Q xi>) with Q = mat.qform, typed out here so that the
+    oracles below do not share maxres's norm helper: |xi|_w in 2D,
+    |xi|_e in 3D."""
+    return np.sqrt(np.einsum('...i,ij,...j->...', xi, mat.qform, xi))
+
+
 def charge_column_2d(omega, xi, mat, J_hat):
     """M_c applied to J, expressed through the charge rho_e = i xi . J_e."""
     xi = np.asarray(xi, dtype=float)
     J_hat = np.asarray(J_hat, dtype=complex)
     e = mat.eps_inv
     e11, e12, e22 = e[0, 0], e[0, 1], e[1, 1]
-    n = norm_eps_prime(xi, mat)
+    n = qform_norm(xi, mat)
     x1p = xi[..., 0] / n
     x2p = xi[..., 1] / n
     rho_e = 1j * (xi[..., 0] * J_hat[..., 0] + xi[..., 1] * J_hat[..., 1])
@@ -53,7 +60,7 @@ def charge_column_3d(omega, xi, mat, J_hat):
     J_hat = np.asarray(J_hat, dtype=complex)
     a, b = mat.a, mat.b
     n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
-    ne = norm_eps(xi, mat)
+    ne = qform_norm(xi, mat)
     xp = xi / n[..., None]
     xt = xi / ne[..., None]
     rho_e = 1j * np.einsum('...i,...i->...', xi, J_hat[..., :3])

@@ -402,6 +402,8 @@ SOLVE16 = ("[grid]\ndim = 2\nn = 16\n"
 PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
            "[material]\neps11 = 1.0\neps22 = 1.0\n"
            "[probe]\nfamily = annulus\n")
+REGION_BOUNDARY = ("[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
+                   "ell = 1.3\nresolution = 16\n")
 
 
 @pytest.mark.parametrize('cmd,text', [
@@ -420,6 +422,8 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
     ('region', "[region]\nmode = gamma_map\ndim = 4\n"),
     ('region', "[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
                "ell = -1\n"),
+    # the boundary's resolution rule is region.z_boundary's
+    ('region', REGION_BOUNDARY.replace('resolution = 16', 'resolution = 1')),
     ('lap', LAP_INI.replace('re = 3.1', 're = 0')),
     ('lap', LAP_INI + "[lap]\nmethod = bogus\n"),
     # the lattice route is the exact periodic limit, with no second
@@ -475,6 +479,7 @@ PROBE16 = ("[grid]\ndim = 2\nn = 16\n"
         'solve-annulus-axis2', 'solve-knapp-axis2', 'flip-one-index',
         'flip-out-of-range', 'verify-too-few-points', 'membership-one-value',
         'gamma-map-resolution-1', 'gamma-map-dim-4', 'boundary-negative-ell',
+        'boundary-resolution-1',
         'lap-re-0', 'lap-unknown-method', 'lap-negative-cross-tol-quadrature',
         'lap-negative-cross-tol-extrapolate', 'lap-nan-cross-tol',
         'lap-inf-cross-tol', 'solve-nan-re', 'solve-inf-im',
@@ -607,8 +612,6 @@ def _key_job(section, key):
     return 'solve', SOLVE16 + "[source]\nkind = random\nkmax = 4\n"
 
 
-REGION_BOUNDARY = ("[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
-                   "ell = 1.3\nresolution = 16\n")
 NONFINITE = re.compile(r'(?<![A-Za-z_])(?:nan|inf)', re.I)
 
 

@@ -643,6 +643,7 @@ def test_one_frame_map_per_call(monkeypatch, mat):
 _F1 = sp.random_band_limited(sp.Grid(2, 16), 1, np.random.default_rng(1))
 _J2 = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(2))
 _J3 = sp.random_band_limited(sp.Grid(3, 16), 6, np.random.default_rng(3))
+_Z_QUERY = rg.RegionQuery(rg.LebesguePair(0.6, 0.4, 2), 1.3)
 BAD_ARGUMENTS = {
     # riesz(f, 0) read the last axis through xi[:, -1]
     'riesz-axis-0': (lambda: sp.riesz(_F1, 0), 'axis'),
@@ -681,6 +682,33 @@ BAD_ARGUMENTS = {
         lambda: lap.surface_terms(OMEGA, _J3, MAT3, sign=2), 'sign'),
     'det-diagnostics-material2': (
         lambda: symbol.det_diagnostics(np.ones((2, 3)), MAT2), '3D'),
+    # -1 gave an empty curve (alpha != 0) or numpy's bare ValueError
+    # (alpha = 0), and 2.5 a TypeError
+    'z-boundary-resolution-minus-1': (
+        lambda: rg.z_boundary(_Z_QUERY, resolution=-1), 'resolution'),
+    'z-boundary-cone-resolution-minus-1': (
+        lambda: rg.z_boundary(rg.RegionQuery(rg.LebesguePair(0.75, 0.25, 2),
+                                             2.0), resolution=-1),
+        'resolution'),
+    'z-boundary-resolution-1': (
+        lambda: rg.z_boundary(_Z_QUERY, resolution=1), 'resolution'),
+    'z-boundary-resolution-2.5': (
+        lambda: rg.z_boundary(_Z_QUERY, resolution=2.5), 'resolution'),
+    # p = 0 divided by zero, and p = 0.5 < q = 0.9 gave a verdict
+    'enclosure-p-0': (
+        lambda: rg.eigenvalue_enclosure(
+            rg.RegionQuery(rg.LebesguePair(0.5, 0.25, 2), 1.0), _F1, 0, 4),
+        'p'),
+    'enclosure-p-0.5': (
+        lambda: rg.eigenvalue_enclosure(
+            rg.RegionQuery(rg.LebesguePair(0.5, 0.25, 2), 1.0), _F1, 0.5,
+            0.9), 'p'),
+    # a NaN slope, and LAPACK DLASCL lines then LinAlgError
+    'loglog-fit-zero-y': (lambda: rg.loglog_fit([1, 2], [0, 1]), 'positive'),
+    'loglog-fit-negative-x': (
+        lambda: rg.loglog_fit([-1, 2], [1, 1]), 'positive'),
+    # the model operators dropped the infinite tail with RuntimeWarnings
+    'cutoff-infinite-r-out': (lambda: lap.CutoffSpec(1.0, np.inf), 'r_out'),
 }
 
 
@@ -728,6 +756,21 @@ BAD_FREQUENCIES = {
     'blowup-complex': lambda: lap.lap_blowup_probe(
         3 + 1j, rg.LebesguePair(0.5, 0.5, 2), MAT2, [0.1, 0.05],
         sp.Grid(2, 32)),
+    # GridTooCoarse, "annulus contains no lattice modes" or "cap contains
+    # no lattice modes"
+    'annulus-source-nan': lambda: rg.annulus_source(
+        sp.Grid(2, 32), np.nan, MAT2),
+    'annulus-source-inf': lambda: rg.annulus_source(
+        sp.Grid(3, 16), np.inf, MAT3),
+    'knapp-source-nan': lambda: rg.knapp_source(
+        sp.Grid(3, 16), complex(np.nan, 0.5), MAT3),
+    'knapp-source-inf': lambda: rg.knapp_source(
+        sp.Grid(3, 16), np.inf, MAT3),
+    'scaling-probe-nan': lambda: rg.norm_scaling_probe(
+        rg.LebesguePair(0.5, 0.5, 2), MAT2, 'radial', [3 + 0.5j, np.nan],
+        sp.Grid(2, 32)),
+    'scaling-probe-knapp-inf': lambda: rg.norm_scaling_probe(
+        _PAIR, MAT3, 'knapp', [complex(np.inf, 0.5)], sp.Grid(3, 16)),
     # False, with no error
     'z-region-nan': lambda: rg.z_region(rg.RegionQuery(_PAIR, 2.0),
                                         complex(1, np.nan)),

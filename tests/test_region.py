@@ -5,10 +5,13 @@ import pytest
 
 from maxres import region as rg
 from maxres import spectral as sp
+from maxres import symbol
 from maxres.errors import (EmptyRegion, ExponentOrder, GridTooCoarse,
                            InvalidArgument, OnSingularSet)
 from maxres.materials import Material2, Material3
 from maxres.region import LebesguePair as P
+
+from helpers import qform_norm
 
 RNG = np.random.default_rng(31)
 
@@ -192,6 +195,30 @@ def test_frequency_pickers():
     assert np.abs(rho - om).min() == 0.0
     off = rg.off_sphere_frequency(g, MAT2, near=3.0)
     assert np.abs(rho[rho > 0] - off).min() > 1e-2
+
+
+@pytest.mark.parametrize('mat', [
+    MAT2, Material2(1.0, 0.0, 1.0), Material3(0.5, 1.0 / 0.7),
+    Material3(1.0, 1.0)], ids=['mat2', 'iso2', 'mat3', 'iso3'])
+def test_characteristic_radii_are_the_eigenbasis_offsets(mat):
+    d = mat.dim
+    xi = np.random.default_rng(11).normal(0.0, 3.0, (2000, d))
+    # off the axis by a margin, where the closed-form eigenbasis holds
+    xi = xi[np.sum(xi[:, 1:] ** 2, axis=1) > 1e-2 * np.sum(xi ** 2, axis=1)]
+    rho = symbol._eigen_basis(xi, mat)[2]
+    radii = rg.characteristic_radii(xi, mat)
+    assert len(radii) == d - 1
+    for k, r in enumerate(radii):
+        assert np.abs(r / rho[:, d + 2 * k] - 1).max() <= 1e-15
+    # against norms typed out from the material: sqrt(b)|xi|, and the
+    # qform norm |xi|_w (2D) or |xi|_e (3D)
+    oracle = [qform_norm(xi, mat)]
+    if d == 3:
+        oracle.insert(0, np.sqrt(mat.b) * np.linalg.norm(xi, axis=1))
+    for r, want in zip(radii, oracle):
+        assert np.abs(r / want - 1).max() <= 1e-15
+    flavor = 'eps_prime' if d == 2 else 'eps_tilde'
+    assert np.array_equal(sp.flavor_norm(xi, flavor, mat, d), radii[-1])
 
 
 def dense_off_sphere_frequency(grid, mat, near=3.0):

@@ -3,8 +3,8 @@ import pytest
 
 from maxres.errors import DegenerateDirection, InvalidArgument
 from maxres.materials import Material2, Material3
-from maxres.symbol import (canonicalize, det_diagnostics, eigen_decomposition,
-                           norm_eps, norm_eps_prime, symbol_p)
+from maxres.symbol import (_qnorm, canonicalize, det_diagnostics,
+                           eigen_decomposition, symbol_p)
 
 RNG = np.random.default_rng(42)
 
@@ -18,13 +18,23 @@ def _random_xi(n, dim):
     return xi
 
 
+def _norm_e(xi):
+    """|xi|_e of MAT3, sqrt(b xi1^2 + a (xi2^2 + xi3^2)), written out."""
+    return np.sqrt(MAT3.b * xi[..., 0] ** 2
+                   + MAT3.a * (xi[..., 1] ** 2 + xi[..., 2] ** 2))
+
+
 def test_norms():
     xi = np.array([1.0, 2.0])
     q = MAT2.qform
-    assert norm_eps_prime(xi, MAT2) == pytest.approx(np.sqrt(xi @ q @ xi))
+    assert _qnorm(xi, q) == pytest.approx(np.sqrt(xi @ q @ xi))
     xi3 = np.array([1.0, 2.0, 3.0])
     expect = np.sqrt(MAT3.b * 1.0 + MAT3.a * (4.0 + 9.0))
-    assert norm_eps(xi3, MAT3) == pytest.approx(expect)
+    assert _qnorm(xi3, MAT3.qform) == pytest.approx(expect)
+    # any leading shape
+    xi = np.random.default_rng(7).normal(size=(3, 4, 3))
+    assert np.allclose(_qnorm(xi, MAT3.qform), _norm_e(xi), rtol=1e-15,
+                       atol=0)
 
 
 @pytest.mark.parametrize('mat', [MAT2, MAT3])
@@ -46,7 +56,7 @@ def test_eigenvalues_are_scalar_resolvrent_poles():
     omega = 1.5 + 0.5j
     _, d, _ = eigen_decomposition(omega, xi, MAT3)
     n = np.linalg.norm(xi, axis=1)
-    ne = norm_eps(xi, MAT3)
+    ne = _norm_e(xi)
     sb = np.sqrt(MAT3.b)
     branches = np.stack([np.full_like(n, omega, dtype=complex),
                          np.full_like(n, omega, dtype=complex),
