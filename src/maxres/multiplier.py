@@ -77,13 +77,15 @@ def _apply(xi, c, mat, w):
 
 
 def resolvent_matrix(omega, xi, mat):
-    """Full inverse symbol M + M_c at Im(omega) != 0: _apply on I.
+    """Full inverse symbol M + M_c at Im(omega) != 0: _apply on I, at one
+    omega or one per wavevector of xi, as symbol_p.
 
     Raises DegenerateDirection at xi = 0 and near the 3D distinguished
     axis, where the caller inverts the symbol directly.
     """
-    if symbol._frequency(omega).imag == 0:
+    omega = np.asarray(symbol._frequency(omega))
+    if np.any(omega.imag == 0):
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
     return _apply(xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat,
-                  lambda rho: _scalar_resolvents(omega, rho))
+                  lambda rho: _scalar_resolvents(omega[..., None], rho))
 

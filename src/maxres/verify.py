@@ -4,9 +4,10 @@ Two suites are provided, both vectorized over large random point sets
 and evaluated in cache-sized blocks of points (symbol._blocks), so their
 memory does not grow with the number of points:
 
-* :func:`diagonalization_suite` checks p = m d m^{-1} pointwise, the 2D
-  normalization det m = -1, and the constancy of the 3D renormalized
-  determinant |det m| / alpha^4 against frozen per-material brackets.
+* :func:`diagonalization_suite` checks p = m d m^{-1} pointwise and the
+  determinant of the eigenbasis against its closed form
+  (:func:`_det_target`): det m = -1 in 2D, and in 3D the renormalized
+  det m = det m_plain / alpha^4 = 4 / (a b^(3/2)).
 * :func:`inverse_suite` checks the master identity p (M + M_c) = I for
   ``resolvent_matrix``, which is ``multiplier._apply`` on the identity:
   the apply that ``solve`` and the LAP run on lattice coefficients.  It
@@ -39,23 +40,9 @@ MATERIALS_3D = (
     Material3(2.5, 0.8),            # a = 0.4, b = 1.25
 )
 
-# Frozen brackets for the constant |det m| / alpha^4, keyed by (a, b)
-# rounded to 12 digits.  Measured once over 10^6 wavevectors per
-# material (observed spread < 2e-13); the constant is xi-independent,
-# so the brackets are tight.
-DET3_BRACKETS = {
-    (1.0, 1.0): (4.0 - 1e-10, 4.0 + 1e-10),
-    (2.0, 0.7): (3.4149388838125 - 1e-10, 3.4149388838126 + 1e-10),
-    (0.4, 1.25): (7.1554175279993 - 1e-10, 7.1554175279994 + 1e-10),
-}
-
 # 3D matrix entries that are identically zero; a sign flip there is
 # unobservable, so the fault-injection hook refuses them.
 M3_ZERO_ENTRIES = ((0, 3), (3, 0))
-
-
-def _bracket_key(mat):
-    return (round(mat.a, 12), round(mat.b, 12))
 
 
 @dataclass
@@ -117,13 +104,29 @@ def _points(n_points, dim, least, flip_entry=None):
     return mats, 3 * (dim - 1), per
 
 
+def _draws(rng, mats, per, ncomp, axis_fraction=0.0, runs=None):
+    """(mat, xi, omega) for each block (symbol._blocks) of each material's
+    ``per`` random points, one omega per point.  With ``runs``, the points
+    fall into that many equal runs, the last taking the remainder, and
+    each run holds the omega drawn at its first point."""
+    for mat in mats:
+        xi = _random_xi(rng, per, mat.dim, axis_fraction)
+        omega = _random_omega(rng, per)
+        if runs is not None:
+            size = per // runs
+            omega = omega[np.minimum(np.arange(per) // size, runs - 1) * size]
+        for blk in _blocks(per, ncomp):
+            yield mat, xi[blk], omega[blk]
+
+
 def _flip(M, omega, xi, mat, entry):
     """Fault injection, in place: negate entry (i, j) of the 3D term sum
-    sum_j W_j s_j in M, that is of _apply on column j without M_c."""
+    sum_j W_j s_j in M, that is of _apply on column j without M_c; omega
+    is one frequency or one per wavevector, as in resolvent_matrix."""
     i, j = entry
     col = np.eye(6, dtype=complex)[:, j, None]
     M[:, i, j] -= 2 * _apply(xi, col, mat, lambda rho: _scalar_resolvents(
-        omega, rho, skip=(0, 1)))[:, i, 0]
+        np.asarray(omega)[..., None], rho, skip=(0, 1)))[:, i, 0]
 
 
 def _worst(defect):
@@ -134,116 +137,94 @@ def _worst(defect):
     return i, float(defect[i])
 
 
+class _Tracker:
+    """The largest defect over all blocks and a witness at its point; the
+    first block holding the largest value names it."""
+
+    def __init__(self):
+        self.value, self.witness = 0.0, {}
+
+    def update(self, defect, witness):
+        """Take one block's defects; witness(i) describes its point i."""
+        i, value = _worst(defect)
+        if value > self.value or not self.witness:
+            self.value, self.witness = value, witness(i)
+
+
+def _det_target(mat):
+    """The determinant of the eigenbasis m off the axis: -1 in 2D, and
+    4 / (a b^(3/2)) > 0 for the renormalized 3D basis."""
+    return -1.0 if mat.dim == 2 else 4.0 / (mat.a * mat.b ** 1.5)
+
+
 def diagonalization_suite(rng, n_points=100_000, dim=2, tol=1e-12,
                           det_tol=1e-12):
-    """Check p = m d m^{-1} and the determinant normalizations on the real
-    eigenbasis that the solvers use, block by block (symbol._blocks).
+    """Check p = m d m^{-1} and |det m / _det_target - 1| < det_tol on the
+    real eigenbasis that the solvers use, block by block (symbol._blocks).
     A failed check names its worst point: the worst reconstruction, else
     the determinant furthest from its target."""
     mats, ncomp, per = _points(n_points, dim, 1)
-    worst, witness = 0.0, {}
-    # 2D: the worst |det m + 1|; 3D: the worst signed distance outside a
-    # bracket (negative inside)
-    det_worst, det_witness = 0.0, {}
-    extras = {}
-    for mat in mats:
-        xi = _random_xi(rng, per, dim)
-        omega = _random_omega(rng, per)
+    recon, det, extras = _Tracker(), _Tracker(), {}
+    for mat, xs, om in _draws(rng, mats, per, ncomp):
+        m, minv, rho = _eigen_basis(xs, mat)
+        p = symbol_p(om, xs, mat)
+        # (m d) m^{-1} as one real product on the transposes,
+        # m^{-T} (m d)^T, with (m d)^T built contiguous
+        md_t = np.multiply(m.swapaxes(1, 2),
+                           1j * (om[:, None] + rho)[..., None], order='C')
+        pr = _rmatmul(minv.swapaxes(1, 2), md_t).swapaxes(1, 2)
+        scale = np.abs(p).max(axis=(1, 2)) + 1.0
+        recon.update(np.abs(pr - p).max(axis=(1, 2)) / scale, lambda i: {
+            'omega': complex(om[i]), 'xi': xs[i].tolist(),
+            'material': repr(mat)})
+        dets = np.linalg.det(m)
+        defect = np.abs(dets / _det_target(mat) - 1.0)
+        det.update(defect, lambda i: {
+            'xi': xs[i].tolist(), 'material': repr(mat),
+            'det': float(dets[i]), 'det_defect': float(defect[i])})
         if dim == 3:
-            key = _bracket_key(mat)
-            lo, hi = DET3_BRACKETS[key]
-            lows, highs = [], []
-        for blk in _blocks(per, ncomp):
-            xs, om = xi[blk], omega[blk]
-            m, minv, rho = _eigen_basis(xs, mat)
-            p = symbol_p(om, xs, mat)
-            # (m d) m^{-1} as one real product on the transposes,
-            # m^{-T} (m d)^T, with (m d)^T built contiguous
-            md_t = np.multiply(m.swapaxes(1, 2),
-                               1j * (om[:, None] + rho)[..., None], order='C')
-            recon = _rmatmul(minv.swapaxes(1, 2), md_t).swapaxes(1, 2)
-            scale = np.abs(p).max(axis=(1, 2)) + 1.0
-            i, defect = _worst(np.abs(recon - p).max(axis=(1, 2)) / scale)
-            if defect > worst or not witness:
-                worst = defect
-                witness = {'omega': complex(om[i]), 'xi': xs[i].tolist(),
-                           'material': repr(mat)}
-            dets = np.linalg.det(m)
-            if dim == 2:
-                excess = np.abs(dets + 1.0)
-            else:
-                ratio = np.abs(dets)
-                lows.append(ratio.min())
-                highs.append(ratio.max())
-                excess = np.maximum(lo - ratio, ratio - hi)
-            j, excess = _worst(excess)
-            if excess > det_worst or not det_witness:
-                det_worst = excess
-                det_witness = {'xi': xs[j].tolist(), 'material': repr(mat)}
-                if dim == 2:
-                    det_witness['det_defect'] = det_worst
-                else:
-                    det_witness.update(det_ratio=float(ratio[j]),
-                                       bracket=(lo, hi))
-        if dim == 3:
-            extras['det_ratio_%s' % key[0]] = (float(min(lows)),
-                                               float(max(highs)))
+            key = 'det_ratio_%s' % mat.a
+            lo, hi = extras.get(key, (np.inf, -np.inf))
+            extras[key] = (min(lo, float(dets.min())),
+                           max(hi, float(dets.max())))
     if dim == 2:
-        extras['det_defect'] = det_worst
-        det_ok = det_worst < det_tol
-    else:
-        det_ok = det_worst <= 0.0
-    passed = worst < tol and det_ok
-    if passed:
-        witness = {}
-    elif worst < tol:
-        witness = det_witness
+        extras['det_defect'] = det.value
+    passed = recon.value < tol and det.value < det_tol
+    witness = ({} if passed else
+               det.witness if recon.value < tol else recon.witness)
     return SuiteReport(name='diagonalization_%dd' % dim,
-                       count=per * len(mats), max_defect=worst,
+                       count=per * len(mats), max_defect=recon.value,
                        tolerance=tol, passed=passed, witness=witness,
                        extras=extras)
 
 
 def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
-    """Check p (M + M_c) = I for the closed-form inverse symbol, on
-    per-omega batches split into blocks (symbol._blocks)."""
+    """Check p (M + M_c) = I for the closed-form inverse symbol, block by
+    block (symbol._blocks), at 8 frequencies per material."""
     mats, ncomp, per = _points(n_points, dim, 8, flip_entry)
-    worst, witness = 0.0, {}
+    worst = _Tracker()
     eye = np.eye(ncomp)
-    for mat in mats:
-        xi = _random_xi(rng, per, dim, axis_fraction=0.02 if dim == 3 else 0.0)
-        omegas = _random_omega(rng, per)
-        # closed form wants one scalar omega per batch: 8 batches, the
-        # last one taking the remainder
-        size = per // 8
-        for k in range(0, 8 * size, size):
-            omega = complex(omegas[k])
-            batch = xi[k:per if k == 7 * size else k + size]
-            for blk in _blocks(len(batch), ncomp):
-                xs = batch[blk]
-                p = symbol_p(omega, xs, mat)
-                axis = near_axis(xs)
-                # near-axis fallback: the closed form at a placeholder
-                # off-axis direction, overwritten by direct 6x6 inversion
-                off = np.where(axis[:, None], 1.0, xs)
-                M = resolvent_matrix(omega, off, mat)
-                if flip_entry is not None:
-                    _flip(M, omega, off, mat, flip_entry)
-                M[axis] = np.linalg.inv(p[axis])
-                prod = p @ M
-                scale = (np.abs(p).max(axis=(1, 2))
-                         * np.abs(M).max(axis=(1, 2)) + 1.0)
-                i, defect = _worst(np.abs(prod - eye).max(axis=(1, 2))
-                                   / scale)
-                if defect > worst or not witness:
-                    worst = defect
-                    ij = divmod(int(np.argmax(np.abs(prod[i] - eye))), ncomp)
-                    witness = {'omega': omega, 'xi': xs[i].tolist(),
-                               'entry': ij, 'material': repr(mat)}
-    passed = worst < tol
+    for mat, xs, om in _draws(rng, mats, per, ncomp, axis_fraction=0.02,
+                              runs=8):
+        p = symbol_p(om, xs, mat)
+        axis = near_axis(xs)
+        # near-axis fallback: the closed form at a placeholder off-axis
+        # direction, overwritten by direct 6x6 inversion
+        off = np.where(axis[:, None], 1.0, xs)
+        M = resolvent_matrix(om, off, mat)
+        if flip_entry is not None:
+            _flip(M, om, off, mat, flip_entry)
+        M[axis] = np.linalg.inv(p[axis])
+        prod = p @ M
+        scale = np.abs(p).max(axis=(1, 2)) * np.abs(M).max(axis=(1, 2)) + 1.0
+        worst.update(np.abs(prod - eye).max(axis=(1, 2)) / scale, lambda i: {
+            'omega': complex(om[i]), 'xi': xs[i].tolist(),
+            'entry': divmod(int(np.argmax(np.abs(prod[i] - eye))), ncomp),
+            'material': repr(mat)})
+    passed = worst.value < tol
     return SuiteReport(name='inverse_%dd' % dim, count=per * len(mats),
-                       max_defect=worst, tolerance=tol, passed=passed,
-                       witness=witness if not passed else {})
+                       max_defect=worst.value, tolerance=tol, passed=passed,
+                       witness={} if passed else worst.witness)
 
 
 def run_all(seed=0, n_points=100_000, flip_entry=None):

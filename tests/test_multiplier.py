@@ -69,9 +69,21 @@ def test_inverse_identity_just_outside_axis_guard(mat):
         assert np.abs(prod - np.eye(6)).max() < 1e-12
 
 
+@pytest.mark.parametrize('mat', [MAT2, MAT3])
+def test_resolvent_matrix_takes_one_omega_per_row(mat):
+    xi = _random_xi(40, mat.dim)
+    omegas = RNG.uniform(-4, 4, 40) + 1j * RNG.uniform(0.2, 2, 40)
+    M = resolvent_matrix(omegas, xi, mat)
+    rows = [resolvent_matrix(om, x[None], mat)[0] for om, x in zip(omegas, xi)]
+    assert np.array_equal(M, np.array(rows))
+
+
 def test_real_omega_rejected():
     with pytest.raises(RealFrequency):
         resolvent_matrix(np.complex128(2.0), _random_xi(3, 2), MAT2)
+    # one real frequency among many is refused too
+    with pytest.raises(RealFrequency):
+        resolvent_matrix(np.array([1 + 1j, 2.0]), _random_xi(2, 2), MAT2)
 
 
 def test_on_axis_rejected_3d():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from maxres import multiplier, spectral, symbol, verify
-from maxres.materials import Material3
+from maxres.materials import Material2, Material3
 
 
 def _fields(rep):
@@ -54,30 +54,51 @@ def test_blocks_are_equal_and_cover_the_range():
     assert len(symbol._blocks(4_097, 6)) == 2
 
 
-def test_det_witness_names_the_failing_material(monkeypatch):
-    key = (2.0, 0.7)
-    monkeypatch.setitem(verify.DET3_BRACKETS, key, (3.5, 3.6))
+def test_det_witness_names_the_failing_material():
+    # a det_tol below rounding fails the 3D determinant check, and only it
     rep = verify.diagonalization_suite(np.random.default_rng(5), 3_000,
-                                       dim=3)
+                                       dim=3, det_tol=1e-17)
     assert not rep.passed
     assert rep.max_defect < rep.tolerance     # the reconstructions passed
     w = rep.witness
-    assert w['material'] == repr(verify.MATERIALS_3D[1])
-    assert verify._bracket_key(verify.MATERIALS_3D[1]) == key
-    assert w['bracket'] == (3.5, 3.6)
-    assert abs(w['det_ratio'] - 3.4149388838125) < 1e-9
-    lo, hi = rep.extras['det_ratio_2.0']
-    assert lo <= w['det_ratio'] <= hi
+    mat = next(m for m in verify.MATERIALS_3D if repr(m) == w['material'])
+    assert 0 < w['det_defect'] < 1e-13
+    assert w['det_defect'] == abs(w['det'] / verify._det_target(mat) - 1)
+    lo, hi = rep.extras['det_ratio_%s' % mat.a]
+    assert lo <= w['det'] <= hi
+    assert len(w['xi']) == 3
+
+
+def test_det_target_is_the_eigenbasis_determinant():
+    # 100 random canonical 3D materials, a, b = e^U(-2, 2), on the suite's
+    # draws with 2 % guard-band and 2 % axis rows (the axis rows dropped),
+    # and 20 random 2D materials
+    rng = np.random.default_rng(11)
+    mats = [Material3(*np.exp(-rng.uniform(-2, 2, 2))) for _ in range(100)]
+    for _ in range(20):
+        e11, e22 = np.exp(rng.uniform(-2, 2, 2))
+        mats.append(Material2(e11, rng.uniform(-0.9, 0.9) * np.sqrt(e11 * e22),
+                              e22, mu=np.exp(rng.uniform(-2, 2))))
+    for mat in mats:
+        xi = verify._random_xi(rng, 2_000, mat.dim, axis_fraction=0.02)
+        xi = xi[~symbol.near_axis(xi)]
+        det = np.linalg.det(symbol._eigen_basis(xi, mat)[0])
+        target = verify._det_target(mat)
+        assert np.abs(det / target - 1).max() < 1e-12, mat
+    assert verify._det_target(mats[-1]) == -1
+    a, b = mats[0].a, mats[0].b
+    assert verify._det_target(mats[0]) == 4 / (a * b ** 1.5) > 0
 
 
 @pytest.mark.parametrize('suite,kw,key,dim', [
     (verify.diagonalization_suite, {'tol': 0.0, 'det_tol': 1.0}, 'omega', 2),
     (verify.diagonalization_suite, {'tol': 0.0, 'det_tol': 1.0}, 'omega', 3),
-    # the 3D determinant check has no tolerance
     (verify.diagonalization_suite, {'tol': 1.0, 'det_tol': 0.0},
      'det_defect', 2),
     (verify.inverse_suite, {'tol': 0.0}, 'entry', 2),
     (verify.inverse_suite, {'tol': 0.0}, 'entry', 3),
+    (verify.diagonalization_suite, {'tol': 1.0, 'det_tol': 0.0},
+     'det_defect', 3),
 ])
 def test_failed_check_with_exact_zero_defects_has_a_witness(
         monkeypatch, suite, kw, key, dim):
@@ -188,27 +209,26 @@ def test_suite_and_solver_share_one_apply(monkeypatch, broken):
 
 def test_inverse_suite_checks_hard_points_at_every_frequency(monkeypatch):
     # the near-axis draws and the guard-band draws of each 3D material
-    # are spread over all 8 per-omega batches; 30,001 points leave a
-    # remainder, which joins the last batch rather than a ninth omega
+    # are spread over all 8 frequencies; 30,001 points leave a remainder,
+    # which takes the last frequency rather than a ninth one
     seen = []
     symbol_p = verify.symbol_p
 
     def recorded(omega, xi, mat):
-        seen.append((repr(mat), omega, np.array(xi)))
+        seen.append((repr(mat), np.array(omega), np.array(xi)))
         return symbol_p(omega, xi, mat)
 
     monkeypatch.setattr(verify, 'symbol_p', recorded)
     rep = verify.inverse_suite(np.random.default_rng(2), 30_001, dim=3)
     assert rep.passed and rep.count == 30_000
     for mat in verify.MATERIALS_3D:
-        calls = [(om, xi) for m, om, xi in seen if m == repr(mat)]
-        assert sum(len(xi) for _, xi in calls) == 10_000
-        assert len({om for om, _ in calls}) == 8
-        axis, band = set(), set()
-        for om, xi in calls:
-            s2 = (xi[:, 1:] ** 2).sum(axis=1) / (xi ** 2).sum(axis=1)
-            if np.any(symbol.near_axis(xi)):
-                axis.add(om)
-            if np.any((s2 >= symbol.AXIS_GUARD) & (s2 < 1e-6)):
-                band.add(om)
-        assert len(axis) == len(band) == 8
+        om = np.concatenate([o for m, o, _ in seen if m == repr(mat)])
+        xi = np.concatenate([x for m, _, x in seen if m == repr(mat)])
+        assert len(om) == 10_000
+        # held over runs of 1,250 points, in drawing order
+        runs = np.flatnonzero(np.diff(om)) + 1
+        assert list(runs) == list(range(1_250, 10_000, 1_250))
+        s2 = (xi[:, 1:] ** 2).sum(axis=1) / (xi ** 2).sum(axis=1)
+        axis = symbol.near_axis(xi)
+        band = (s2 >= symbol.AXIS_GUARD) & (s2 < 1e-6)
+        assert len(set(om[axis])) == len(set(om[band])) == 8
