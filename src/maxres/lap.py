@@ -110,7 +110,7 @@ def default_cutoff(grid, omega, mat):
     frequency band of the grid."""
     # largest euclidean radius of the unit sphere of any flavor norm
     stretch = max(1.0 / np.sqrt(np.linalg.eigvalsh(q).min())
-                  for q in multiplier.sphere_qforms(mat))
+                  for q in mat.sphere_qforms)
     r_in = 1.3 * abs(omega) * stretch
     r_out = _band_cutoff(grid).r_out
     if r_in >= r_out:
@@ -404,6 +404,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
     """
     if not 0 < delta < 0.5:
         raise InvalidArgument("need 0 < delta < 1/2")
+    spectral._sign(sign)
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere, n_radial)
     if method == 'lattice':
@@ -429,12 +430,15 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
             n_sphere=None, n_radial=32, tol=None, pairing=True):
     """Principal value of the continuum integral with multiplier
     beta(xi)/(||xi||_flavor - omega), by symmetric pairing around the
-    singular radius.  With ``tol`` set, the node counts are doubled and
-    QuadratureNotConverged is raised if the result moves by more.
+    singular radius.  With ``tol`` set (finite, > 0), the node counts are
+    doubled and QuadratureNotConverged is raised if the result moves by
+    more.
     ``pairing=False`` integrates straight through the singular radius
     (only sensible when the transform of f vanishes there)."""
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere, n_radial)
+    if tol is not None and not 0 < tol < np.inf:
+        raise InvalidArgument("tol must be finite and > 0, got %r" % (tol,))
     out = _pv_once(f, omega, beta, qform, n_sphere, n_radial, pairing=pairing)
     if tol is not None:
         fine = _pv_once(f, omega, beta, qform, 2 * n_sphere, 2 * n_radial,
@@ -452,7 +456,8 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
 def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
                  sign=+1, n_sphere=None):
     """sign * i * pi times the surface integral of beta * fhat over the
-    characteristic sphere, synthesized on the grid."""
+    characteristic sphere, synthesized on the grid; sign is +1 or -1."""
+    spectral._sign(sign)
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere)
     return _shell(f, [omega], [sign * 1j * np.pi], qform, beta, n_sphere)
@@ -536,7 +541,7 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
     # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
     pv_sign = 1j if omega > 0 else -1j
     for col, qform in zip(multiplier._singular_columns(omega, mat),
-                          multiplier.sphere_qforms(mat)):
+                          mat.sphere_qforms):
         if n_radial is not None:
             common = common + _pv_once(
                 J_near, abs(omega), beta, qform, n_sphere, n_radial,
@@ -569,18 +574,12 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     return record.backward_fields(u), spectral.Field.zeros(J.grid, J.ncomp)
 
 
-def _sign(sign):
-    """Refuse a sign other than +1 or -1."""
-    if sign not in (+1, -1):
-        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
-
-
 def lap_solve(omega, J, mat, sign=+1, method='quadrature', n_sphere=None,
               n_radial=24):
     """The limiting-absorption solution P_(+-)(omega) J at real omega:
     common + sign * jump of lap_parts, which describes the arguments;
     sign is +1 or -1."""
-    _sign(sign)
+    spectral._sign(sign)
     common, jump = lap_parts(omega, J, mat, method, n_sphere, n_radial)
     return common + sign * jump
 
@@ -589,7 +588,7 @@ def surface_terms(omega, J, mat, sign=+1, n_sphere=None):
     """sign times the jump of lap_parts' quadrature route (all
     characteristic spheres), sign +1 or -1; no principal value is
     computed."""
-    _sign(sign)
+    spectral._sign(sign)
     omega, canon, Jc, record, dist = _entry(omega, J, mat, 'quadrature')
     _, surface = _quadrature_parts(omega, Jc, canon, dist, n_sphere, None)
     return sign * record.backward_fields(surface)

@@ -54,6 +54,12 @@ class Material2:
         Q = eps / (mu det eps)."""
         return self.eps / (self.mu * self.det_eps)
 
+    @property
+    def sphere_qforms(self):
+        """Quadratic form q_k of each characteristic sphere
+        { <xi, q_k xi> = omega^2 }: the one sphere |xi|_w = |omega|."""
+        return [self.qform]
+
 
 @dataclass(frozen=True)
 class Material3:
@@ -114,6 +120,13 @@ class Material3:
         (canonical materials only)."""
         self.require_canonical('qform')
         return np.diag([self.b, self.a, self.a])
+
+    @property
+    def sphere_qforms(self):
+        """Quadratic form q_k of each characteristic sphere
+        { <xi, q_k xi> = omega^2 }: b I for sqrt(b)|xi| = |omega|, then
+        qform for |xi|_e = |omega| (canonical materials only)."""
+        return [self.b * np.eye(3), self.qform]
 
 
 def material3_from_diag(eps1, eps2, eps3, mu=1.0, rtol=1e-12):

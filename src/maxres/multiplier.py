@@ -15,7 +15,7 @@ propagating columns c = j + d - 1, their scalar resolvents s_j = 1/d_c,
 
 and M_c = sum_{c < d-1} m[:, c] m^{-1}[c, :] / (i omega) the charge
 (non-solenoidal) part.  Columns d - 1 + 2k and d + 2k are singular on
-sphere k, { <xi, q_k xi> = omega^2 } with q_k from ``sphere_qforms``;
+sphere k, { <xi, q_k xi> = omega^2 } with q_k = mat.sphere_qforms[k];
 at real omega != 0 the singular one is d - 1 + 2k + (omega < 0).
 
 ``_apply(xi, c, mat, w)`` is the one apply of a function of the
@@ -49,16 +49,6 @@ def _scalar_resolvents(omega, rho, skip=()):
         w = 1 / (1j * (omega + rho))
     w[..., list(skip)] = 0
     return w
-
-
-def sphere_qforms(mat):
-    """Quadratic forms q_k of the characteristic spheres: sphere k is
-    { <xi, q_k xi> = omega^2 }, where columns d - 1 + 2k and d + 2k of
-    the eigenbasis are singular; a wavevector's radius on it is
-    symbol._qnorm(xi, q_k) (region.characteristic_radii)."""
-    if mat.dim == 2:
-        return [mat.qform]
-    return [mat.b * np.eye(3), mat.qform]
 
 
 def _singular_columns(omega, mat):

@@ -252,7 +252,7 @@ def loglog_fit(xs, ys):
 
 def characteristic_radii(xi, mat):
     """Flavor norms whose level-|omega| sets are the singular spheres."""
-    return [symbol._qnorm(xi, q) for q in multiplier.sphere_qforms(mat)]
+    return [symbol._qnorm(xi, q) for q in mat.sphere_qforms]
 
 
 def on_sphere_frequency(grid, mat):
@@ -272,7 +272,10 @@ def on_sphere_frequency(grid, mat):
 
 def off_sphere_frequency(grid, mat, near=3.0):
     """A frequency maximally separated from every lattice flavor radius
-    in a unit window around ``near``."""
+    in a unit window around ``near``, a finite number."""
+    if not -np.inf < near < np.inf:
+        raise InvalidArgument("near must be a finite number, got %r"
+                              % (near,))
     xi = grid.xi_flat()
     radii = np.concatenate([r.ravel() for r in characteristic_radii(xi, mat)])
     radii = np.unique(radii[(radii > 0) & (radii < grid.n // 2)])
@@ -321,6 +324,9 @@ def annulus_source(grid, omega, mat, thickness=1.0, rng=None):
     modes the resolvent acts as the scalar 1/(i(omega - rho)).
     """
     symbol._frequency(omega)
+    if not 0 < thickness < np.inf:
+        raise InvalidArgument("thickness must be finite and > 0, got %r"
+                              % (thickness,))
     sel, _ = _annulus_modes(grid.xi_flat(), omega, mat, thickness)
     amps = np.ones(sel.size, dtype=complex)
     if rng is not None:

@@ -413,13 +413,25 @@ def solve(omega, J, mat):
 
 
 def _flavor_qform(flavor, mat, dim):
+    """The quadratic form of a flavor norm on dim-dimensional wavevectors:
+    the identity, or mat.qform of a material of dimension dim."""
     if flavor == 'euclidean':
         return np.eye(dim)
-    if (flavor, getattr(mat, 'dim', None)) in (('eps_prime', 2),
-                                                ('eps_tilde', 3)):
-        return mat.qform
-    raise InvalidArgument("flavor %r does not apply to %r: eps_prime needs "
-                          "a 2D material, eps_tilde a 3D one" % (flavor, mat))
+    if (flavor, getattr(mat, 'dim', None)) not in (('eps_prime', 2),
+                                                    ('eps_tilde', 3)):
+        raise InvalidArgument("flavor %r does not apply to %r: eps_prime "
+                              "needs a 2D material, eps_tilde a 3D one"
+                              % (flavor, mat))
+    if mat.dim != dim:
+        raise InvalidArgument("flavor %r of a %dD material does not apply "
+                              "to a %dD field" % (flavor, mat.dim, dim))
+    return mat.qform
+
+
+def _sign(sign):
+    """Refuse a sign other than +1 or -1."""
+    if sign not in (+1, -1):
+        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
 
 
 def flavor_norm(xi, flavor, mat, dim):
@@ -516,8 +528,7 @@ def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     omega = complex(symbol._frequency(omega))
     if omega.imag == 0:
         raise RealFrequency("half-Laplacian resolvent needs Im(omega) != 0")
-    if sign not in (+1, -1):
-        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
+    _sign(sign)
     c, xi = _modes(f)
     rho = flavor_norm(xi, flavor, mat, f.grid.dim)
     return _like(f, c * (1.0 / (omega + sign * rho)))
@@ -532,7 +543,7 @@ def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
     whole grid."""
     if kmax is None:
         kmax = grid.n // 4
-    if kmax < 0:
+    if not kmax >= 0:
         raise InvalidArgument("kmax must be >= 0, got %r" % (kmax,))
     band = np.nonzero(np.abs(grid.k_axis()) <= kmax)[0]
     shape = (ncomp,) + (band.size,) * grid.dim

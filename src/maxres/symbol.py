@@ -13,7 +13,7 @@ where |xi|_w is the weighted 2D norm <xi, eps xi / (mu det eps)>^(1/2) and
 |xi|_e^2 = b xi1^2 + a (xi2^2 + xi3^2).  Each is a flavor norm
 sqrt(<xi, q xi>), measured by the one helper ``_qnorm(xi, q)``: q is
 mat.qform for |xi|_w and |xi|_e, and b I for sqrt(b)|xi|
-(multiplier.sphere_qforms gives the form of each characteristic sphere).
+(mat.sphere_qforms gives the form of each characteristic sphere).
 
 All evaluators are vectorized: ``xi`` may have any leading shape (..., d)
 and matrices come back as (..., m, m).
@@ -50,7 +50,7 @@ def _blocks(count, ncomp):
 def _qnorm(xi, q):
     """The flavor norm sqrt(<xi, q xi>) of each wavevector of xi (..., d)
     under the quadratic form q (d, d); every characteristic-sphere radius
-    is one, with q from multiplier.sphere_qforms."""
+    is one, with q from mat.sphere_qforms."""
     # the row sums as a product with ones: np.sum over a last axis of
     # length d took 4x as long on 4,096 3D points
     return np.sqrt(((xi @ q) * xi) @ np.ones(len(q)))
@@ -260,7 +260,7 @@ def _basis_3d(xi, mat):
     mi, alpha = _minv_3d_renormalized(xi, mat, n, ne, xp, xt)
     # renormalize: the four propagating columns are divided by alpha
     m[..., :, 2:] /= alpha[..., None, None]
-    r = np.sqrt(mat.b) * n
+    r = _qnorm(xi, mat.sphere_qforms[0])
     return m, mi, np.stack([0.0 * n, 0.0 * n, -r, r, -ne, ne], axis=-1)
 
 

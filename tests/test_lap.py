@@ -124,10 +124,10 @@ def test_offgrid_matches_dense_oracle(dim, n, npts):
 # the 3D qforms lap's rings are built on: both spheres of MAT3, those of
 # the isotropic material, and the euclidean and eps_tilde model flavors
 RING_QFORMS = {
-    'mat3-sphere-1': mp.sphere_qforms(MAT3)[0],
-    'mat3-sphere-2': mp.sphere_qforms(MAT3)[1],
-    'isotropic-sphere-1': mp.sphere_qforms(Material3(1.0, 1.0))[0],
-    'isotropic-sphere-2': mp.sphere_qforms(Material3(1.0, 1.0))[1],
+    'mat3-sphere-1': MAT3.sphere_qforms[0],
+    'mat3-sphere-2': MAT3.sphere_qforms[1],
+    'isotropic-sphere-1': Material3(1.0, 1.0).sphere_qforms[0],
+    'isotropic-sphere-2': Material3(1.0, 1.0).sphere_qforms[1],
     'euclidean': sp._flavor_qform('euclidean', MAT3, 3),
     'eps-tilde': sp._flavor_qform('eps_tilde', MAT3, 3),
 }
@@ -154,7 +154,7 @@ def test_polar_rings_match_dense_oracle(mat, flavor):
     g = sp.Grid(3, 8)
     J = sp.random_band_limited(g, 6, RNG)
     beta = lap.CutoffSpec(3.0, 3.6)
-    qforms = (mp.sphere_qforms(mat) if flavor is None
+    qforms = (mat.sphere_qforms if flavor is None
               else [sp._flavor_qform(flavor, mat, 3)])
     for qform in qforms:
         radii, coefs = lap._radial_nodes(2.3, 4.0, 3)
@@ -172,7 +172,7 @@ def test_polar_rings_match_dense_oracle(mat, flavor):
 
 def test_polar_points_drop_only_whole_rings():
     g = sp.Grid(3, 16)
-    qform = mp.sphere_qforms(MAT3)[1]
+    qform = MAT3.sphere_qforms[1]
     radii = np.linspace(0.5, 12.0, 24)
     beta = lap.CutoffSpec(4.0, 6.0)
     pts, cf = lap._polar_points(radii, np.ones(24), qform, beta, g, 6)
@@ -490,7 +490,7 @@ def test_no_sphere_node_is_near_the_axis():
     # fraction over n = 1..64 is about 5e-4, against AXIS_GUARD 1e-8
     for n in range(1, 65):
         u, _ = lap.sphere_quadrature(3, n)
-        for qform in mp.sphere_qforms(MAT3):
+        for qform in MAT3.sphere_qforms:
             dirs = u @ lap._inv_sqrt_spd(qform).T
             assert not symbol.near_axis(dirs).any(), n
 
@@ -643,6 +643,7 @@ def test_one_frame_map_per_call(monkeypatch, mat):
 _F1 = sp.random_band_limited(sp.Grid(2, 16), 1, np.random.default_rng(1))
 _J2 = sp.random_band_limited(sp.Grid(2, 16), 3, np.random.default_rng(2))
 _J3 = sp.random_band_limited(sp.Grid(3, 16), 6, np.random.default_rng(3))
+_F3 = sp.random_band_limited(sp.Grid(3, 8), 1, np.random.default_rng(5))
 _Z_QUERY = rg.RegionQuery(rg.LebesguePair(0.6, 0.4, 2), 1.3)
 BAD_ARGUMENTS = {
     # riesz(f, 0) read the last axis through xi[:, -1]
@@ -709,6 +710,62 @@ BAD_ARGUMENTS = {
         lambda: rg.loglog_fit([-1, 2], [1, 1]), 'positive'),
     # the model operators dropped the infinite tail with RuntimeWarnings
     'cutoff-infinite-r-out': (lambda: lap.CutoffSpec(1.0, np.inf), 'r_out'),
+    # sign = 0 gave "field data must be finite" after RuntimeWarnings on
+    # the lattice, a finite field by quadrature and the zero field from
+    # surface_part; the other signs gave a field without complaint
+    'e-delta-sign-0': (lambda: lap.e_delta(_F1, OMEGA, 0.1, sign=0),
+                       r'sign must be \+1 or -1, got 0'),
+    'e-delta-sign-0.5': (lambda: lap.e_delta(_F1, OMEGA, 0.1, sign=0.5),
+                         'sign'),
+    'e-delta-quadrature-sign-0': (
+        lambda: lap.e_delta(_F1, OMEGA, 0.1, sign=0, method='quadrature'),
+        'sign'),
+    'e-delta-quadrature-sign-2': (
+        lambda: lap.e_delta(_F1, OMEGA, 0.1, sign=2, method='quadrature'),
+        'sign'),
+    'surface-part-sign-0': (lambda: lap.surface_part(_F1, OMEGA, sign=0),
+                            'sign'),
+    'surface-part-sign-minus-3': (
+        lambda: lap.surface_part(_F1, OMEGA, sign=-3), 'sign'),
+    # tol = nan skipped the doubling check (tol <= 0 always fails it)
+    'pv-part-tol-nan': (lambda: lap.pv_part(_F1, OMEGA, tol=np.nan), 'tol'),
+    'pv-part-tol-0': (lambda: lap.pv_part(_F1, OMEGA, tol=0.0), 'tol'),
+    # GridTooCoarse, "annulus contains no lattice modes; increase the
+    # thickness"
+    'annulus-source-thickness-nan': (
+        lambda: rg.annulus_source(sp.Grid(2, 32), 3.0, MAT2,
+                                  thickness=np.nan), 'thickness'),
+    'annulus-source-thickness-minus-1': (
+        lambda: rg.annulus_source(sp.Grid(2, 32), 3.0, MAT2,
+                                  thickness=-1.0), 'thickness'),
+    'annulus-source-thickness-0': (
+        lambda: rg.annulus_source(sp.Grid(3, 8), 2.0, MAT3, thickness=0.0),
+        'thickness'),
+    # an all-zero field
+    'random-band-limited-kmax-nan': (
+        lambda: sp.random_band_limited(sp.Grid(2, 16), 1, RNG, kmax=np.nan),
+        'kmax'),
+    # a nan frequency
+    'off-sphere-frequency-near-nan': (
+        lambda: rg.off_sphere_frequency(sp.Grid(2, 16), MAT2, near=np.nan),
+        'near'),
+    'off-sphere-frequency-near-inf': (
+        lambda: rg.off_sphere_frequency(sp.Grid(2, 16), MAT2, near=np.inf),
+        'near'),
+    # numpy's bare "matmul: Input operand 1 has a mismatch" ValueError
+    'riesz-eps-tilde-on-2d': (
+        lambda: sp.riesz(_F1, 1, 'eps_tilde', MAT3),
+        '3D material does not apply to a 2D field'),
+    'half-laplacian-eps-prime-on-3d': (
+        lambda: sp.half_laplacian_resolvent(_F3, 1 + 1j, flavor='eps_prime',
+                                            mat=MAT2),
+        '2D material does not apply to a 3D field'),
+    'e-delta-eps-tilde-on-2d': (
+        lambda: lap.e_delta(_F1, OMEGA, 0.1, flavor='eps_tilde', mat=MAT3),
+        '3D material .* 2D field'),
+    'surface-part-eps-prime-on-3d': (
+        lambda: lap.surface_part(_F3, OMEGA, flavor='eps_prime', mat=MAT2),
+        '2D material .* 3D field'),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from maxres.errors import DegenerateDirection, RealFrequency
 from maxres.materials import Material2, Material3
 from maxres.multiplier import (_apply, _scalar_resolvents, _singular_columns,
-                               resolvent_matrix, sphere_qforms)
+                               resolvent_matrix)
 from maxres.symbol import AXIS_GUARD, _eigen_basis, near_axis, symbol_p
 from maxres.verify import M3_ZERO_ENTRIES, _flip
 from helpers import (charge_column_2d, charge_column_3d, guard_band_xi,
@@ -122,7 +122,7 @@ def test_regular_plus_singular_reassembles():
         reg = _regular(omega, xi, mat)
         total = reg.copy()
         P = projectors(xi, mat)
-        for c, q in zip(_singular_columns(omega, mat), sphere_qforms(mat)):
+        for c, q in zip(_singular_columns(omega, mat), mat.sphere_qforms):
             rho = np.sqrt(np.einsum('ni,ij,nj->n', xi, q, xi))
             total += P[c] / (1j * (omega - rho))[:, None, None]
         p = symbol_p(omega + 0j, xi, mat)
@@ -142,7 +142,7 @@ def test_negative_omega_singular_flavor():
     omega = -3.1
     reg = _regular(omega, xi, MAT2)
     W = P[_singular_columns(omega, MAT2)[0]]
-    q = sphere_qforms(MAT2)[0]
+    q = MAT2.sphere_qforms[0]
     rho = np.sqrt(np.einsum('ni,ij,nj->n', xi, q, xi))
     total = reg + W / (1j * (omega + rho))[:, None, None]
     p = symbol_p(omega + 0j, xi, MAT2)

@@ -209,7 +209,7 @@ def test_characteristic_radii_are_the_eigenbasis_offsets(mat):
     radii = rg.characteristic_radii(xi, mat)
     assert len(radii) == d - 1
     for k, r in enumerate(radii):
-        assert np.abs(r / rho[:, d + 2 * k] - 1).max() <= 1e-15
+        assert np.array_equal(r, rho[:, d + 2 * k])
     # against norms typed out from the material: sqrt(b)|xi|, and the
     # qform norm |xi|_w (2D) or |xi|_e (3D)
     oracle = [qform_norm(xi, mat)]
@@ -219,6 +219,20 @@ def test_characteristic_radii_are_the_eigenbasis_offsets(mat):
         assert np.abs(r / want - 1).max() <= 1e-15
     flavor = 'eps_prime' if d == 2 else 'eps_tilde'
     assert np.array_equal(sp.flavor_norm(xi, flavor, mat, d), radii[-1])
+
+
+@pytest.mark.parametrize('mat,grid', [
+    (MAT2, sp.Grid(2, 64)), (Material3(0.5, 1.0 / 0.7), sp.Grid(3, 16)),
+    (Material3(1.0, 1.0), sp.Grid(3, 16))], ids=['mat2', 'mat3', 'iso3'])
+def test_on_sphere_frequency_is_its_modes_offset(mat, grid):
+    # the modes at the picked radius sit on the eigenbasis's own sphere,
+    # bit for bit (those on the axis have no eigenbasis)
+    om = rg.on_sphere_frequency(grid, mat)
+    xi = grid.xi_flat()
+    on = xi[rg.characteristic_radii(xi, mat)[0] == om]
+    on = on[~symbol.near_axis(on)]
+    assert len(on)
+    assert np.all(symbol._eigen_basis(on, mat)[2][:, mat.dim] == om)
 
 
 def dense_off_sphere_frequency(grid, mat, near=3.0):
