@@ -42,11 +42,11 @@ def _rmatmul(a, z):
 
 
 def _scalar_resolvents(omega, rho, skip=()):
-    """w = 1 / (i(omega + rho)) per column, with the columns in ``skip``
-    set to 0."""
+    """w = 1 / (i(omega + rho)) per column, at one omega or one per row
+    of rho, with the columns in ``skip`` set to 0."""
     # the inf of a mode exactly on a sphere (real omega) is in a skipped column
     with np.errstate(divide='ignore', invalid='ignore'):
-        w = 1 / (1j * (omega + rho))
+        w = 1 / (1j * (np.asarray(omega)[..., None] + rho))
     w[..., list(skip)] = 0
     return w
 
@@ -73,9 +73,8 @@ def resolvent_matrix(omega, xi, mat):
     Raises DegenerateDirection at xi = 0 and near the 3D distinguished
     axis, where the caller inverts the symbol directly.
     """
-    omega = np.asarray(symbol._frequency(omega))
-    if np.any(omega.imag == 0):
+    if np.any(np.imag(symbol._frequency(omega)) == 0):
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
     return _apply(xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat,
-                  lambda rho: _scalar_resolvents(omega[..., None], rho))
+                  lambda rho: _scalar_resolvents(omega, rho))
 

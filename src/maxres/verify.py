@@ -121,12 +121,11 @@ def _draws(rng, mats, per, ncomp, axis_fraction=0.0, runs=None):
 
 def _flip(M, omega, xi, mat, entry):
     """Fault injection, in place: negate entry (i, j) of the 3D term sum
-    sum_j W_j s_j in M, that is of _apply on column j without M_c; omega
-    is one frequency or one per wavevector, as in resolvent_matrix."""
+    sum_j W_j s_j in M, that is of _apply on column j without M_c."""
     i, j = entry
     col = np.eye(6, dtype=complex)[:, j, None]
     M[:, i, j] -= 2 * _apply(xi, col, mat, lambda rho: _scalar_resolvents(
-        np.asarray(omega)[..., None], rho, skip=(0, 1)))[:, i, 0]
+        omega, rho, skip=(0, 1)))[:, i, 0]
 
 
 def _worst(defect):
