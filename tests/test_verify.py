@@ -209,8 +209,8 @@ def test_suite_and_solver_share_one_apply(monkeypatch, broken):
 
 def test_inverse_suite_checks_hard_points_at_every_frequency(monkeypatch):
     # the near-axis draws and the guard-band draws of each 3D material
-    # are spread over all 8 frequencies; 30,001 points leave a remainder,
-    # which takes the last frequency rather than a ninth one
+    # are spread over all 8 frequencies; 10,001 points per material leave
+    # a remainder, which takes the last frequency rather than a ninth one
     seen = []
     symbol_p = verify.symbol_p
 
@@ -219,13 +219,14 @@ def test_inverse_suite_checks_hard_points_at_every_frequency(monkeypatch):
         return symbol_p(omega, xi, mat)
 
     monkeypatch.setattr(verify, 'symbol_p', recorded)
-    rep = verify.inverse_suite(np.random.default_rng(2), 30_001, dim=3)
-    assert rep.passed and rep.count == 30_000
+    rep = verify.inverse_suite(np.random.default_rng(2), 30_003, dim=3)
+    assert rep.passed and rep.count == 30_003
     for mat in verify.MATERIALS_3D:
         om = np.concatenate([o for m, o, _ in seen if m == repr(mat)])
         xi = np.concatenate([x for m, _, x in seen if m == repr(mat)])
-        assert len(om) == 10_000
-        # held over runs of 1,250 points, in drawing order
+        assert len(om) == 10_001
+        # held over runs of 1,250 points, the last one 1,251, in drawing
+        # order
         runs = np.flatnonzero(np.diff(om)) + 1
         assert list(runs) == list(range(1_250, 10_000, 1_250))
         s2 = (xi[:, 1:] ** 2).sum(axis=1) / (xi ** 2).sum(axis=1)
