@@ -270,61 +270,49 @@ def _apply_offgrid(J, xi, coeffs, weight_fn=None):
 # ---------------------------------------------------------------------------
 # radial-singular continuum quadrature
 
-def _gauss_tails(r0, T, r_max, n_radial, pole):
-    """Plain Gauss-Legendre nodes on (0, r0 - T) and (r0 + T, r_max), with
-    coefficients w / (r - pole)."""
-    radii, coefs = [], []
-    for lo, hi in ((0.0, r0 - T), (r0 + T, r_max)):
-        if hi - lo < 1e-12:
-            continue
-        s, ws = np.polynomial.legendre.leggauss(n_radial)
-        r = 0.5 * (hi - lo) * (s + 1.0) + lo
-        radii.append(r)
-        coefs.append(0.5 * (hi - lo) * ws / (r - pole))
-    return radii, coefs
+def _gauss(lo, hi, n):
+    """n-point Gauss-Legendre nodes and weights on (lo, hi)."""
+    s, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (hi - lo) * (s + 1.0) + lo, 0.5 * (hi - lo) * w
 
 
-def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None):
-    """Symmetric-pairing nodes for the principal value at r0 plus plain
-    Gauss-Legendre tails covering (0, r_max).
+def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
+    """The radial rule of every LAP integral: (radii, coefficients c_i)
+    with int_0^{r_max} g(r) / (r - pole) dr ~= sum_i c_i g(r_i), a
+    principal value at the default pole r0.
 
-    Returns (radii, signed coefficients c_i) such that
-    p.v. int_0^{r_max} g(r)/(r - r0) dr ~= sum_i c_i g(r_i).
-    """
-    T = 0.5 * min(r0, max(r_max - r0, 1e-9)) if window is None \
-        else min(window, 0.99 * r0)
-    if pairing:
-        t, wt = np.polynomial.legendre.leggauss(n_radial)
-        t = 0.5 * T * (t + 1.0)
-        wt = 0.5 * T * wt
+    Around r0 it takes a middle of half-width T: n_radial Gauss-Legendre
+    nodes t on (0, T) paired as r0 +- t; with pairing False, 2 n_radial
+    plain nodes through the pole; at the complex pole r0 + i s delta of
+    e_delta, 2 n_radial nodes in u of r = r0 + delta sinh(u), which
+    resolves the delta-wide layer.  Without a window, T = min(r0, r_max -
+    r0) / 2 and plain n_radial-node tails cover the rest of (0, r_max).
+    A window T keeps only the pairing, under a smooth taper even in t, so
+    the integrand stays a principal value."""
+    T = (0.5 * min(r0, max(r_max - r0, 1e-9)) if window is None
+         else min(window, 0.99 * r0))
+    pole = r0 if pole is None else pole
+    if pole != r0:
+        delta, sign = abs(pole.imag), np.sign(pole.imag)
+        S = np.arcsinh(T / delta)
+        u, wu = _gauss(-S, S, 2 * n_radial)
+        sh = np.sinh(u)
+        radii, coefs = [r0 + delta * sh], [wu * np.cosh(u) / (sh - 1j * sign)]
+    elif pairing:
+        t, wt = _gauss(0.0, T, n_radial)
         if window is not None:
-            # smooth radial taper; the windowed integrand stays a
-            # principal value because the taper is even in t
             wt = wt * _smooth_step(2.0 * t / T - 1.0)
-        radii = [r0 + t, r0 - t]
-        coefs = [wt / t, -wt / t]
-        if window is not None:
-            return np.concatenate(radii), np.concatenate(coefs)
+        radii, coefs = [r0 + t, r0 - t], [wt / t, -wt / t]
     else:
-        t, wt = np.polynomial.legendre.leggauss(2 * n_radial)
-        r = r0 + T * t
-        radii = [r]
-        coefs = [T * wt / (r - r0)]
-    tails = _gauss_tails(r0, T, r_max, n_radial, r0)
-    return (np.concatenate(radii + tails[0]),
-            np.concatenate(coefs + tails[1]))
-
-
-def _edelta_nodes(r0, r_max, delta, sign, n_radial):
-    """Nodes and coefficients for int_0^{r_max} g(r)/(r - r0 - i s d) dr
-    with the singular layer resolved by r = r0 + delta*sinh(u)."""
-    T = 0.5 * min(r0, max(r_max - r0, 1e-9))
-    S = np.arcsinh(T / delta)
-    u, wu = S * np.array(np.polynomial.legendre.leggauss(2 * n_radial))
-    sh = np.sinh(u)
-    tails = _gauss_tails(r0, T, r_max, n_radial, r0 + 1j * sign * delta)
-    return (np.concatenate([r0 + delta * sh] + tails[0]),
-            np.concatenate([wu * np.cosh(u) / (sh - 1j * sign)] + tails[1]))
+        r, w = _gauss(r0 - T, r0 + T, 2 * n_radial)
+        radii, coefs = [r], [w / (r - r0)]
+    tails = [(0.0, r0 - T), (r0 + T, r_max)] if window is None else []
+    for lo, hi in tails:
+        if hi - lo >= 1e-12:
+            r, w = _gauss(lo, hi, n_radial)
+            radii.append(r)
+            coefs.append(w / (r - pole))
+    return np.concatenate(radii), np.concatenate(coefs)
 
 
 def _polar_points(radii, coefs, qform, beta, grid, n_sphere):
@@ -360,11 +348,6 @@ def _shell(f, radii, coefs, qform, beta, n_sphere, weight_fn=None):
     pts, cf = _polar_points(np.asarray(radii, dtype=float), np.asarray(coefs),
                             qform, beta, f.grid, n_sphere)
     return _apply_offgrid(f, pts, cf, weight_fn)
-
-
-def _radial_extent(qform, beta):
-    return beta.r_out * np.sqrt(np.linalg.eigvalsh(
-        np.asarray(qform, float)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +397,18 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
         return spectral._like(f, c * mult)
     if method != 'quadrature':
         raise InvalidArgument("method must be 'lattice' or 'quadrature'")
-    r_max = _radial_extent(qform, beta)
-    radii, coefs = _edelta_nodes(omega, r_max, delta, sign, n_radial)
-    return _shell(f, radii, coefs, qform, beta, n_sphere)
+    return _radial_shell(f, omega, beta, qform, n_sphere, n_radial,
+                         pole=omega + 1j * sign * delta)
 
 
-def _pv_once(f, omega, beta, qform, n_sphere, n_radial, weight_fn=None,
-             pairing=True, window=None):
-    r_max = _radial_extent(qform, beta)
-    radii, coefs = _radial_nodes(omega, r_max, n_radial, pairing, window)
+def _radial_shell(f, omega, beta, qform, n_sphere, n_radial, weight_fn=None,
+                  pairing=True, window=None, pole=None):
+    """_shell over the radial rule _radial_nodes at omega, on (0, r_max)
+    with r_max the largest euclidean radius of the cutoff's support."""
+    r_max = beta.r_out * np.sqrt(np.linalg.eigvalsh(
+        np.asarray(qform, float)).max())
+    radii, coefs = _radial_nodes(omega, r_max, n_radial, pairing, window,
+                                 pole)
     return _shell(f, radii, coefs, qform, beta, n_sphere, weight_fn)
 
 
@@ -439,10 +425,11 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
                                         n_sphere, n_radial)
     if tol is not None and not 0 < tol < np.inf:
         raise InvalidArgument("tol must be finite and > 0, got %r" % (tol,))
-    out = _pv_once(f, omega, beta, qform, n_sphere, n_radial, pairing=pairing)
-    if tol is not None:
-        fine = _pv_once(f, omega, beta, qform, 2 * n_sphere, 2 * n_radial,
+    out = _radial_shell(f, omega, beta, qform, n_sphere, n_radial,
                         pairing=pairing)
+    if tol is not None:
+        fine = _radial_shell(f, omega, beta, qform, 2 * n_sphere,
+                             2 * n_radial, pairing=pairing)
         drift = spectral.lebesgue_norm(fine - out, 2)
         scale = max(spectral.lebesgue_norm(fine, 2), 1e-300)
         if drift > tol * scale:
@@ -543,7 +530,7 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
     for col, qform in zip(multiplier._singular_columns(omega, mat),
                           mat.sphere_qforms):
         if n_radial is not None:
-            common = common + _pv_once(
+            common = common + _radial_shell(
                 J_near, abs(omega), beta, qform, n_sphere, n_radial,
                 weight_fn=_column_weight(mat, col, pv_sign),
                 window=2.0 * MARGIN * abs(omega))

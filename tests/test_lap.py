@@ -404,8 +404,8 @@ def test_windowed_shell_matches_the_continuum(dim, n, n_sphere, bound):
     t = (h * (s + 1) + edges[:-1, None]).ravel()
     wt = (h * w).ravel() * lap._smooth_step(2 * t / T - 1)
     want = wt / t @ (H(omega + t) - H(omega - t))
-    got = lap._pv_once(f, omega, lap._band_cutoff(g), np.eye(dim), n_sphere,
-                       24, window=window).data[sel]
+    got = lap._radial_shell(f, omega, lap._band_cutoff(g), np.eye(dim),
+                            n_sphere, 24, window=window).data[sel]
     assert np.abs(got - want).max() < bound * np.abs(want).max()
 
 
