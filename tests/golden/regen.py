@@ -16,8 +16,9 @@ compares each against figures.json:
 
 Run ``PYTHONPATH=src python tests/golden/regen.py`` to rewrite
 figures.json after a change that moves outputs on purpose.  It prints
-every figure that moved, old and new, at full precision; the change
-states that list.  A figure that moved by accident is a fault to mend,
+every figure that moved, old and new, at full precision, and rewrites
+only those: every other figure keeps its stored value, and with none
+moved the file is left as it is.  The change states that list.  A figure that moved by accident is a fault to mend,
 never a figure to rewrite.
 """
 
@@ -278,6 +279,21 @@ def _stored(figures):
     return figures
 
 
+def _rewrite(old, new, moved):
+    """The stored new figures with every figure that did not move kept at
+    its old value, so that round-off below GOLDEN_RTOL leaves the file's
+    bits alone."""
+    out, kept = _stored(new), dict(_leaves(old))
+    moved = {path for path, _, _ in moved}
+    for path, _ in list(_leaves(out)):
+        if path in kept and path not in moved:
+            tree = out
+            for key in path[:-1]:
+                tree = tree[key]
+            tree[path[-1]] = kept[path]
+    return out
+
+
 def main():
     new = {name: run(name) for name in JOBS}
     old = load() if os.path.exists(FIGURES) else {}
@@ -285,9 +301,10 @@ def main():
     for path, a, b in moved:
         print('%s: %r -> %r' % ('/'.join(path), a, b))
     print('%d figure(s) moved' % len(moved))
-    with open(FIGURES, 'w', encoding='utf-8') as fh:
-        json.dump(_stored(new), fh, indent=1, sort_keys=True)
-        fh.write('\n')
+    if moved:
+        with open(FIGURES, 'w', encoding='utf-8') as fh:
+            json.dump(_rewrite(old, new, moved), fh, indent=1, sort_keys=True)
+            fh.write('\n')
     return 0
 
 
