@@ -288,7 +288,9 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
     resolves the delta-wide layer.  Without a window, T = min(r0, r_max -
     r0) / 2 and plain n_radial-node tails cover the rest of (0, r_max).
     A window T keeps only the pairing, under a smooth taper even in t, so
-    the integrand stays a principal value."""
+    the integrand stays a principal value.  The taper is 1 up to T / 2
+    and not analytic there, so the pairing is split at T / 2: ceil(n / 2)
+    nodes below, floor(n / 2) above (none for n = 1)."""
     T = (0.5 * min(r0, max(r_max - r0, 1e-9)) if window is None
          else min(window, 0.99 * r0))
     pole = r0 if pole is None else pole
@@ -299,8 +301,13 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
         sh = np.sinh(u)
         radii, coefs = [r0 + delta * sh], [wu * np.cosh(u) / (sh - 1j * sign)]
     elif pairing:
-        t, wt = _gauss(0.0, T, n_radial)
-        if window is not None:
+        if window is None:
+            t, wt = _gauss(0.0, T, n_radial)
+        else:
+            t, wt = map(np.concatenate, zip(*[
+                _gauss(lo, hi, m) for lo, hi, m in (
+                    (0.0, T / 2, n_radial - n_radial // 2),
+                    (T / 2, T, n_radial // 2)) if m]))
             wt = wt * _smooth_step(2.0 * t / T - 1.0)
         radii, coefs = [r0 + t, r0 - t], [wt / t, -wt / t]
     else:

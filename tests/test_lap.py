@@ -344,8 +344,9 @@ def test_surface_part_closed_form():
 # 2 pi J_0(z) in 2D (J_0 by the trapezoid rule on its integral).
 _SIGMA = 0.3
 # (dim, n, n_sphere, bound on the windowed shell at 24 radial nodes); the
-# bounds hold the measured 4.4e-6 (2D) and 5.0e-6 (3D)
-_ORACLE_CASES = [(2, 128, 160, 6e-6), (3, 64, 32, 6e-6)]
+# bounds hold the measured 4.4e-7 (2D) and 2.2e-7 (3D), against 4.4e-6
+# and 5.0e-6 with one Gauss-Legendre rule across the taper's edge T / 2
+_ORACLE_CASES = [(2, 128, 160, 6e-7), (3, 64, 32, 3e-7)]
 
 
 def _gaussian_oracle(dim, n):
