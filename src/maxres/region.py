@@ -252,6 +252,7 @@ def loglog_fit(xs, ys):
 
 def characteristic_radii(xi, mat):
     """Flavor norms whose level-|omega| sets are the singular spheres."""
+    xi = symbol._wavevectors(xi, mat)
     return [symbol._qnorm(xi, q) for q in mat.sphere_qforms]
 
 

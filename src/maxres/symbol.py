@@ -112,10 +112,21 @@ def _frequency(omega, real=False):
     return float(w.real)
 
 
+def _wavevectors(xi, mat):
+    """xi as a float array of mat.dim-dimensional wavevectors (on its last
+    axis); any other dimension raises InvalidArgument."""
+    xi = np.asarray(xi, dtype=float)
+    d = xi.shape[-1] if xi.ndim else 0
+    if d != mat.dim:
+        raise InvalidArgument("wavevectors of dimension %d do not apply to "
+                              "a %dD material" % (d, mat.dim))
+    return xi
+
+
 def symbol_p(omega, xi, mat):
     """Maxwell symbol p(omega, xi); p(omega, 0) = i omega I."""
     _frequency(omega)
-    xi = np.asarray(xi, dtype=float)
+    xi = _wavevectors(xi, mat)
     if mat.dim == 2:
         return _symbol_2d(omega, xi, mat)
     return _symbol_3d(omega, xi, mat)
@@ -274,7 +285,7 @@ def _eigen_basis(xi, mat):
 
     Raises DegenerateDirection at xi = 0 or (3D) too close to the axis.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _wavevectors(xi, mat)
     if mat.dim == 3:
         mat.require_canonical('the closed-form eigenbasis')
     _check_offaxis(xi)
@@ -305,10 +316,10 @@ def det_diagnostics(xi, mat):
     determinant of the plain eigenvector matrix and det_m_tilde that of
     the renormalized one (det_m_tilde = det_m / alpha^4).
     """
-    xi = np.asarray(xi, dtype=float)
     if not isinstance(mat, Material3):
         raise InvalidArgument("det_diagnostics applies to 3D materials, got "
                               "%r" % (mat,))
+    xi = _wavevectors(xi, mat)
     n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
     if np.any(n == 0):
         raise DegenerateDirection("zero wavevector")

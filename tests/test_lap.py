@@ -760,6 +760,36 @@ BAD_ARGUMENTS = {
         lambda: lap.surface_terms(OMEGA, _J3, MAT3, sign=2), 'sign'),
     'det-diagnostics-material2': (
         lambda: symbol.det_diagnostics(np.ones((2, 3)), MAT2), '3D'),
+    # wavevectors of another dimension than the material: a 3x3 symbol
+    # that ignored xi_3, or numpy's bare ValueError or IndexError
+    'symbol-p-3d-xi-material2': (
+        lambda: symbol.symbol_p(1 + 1j, np.ones((5, 3)), MAT2),
+        'dimension 3 .* 2D material'),
+    'resolvent-matrix-2d-xi-material3': (
+        lambda: mp.resolvent_matrix(1 + 1j, np.ones((5, 2)), MAT3),
+        'dimension 2 .* 3D material'),
+    'eigen-decomposition-3d-xi-material2': (
+        lambda: symbol.eigen_decomposition(1 + 1j, np.ones((5, 3)), MAT2),
+        'dimension 3 .* 2D material'),
+    'det-diagnostics-2d-xi': (
+        lambda: symbol.det_diagnostics(np.ones((5, 2)), MAT3),
+        'dimension 2 .* 3D material'),
+    'on-sphere-frequency-material3-on-2d': (
+        lambda: rg.on_sphere_frequency(sp.Grid(2, 16), MAT3),
+        'dimension 2 .* 3D material'),
+    'off-sphere-frequency-material2-on-3d': (
+        lambda: rg.off_sphere_frequency(sp.Grid(3, 8), MAT2),
+        'dimension 3 .* 2D material'),
+    'annulus-source-material3-on-2d': (
+        lambda: rg.annulus_source(sp.Grid(2, 32), 3.0, MAT3),
+        'dimension 2 .* 3D material'),
+    'knapp-source-material3-on-2d': (
+        lambda: rg.knapp_source(sp.Grid(2, 32), 3.0, MAT3),
+        'dimension 2 .* 3D material'),
+    'blowup-material3-on-2d': (
+        lambda: lap.lap_blowup_probe(3.0, rg.LebesguePair(0.5, 0.5, 2),
+                                     MAT3, [0.1, 0.05], sp.Grid(2, 32)),
+        'dimension 2 .* 3D material'),
     # -1 gave an empty curve (alpha != 0) or numpy's bare ValueError
     # (alpha = 0), and 2.5 a TypeError
     'z-boundary-resolution-minus-1': (
