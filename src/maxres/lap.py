@@ -360,13 +360,6 @@ def _shell(f, radii, coefs, qform, beta, n_sphere, weight_fn=None):
 # ---------------------------------------------------------------------------
 # scalar model operators
 
-def _count(name, value):
-    """Refuse a node count that is not a positive integer."""
-    if not (isinstance(value, (int, np.integer)) and value > 0):
-        raise InvalidArgument("%s must be a positive integer, got %r"
-                              % (name, value))
-
-
 def _model_args(f, omega, beta, flavor, mat, n_sphere, n_radial=None):
     """(beta, qform, n_sphere) of a scalar model operator at omega > 0,
     with the band cutoff and 192 (2D) or 16 (3D) sphere nodes by default;
@@ -375,7 +368,7 @@ def _model_args(f, omega, beta, flavor, mat, n_sphere, n_radial=None):
         raise InvalidArgument("need omega > 0")
     for name, value in (('n_sphere', n_sphere), ('n_radial', n_radial)):
         if value is not None:
-            _count(name, value)
+            spectral._count(name, value)
     dim = f.grid.dim
     return (_band_cutoff(f.grid) if beta is None else beta,
             spectral._flavor_qform(flavor, mat, dim),
@@ -515,7 +508,7 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
     grid = J.grid
     if n_sphere is None:
         n_sphere = 160 if grid.dim == 2 else 12
-    _count('n_sphere', n_sphere)
+    spectral._count('n_sphere', n_sphere)
     beta = default_cutoff(grid, omega, mat)
     c, xi = spectral._modes(J)
     near = dist < MARGIN * abs(omega)
@@ -561,7 +554,7 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     mode in the caller's axes."""
     omega, canon, Jc, record, dist = _entry(omega, J, mat, method)
     if method == 'quadrature':
-        _count('n_radial', n_radial)
+        spectral._count('n_radial', n_radial)
         return tuple(map(record.backward_fields, _quadrature_parts(
             omega, Jc, canon, dist, n_sphere, n_radial)))
     u = spectral._like(Jc, spectral._solve_coeffs(omega, Jc, canon))

@@ -434,6 +434,14 @@ def _sign(sign):
         raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
 
 
+def _count(name, value):
+    """Refuse a count that is not a positive integer (a bool is none)."""
+    if not (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value > 0):
+        raise InvalidArgument("%s must be a positive integer, got %r"
+                              % (name, value))
+
+
 def flavor_norm(xi, flavor, mat, dim):
     return symbol._qnorm(xi, _flavor_qform(flavor, mat, dim))
 
@@ -541,6 +549,7 @@ def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
     Normals are drawn on the band only, indices in FFT storage order,
     real parts then imaginary parts; at kmax >= n/2 the band is the
     whole grid."""
+    _count('ncomp', ncomp)
     if kmax is None:
         kmax = grid.n // 4
     if not kmax >= 0:

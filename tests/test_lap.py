@@ -738,6 +738,14 @@ BAD_ARGUMENTS = {
     'surface-terms-n-sphere-3.5': (
         lambda: lap.surface_terms(OMEGA, _J2, MAT2, n_sphere=3.5),
         'n_sphere'),
+    # True counted as 1 and ended in numpy's TypeError
+    'lap-parts-n-sphere-true': (
+        lambda: lap.lap_parts(OMEGA, _J2, MAT2, n_sphere=True), 'n_sphere'),
+    'surface-terms-n-sphere-true': (
+        lambda: lap.surface_terms(OMEGA, _J3, MAT3, n_sphere=True),
+        'n_sphere'),
+    'lap-parts-n-radial-true': (
+        lambda: lap.lap_parts(OMEGA, _J2, MAT2, n_radial=True), 'n_radial'),
     'lap-solve-n-radial-0': (
         lambda: lap.lap_solve(OMEGA, _J3, MAT3, n_radial=0), 'n_radial'),
     'lap-parts-n-radial-2.5': (
@@ -848,6 +856,13 @@ BAD_ARGUMENTS = {
     'annulus-source-thickness-0': (
         lambda: rg.annulus_source(sp.Grid(3, 8), 2.0, MAT3, thickness=0.0),
         'thickness'),
+    # numpy's bare ValueError, and a field of no components
+    'random-band-limited-ncomp-minus-1': (
+        lambda: sp.random_band_limited(sp.Grid(2, 16), -1, RNG), 'ncomp'),
+    'random-band-limited-ncomp-0': (
+        lambda: sp.random_band_limited(sp.Grid(2, 16), 0, RNG), 'ncomp'),
+    'random-band-limited-ncomp-true': (
+        lambda: sp.random_band_limited(sp.Grid(2, 16), True, RNG), 'ncomp'),
     # an all-zero field
     'random-band-limited-kmax-nan': (
         lambda: sp.random_band_limited(sp.Grid(2, 16), 1, RNG, kmax=np.nan),
@@ -965,11 +980,12 @@ MODEL_OPERATORS = {
 }
 
 
-# n_sphere = 0 divided by zero, 2.5 was a TypeError, and n_radial = 0
-# reached numpy's leggauss
+# n_sphere = 0 divided by zero, 2.5 was a TypeError, n_radial = 0
+# reached numpy's leggauss, and True counted as 1
 @pytest.mark.parametrize('op,key,value', [
-    (op, 'n_sphere', v) for op in MODEL_OPERATORS for v in (0, 2.5)] + [
-    (op, 'n_radial', v) for op in ('e_delta', 'pv_part') for v in (0, 2.5)])
+    (op, 'n_sphere', v) for op in MODEL_OPERATORS for v in (0, 2.5, True)] + [
+    (op, 'n_radial', v) for op in ('e_delta', 'pv_part')
+    for v in (0, 2.5, True)])
 def test_model_operators_refuse_bad_node_counts(capfd, op, key, value):
     with pytest.raises(InvalidArgument, match=key):
         MODEL_OPERATORS[op](**{key: value})
