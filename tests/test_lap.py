@@ -421,6 +421,23 @@ def _smooth_annulus(grid, lo, hi, shift=(0.7, -1.1)):
     return sp.Field.from_coeffs(grid, c.reshape((1,) + (grid.n,) * grid.dim))
 
 
+@pytest.mark.parametrize('n_radial', [1, 2, 5, 24])
+def test_windowed_rule_splits_at_the_taper_edge(n_radial):
+    # ceil(n/2) paired nodes on (0, T/2), where the taper is 1, and
+    # floor(n/2) on (T/2, T); the lower ones form a Gauss-Legendre rule
+    # of (0, T/2), exact on t
+    r0, T = 3.0, 2.1
+    radii, coefs = lap._radial_nodes(r0, 20.0, n_radial, window=T)
+    t, c = radii[:n_radial] - r0, coefs[:n_radial]
+    assert np.allclose(radii[n_radial:] + radii[:n_radial], 2 * r0,
+                       rtol=0, atol=1e-15)
+    assert np.array_equal(coefs[n_radial:], -c)
+    low = t < T / 2
+    assert low.sum() == n_radial - n_radial // 2 and np.all(t < T)
+    assert np.sum(c[low] * t[low] ** 2) == pytest.approx(T ** 2 / 8,
+                                                         rel=1e-14)
+
+
 def test_pv_pairing_agrees_with_plain():
     g = sp.Grid(2, 64)
     f = _smooth_annulus(g, 6.0, 10.0)
