@@ -290,7 +290,7 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
     A window T keeps only the pairing, under a smooth taper even in t, so
     the integrand stays a principal value.  The taper is 1 up to T / 2
     and not analytic there, so the pairing is split at T / 2: ceil(n / 2)
-    nodes below, floor(n / 2) above (none for n = 1)."""
+    nodes below and floor(n / 2) above, none for n = 1."""
     T = (0.5 * min(r0, max(r_max - r0, 1e-9)) if window is None
          else min(window, 0.99 * r0))
     pole = r0 if pole is None else pole

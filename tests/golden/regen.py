@@ -18,8 +18,9 @@ Run ``PYTHONPATH=src python tests/golden/regen.py`` to rewrite
 figures.json after a change that moves outputs on purpose.  It prints
 every figure that moved, old and new, at full precision, and rewrites
 only those: every other figure keeps its stored value, and with none
-moved the file is left as it is.  The change states that list.  A figure that moved by accident is a fault to mend,
-never a figure to rewrite.
+moved the file is left as it is.  The change states that list.  A
+figure that moved by accident is a fault to mend, never a figure to
+rewrite.
 """
 
 import contextlib
