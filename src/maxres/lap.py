@@ -19,9 +19,10 @@ flavor distance MARGIN of every sphere:
   background acts on the lattice, the singular scalars
   1/(i(omega - rho)) are evaluated with off-grid quadrature nodes.  The
   surface term is the jump.  Both weight each node by the eigenprojector
-  of the sphere's singular column, multiplier._apply with the indicator
-  of that column.  In 3D the sphere rule's pole is the axis xi_1, where
-  the spheres touch.
+  of the sphere's singular column, multiplier._apply on the identity
+  with that column's indicator, once per direction of the sphere rule:
+  it is zero-homogeneous.  In 3D the sphere rule's pole is the axis
+  xi_1, where the spheres touch.
 
 lap_parts and surface_terms share one entry, which finds each mode's
 distance to the spheres once for the MARGIN split and for the refusal,
@@ -123,11 +124,6 @@ def default_cutoff(grid, omega, mat):
 # ---------------------------------------------------------------------------
 # quadrature geometry
 
-def _inv_sqrt_spd(Q):
-    w, V = np.linalg.eigh(np.asarray(Q, dtype=float))
-    return (V / np.sqrt(w)) @ V.T
-
-
 def sphere_quadrature(dim, n):
     """Nodes and coefficients of a quadrature rule on the euclidean unit
     sphere.
@@ -180,13 +176,15 @@ def _phase_table(grid, xi):
                 xi.shape[:-1] + (n,))
 
 
-def _ring_blocks(grid, ncomp, xi):
+def _ring_blocks(grid, ncomp, xi, n_polar=1):
     """Per block of the rings xi (rings, per_ring, d), (slice, tabs):
     tabs[0] = e^{i x xi_1} once per ring, (rings, n), and for each later
     axis a the per-node table (rings, per_ring, n).  A block holds about
-    _CHUNK entries of each per-ring intermediate."""
+    _CHUNK entries of each per-ring intermediate, in whole radii of
+    n_polar rings."""
     n, per_ring = grid.n, xi.shape[1]
-    step = max(1, _CHUNK // (ncomp * (per_ring * n + n ** (grid.dim - 1))))
+    step = n_polar * max(1, _CHUNK // (
+        ncomp * (per_ring * n + n ** (grid.dim - 1)) * n_polar))
     for st in range(0, len(xi), step):
         x = xi[st:st + step]
         yield slice(st, st + len(x)), [_phase_table(grid, x[:, 0, 0])] + [
@@ -237,11 +235,12 @@ def offgrid_transform(f, xi_pts):
     return out
 
 
-def _apply_offgrid(J, xi, coeffs, weight_fn=None):
-    """sum_p coeffs_p W(xi_p) Jhat(xi_p) e^{i x xi_p} in one pass over the
+def _apply_offgrid(J, xi, coeffs, weights=None):
+    """sum_p coeffs_p W_p Jhat(xi_p) e^{i x xi_p} in one pass over the
     nodes xi, grouped in rings (rings, per_ring, d) whose nodes share xi_1
-    (_polar_points), with coeffs of shape (rings, per_ring) and
-    weight_fn(xi, v) = W(xi) v on v of shape (nodes, ncomp).
+    (_polar_points), with coeffs of shape (rings, per_ring).  The weights
+    W, (n_polar, per_ring, ncomp, ncomp), are one per direction: the
+    rings come in radii of n_polar rings, and every radius shares them.
 
     The synthesis forms each ring's plane over the later axes, in 3D
     T_2^T diag(v) T_3 per component by a batched matmul over the ring's
@@ -252,11 +251,12 @@ def _apply_offgrid(J, xi, coeffs, weight_fn=None):
     n = grid.n
     out = np.zeros((n, ncomp * (grid.npoints // n)), dtype=complex)
     cb = _support_block(J)
-    for sl, tabs in _ring_blocks(grid, ncomp, xi):
+    n_polar = 1 if weights is None else len(weights)
+    for sl, tabs in _ring_blocks(grid, ncomp, xi, n_polar):
         v = _forward(cb, tabs)
-        if weight_fn is not None:
-            v = weight_fn(xi[sl].reshape(-1, grid.dim),
-                          v.reshape(-1, ncomp)).reshape(v.shape)
+        if weights is not None:     # broadcast over the block's radii
+            v = (weights @ v.reshape((-1,) + weights.shape[:-1] + (1,))
+                 ).reshape(v.shape)
         # (rings, per_ring, ncomp, n)
         plane = (v * coeffs[sl][..., None])[..., None] * tabs[-1][:, :, None]
         if grid.dim == 3:
@@ -313,7 +313,8 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
     else:
         r, w = _gauss(r0 - T, r0 + T, 2 * n_radial)
         radii, coefs = [r], [w / (r - r0)]
-    tails = [(0.0, r0 - T), (r0 + T, r_max)] if window is None else []
+    tails = ([(0.0, min(r0 - T, r_max)), (r0 + T, r_max)] if window is None
+             else [])
     for lo, hi in tails:
         if hi - lo >= 1e-12:
             r, w = _gauss(lo, hi, n_radial)
@@ -322,39 +323,40 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
     return np.concatenate(radii), np.concatenate(coefs)
 
 
-def _polar_points(radii, coefs, qform, beta, grid, n_sphere):
-    """Expand radial nodes into full polar quadrature points with the
-    coarea volume element, the cutoff and the continuum reproduction
-    scale (L / 2 pi)^d folded into the coefficients.
+def _polar_points(radii, coefs, qform, beta, grid, n_sphere, weight=None):
+    """(points, coefficients, weights) of the polar rule on the radii,
+    with the coarea volume element, the cutoff and the continuum
+    reproduction scale (L / 2 pi)^d folded into the coefficients.
 
     The points come in rings, (rings, per_ring, d) with coefficients
     (rings, per_ring): a ring is one (radius, polar) pair of the 3D rule,
     whose 2 n_sphere azimuth nodes share xi_1 because every 3D qform here
-    is canonical, diag(a, b, b); in 2D each node is a ring of one.  A ring
-    is dropped only if all its coefficients are 0."""
-    dim = grid.dim
-    u, w = sphere_quadrature(dim, n_sphere)
-    R = _inv_sqrt_spd(qform)
-    dirs = u @ R.T                                   # unit flavor radius
-    per_ring = 2 * n_sphere if dim == 3 else 1
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, per_ring, dim)
+    is canonical, diag(a, b, b); in 2D each node is a ring of one.  A
+    radius, n_sphere rings, is dropped only if all its coefficients are
+    0.  The projectors are zero-homogeneous, so every radius shares the
+    weights on the rule's directions, _column_weight(dirs, *weight) of
+    shape (n_sphere, per_ring, ncomp, ncomp), or None."""
+    u, w = sphere_quadrature(grid.dim, n_sphere)
+    lam, V = np.linalg.eigh(np.asarray(qform, dtype=float))
+    dirs = (u @ ((V / np.sqrt(lam)) @ V.T).T).reshape(n_sphere, -1, grid.dim)
+    pts = radii[:, None, None, None] * dirs     # dirs: unit flavor radius
     dets = np.linalg.det(np.asarray(qform, float)) ** -0.5
-    cf = (coefs * radii ** (dim - 1))[:, None] * (dets * w)[None, :]
-    cf = cf.reshape(pts.shape[:2]).astype(complex)
-    cf *= beta(pts)
-    cf *= (grid.length / TAU) ** dim
-    keep = np.any(np.abs(cf) > 0, axis=1)
-    return pts[keep], cf[keep]
+    cf = ((coefs * radii ** (grid.dim - 1))[:, None] * (dets * w)).reshape(
+        pts.shape[:3]) * beta(pts) * (grid.length / TAU) ** grid.dim
+    keep = np.any(cf != 0, axis=(1, 2))
+    return (pts[keep].reshape((-1,) + dirs.shape[1:]),
+            cf[keep].reshape(-1, dirs.shape[1]),
+            None if weight is None else _column_weight(dirs, *weight))
 
 
-def _shell(f, radii, coefs, qform, beta, n_sphere, weight_fn=None):
+def _shell(f, radii, coefs, qform, beta, n_sphere, weight=None):
     """sum_i coefs_i over the flavor sphere { ||xi||_qform = radii_i } of
     beta W fhat, synthesized on the grid: the polar rule of _polar_points
     applied by _apply_offgrid.  One radius with coefficient c gives c
     times the coarea (delta-shell) integral."""
-    pts, cf = _polar_points(np.asarray(radii, dtype=float), np.asarray(coefs),
-                            qform, beta, f.grid, n_sphere)
-    return _apply_offgrid(f, pts, cf, weight_fn)
+    return _apply_offgrid(f, *_polar_points(
+        np.asarray(radii, dtype=float), np.asarray(coefs), qform, beta,
+        f.grid, n_sphere, weight))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
                          pole=omega + 1j * sign * delta)
 
 
-def _radial_shell(f, omega, beta, qform, n_sphere, n_radial, weight_fn=None,
+def _radial_shell(f, omega, beta, qform, n_sphere, n_radial, weight=None,
                   pairing=True, window=None, pole=None):
     """_shell over the radial rule _radial_nodes at omega, on (0, r_max)
     with r_max the largest euclidean radius of the cutoff's support."""
@@ -409,7 +411,7 @@ def _radial_shell(f, omega, beta, qform, n_sphere, n_radial, weight_fn=None,
         np.asarray(qform, float)).max())
     radii, coefs = _radial_nodes(omega, r_max, n_radial, pairing, window,
                                  pole)
-    return _shell(f, radii, coefs, qform, beta, n_sphere, weight_fn)
+    return _shell(f, radii, coefs, qform, beta, n_sphere, weight)
 
 
 def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
@@ -460,12 +462,12 @@ def _real_resolvent(omega, xi, mat):
                                          symbol._eigen_basis(xi, mat)[2])
 
 
-def _column_weight(mat, col, scale):
-    """weight_fn of _apply_offgrid: v -> scale m[:, col] m^{-1}[col, :] v,
-    _apply with w = scale on column col and 0 on the others."""
+def _column_weight(xi, mat, col, scale):
+    """scale m[:, col] m^{-1}[col, :] at xi (..., d), (..., ncomp, ncomp):
+    _apply on the identity with w = scale on column col, 0 elsewhere."""
     w = scale * np.eye(3 * (mat.dim - 1))[col]
-    return lambda xi, v: multiplier._apply(xi, v[..., None], mat,
-                                           lambda rho: w)[..., 0]
+    return multiplier._apply(xi, np.eye(len(w), dtype=complex), mat,
+                             lambda rho: w)
 
 
 def _sphere_distance(xi, omega, mat):
@@ -532,11 +534,9 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
         if n_radial is not None:
             common = common + _radial_shell(
                 J_near, abs(omega), beta, qform, n_sphere, n_radial,
-                weight_fn=_column_weight(mat, col, pv_sign),
-                window=2.0 * MARGIN * abs(omega))
+                weight=(mat, col, pv_sign), window=2.0 * MARGIN * abs(omega))
         surface = surface + _shell(J_near, [abs(omega)], [-np.pi], qform,
-                                   beta, n_sphere,
-                                   _column_weight(mat, col, 1.0))
+                                   beta, n_sphere, (mat, col, 1.0))
     return common, surface
 
 

@@ -23,10 +23,10 @@ symbol's eigenvalues: m (w(rho) * (m^{-1} c)) on columns c, with one
 scalar per eigenbasis column from w.  The inverse symbol is w = d^{-1}
 = 1 / (i(omega + rho)) from ``_scalar_resolvents`` (skipped columns 0):
 ``solve`` and the LAP run it on lattice coefficients
-(``spectral._solve_coeffs``), and
-``resolvent_matrix``, which ``verify`` checks, on the identity.  The
-LAP's Sokhotsky factors are the indicator of a singular column times
-a constant.  All are vectorized over a leading batch of wavevectors.
+(``spectral._solve_coeffs``), and ``resolvent_matrix``, which ``verify``
+checks, on the identity.  The LAP's Sokhotsky weights are w = a constant
+times the indicator of a singular column, on the identity once per
+sphere direction.  All are vectorized over a leading batch of wavevectors.
 """
 
 import numpy as np

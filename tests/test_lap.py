@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -50,8 +52,8 @@ def test_surface_quadrature_total_measure():
     beta = lap.CutoffSpec(10.0, 20.0)
 
     def measure(radius, Q, grid, n):
-        _, cf = lap._polar_points(np.array([radius]), np.array([1.0]), Q,
-                                  beta, grid, n)
+        _, cf, _ = lap._polar_points(np.array([radius]), np.array([1.0]),
+                                     Q, beta, grid, n)
         return cf.sum().real
 
     assert measure(3.0, np.eye(2), g2, 64) == pytest.approx(2 * np.pi * 3.0)
@@ -76,16 +78,16 @@ def test_offgrid_transform_reproduces_lattice():
         assert abs(amps[0, k] - c[idx]) < 1e-12
 
 
-def dense_offgrid(J, xi_pts, coeffs, weight_fn=None):
+def dense_offgrid(J, xi_pts, coeffs, W=None):
     """Reference for lap's off-grid transforms: the full (grid points x
-    nodes) phase matrix.  Returns (transform, synthesized field data)."""
+    nodes) phase matrix, and W (nodes, ncomp, ncomp) one weight per node.
+    Returns (transform, synthesized field data)."""
     grid = J.grid
     x = grid.x_flat()
     x = np.where(x >= 0.5 * grid.length, x - grid.length, x)
     E = np.exp(-1j * x @ xi_pts.T)
     vals = J.data.reshape(J.ncomp, -1) @ E / grid.npoints
-    amps = vals if weight_fn is None else np.einsum(
-        'pij,jp->ip', weight_fn(xi_pts), vals)
+    amps = vals if W is None else np.einsum('pij,jp->ip', W, vals)
     flat = (amps * coeffs) @ np.conj(E).T
     return vals, flat.reshape((-1,) + (grid.n,) * grid.dim)
 
@@ -106,19 +108,20 @@ def test_offgrid_matches_dense_oracle(dim, n, npts):
     # half the nodes inside the grid's band, half beyond it
     xi = RNG.uniform(-n, n, (npts, dim))
     cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
-    A = RNG.standard_normal((dim, 9))
-
-    def weight_fn(pts):             # 3 components in, 3 out
-        return np.exp(1j * pts @ A).reshape(-1, 3, 3)
+    # one weight per direction (3 components in, 3 out), shared by the
+    # npts / n_polar radii; n_polar is the least divisor of npts above
+    # 36, so that the 4891 nodes on 8^3 still take two blocks
+    n_polar = next(k for k in range(37, npts + 1) if npts % k == 0)
+    W = np.exp(1j * xi[:n_polar] @ RNG.standard_normal((dim, 9))).reshape(
+        n_polar, 1, 3, 3)
 
     vals, plain = dense_offgrid(J, xi, cf)
     assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
     assert _rel(lap._apply_offgrid(J, xi[:, None], cf[:, None]).data,
                 plain) < 1e-12
-    _, weighted = dense_offgrid(J, xi, cf, weight_fn)
-    out = lap._apply_offgrid(
-        J, xi[:, None], cf[:, None],
-        lambda pts, v: np.einsum('pij,pj->pi', weight_fn(pts), v))
+    _, weighted = dense_offgrid(J, xi, cf,
+                                np.tile(W[:, 0], (npts // n_polar, 1, 1)))
+    out = lap._apply_offgrid(J, xi[:, None], cf[:, None], W)
     assert _rel(out.data, weighted) < 1e-12
 
 
@@ -139,8 +142,8 @@ RING_QFORMS = {
 def test_every_ring_shares_xi_1(qform, n_sphere):
     g = sp.Grid(3, 16)
     radii = np.array([0.3, 2.0, 3.1, 7.5])
-    pts, cf = lap._polar_points(radii, np.ones(4), qform,
-                                lap.CutoffSpec(10.0, 20.0), g, n_sphere)
+    pts, cf, _ = lap._polar_points(radii, np.ones(4), qform,
+                                   lap.CutoffSpec(10.0, 20.0), g, n_sphere)
     assert pts.shape == (4 * n_sphere, 2 * n_sphere, 3)
     assert cf.shape == pts.shape[:2]
     assert np.all(pts[..., 0] == pts[:, :1, 0])         # bit for bit
@@ -151,7 +154,8 @@ def test_every_ring_shares_xi_1(qform, n_sphere):
 @pytest.mark.parametrize('flavor', [None, 'euclidean', 'eps_tilde'])
 def test_polar_rings_match_dense_oracle(mat, flavor):
     # real rings of _polar_points through _apply_offgrid, plain and with
-    # the Sokhotsky weights of each sphere, against the dense transform
+    # the Sokhotsky weights of each sphere, evaluated once per direction,
+    # against the dense transform with the projector at every node
     g = sp.Grid(3, 8)
     J = sp.random_band_limited(g, 6, RNG)
     beta = lap.CutoffSpec(3.0, 3.6)
@@ -159,38 +163,42 @@ def test_polar_rings_match_dense_oracle(mat, flavor):
               else [sp._flavor_qform(flavor, mat, 3)])
     for qform in qforms:
         radii, coefs = lap._radial_nodes(2.3, 4.0, 3)
-        pts, cf = lap._polar_points(radii, coefs, qform, beta, g, 5)
+        pts, cf, _ = lap._polar_points(radii, coefs, qform, beta, g, 5)
         flat = pts.reshape(-1, 3)
         _, plain = dense_offgrid(J, flat, cf.ravel())
         assert _rel(lap._apply_offgrid(J, pts, cf).data, plain) < 1e-12
         P = projectors(flat, mat)
         for col in mp._singular_columns(OMEGA, mat):
-            _, ref = dense_offgrid(J, flat, cf.ravel(), lambda xi: P[col])
-            out = lap._apply_offgrid(J, pts, cf,
-                                     lap._column_weight(mat, col, 1j))
+            _, ref = dense_offgrid(J, flat, cf.ravel(), P[col])
+            out = lap._apply_offgrid(J, *lap._polar_points(
+                radii, coefs, qform, beta, g, 5, (mat, col, 1j)))
             assert _rel(out.data, 1j * ref) < 1e-12
 
 
 def test_polar_points_drop_only_whole_rings():
+    # a radius holds 6 rings of 12 nodes and is dropped only as a whole
     g = sp.Grid(3, 16)
     qform = MAT3.sphere_qforms[1]
     radii = np.linspace(0.5, 12.0, 24)
     beta = lap.CutoffSpec(4.0, 6.0)
-    pts, cf = lap._polar_points(radii, np.ones(24), qform, beta, g, 6)
-    every, _ = lap._polar_points(radii, np.ones(24), qform,
-                                 lap.CutoffSpec(30.0, 40.0), g, 6)
+    pts, cf, _ = lap._polar_points(radii, np.ones(24), qform, beta, g, 6)
+    every, _, _ = lap._polar_points(radii, np.ones(24), qform,
+                                    lap.CutoffSpec(30.0, 40.0), g, 6)
     assert pts.shape[1:] == (12, 3) and 0 < len(pts) < len(every)
-    # the rings kept are exactly those inside the cutoff's support
-    inside = np.linalg.norm(every[:, 0], axis=-1) < beta.r_out
-    assert np.array_equal(pts, every[inside])
+    # the radii kept are exactly those with a node inside the cutoff's
+    # support, and one of them keeps a ring wholly past the support
+    every = every.reshape(24, 6, 12, 3)
+    kept = np.any(np.linalg.norm(every, axis=-1) < beta.r_out, axis=(1, 2))
+    assert np.array_equal(pts, every[kept].reshape(-1, 12, 3))
+    assert np.any(np.all(cf == 0, axis=1))
     # a ring whose nodes straddle the cutoff's edge (round-off makes the
     # cutoff 0 at some nodes of a ring and tiny at others) keeps its
     # zero-coefficient nodes
     def half(xi):
         return (xi[..., 1] > 0).astype(float)
 
-    pts, cf = lap._polar_points(radii, np.ones(24), qform, half, g, 6)
-    assert np.array_equal(pts, every)
+    pts, cf, _ = lap._polar_points(radii, np.ones(24), qform, half, g, 6)
+    assert np.array_equal(pts, every.reshape(pts.shape))
     assert np.any(cf == 0, axis=1).all() and np.any(cf != 0, axis=1).all()
 
 
@@ -217,10 +225,12 @@ def test_offgrid_weights_match_projector_oracle(mat, n, band, omega):
     cols = mp._singular_columns(omega, mat)
     assert len(cols) == mat.dim - 1            # one per sphere
     for col in cols:
-        _, ref = dense_offgrid(J, xi, cf, lambda pts: P[col])
+        _, ref = dense_offgrid(J, xi, cf, P[col])
         for scale in (1.0, 1j if omega > 0 else -1j):
-            out = lap._apply_offgrid(J, xi[:, None], cf[:, None],
-                                     lap._column_weight(mat, col, scale))
+            # one radius whose npts rings of one are the nodes xi
+            out = lap._apply_offgrid(
+                J, xi[:, None], cf[:, None],
+                lap._column_weight(xi[:, None], mat, col, scale))
             assert _rel(out.data, scale * ref) < 1e-12
 
 
@@ -410,6 +420,37 @@ def test_windowed_shell_matches_the_continuum(dim, n, n_sphere, bound):
     assert np.abs(got - want).max() < bound * np.abs(want).max()
 
 
+# (dim, n, n_sphere, omega, bound) of pv_part's unwindowed rule at its
+# default 32 radial nodes.  The bounds hold the measured 7.5e-3 / 2.0e-4
+# (2D, omega 3 / 5.5) and 2.2e-4 / 1.7e-5 (3D): the plain tails cross the
+# cutoff's edges r_in and r_out, where it is not analytic (64 radial nodes
+# read 7.4e-9 / 4.0e-10 in 2D; in 3D 6.7e-6 / 1.6e-5, held by the sphere
+# rule, and 3.9e-8 / 7.9e-8 with 48 sphere nodes)
+_PV_CASES = [(2, 128, 160, 3.0, 1e-2), (2, 128, 160, 5.5, 3e-4),
+             (3, 64, 32, 3.0, 3e-4), (3, 64, 32, 5.5, 3e-5)]
+
+
+@pytest.mark.parametrize('dim,n,n_sphere,omega,bound', _PV_CASES,
+                         ids=['2d-3', '2d-5.5', '3d-3', '3d-5.5'])
+def test_pv_part_matches_the_continuum(dim, n, n_sphere, omega, bound):
+    # PV int_0^r_max H(r) / (r - omega) dr = int (H(r) - H(omega)) /
+    # (r - omega) dr + H(omega) log((r_max - omega) / omega), the integral
+    # by 16 Gauss-Legendre panels of 40 nodes on each of (0, omega),
+    # (omega, r_in) and (r_in, r_max), r_max = r_out
+    g, f, sel, H = _gaussian_oracle(dim, n)
+    beta = lap._band_cutoff(g)
+    s, w = np.polynomial.legendre.leggauss(40)
+    H0 = H(np.array(omega))
+    want = H0 * np.log((beta.r_out - omega) / omega)
+    for lo, hi in ((0, omega), (omega, beta.r_in), (beta.r_in, beta.r_out)):
+        edges = np.linspace(lo, hi, 17)
+        for a, b in zip(edges[:-1], edges[1:]):
+            r = 0.5 * (b - a) * (s + 1) + a
+            want = want + (0.5 * (b - a) * w / (r - omega)) @ (H(r) - H0)
+    got = lap.pv_part(f, omega, n_sphere=n_sphere).data[sel]
+    assert np.abs(got - want).max() < bound * np.abs(want).max()
+
+
 def _smooth_annulus(grid, lo, hi, shift=(0.7, -1.1)):
     xi = grid.xi_flat()
     r = np.sqrt(np.einsum('ki,ki->k', xi, xi))
@@ -467,6 +508,20 @@ def test_pv_convergence_tolerance():
     beta = lap.CutoffSpec(18.0, 28.0)
     out = lap.pv_part(f, OMEGA, beta, 'eps_prime', MAT2, tol=1e-2)
     assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize('omega', [10.0, 40.0])
+def test_pole_past_the_cutoff_integrates_its_support(omega):
+    # the band cutoff of 16^2 ends at r_max = 7.6; past it the left tail
+    # stops at r_max, where the integrand does, so 32 radial nodes agree
+    # with 512 to 4.1e-5 / 3.6e-5 (omega 10 / 40), against 4.6e-4 / 0.43
+    # with that tail spread over (0, omega)
+    f = sp.random_band_limited(sp.Grid(2, 16), 1, np.random.default_rng(0))
+    for op in (lap.pv_part, functools.partial(lap.e_delta, delta=0.1,
+                                              method='quadrature')):
+        coarse, fine = op(f, omega), op(f, omega, n_radial=512)
+        assert (sp.lebesgue_norm(coarse - fine, 2)
+                < 1e-4 * sp.lebesgue_norm(fine, 2))
 
 
 @pytest.mark.parametrize('mat,grid,ncomp', [
@@ -580,12 +635,14 @@ def test_3d_surface_terms_converge_in_the_sphere_order(full_3d_source,
 
 def test_no_sphere_node_is_near_the_axis():
     # Gauss-Legendre in xi_1 puts no node at +-1, and each sphere's map
-    # R = q^(-1/2) keeps xi_1 as an axis: the smallest transverse
-    # fraction over n = 1..64 is about 5e-4, against AXIS_GUARD 1e-8
+    # q^(-1/2) keeps xi_1 as an axis: the smallest transverse fraction of
+    # the polar rule's directions (radius 1) over n = 1..64 is about
+    # 5e-4, against AXIS_GUARD 1e-8
     for n in range(1, 65):
-        u, _ = lap.sphere_quadrature(3, n)
         for qform in MAT3.sphere_qforms:
-            dirs = u @ lap._inv_sqrt_spd(qform).T
+            dirs, _, _ = lap._polar_points(np.ones(1), np.ones(1), qform,
+                                           lap.CutoffSpec(10.0, 20.0),
+                                           sp.Grid(3, 8), n)
             assert not symbol.near_axis(dirs).any(), n
 
 
