@@ -183,96 +183,47 @@ def _basis_2d(xi, mat):
     return m, minv, np.stack([0.0 * n, -n, n], axis=-1)
 
 
-def _eigvecs_3d(xi, mat):
-    """Plain (unrenormalized) eigenvector columns v1..v6 plus norms."""
-    a, b = mat.a, mat.b
-    n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
-    ne = _qnorm(xi, mat.qform)
-    xp = xi / n[..., None]
-    xt = xi / ne[..., None]
-    sb = np.sqrt(b)
-    shape = xi.shape[:-1]
-    m = np.zeros(shape + (6, 6))
-    # v1: magnetic gradient direction, eigenvalue i omega
-    m[..., 3:, 0] = xp
-    # v2: electric (eps-weighted) gradient direction, eigenvalue i omega
-    m[..., 0, 1] = xt[..., 0] / a
-    m[..., 1, 1] = xt[..., 1] / b
-    m[..., 2, 1] = xt[..., 2] / b
-    # v3, v4: the sqrt(b)|xi| pair
-    sp = xp[..., 1] ** 2 + xp[..., 2] ** 2
-    m[..., 1, 2] = -xp[..., 2] / sb
-    m[..., 2, 2] = xp[..., 1] / sb
-    m[..., 3, 2] = -sp
-    m[..., 4, 2] = xp[..., 0] * xp[..., 1]
-    m[..., 5, 2] = xp[..., 0] * xp[..., 2]
-    m[..., 1, 3] = xp[..., 2] / sb
-    m[..., 2, 3] = -xp[..., 1] / sb
-    m[..., 3, 3] = -sp
-    m[..., 4, 3] = xp[..., 0] * xp[..., 1]
-    m[..., 5, 3] = xp[..., 0] * xp[..., 2]
-    # v5, v6: the |xi|_e pair
-    st = xt[..., 1] ** 2 + xt[..., 2] ** 2
-    m[..., 0, 4] = st
-    m[..., 1, 4] = -xt[..., 0] * xt[..., 1]
-    m[..., 2, 4] = -xt[..., 0] * xt[..., 2]
-    m[..., 4, 4] = -xt[..., 2]
-    m[..., 5, 4] = xt[..., 1]
-    m[..., 0, 5] = -st
-    m[..., 1, 5] = xt[..., 0] * xt[..., 1]
-    m[..., 2, 5] = xt[..., 0] * xt[..., 2]
-    m[..., 4, 5] = -xt[..., 2]
-    m[..., 5, 5] = xt[..., 1]
-    return m, n, ne, xp, xt
-
-
-def _minv_3d_renormalized(xi, mat, n, ne, xp, xt):
-    """Closed-form inverse of the renormalized eigenbasis."""
-    a, b = mat.a, mat.b
-    sb = np.sqrt(b)
-    sp = xp[..., 1] ** 2 + xp[..., 2] ** 2
-    st = xt[..., 1] ** 2 + xt[..., 2] ** 2
-    alpha = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2) / np.sqrt(n * ne)
-    shape = xi.shape[:-1]
-    mi = np.zeros(shape + (6, 6))
-    mi[..., 0, 3:] = xp
-    mi[..., 1, 0] = a * b * xt[..., 0]
-    mi[..., 1, 1] = a * b * xt[..., 1]
-    mi[..., 1, 2] = a * b * xt[..., 2]
-    c = sb * n / (2.0 * ne)
-    mi[..., 2, 1] = -c * xt[..., 2] / st
-    mi[..., 2, 2] = c * xt[..., 1] / st
-    mi[..., 2, 3] = -0.5
-    mi[..., 2, 4] = xp[..., 0] * xp[..., 1] / (2.0 * sp)
-    mi[..., 2, 5] = xp[..., 0] * xp[..., 2] / (2.0 * sp)
-    mi[..., 3, 1] = c * xt[..., 2] / st
-    mi[..., 3, 2] = -c * xt[..., 1] / st
-    mi[..., 3, 3] = -0.5
-    mi[..., 3, 4] = mi[..., 2, 4]
-    mi[..., 3, 5] = mi[..., 2, 5]
-    mi[..., 4, 0] = a / 2.0
-    mi[..., 4, 1] = -b * xt[..., 0] * xt[..., 1] / (2.0 * st)
-    mi[..., 4, 2] = -b * xt[..., 0] * xt[..., 2] / (2.0 * st)
-    mi[..., 4, 4] = -xp[..., 2] * ne / (2.0 * n * sp)
-    mi[..., 4, 5] = ne * xp[..., 1] / (2.0 * n * sp)
-    mi[..., 5, 0] = -a / 2.0
-    mi[..., 5, 1] = -mi[..., 4, 1]
-    mi[..., 5, 2] = -mi[..., 4, 2]
-    mi[..., 5, 4] = mi[..., 4, 4]
-    mi[..., 5, 5] = mi[..., 4, 5]
-    # renormalization: columns 3..6 of m are divided by alpha, so the
-    # matching rows of the inverse are multiplied by it
-    mi[..., 2:, :] *= alpha[..., None, None]
-    return mi, alpha
+def _put_pair(m, j, e, h):
+    """Columns j and j + 1 of m (..., 6, 6), one propagating pair: (e, h)
+    and (-e, h), with e the electric and h the magnetic part."""
+    m[..., :3, j] = e
+    m[..., :3, j + 1] = -e
+    m[..., 3:, j] = m[..., 3:, j + 1] = h
 
 
 def _basis_3d(xi, mat):
-    m, n, ne, xp, xt = _eigvecs_3d(xi, mat)
-    mi, alpha = _minv_3d_renormalized(xi, mat, n, ne, xp, xt)
-    # renormalize: the four propagating columns are divided by alpha
-    m[..., :, 2:] /= alpha[..., None, None]
-    r = _qnorm(xi, mat.sphere_qforms[0])
-    return m, mi, np.stack([0.0 * n, 0.0 * n, -r, r, -ne, ne], axis=-1)
+    """The 3D eigenbasis m and its inverse with each propagating pair in
+    its final normalization (FORMULA_NOTES.md, "Pair form"): with the
+    unit vectors az = (0, -xi_3, xi_2) / s and mer = (-s, xi_1 xi_2 / s,
+    xi_1 xi_3 / s) / |xi|, s = |(xi_2, xi_3)| > 0, g = sqrt(|xi|_e / |xi|)
+    and r = |xi| mer / |xi|_e, the columns are g (+-az / sqrt b, mer)
+    and (-+r, az) / g, the rows (+-sqrt(b) az, mer) / 2g and
+    g (-+diag(a, b, b) r, az) / 2."""
+    a, b = mat.a, mat.b
+    sb = np.sqrt(b)
+    n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
+    ne = _qnorm(xi, mat.qform)
+    s = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2)
+    g = np.sqrt(ne / n)[..., None]
+    az = np.stack([0.0 * s, -xi[..., 2], xi[..., 1]], axis=-1) / s[..., None]
+    mer = xi[..., :1] * xi / (s * n)[..., None]
+    mer[..., 0] = -s / n
+    r = (n / ne)[..., None] * mer
+    xt = xi / ne[..., None]
+    m = np.zeros(xi.shape[:-1] + (6, 6))
+    mi = np.zeros(xi.shape[:-1] + (6, 6))
+    # the charge pair: the magnetic and the eps-weighted electric gradient
+    m[..., 3:, 0] = mi[..., 0, 3:] = xi / n[..., None]
+    m[..., :3, 1] = xt / (a, b, b)
+    mi[..., 1, :3] = a * b * xt
+    # rows of mi are the columns of its transpose
+    mit = mi.swapaxes(-1, -2)
+    _put_pair(m, 2, g / sb * az, g * mer)
+    _put_pair(mit, 2, sb / (2 * g) * az, mer / (2 * g))
+    _put_pair(m, 4, -r / g, az / g)
+    _put_pair(mit, 4, -g / 2 * r * (a, b, b), g / 2 * az)
+    rho = _qnorm(xi, mat.sphere_qforms[0])
+    return m, mi, np.stack([0.0 * n, 0.0 * n, -rho, rho, -ne, ne], axis=-1)
 
 
 def _eigen_basis(xi, mat):
@@ -297,10 +248,11 @@ def _eigen_basis(xi, mat):
 def eigen_decomposition(omega, xi, mat):
     """Return (m, d, m_inv) with p = m d m_inv.
 
-    2D: det m = -1 for every nonzero xi.  3D: the renormalized basis whose
-    determinant stays bounded away from 0 off the distinguished axis.
+    2D: det m = -1 for every nonzero xi.  3D: the pair-form basis, with
+    det m = 4 / (a b^(3/2)) off the distinguished axis.
     Raises DegenerateDirection at xi = 0 or (3D) too close to the axis.
     """
+    _frequency(omega)
     m, minv, rho = _eigen_basis(xi, mat)
     d = np.zeros(m.shape, dtype=complex)
     np.einsum('...ii->...i', d)[...] = 1j * (np.asarray(omega)[..., None]
@@ -311,10 +263,12 @@ def eigen_decomposition(omega, xi, mat):
 def det_diagnostics(xi, mat):
     """Renormalization diagnostics for the 3D eigenbasis.
 
-    Returns (alpha, delta, det_m, det_m_tilde) where alpha is the
-    transverse renormalization factor, delta = |xi| / |xi|_e, det_m the
-    determinant of the plain eigenvector matrix and det_m_tilde that of
-    the renormalized one (det_m_tilde = det_m / alpha^4).
+    Returns (alpha, delta, det_m, det_m_tilde): alpha = s / sqrt(|xi|
+    |xi|_e), delta = |xi| / |xi|_e, det_m_tilde = det of the eigenbasis
+    the solvers use, 4 / (a b^(3/2)), and det_m = det_m_tilde alpha^4 that
+    of the plain basis, whose propagating columns are alpha times these.
+    It answers inside the axis guard band too; raises DegenerateDirection
+    at xi = 0 and on the axis, s = 0.
     """
     if not isinstance(mat, Material3):
         raise InvalidArgument("det_diagnostics applies to 3D materials, got "
@@ -323,14 +277,14 @@ def det_diagnostics(xi, mat):
     n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
     if np.any(n == 0):
         raise DegenerateDirection("zero wavevector")
+    s = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2)
+    if np.any(s == 0):
+        raise DegenerateDirection("wavevector on the distinguished axis "
+                                  "(xi_2 = xi_3 = 0)")
     ne = _qnorm(xi, mat.qform)
-    alpha = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2) / np.sqrt(n * ne)
-    delta = n / ne
-    m_plain, _, _, _, _ = _eigvecs_3d(xi, mat)
-    det_m = np.linalg.det(m_plain).astype(complex)
-    with np.errstate(divide='ignore', invalid='ignore'):
-        det_mt = det_m / alpha ** 4
-    return alpha, delta, det_m, det_mt
+    alpha = s / np.sqrt(n * ne)
+    det_mt = np.linalg.det(_basis_3d(xi, mat)[0]).astype(complex)
+    return alpha, n / ne, det_mt * alpha ** 4, det_mt
 
 
 # canonical-axis cyclic permutations (0-based): new axis i is old axis perm[i]

@@ -6,8 +6,8 @@ memory does not grow with the number of points:
 
 * :func:`diagonalization_suite` checks p = m d m^{-1} pointwise and the
   determinant of the eigenbasis against its closed form
-  (:func:`_det_target`): det m = -1 in 2D, and in 3D the renormalized
-  det m = det m_plain / alpha^4 = 4 / (a b^(3/2)).
+  (:func:`_det_target`): det m = -1 in 2D, and 4 / (a b^(3/2)) in 3D,
+  where each propagating pair is built in its final normalization.
 * :func:`inverse_suite` checks the master identity p (M + M_c) = I for
   ``resolvent_matrix``, which is ``multiplier._apply`` on the identity:
   the apply that ``solve`` and the LAP run on lattice coefficients.  It
@@ -152,7 +152,7 @@ class _Tracker:
 
 def _det_target(mat):
     """The determinant of the eigenbasis m off the axis: -1 in 2D, and
-    4 / (a b^(3/2)) > 0 for the renormalized 3D basis."""
+    4 / (a b^(3/2)) > 0 for the 3D basis in pair form (symbol._basis_3d)."""
     return -1.0 if mat.dim == 2 else 4.0 / (mat.a * mat.b ** 1.5)
 
 

@@ -451,6 +451,39 @@ def test_pv_part_matches_the_continuum(dim, n, n_sphere, omega, bound):
     assert np.abs(got - want).max() < bound * np.abs(want).max()
 
 
+# (dim, n, n_sphere, omega, bound) of e_delta's quadrature at the complex
+# pole, delta 0.05, at its default 32 radial nodes.  The bounds hold the
+# measured 3.6e-3 / 1.1e-4 (2D, omega 3 / 5.5) and 1.4e-4 / 6.5e-6 (3D) at
+# sign +1: as for pv_part, the plain tails cross the cutoff's edges (128
+# radial nodes read 1.6e-10 in 2D)
+_EDELTA_CASES = [(2, 128, 160, 3.0, 5e-3), (2, 128, 160, 5.5, 2e-4),
+                 (3, 64, 32, 3.0, 2e-4), (3, 64, 32, 5.5, 1e-5)]
+
+
+@pytest.mark.parametrize('dim,n,n_sphere,omega,bound', _EDELTA_CASES,
+                         ids=['2d-3', '2d-5.5', '3d-3', '3d-5.5'])
+def test_e_delta_matches_the_continuum(dim, n, n_sphere, omega, bound):
+    # int_0^r_out H(r) / (r - (omega + i sign delta)) dr by Gauss-Legendre
+    # panels of 40 nodes, cut at 64 even steps of (0, r_out), at r_in and
+    # at omega + delta sinh(u), u in 96 even steps of (-12, 12), which
+    # resolves the delta-wide layer
+    g, f, sel, H = _gaussian_oracle(dim, n)
+    beta, delta = lap._band_cutoff(g), 0.05
+    s, w = np.polynomial.legendre.leggauss(40)
+    layer = omega + delta * np.sinh(np.linspace(-12, 12, 97))
+    edges = np.unique(np.concatenate([
+        np.linspace(0, beta.r_out, 65), [beta.r_in],
+        layer[(layer > 0) & (layer < beta.r_out)]]))
+    h = 0.5 * np.diff(edges)[:, None]
+    r = (h * (s + 1) + edges[:-1, None]).ravel()
+    wr, Hr = (h * w).ravel(), H(r)
+    for sign in (1, -1):
+        want = wr / (r - (omega + 1j * sign * delta)) @ Hr
+        got = lap.e_delta(f, omega, delta, sign, method='quadrature',
+                          n_sphere=n_sphere).data[sel]
+        assert np.abs(got - want).max() < bound * np.abs(want).max()
+
+
 def _smooth_annulus(grid, lo, hi, shift=(0.7, -1.1)):
     xi = grid.xi_flat()
     r = np.sqrt(np.einsum('ki,ki->k', xi, xi))
@@ -853,6 +886,21 @@ BAD_ARGUMENTS = {
     'eigen-decomposition-3d-xi-material2': (
         lambda: symbol.eigen_decomposition(1 + 1j, np.ones((5, 3)), MAT2),
         'dimension 3 .* 2D material'),
+    # eigen_decomposition ran no frequency check: NaN gave an all-NaN d,
+    # inf nan+infj entries, 'x' numpy's bare UFuncTypeError and None a
+    # bare TypeError
+    'eigen-decomposition-omega-nan': (
+        lambda: symbol.eigen_decomposition(np.nan, np.ones((5, 3)), MAT3),
+        'omega must be a finite number'),
+    'eigen-decomposition-omega-inf': (
+        lambda: symbol.eigen_decomposition(np.inf, np.ones((5, 3)), MAT3),
+        'omega must be a finite number'),
+    'eigen-decomposition-omega-str': (
+        lambda: symbol.eigen_decomposition('x', np.ones((5, 2)), MAT2),
+        'omega must be a finite number'),
+    'eigen-decomposition-omega-none': (
+        lambda: symbol.eigen_decomposition(None, np.ones((5, 2)), MAT2),
+        'omega must be a finite number'),
     'det-diagnostics-2d-xi': (
         lambda: symbol.det_diagnostics(np.ones((5, 2)), MAT3),
         'dimension 2 .* 3D material'),

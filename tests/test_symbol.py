@@ -76,9 +76,16 @@ def test_det_2d_is_minus_one():
 
 def test_det_3d_renormalized_constant():
     xi = _random_xi(2000, 3)
+    # rows inside the axis guard band, s^2 / |xi|^2 from 1e-16 to 1e-8,
+    # which det_diagnostics answers and the solvers refuse
+    r = np.logspace(-16, -8, 9)
+    xi[:9] = np.stack([np.ones(9), np.sqrt(r / (1 - r)), np.zeros(9)], 1)
     alpha, delta, det_m, det_mt = det_diagnostics(xi, MAT3)
-    assert np.allclose(det_m / alpha ** 4, det_mt, rtol=1e-12)
-    ratio = np.abs(det_mt)
+    assert np.allclose(det_mt, 4.0 / (MAT3.a * MAT3.b ** 1.5), rtol=1e-12,
+                       atol=0)
+    assert np.allclose(alpha[:9], np.sqrt(r * delta[:9]), rtol=1e-12)
+    xi = xi[9:]
+    ratio = np.abs(det_mt[9:])
     assert ratio.max() - ratio.min() < 1e-10
     m, _, _ = eigen_decomposition(1.0 + 1.0j, xi, MAT3)
     assert np.allclose(np.abs(np.linalg.det(m)), ratio, rtol=1e-10)
@@ -135,4 +142,12 @@ def test_canonicalize_takes_materials_only(bad):
 def test_det_diagnostics_refuses_the_zero_wavevector():
     xi = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
     with pytest.raises(DegenerateDirection, match='zero wavevector'):
+        det_diagnostics(xi, MAT3)
+
+
+@pytest.mark.parametrize('x1', [1.0, -2.5, 1e-3])
+def test_det_diagnostics_refuses_the_axis(x1):
+    # a nonzero wavevector with xi_2 = xi_3 = 0 gave det_m_tilde = nan+nanj
+    xi = np.array([[1.0, 2.0, 0.5], [x1, 0.0, 0.0]])
+    with pytest.raises(DegenerateDirection, match='distinguished axis'):
         det_diagnostics(xi, MAT3)
