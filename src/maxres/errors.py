@@ -10,8 +10,8 @@ class InvalidArgument(MaxresError, ValueError):
 
 
 class DegenerateDirection(MaxresError):
-    """Wavevector too close to the distinguished axis (or zero) for the
-    closed-form diagonalization; callers fall back to direct inversion."""
+    """The zero wavevector, where the symbol is i omega I and the
+    closed-form eigenbasis does not exist."""
 
 
 class NotPartiallyAnisotropic(MaxresError):

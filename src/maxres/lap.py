@@ -22,14 +22,15 @@ flavor distance MARGIN of every sphere:
   of the sphere's singular column, multiplier._apply on the identity
   with that column's indicator, once per direction of the sphere rule:
   it is zero-homogeneous.  In 3D the sphere rule's pole is the axis
-  xi_1, where the spheres touch.
+  xi_1, where the spheres touch; lattice modes on the axis stay out of
+  the split and take the lattice inverse whole.
 
 lap_parts and surface_terms share one entry, which finds each mode's
 distance to the spheres once for the MARGIN split and for the refusal,
 with OnSingularSet, of a nonzero mode of J within relative flavor
 distance ON_SPHERE of a sphere that its route cannot take: on the
 lattice route any such mode, where the periodic limit does not exist;
-on the quadrature route a near-axis one, which bypasses the split.
+on the quadrature route an axis one, which bypasses the split.
 
 Each off-grid term is one separable transform over its nodes, taken in
 rings: a ring is one (radius, polar) pair of the sphere rule, whose
@@ -276,17 +277,17 @@ def _gauss(lo, hi, n):
     return 0.5 * (hi - lo) * (s + 1.0) + lo, 0.5 * (hi - lo) * w
 
 
-def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
+def _radial_nodes(r0, r_max, n_radial, window=None, pole=None):
     """The radial rule of every LAP integral: (radii, coefficients c_i)
     with int_0^{r_max} g(r) / (r - pole) dr ~= sum_i c_i g(r_i), a
     principal value at the default pole r0.
 
     Around r0 it takes a middle of half-width T: n_radial Gauss-Legendre
-    nodes t on (0, T) paired as r0 +- t; with pairing False, 2 n_radial
-    plain nodes through the pole; at the complex pole r0 + i s delta of
-    e_delta, 2 n_radial nodes in u of r = r0 + delta sinh(u), which
-    resolves the delta-wide layer.  Without a window, T = min(r0, r_max -
-    r0) / 2 and plain n_radial-node tails cover the rest of (0, r_max).
+    nodes t on (0, T) paired as r0 +- t; at the complex pole r0 + i s
+    delta of e_delta, 2 n_radial nodes in u of r = r0 + delta sinh(u),
+    which resolves the delta-wide layer.  Without a window, T = min(r0,
+    r_max - r0) / 2 and plain n_radial-node tails cover the rest of
+    (0, r_max).
     A window T keeps only the pairing, under a smooth taper even in t, so
     the integrand stays a principal value.  The taper is 1 up to T / 2
     and not analytic there, so the pairing is split at T / 2: ceil(n / 2)
@@ -300,7 +301,7 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
         u, wu = _gauss(-S, S, 2 * n_radial)
         sh = np.sinh(u)
         radii, coefs = [r0 + delta * sh], [wu * np.cosh(u) / (sh - 1j * sign)]
-    elif pairing:
+    else:
         if window is None:
             t, wt = _gauss(0.0, T, n_radial)
         else:
@@ -310,9 +311,6 @@ def _radial_nodes(r0, r_max, n_radial, pairing=True, window=None, pole=None):
                     (T / 2, T, n_radial // 2)) if m]))
             wt = wt * _smooth_step(2.0 * t / T - 1.0)
         radii, coefs = [r0 + t, r0 - t], [wt / t, -wt / t]
-    else:
-        r, w = _gauss(r0 - T, r0 + T, 2 * n_radial)
-        radii, coefs = [r], [w / (r - r0)]
     tails = ([(0.0, min(r0 - T, r_max)), (r0 + T, r_max)] if window is None
              else [])
     for lo, hi in tails:
@@ -404,34 +402,30 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
 
 
 def _radial_shell(f, omega, beta, qform, n_sphere, n_radial, weight=None,
-                  pairing=True, window=None, pole=None):
+                  window=None, pole=None):
     """_shell over the radial rule _radial_nodes at omega, on (0, r_max)
     with r_max the largest euclidean radius of the cutoff's support."""
     r_max = beta.r_out * np.sqrt(np.linalg.eigvalsh(
         np.asarray(qform, float)).max())
-    radii, coefs = _radial_nodes(omega, r_max, n_radial, pairing, window,
-                                 pole)
+    radii, coefs = _radial_nodes(omega, r_max, n_radial, window, pole)
     return _shell(f, radii, coefs, qform, beta, n_sphere, weight)
 
 
 def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
-            n_sphere=None, n_radial=32, tol=None, pairing=True):
+            n_sphere=None, n_radial=32, tol=None):
     """Principal value of the continuum integral with multiplier
     beta(xi)/(||xi||_flavor - omega), by symmetric pairing around the
     singular radius.  With ``tol`` set (finite, > 0), the node counts are
     doubled and QuadratureNotConverged is raised if the result moves by
-    more.
-    ``pairing=False`` integrates straight through the singular radius
-    (only sensible when the transform of f vanishes there)."""
+    more."""
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere, n_radial)
     if tol is not None and not 0 < tol < np.inf:
         raise InvalidArgument("tol must be finite and > 0, got %r" % (tol,))
-    out = _radial_shell(f, omega, beta, qform, n_sphere, n_radial,
-                        pairing=pairing)
+    out = _radial_shell(f, omega, beta, qform, n_sphere, n_radial)
     if tol is not None:
         fine = _radial_shell(f, omega, beta, qform, 2 * n_sphere,
-                             2 * n_radial, pairing=pairing)
+                             2 * n_radial)
         drift = spectral.lebesgue_norm(fine - out, 2)
         scale = max(spectral.lebesgue_norm(fine, 2), 1e-300)
         if drift > tol * scale:
@@ -492,7 +486,7 @@ def _entry(omega, J, mat, method):
     dist = _sphere_distance(xi, omega, canon)
     on = spectral._support(c) & (dist < ON_SPHERE * abs(omega))
     if method == 'quadrature':
-        on &= symbol.near_axis(xi)          # the split takes the others
+        on &= symbol.on_axis(xi)            # the split takes the others
     if np.any(on):
         k = np.rint(xi[on][0] * J.grid.length / TAU).astype(int)
         raise OnSingularSet(
@@ -513,15 +507,15 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
     spectral._count('n_sphere', n_sphere)
     beta = default_cutoff(grid, omega, mat)
     c, xi = spectral._modes(J)
-    near = dist < MARGIN * abs(omega)
+    # axis modes bypass the split: off the spheres the lattice inverse is
+    # their limit
+    near = (dist < MARGIN * abs(omega)) & ~symbol.on_axis(xi)
     common = None
     if n_radial is not None:
         # the real-frequency inverse off the spheres and at the zero mode,
-        # the smooth background near them; near-axis modes bypass the
-        # split (off the spheres the direct inverse is their limit)
+        # the smooth background near them
         common = spectral._like(J, spectral._solve_coeffs(omega, J, mat,
                                                           drop=near))
-    near &= ~symbol.near_axis(xi)
     surface = spectral.Field.zeros(grid, J.ncomp)
     if not np.any(near):
         return common, surface

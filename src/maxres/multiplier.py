@@ -1,9 +1,9 @@
 """Closed-form inverse symbol (resolvent) from the symbol's eigenbasis.
 
 ``symbol`` diagonalizes the Maxwell symbol as p = m d m^{-1} with a real,
-frequency-independent eigenbasis m(xi), so the inverse symbol is
-m d^{-1} m^{-1}.  Split by eigenvector column it is one list of terms
-plus a charge part,
+frequency-independent eigenbasis m(xi) at every nonzero xi, the 3D axis
+included, so the inverse symbol is m d^{-1} m^{-1}.  Split by eigenvector
+column it is one list of terms plus a charge part,
 
     M + M_c = sum_j W_j(xi) s_j(omega, xi) + M_c,
 
@@ -59,7 +59,7 @@ def _singular_columns(omega, mat):
 
 
 def _apply(xi, c, mat, w):
-    """m (w(rho) * (m^{-1} c)) off the axis on c of shape (..., ncomp, k):
+    """m (w(rho) * (m^{-1} c)) at nonzero xi on c of shape (..., ncomp, k):
     w maps rho (..., ncomp), the symbol's eigenvalues i(omega + rho), to
     one scalar per eigenbasis column."""
     m, minv, rho = symbol._eigen_basis(xi, mat)
@@ -70,8 +70,7 @@ def resolvent_matrix(omega, xi, mat):
     """Full inverse symbol M + M_c at Im(omega) != 0: _apply on I, at one
     omega or one per wavevector of xi, as symbol_p.
 
-    Raises DegenerateDirection at xi = 0 and near the 3D distinguished
-    axis, where the caller inverts the symbol directly.
+    Raises DegenerateDirection at xi = 0, where the symbol is i omega I.
     """
     if np.any(np.imag(symbol._frequency(omega)) == 0):
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")

@@ -294,11 +294,9 @@ def off_sphere_frequency(grid, mat, near=3.0):
 
 def _annulus_modes(xi, omega, mat, thickness):
     """Indices of the lattice modes whose first flavor radius lies within
-    ``thickness`` of |omega|, and those radii.  Modes on the
-    distinguished axis have no closed-form eigenbasis and are left out."""
+    ``thickness`` of |omega|, and those radii."""
     rho = characteristic_radii(xi, mat)[0]
-    sel = np.nonzero((np.abs(rho - abs(omega)) < thickness) & (rho > 0)
-                     & ~symbol.near_axis(xi))[0]
+    sel = np.nonzero((np.abs(rho - abs(omega)) < thickness) & (rho > 0))[0]
     if sel.size == 0:
         raise GridTooCoarse("annulus contains no lattice modes; "
                             "increase the thickness")
@@ -342,10 +340,12 @@ def knapp_source(grid, omega, mat):
     theta = |omega|^(-1/2) and radial thickness tau = dist(omega, R),
     at least 0.75; the spectral profile is a smooth window in both
     variables, polarized along the singular eigenvector of the
-    euclidean-sphere flavor.  Modes near the distinguished (first)
-    axis are left out, as in the annulus source.
+    euclidean-sphere flavor.  omega must be nonzero.
     """
     omega = complex(symbol._frequency(omega))
+    if omega == 0:
+        raise InvalidArgument("omega must be nonzero for the cap source, "
+                              "got %r" % (omega,))
     if mat.dim != 3:
         raise InvalidArgument("the cap construction is three-dimensional")
     lam = abs(omega)
@@ -359,9 +359,7 @@ def knapp_source(grid, omega, mat):
                                 -1, 1))
     window = (np.exp(-0.5 * ((rho - lam) / tau) ** 2)
               * np.exp(-0.5 * (ang / theta) ** 2))
-    # modes on the distinguished axis have no closed-form eigenbasis;
-    # the cap reaches them when 3 theta > pi/2, |omega| < 3.65
-    window[(n == 0) | symbol.near_axis(xi) | (ang > 3 * theta)
+    window[(n == 0) | (ang > 3 * theta)
            | (np.abs(rho - lam) > 3 * tau)] = 0.0
     sel = np.nonzero(window > 0)[0]
     if sel.size == 0:

@@ -11,11 +11,13 @@ and is exactly 0 elsewhere; its samples are a cached, read-only view
 here reads the block and the wavevectors of its support (_modes) and
 returns a field on the same support (_like), and an L^2 norm is
 Parseval's sum over the block, so a chain of multipliers costs the band
-and runs no FFT until its samples are read.  The lattice inverse and the
-forward operator touch only the modes where the coefficients are
-nonzero, and build their per-mode matrices block by block
-(symbol._blocks): each (block, ncomp, ncomp) array is about 2 MiB, so it
-stays in a core's L2 cache between its construction and its use.
+and runs no FFT until its samples are read.  The lattice inverse is the
+closed-form inverse symbol (multiplier._apply) at every nonzero mode and
+1 / (i omega) at the zero mode.  It and the forward operator touch only
+the modes where the coefficients are nonzero, and build their per-mode
+matrices block by block (symbol._blocks): each (block, ncomp, ncomp)
+array is about 2 MiB, so it stays in a core's L2 cache between its
+construction and its use.
 """
 
 import functools
@@ -358,18 +360,17 @@ def _solve_coeffs(omega, f, mat, drop=None):
     material), flattened over f's held modes (_modes), with the singular
     columns (multiplier._singular_columns) set to 0 on the modes marked
     in ``drop`` (real omega): there it is the smooth background of the
-    Sokhotsky split.  Off the axis: multiplier._apply per block of
-    symbol._blocks, cache-sized so each (block, ncomp, ncomp) factor
-    stays in L2 while it is applied.  Near-axis 3D modes and the zero
-    mode, where p(omega, 0) = i omega I, get one batched direct solve,
-    dropped or not; at real omega the caller keeps them off the
-    characteristic spheres, where the symbol is singular.  Modes where
-    the coefficients are exactly 0 are skipped."""
+    Sokhotsky split.  Every nonzero mode takes multiplier._apply per
+    block of symbol._blocks, cache-sized so each (block, ncomp, ncomp)
+    factor stays in L2 while it is applied; the zero mode, where
+    p(omega, 0) = i omega I, is divided by i omega.  Modes where the
+    coefficients are exactly 0 are skipped."""
     c, xi = _modes(f)
     out = np.zeros_like(c)
     active = _support(c)
-    direct = active & (symbol.near_axis(xi) | ~np.any(xi != 0, axis=-1))
-    idx = np.nonzero(active & ~direct)[0]
+    zero = ~np.any(xi, axis=-1)
+    out[:, zero] = c[:, zero] / (1j * omega)
+    idx = np.nonzero(active & ~zero)[0]
     if drop is not None:
         cols = list(multiplier._singular_columns(omega, mat))
     for blk in symbol._blocks(idx.size, c.shape[0]):
@@ -382,24 +383,20 @@ def _solve_coeffs(omega, f, mat, drop=None):
             return w
         rhs = c[:, sel].T[..., None]
         out[:, sel] = multiplier._apply(xi[sel], rhs, mat, w)[..., 0].T
-    idx = np.nonzero(direct)[0]
-    if idx.size:
-        out[:, idx] = np.linalg.solve(symbol.symbol_p(omega, xi[idx], mat),
-                                      c[:, idx].T[..., None])[..., 0].T
     return out
 
 
 def solve(omega, J, mat):
     """Invert the Maxwell operator: the (D, B) field with P(omega,D)u = J.
 
-    Requires Im(omega) != 0.  Lattice modes off the distinguished axis
-    use the closed-form inverse symbol, applied through its eigenbasis
-    factors; near-axis 3D modes and the zero mode, where the symbol is
-    i omega I, fall back to a direct solve (_solve_coeffs).  The solve
-    runs on J's held block, and only on its nonzero modes, so a J built
-    from band-limited coefficients costs its band, not the grid, and u
-    is held on the same support.  It runs in the canonical frame
-    (symbol.canonicalize), and u is mapped back.
+    Requires Im(omega) != 0.  Every nonzero lattice mode uses the
+    closed-form inverse symbol, applied through its eigenbasis factors,
+    and the zero mode, where the symbol is i omega I, is divided by
+    i omega (_solve_coeffs).  The solve runs on J's held block, and only
+    on its nonzero modes, so a J built from band-limited coefficients
+    costs its band, not the grid, and u is held on the same support.  It
+    runs in the canonical frame (symbol.canonicalize), and u is mapped
+    back.
     """
     omega = complex(symbol._frequency(omega))
     if omega.imag == 0:

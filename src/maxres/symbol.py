@@ -2,9 +2,8 @@
 
 The first-order symbol p(omega, xi) of the time-harmonic Maxwell system is
 assembled as a dense matrix (3x3 in 2D, 6x6 in 3D, acting on the (D, B)
-field components).  Away from the degenerate directions it factors as
-p = m d m^{-1} with an explicit frequency-independent eigenbasis m(xi) and
-the diagonal
+field components).  At every nonzero xi it factors as p = m d m^{-1}
+with an explicit frequency-independent eigenbasis m(xi) and the diagonal
 
     2D:  d = i diag(omega, omega - |xi|_w, omega + |xi|_w)
     3D:  d = i diag(omega, omega, omega -+ sqrt(b)|xi|, omega -+ |xi|_e)
@@ -23,10 +22,6 @@ import numpy as np
 
 from .errors import DegenerateDirection, InvalidArgument
 from .materials import Material2, Material3
-
-# Below this fraction of |xi|^2 in the transverse plane the 3D closed-form
-# eigenbasis is refused and callers invert the 6x6 symbol directly.
-AXIS_GUARD = 1e-8
 
 SQ2 = np.sqrt(2.0)
 
@@ -113,13 +108,17 @@ def _frequency(omega, real=False):
 
 
 def _wavevectors(xi, mat):
-    """xi as a float array of mat.dim-dimensional wavevectors (on its last
-    axis); any other dimension raises InvalidArgument."""
+    """xi as a float array of finite mat.dim-dimensional wavevectors (on
+    its last axis); any other dimension or a NaN or infinite entry raises
+    InvalidArgument."""
     xi = np.asarray(xi, dtype=float)
     d = xi.shape[-1] if xi.ndim else 0
     if d != mat.dim:
         raise InvalidArgument("wavevectors of dimension %d do not apply to "
                               "a %dD material" % (d, mat.dim))
+    if not np.all(np.isfinite(xi)):
+        raise InvalidArgument("xi must be finite, got a NaN or infinite "
+                              "entry")
     return xi
 
 
@@ -132,23 +131,14 @@ def symbol_p(omega, xi, mat):
     return _symbol_3d(omega, xi, mat)
 
 
-def near_axis(xi):
-    """3D wavevectors too close to the distinguished axis for the
-    closed-form eigenbasis: transverse |.|^2 below AXIS_GUARD * |xi|^2.  The
-    zero vector is not near the axis, and no 2D wavevector is."""
+def on_axis(xi):
+    """Nonzero 3D wavevectors on the distinguished axis, xi_2 = xi_3 = 0,
+    where the two characteristic spheres touch.  The zero vector is not
+    on the axis, and no 2D wavevector is."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 3:
         return np.zeros(xi.shape[:-1], dtype=bool)
-    n2 = np.einsum('...i,...i->...', xi, xi)
-    return xi[..., 1] ** 2 + xi[..., 2] ** 2 < AXIS_GUARD * n2
-
-
-def _check_offaxis(xi):
-    """Raise DegenerateDirection at xi = 0 or near the 3D axis."""
-    if np.any(near_axis(xi)) or not np.all(np.any(xi, axis=-1)):
-        raise DegenerateDirection(
-            "wavevector too close to the distinguished axis (or zero); "
-            "use direct 6x6 inversion")
+    return ~np.any(xi[..., 1:], axis=-1) & (xi[..., 0] != 0)
 
 
 def _basis_2d(xi, mat):
@@ -195,19 +185,27 @@ def _basis_3d(xi, mat):
     """The 3D eigenbasis m and its inverse with each propagating pair in
     its final normalization (FORMULA_NOTES.md, "Pair form"): with the
     unit vectors az = (0, -xi_3, xi_2) / s and mer = (-s, xi_1 xi_2 / s,
-    xi_1 xi_3 / s) / |xi|, s = |(xi_2, xi_3)| > 0, g = sqrt(|xi|_e / |xi|)
+    xi_1 xi_3 / s) / |xi|, s = |(xi_2, xi_3)|, g = sqrt(|xi|_e / |xi|)
     and r = |xi| mer / |xi|_e, the columns are g (+-az / sqrt b, mer)
     and (-+r, az) / g, the rows (+-sqrt(b) az, mer) / 2g and
-    g (-+diag(a, b, b) r, az) / 2."""
+    g (-+diag(a, b, b) r, az) / 2.  On the axis, s = 0, both spheres
+    meet and any transverse pair will do: the limit along xi_2 > 0,
+    az = (0, 0, 1) and mer = (0, xi_1 / |xi|, 0)."""
     a, b = mat.a, mat.b
     sb = np.sqrt(b)
     n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
     ne = _qnorm(xi, mat.qform)
     s = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2)
     g = np.sqrt(ne / n)[..., None]
-    az = np.stack([0.0 * s, -xi[..., 2], xi[..., 1]], axis=-1) / s[..., None]
-    mer = xi[..., :1] * xi / (s * n)[..., None]
+    with np.errstate(divide='ignore', invalid='ignore'):
+        az = (np.stack([0.0 * s, -xi[..., 2], xi[..., 1]], axis=-1)
+              / s[..., None])
+        mer = xi[..., :1] * xi / (s * n)[..., None]
     mer[..., 0] = -s / n
+    # the rows 0 / 0 on the axis take their limit along xi_2 > 0
+    axis = np.nonzero(s == 0)
+    az[axis] = (0.0, 0.0, 1.0)
+    mer[axis] = xi[axis][:, :1] / n[axis][:, None] * (0.0, 1.0, 0.0)
     r = (n / ne)[..., None] * mer
     xt = xi / ne[..., None]
     m = np.zeros(xi.shape[:-1] + (6, 6))
@@ -234,12 +232,13 @@ def _eigen_basis(xi, mat):
         2D:  rho = (0, -|xi|_w, |xi|_w)
         3D:  rho = (0, 0, -sqrt(b)|xi|, sqrt(b)|xi|, -|xi|_e, |xi|_e).
 
-    Raises DegenerateDirection at xi = 0 or (3D) too close to the axis.
+    Raises DegenerateDirection at xi = 0.
     """
     xi = _wavevectors(xi, mat)
     if mat.dim == 3:
         mat.require_canonical('the closed-form eigenbasis')
-    _check_offaxis(xi)
+    if not np.all(np.any(xi, axis=-1)):
+        raise DegenerateDirection("zero wavevector")
     if mat.dim == 2:
         return _basis_2d(xi, mat)
     return _basis_3d(xi, mat)
@@ -248,9 +247,8 @@ def _eigen_basis(xi, mat):
 def eigen_decomposition(omega, xi, mat):
     """Return (m, d, m_inv) with p = m d m_inv.
 
-    2D: det m = -1 for every nonzero xi.  3D: the pair-form basis, with
-    det m = 4 / (a b^(3/2)) off the distinguished axis.
-    Raises DegenerateDirection at xi = 0 or (3D) too close to the axis.
+    2D: det m = -1 and 3D: det m = 4 / (a b^(3/2)), the pair-form basis,
+    for every nonzero xi.  Raises DegenerateDirection at xi = 0.
     """
     _frequency(omega)
     m, minv, rho = _eigen_basis(xi, mat)
@@ -266,9 +264,8 @@ def det_diagnostics(xi, mat):
     Returns (alpha, delta, det_m, det_m_tilde): alpha = s / sqrt(|xi|
     |xi|_e), delta = |xi| / |xi|_e, det_m_tilde = det of the eigenbasis
     the solvers use, 4 / (a b^(3/2)), and det_m = det_m_tilde alpha^4 that
-    of the plain basis, whose propagating columns are alpha times these.
-    It answers inside the axis guard band too; raises DegenerateDirection
-    at xi = 0 and on the axis, s = 0.
+    of the plain basis, whose propagating columns are alpha times these:
+    0 on the axis, s = 0.  Raises DegenerateDirection at xi = 0.
     """
     if not isinstance(mat, Material3):
         raise InvalidArgument("det_diagnostics applies to 3D materials, got "
@@ -278,9 +275,6 @@ def det_diagnostics(xi, mat):
     if np.any(n == 0):
         raise DegenerateDirection("zero wavevector")
     s = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2)
-    if np.any(s == 0):
-        raise DegenerateDirection("wavevector on the distinguished axis "
-                                  "(xi_2 = xi_3 = 0)")
     ne = _qnorm(xi, mat.qform)
     alpha = s / np.sqrt(n * ne)
     det_mt = np.linalg.det(_basis_3d(xi, mat)[0]).astype(complex)

@@ -11,8 +11,8 @@ memory does not grow with the number of points:
 * :func:`inverse_suite` checks the master identity p (M + M_c) = I for
   ``resolvent_matrix``, which is ``multiplier._apply`` on the identity:
   the apply that ``solve`` and the LAP run on lattice coefficients.  It
-  covers the isotropic case, the axis guard band and the near-axis
-  fallback (direct 6x6 inversion).  Its ``flip_entry`` fault-injection
+  covers the isotropic case, wavevectors within s^2/|xi|^2 < 1e-6 of
+  the 3D axis and on it, s = 0.  Its ``flip_entry`` fault-injection
   hook (``_flip``) negates one entry of the 3D term sum; a single sign
   error anywhere must fail the suite, with a witness point.
 """
@@ -25,7 +25,7 @@ from .errors import InvalidArgument
 from .materials import Material2, Material3
 from .multiplier import (_apply, _rmatmul, _scalar_resolvents,
                          resolvent_matrix)
-from .symbol import AXIS_GUARD, _blocks, _eigen_basis, near_axis, symbol_p
+from .symbol import _blocks, _eigen_basis, symbol_p
 
 # Default materials exercised by both suites.  The first entry of each
 # list is isotropic; the others are genuinely anisotropic.
@@ -59,20 +59,19 @@ class SuiteReport:
 
 
 def _random_xi(rng, n, dim, axis_fraction=0.0):
-    """Random wavevectors.  In 3D a fraction is squeezed onto the axis
-    (inverted directly), and as many are drawn in the guard band
-    s^2/|xi|^2 in [AXIS_GUARD, 1e-6), where the closed form is used;
-    both sets alternate on evenly spaced rows, so every run of n/8 rows
-    holds some of each."""
+    """Random wavevectors.  In 3D a fraction is put on the axis, s = 0,
+    and as many are drawn near it, s^2/|xi|^2 in [1e-8, 1e-6); both sets
+    alternate on evenly spaced rows, so every run of n/8 rows holds some
+    of each."""
     xi = rng.normal(0.0, 2.0, size=(n, dim))
     xi[np.abs(xi).max(axis=1) < 1e-3] += 1.0
     if dim == 3 and axis_fraction > 0:
         k = int(n * axis_fraction)
         rows = np.linspace(0, n, 2 * k, endpoint=False).astype(int)
-        xi[rows[0::2], 1:] *= 1e-6
+        xi[rows[0::2], 1:] = 0.0
         band = xi[rows[1::2]]
         band[np.abs(band[:, 0]) < 1e-3, 0] = 1.0
-        r = AXIS_GUARD * 10.0 ** rng.uniform(0.0, 2.0, (k, 1))
+        r = 1e-8 * 10.0 ** rng.uniform(0.0, 2.0, (k, 1))
         band[:, 1:] *= np.sqrt(r / (1.0 - r) * band[:, :1] ** 2
                                / (band[:, 1:] ** 2).sum(1, keepdims=True))
         xi[rows[1::2]] = band
@@ -151,7 +150,7 @@ class _Tracker:
 
 
 def _det_target(mat):
-    """The determinant of the eigenbasis m off the axis: -1 in 2D, and
+    """The determinant of the eigenbasis m: -1 in 2D, and
     4 / (a b^(3/2)) > 0 for the 3D basis in pair form (symbol._basis_3d)."""
     return -1.0 if mat.dim == 2 else 4.0 / (mat.a * mat.b ** 1.5)
 
@@ -206,14 +205,9 @@ def inverse_suite(rng, n_points=100_000, dim=2, tol=1e-10, flip_entry=None):
     for mat, xs, om in _draws(rng, mats, per, ncomp, axis_fraction=0.02,
                               runs=8):
         p = symbol_p(om, xs, mat)
-        axis = near_axis(xs)
-        # near-axis fallback: the closed form at a placeholder off-axis
-        # direction, overwritten by direct 6x6 inversion
-        off = np.where(axis[:, None], 1.0, xs)
-        M = resolvent_matrix(om, off, mat)
+        M = resolvent_matrix(om, xs, mat)
         if flip_entry is not None:
-            _flip(M, om, off, mat, flip_entry)
-        M[axis] = np.linalg.inv(p[axis])
+            _flip(M, om, xs, mat, flip_entry)
         prod = p @ M
         scale = np.abs(p).max(axis=(1, 2)) * np.abs(M).max(axis=(1, 2)) + 1.0
         worst.update(np.abs(prod - eye).max(axis=(1, 2)) / scale, lambda i: {

@@ -10,7 +10,7 @@ reference for the weights that maxres applies without forming them.
 import numpy as np
 
 from maxres import multiplier
-from maxres.symbol import AXIS_GUARD, _eigen_basis
+from maxres.symbol import _eigen_basis
 
 
 def projectors(xi, mat):
@@ -21,14 +21,17 @@ def projectors(xi, mat):
             for c in range(m.shape[-1])]
 
 
-def guard_band_xi(rng, n):
-    """3D wavevectors with s^2 / |xi|^2 in [AXIS_GUARD, 1e-6)."""
-    ratio = AXIS_GUARD * 10.0 ** rng.uniform(0.0, 2.0, n)
+def near_axis_xi(rng, n):
+    """3D wavevectors near the distinguished axis, s^2 / |xi|^2 in
+    [1e-8, 1e-6), and every eighth row on it, s = 0."""
+    ratio = 1e-8 * 10.0 ** rng.uniform(0.0, 2.0, n)
     x1 = rng.normal(0.0, 2.0, n)
     x1[np.abs(x1) < 1e-3] = 1.0
     s = np.abs(x1) * np.sqrt(ratio / (1.0 - ratio))
     phi = rng.uniform(0.0, 2 * np.pi, n)
-    return np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
+    xi = np.stack([x1, s * np.cos(phi), s * np.sin(phi)], axis=-1)
+    xi[::8, 1:] = 0.0
+    return xi
 
 
 def qform_norm(xi, mat):

@@ -12,7 +12,7 @@ from maxres.errors import (InvalidArgument, MethodsDisagree, OnSingularSet,
                            QuadratureNotConverged)
 from maxres.materials import Material2, Material3
 from maxres.spectral import TAU
-from helpers import PerturbedFactors, guard_band_xi, projectors
+from helpers import PerturbedFactors, near_axis_xi, projectors
 
 RNG = np.random.default_rng(23)
 
@@ -217,9 +217,9 @@ def test_offgrid_weights_match_projector_oracle(mat, n, band, omega):
     ncomp = 3 * (mat.dim - 1)
     J = sp.random_band_limited(g, ncomp, RNG)
     npts = 400
-    xi = (guard_band_xi(RNG, npts) if band
+    xi = (near_axis_xi(RNG, npts) if band
           else RNG.uniform(-n, n, (npts, mat.dim)))
-    assert not symbol.near_axis(xi).any()
+    assert symbol.on_axis(xi).any() == band
     cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
     P = projectors(xi, mat)
     cols = mp._singular_columns(omega, mat)
@@ -512,16 +512,6 @@ def test_windowed_rule_splits_at_the_taper_edge(n_radial):
                                                          rel=1e-14)
 
 
-def test_pv_pairing_agrees_with_plain():
-    g = sp.Grid(2, 64)
-    f = _smooth_annulus(g, 6.0, 10.0)
-    beta = lap.CutoffSpec(18.0, 28.0)
-    pv = lap.pv_part(f, OMEGA, beta, 'eps_prime', MAT2)
-    plain = lap.pv_part(f, OMEGA, beta, 'eps_prime', MAT2, pairing=False)
-    assert (sp.lebesgue_norm(pv - plain, 2)
-            / sp.lebesgue_norm(pv, 2)) < 1e-10
-
-
 def test_e_delta_norm_monotone_near_sphere():
     # |denominator| shrinks pointwise as delta decreases, so the norm of
     # e_delta f is nondecreasing for spectrum near the sphere
@@ -601,10 +591,10 @@ def test_lap_solve_is_common_plus_minus_surface(mat, grid, ncomp):
 
 def test_near_sphere_axis_modes_use_direct_inverse():
     # 3D modes on the distinguished axis near a sphere skip the split;
-    # the direct 6x6 inverse still solves them exactly
+    # the lattice inverse, undropped, still solves them exactly
     g = sp.Grid(3, 16)
     near = lap._sphere_distance(g.xi_flat(), OMEGA, MAT3) < 0.35 * OMEGA
-    sel = near & symbol.near_axis(g.xi_flat())
+    sel = near & symbol.on_axis(g.xi_flat())
     assert sel.any()
     c = np.zeros((6, g.npoints), dtype=complex)
     c[:, sel] = RNG.standard_normal((6, sel.sum()))
@@ -670,13 +660,14 @@ def test_no_sphere_node_is_near_the_axis():
     # Gauss-Legendre in xi_1 puts no node at +-1, and each sphere's map
     # q^(-1/2) keeps xi_1 as an axis: the smallest transverse fraction of
     # the polar rule's directions (radius 1) over n = 1..64 is about
-    # 5e-4, against AXIS_GUARD 1e-8
+    # 5e-4, where the spheres are apart
     for n in range(1, 65):
         for qform in MAT3.sphere_qforms:
             dirs, _, _ = lap._polar_points(np.ones(1), np.ones(1), qform,
                                            lap.CutoffSpec(10.0, 20.0),
                                            sp.Grid(3, 8), n)
-            assert not symbol.near_axis(dirs).any(), n
+            frac = (dirs[..., 1:] ** 2).sum(-1) / (dirs ** 2).sum(-1)
+            assert frac.min() >= 1e-8, n
 
 
 def test_lap_solve_negative_omega():
@@ -720,16 +711,17 @@ def test_blowup_probe_slope():
     assert fit.slope == pytest.approx(-1.0, abs=0.05)
 
 
-def test_blowup_probe_isotropic_3d_skips_axis_modes():
+def test_blowup_probe_isotropic_3d_takes_axis_modes():
     # the on-sphere frequency of an isotropic material puts axis modes
-    # such as (3, 0, 0) in the annulus; they have no closed-form
-    # eigenvector and are dropped instead of raising DegenerateDirection
+    # such as (3, 0, 0) in the annulus; they take the closed-form
+    # eigenbasis, as every other mode does
     g = sp.Grid(3, 16)
     mat = Material3(1.0, 1.0)
     omega = rg.on_sphere_frequency(g, mat)
     xi = g.xi_flat()
     rho = rg.characteristic_radii(xi, mat)[0]
-    assert (symbol.near_axis(xi) & (np.abs(rho - omega) < 0.5)).any()
+    assert (symbol.on_axis(xi) & (np.abs(rho - omega) < 0.5)).any()
+    assert symbol.on_axis(xi[rg._annulus_modes(xi, omega, mat, 0.5)[0]]).any()
     deltas = [2.0 ** -k for k in range(3, 7)]
     fit, _, _ = lap.lap_blowup_probe(
         omega, rg.LebesguePair(0.5, 0.5, 3), mat, deltas, grid=g)
@@ -747,10 +739,10 @@ def test_extrapolate_matches_full_solve_oracle(grid, mat):
     c = J.coeffs().reshape(J.ncomp, -1)
     assert np.abs(c[:, 0]).max() > 0.1          # a nonzero mean
     if grid.n == 16 and mat.is_canonical:
-        # the isotropic case: the near-axis modes in the band, the axis
-        # modes with 0 < |k| <= n/4, take the direct route (the source
-        # keeps its exact coefficients, which are 0 outside the band)
-        assert (symbol.near_axis(grid.xi_flat())
+        # the isotropic case: the axis modes in the band, 0 < |k| <= n/4
+        # (the source keeps its exact coefficients, which are 0 outside
+        # the band)
+        assert (symbol.on_axis(grid.xi_flat())
                 & (np.abs(c).max(axis=0) > 0)).sum() == 2 * (grid.n // 4)
     # off the spheres both limits are the lattice inverse P(omega)^{-1} J
     common, jump = lap.lap_parts(OMEGA, J, mat, method='extrapolate')
@@ -913,6 +905,22 @@ BAD_ARGUMENTS = {
     'annulus-source-material3-on-2d': (
         lambda: rg.annulus_source(sp.Grid(2, 32), 3.0, MAT3),
         'dimension 2 .* 3D material'),
+    # a NaN or infinite wavevector gave NaN matrices and radii
+    'symbol-p-nan-xi': (
+        lambda: symbol.symbol_p(1 + 1j, [[1.0, np.nan, 0.0]], MAT3), 'xi'),
+    'eigen-decomposition-inf-xi': (
+        lambda: symbol.eigen_decomposition(1 + 1j, [[np.inf, 1.0]], MAT2),
+        'xi'),
+    'resolvent-matrix-nan-xi': (
+        lambda: mp.resolvent_matrix(1 + 1j, [[np.nan, 0.0, 0.0]], MAT3),
+        'xi'),
+    'det-diagnostics-inf-xi': (
+        lambda: symbol.det_diagnostics([[1.0, 0.0, -np.inf]], MAT3), 'xi'),
+    'characteristic-radii-nan-xi': (
+        lambda: rg.characteristic_radii([[np.nan, 2.0]], MAT2), 'xi'),
+    # a ZeroDivisionError from the cap's width |omega|^(-1/2)
+    'knapp-source-omega-0': (
+        lambda: rg.knapp_source(sp.Grid(3, 16), 0.0, MAT3), 'omega'),
     'knapp-source-material3-on-2d': (
         lambda: rg.knapp_source(sp.Grid(2, 32), 3.0, MAT3),
         'dimension 2 .* 3D material'),

@@ -5,9 +5,9 @@ from maxres.errors import DegenerateDirection, RealFrequency
 from maxres.materials import Material2, Material3
 from maxres.multiplier import (_apply, _scalar_resolvents, _singular_columns,
                                resolvent_matrix)
-from maxres.symbol import AXIS_GUARD, _eigen_basis, near_axis, symbol_p
+from maxres.symbol import _eigen_basis, on_axis, symbol_p
 from maxres.verify import M3_ZERO_ENTRIES, _flip
-from helpers import (charge_column_2d, charge_column_3d, guard_band_xi,
+from helpers import (charge_column_2d, charge_column_3d, near_axis_xi,
                      projectors)
 
 RNG = np.random.default_rng(7)
@@ -56,12 +56,13 @@ def test_inverse_identity_isotropic_3d():
 
 @pytest.mark.parametrize('mat', [MAT3, Material3(1.0, 1.0)])
 def test_inverse_identity_just_outside_axis_guard(mat):
-    # s^2 / |xi|^2 in [AXIS_GUARD, 1e-6): production uses the closed form
-    # here, so it must still invert the symbol
-    xi = guard_band_xi(RNG, 400)
+    # s^2 / |xi|^2 in [1e-8, 1e-6), and 0 on every eighth row: the
+    # closed form inverts the symbol up to the axis and on it
+    xi = near_axis_xi(RNG, 400)
     frac = (xi[:, 1] ** 2 + xi[:, 2] ** 2) / np.einsum('ni,ni->n', xi, xi)
-    assert frac.min() >= AXIS_GUARD and frac.max() < 1e-6
-    assert not near_axis(xi).any()
+    axis = on_axis(xi)
+    assert axis.sum() == 50 and np.all(frac[axis] == 0)
+    assert frac[~axis].min() >= 1e-8 and frac.max() < 1e-6
     for omega in (1.3 + 0.6j, -2.2 + 0.3j):
         p = symbol_p(omega, xi, mat)
         M = resolvent_matrix(omega, xi, mat)
@@ -86,9 +87,15 @@ def test_real_omega_rejected():
         resolvent_matrix(np.array([1 + 1j, 2.0]), _random_xi(2, 2), MAT2)
 
 
-def test_on_axis_rejected_3d():
-    with pytest.raises(DegenerateDirection):
-        resolvent_matrix(1.0 + 1.0j, np.array([[3.0, 0.0, 0.0]]), MAT3)
+def test_only_the_zero_wavevector_rejected_3d():
+    # the axis takes the closed form; only xi = 0, where the symbol is
+    # i omega I, has no eigenbasis
+    xi = np.array([[3.0, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    prod = symbol_p(1.0 + 1.0j, xi, MAT3) @ resolvent_matrix(1.0 + 1.0j, xi,
+                                                             MAT3)
+    assert np.abs(prod - np.eye(6)).max() < 1e-14
+    with pytest.raises(DegenerateDirection, match='zero wavevector'):
+        resolvent_matrix(1.0 + 1.0j, np.array([[0.0, 0.0, 0.0]]), MAT3)
 
 
 @pytest.mark.parametrize('mat', [MAT2, MAT3])
@@ -176,8 +183,8 @@ def test_flip_entry_breaks_inverse():
 ])
 def test_projectors_resolve_identity(mat, band):
     # the terms W_j and the charge projector sum to I and are mutually
-    # orthogonal idempotents, here and in the axis-guard band
-    xi = guard_band_xi(RNG, 300) if band else _random_xi(300, mat.dim)
+    # orthogonal idempotents, here and near and on the axis
+    xi = near_axis_xi(RNG, 300) if band else _random_xi(300, mat.dim)
     P = projectors(xi, mat)
     nc = mat.dim - 1
     family = [sum(P[:nc])] + P[nc:]
@@ -195,9 +202,9 @@ def test_projectors_resolve_identity(mat, band):
 ])
 def test_projectors_are_zero_homogeneous(mat, band):
     # W_j(r u) = W_j(u) for every term W_j, radii 1e-3 to 1e3, here and
-    # in the axis-guard band: the LAP evaluates its Sokhotsky weights
+    # near and on the axis: the LAP evaluates its Sokhotsky weights
     # once per sphere direction; measured at most 9.2e-16 relative
-    xi = guard_band_xi(RNG, 300) if band else _random_xi(300, mat.dim)
+    xi = near_axis_xi(RNG, 300) if band else _random_xi(300, mat.dim)
     u = xi / np.linalg.norm(xi, axis=1, keepdims=True)
     terms = projectors(u, mat)[mat.dim - 1:]
     for r in 10.0 ** np.arange(-3, 4):

@@ -226,11 +226,10 @@ def test_characteristic_radii_are_the_eigenbasis_offsets(mat):
     (Material3(1.0, 1.0), sp.Grid(3, 16))], ids=['mat2', 'mat3', 'iso3'])
 def test_on_sphere_frequency_is_its_modes_offset(mat, grid):
     # the modes at the picked radius sit on the eigenbasis's own sphere,
-    # bit for bit (those on the axis have no eigenbasis)
+    # bit for bit
     om = rg.on_sphere_frequency(grid, mat)
     xi = grid.xi_flat()
     on = xi[rg.characteristic_radii(xi, mat)[0] == om]
-    on = on[~symbol.near_axis(on)]
     assert len(on)
     assert np.all(symbol._eigen_basis(on, mat)[2][:, mat.dim] == om)
 

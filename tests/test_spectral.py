@@ -282,8 +282,8 @@ def test_block_boundaries_change_no_bit(monkeypatch):
     c = sp.random_band_limited(g, 6, np.random.default_rng(23),
                                kmax=8)._spectrum().reshape(6, -1)
     xi = g.xi_flat()
-    # the full band holds the zero mode and the near-axis modes
-    assert np.all(c[:, 0] != 0) and np.all(c[:, symbol.near_axis(xi)] != 0)
+    # the full band holds the zero mode and the axis modes
+    assert np.all(c[:, 0] != 0) and np.all(c[:, symbol.on_axis(xi)] != 0)
     u = sp.Field.from_coeffs(g, c.reshape((6,) + (16,) * 3))
 
     def run():
@@ -296,6 +296,30 @@ def test_block_boundaries_change_no_bit(monkeypatch):
     monkeypatch.setattr(symbol, '_block_rows', lambda ncomp: 97)
     for got, want in zip(run(), ref):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize('mat', [MAT3, Material3(1.0, 1.0), MAT2],
+                         ids=['3d', '3d-isotropic', '2d'])
+@pytest.mark.parametrize('omega', [OMEGA, -1.3 - 0.2j, 2.7])
+def test_axis_and_zero_modes_match_a_dense_solve(mat, omega):
+    # the closed form on the axis modes and i omega on the zero mode
+    # against a batched solve of the dense symbol, the route that these
+    # modes took before the eigenbasis covered the axis
+    g = sp.Grid(mat.dim, 16)
+    xi = g.xi_flat()
+    keep = symbol.on_axis(xi) | ~np.any(xi, axis=-1)
+    keep &= np.abs(xi).max(axis=1) <= 6
+    assert keep.sum() == (13 if mat.dim == 3 else 1)
+    c = np.zeros((3 * (mat.dim - 1), g.npoints), dtype=complex)
+    c[:, keep] = (RNG.standard_normal((len(c), keep.sum()))
+                  + 1j * RNG.standard_normal((len(c), keep.sum())))
+    f = sp.Field.from_coeffs(g, c.reshape((len(c),) + (16,) * mat.dim))
+    held, xs = sp._modes(f)         # the modes kept, here all in keep
+    assert len(xs) == keep.sum()
+    ref = np.linalg.solve(symbol.symbol_p(omega, xs, mat),
+                          held.T[..., None])[..., 0].T
+    got = sp._solve_coeffs(omega, f, mat)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_solve_touches_only_the_source_band(monkeypatch):
@@ -311,9 +335,10 @@ def test_solve_touches_only_the_source_band(monkeypatch):
     monkeypatch.setattr(symbol, '_eigen_basis', counted)
     u = sp.solve(OMEGA, J, MAT3)
     xi = g.xi_flat()
+    # every held mode but the zero mode, the axis included
     band = (np.any(J._spectrum().reshape(6, -1) != 0, axis=0)
-            & ~symbol.near_axis(xi) & np.any(xi != 0, axis=-1))
-    assert sum(rows) == band.sum() == 7 ** 3 - 7
+            & np.any(xi != 0, axis=-1))
+    assert sum(rows) == band.sum() == 7 ** 3 - 1
     monkeypatch.undo()
     # the same samples without kept coefficients: every mode is solved
     ref = sp.solve(OMEGA, sp.Field(g, J.data.copy()), MAT3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maxres import verify
 from maxres.errors import DegenerateDirection, InvalidArgument
 from maxres.materials import Material2, Material3
 from maxres.symbol import (_qnorm, canonicalize, det_diagnostics,
@@ -76,8 +77,7 @@ def test_det_2d_is_minus_one():
 
 def test_det_3d_renormalized_constant():
     xi = _random_xi(2000, 3)
-    # rows inside the axis guard band, s^2 / |xi|^2 from 1e-16 to 1e-8,
-    # which det_diagnostics answers and the solvers refuse
+    # rows near the axis, s^2 / |xi|^2 from 1e-16 to 1e-8
     r = np.logspace(-16, -8, 9)
     xi[:9] = np.stack([np.ones(9), np.sqrt(r / (1 - r)), np.zeros(9)], 1)
     alpha, delta, det_m, det_mt = det_diagnostics(xi, MAT3)
@@ -91,11 +91,38 @@ def test_det_3d_renormalized_constant():
     assert np.allclose(np.abs(np.linalg.det(m)), ratio, rtol=1e-10)
 
 
-def test_on_axis_raises():
-    with pytest.raises(DegenerateDirection):
-        eigen_decomposition(1.0 + 1.0j, np.array([[2.0, 0.0, 0.0]]), MAT3)
-    with pytest.raises(DegenerateDirection):
+def test_only_the_zero_wavevector_raises():
+    # the axis takes the closed form: both spheres meet there, and any
+    # transverse pair is an eigenbasis
+    xi = np.array([[2.0, 0.0, 0.0], [-1e-3, 0.0, 0.0]])
+    m, d, m_inv = eigen_decomposition(1.0 + 1.0j, xi, MAT3)
+    recon = np.einsum('nij,njk,nkl->nil', m, d, m_inv)
+    assert np.abs(recon - symbol_p(1.0 + 1.0j, xi, MAT3)).max() < 1e-14
+    with pytest.raises(DegenerateDirection, match='zero wavevector'):
         eigen_decomposition(1.0 + 1.0j, np.array([[0.0, 0.0, 0.0]]), MAT3)
+    with pytest.raises(DegenerateDirection, match='zero wavevector'):
+        eigen_decomposition(1.0 + 1.0j, np.zeros((1, 2)), MAT2)
+
+
+@pytest.mark.parametrize('mat', verify.MATERIALS_3D,
+                         ids=['isotropic', 'a2-b0.7', 'a0.4-b1.25'])
+@pytest.mark.parametrize('ratio', [1e-4, 1e-12, 1e-100, 0.0])
+def test_basis_identities_up_to_the_axis(mat, ratio):
+    # s / |xi| = ratio: p = m d m^{-1}, m^{-1} m = I and det m at its
+    # constant hold to round-off, down to the axis and on it
+    xi = _random_xi(500, 3)
+    xi[:, 1:] *= ratio * np.abs(xi[:, :1]) / np.linalg.norm(
+        xi[:, 1:], axis=1, keepdims=True)
+    s = np.linalg.norm(xi[:, 1:], axis=1) / np.linalg.norm(xi, axis=1)
+    assert np.allclose(s, ratio, rtol=1e-8, atol=0)
+    omega = 1.3 - 0.4j
+    m, d, m_inv = eigen_decomposition(omega, xi, mat)
+    p = symbol_p(omega, xi, mat)
+    recon = np.einsum('nij,njk,nkl->nil', m, d, m_inv)
+    assert np.abs(recon - p).max() < 1e-14 * np.abs(p).max()
+    assert np.abs(m_inv @ m - np.eye(6)).max() < 1e-14
+    target = 4 / (mat.a * mat.b ** 1.5)
+    assert np.abs(np.linalg.det(m) / target - 1).max() < 1e-14
 
 
 def test_canonicalize_round_trip():
@@ -146,8 +173,12 @@ def test_det_diagnostics_refuses_the_zero_wavevector():
 
 
 @pytest.mark.parametrize('x1', [1.0, -2.5, 1e-3])
-def test_det_diagnostics_refuses_the_axis(x1):
-    # a nonzero wavevector with xi_2 = xi_3 = 0 gave det_m_tilde = nan+nanj
+def test_det_diagnostics_answers_on_the_axis(x1):
+    # xi_2 = xi_3 = 0: the plain basis vanishes, alpha = 0 and det_m = 0,
+    # while the basis the solvers use keeps its constant determinant
     xi = np.array([[1.0, 2.0, 0.5], [x1, 0.0, 0.0]])
-    with pytest.raises(DegenerateDirection, match='distinguished axis'):
-        det_diagnostics(xi, MAT3)
+    alpha, delta, det_m, det_mt = det_diagnostics(xi, MAT3)
+    assert alpha[1] == 0 and det_m[1] == 0
+    assert delta[1] == pytest.approx(1 / np.sqrt(MAT3.b), rel=1e-15)
+    assert np.allclose(det_mt, 4.0 / (MAT3.a * MAT3.b ** 1.5), rtol=1e-14,
+                       atol=0)

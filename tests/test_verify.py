@@ -71,8 +71,8 @@ def test_det_witness_names_the_failing_material():
 
 def test_det_target_is_the_eigenbasis_determinant():
     # 100 random canonical 3D materials, a, b = e^U(-2, 2), on the suite's
-    # draws with 2 % guard-band and 2 % axis rows (the axis rows dropped),
-    # and 20 random 2D materials
+    # draws with 2 % near-axis and 2 % axis rows, and 20 random 2D
+    # materials
     rng = np.random.default_rng(11)
     mats = [Material3(*np.exp(-rng.uniform(-2, 2, 2))) for _ in range(100)]
     for _ in range(20):
@@ -81,7 +81,6 @@ def test_det_target_is_the_eigenbasis_determinant():
                               e22, mu=np.exp(rng.uniform(-2, 2))))
     for mat in mats:
         xi = verify._random_xi(rng, 2_000, mat.dim, axis_fraction=0.02)
-        xi = xi[~symbol.near_axis(xi)]
         det = np.linalg.det(symbol._eigen_basis(xi, mat)[0])
         target = verify._det_target(mat)
         assert np.abs(det / target - 1).max() < 1e-12, mat
@@ -208,8 +207,8 @@ def test_suite_and_solver_share_one_apply(monkeypatch, broken):
 
 
 def test_inverse_suite_checks_hard_points_at_every_frequency(monkeypatch):
-    # the near-axis draws and the guard-band draws of each 3D material
-    # are spread over all 8 frequencies; 10,001 points per material leave
+    # the draws on the axis, s = 0, and near it of each 3D material are
+    # spread over all 8 frequencies; 10,001 points per material leave
     # a remainder, which takes the last frequency rather than a ninth one
     seen = []
     symbol_p = verify.symbol_p
@@ -230,6 +229,7 @@ def test_inverse_suite_checks_hard_points_at_every_frequency(monkeypatch):
         runs = np.flatnonzero(np.diff(om)) + 1
         assert list(runs) == list(range(1_250, 10_000, 1_250))
         s2 = (xi[:, 1:] ** 2).sum(axis=1) / (xi ** 2).sum(axis=1)
-        axis = symbol.near_axis(xi)
-        band = (s2 >= symbol.AXIS_GUARD) & (s2 < 1e-6)
+        axis = symbol.on_axis(xi)
+        band = (s2 >= 1e-8) & (s2 < 1e-6)
+        assert axis.sum() == band.sum() == 200
         assert len(set(om[axis])) == len(set(om[band])) == 8
