@@ -34,8 +34,8 @@ import sys
 import numpy as np
 
 from . import fieldfile, lap, region, spectral, verify
-from .errors import (ConfigError, EmptyRegion, InvalidArgument, MaxresError,
-                     MethodsDisagree)
+from .errors import (ConfigError, EmptyRegion, FieldFormatError,
+                     InvalidArgument, MaxresError, MethodsDisagree)
 from .materials import Material2, Material3
 from .region import LebesguePair, RegionQuery
 from .spectral import Grid
@@ -214,8 +214,9 @@ def cmd_solve(args, cp):
                           "relative residual is undefined")
     u = spectral.solve(omega, J, mat)
     out = _outdir(args)
-    # the only samples the job needs; the norms below are Parseval sums
-    # of coefficients when J holds them (q = 2 for the potentials)
+    # written as coefficients, with no FFT, like the Parseval norms
+    # below (q = 2 for the potentials): a band-held or version-2 file
+    # source runs no FFT in the whole job
     fieldfile.write_field(os.path.join(out, 'fields.mxfd'), u)
     resid = spectral.forward_operator(omega, u, mat) - J
     rel = spectral.lebesgue_norm(resid, 2) / scale
@@ -428,7 +429,7 @@ def main(argv=None):
     except MethodsDisagree as exc:
         sys.stderr.write('method cross-validation failed: %s\n' % exc)
         return EXIT_DISAGREE
-    except (ConfigError, InvalidArgument, OSError) as exc:
+    except (ConfigError, FieldFormatError, InvalidArgument, OSError) as exc:
         sys.stderr.write('error: %s\n' % exc)
         return EXIT_FAIL
     except MaxresError as exc:

@@ -7,11 +7,20 @@ permittivity with a distinguished axis carrying one value and the two
 remaining axes sharing another, plus a scalar permeability.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument, NotPartiallyAnisotropic
+
+
+def _real(name, value):
+    """Refuse a value that is not a real number (a bool is none), naming
+    the argument, before any comparison can raise a bare TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgument("%s must be a real number, got %r"
+                              % (name, value))
 
 
 @dataclass(frozen=True)
@@ -26,6 +35,8 @@ class Material2:
     dim = 2
 
     def __post_init__(self):
+        for name in ('eps11', 'eps12', 'eps22', 'mu'):
+            _real(name, getattr(self, name))
         # a finite eps11 and determinant leave eps12 and eps22 finite
         if not (0 < self.eps11 < np.inf and 0 < self.det_eps < np.inf
                 and 0 < self.mu < np.inf):
@@ -80,12 +91,18 @@ class Material3:
     dim = 3
 
     def __post_init__(self):
+        for name in ('eps_axis', 'eps_perp', 'mu'):
+            _real(name, getattr(self, name))
         if not all(0 < v < np.inf
                    for v in (self.eps_axis, self.eps_perp, self.mu)):
             raise InvalidArgument("material parameters must be finite and "
                                   "positive, got %r" % (self,))
-        if self.axis not in (1, 2, 3):
-            raise InvalidArgument("axis must be 1, 2 or 3")
+        # 1.0 would fail later as a list index, and True would be axis 1
+        if not (isinstance(self.axis, (int, np.integer))
+                and not isinstance(self.axis, bool)
+                and self.axis in (1, 2, 3)):
+            raise InvalidArgument("axis must be 1, 2 or 3, got %r"
+                                  % (self.axis,))
 
     @property
     def is_canonical(self):

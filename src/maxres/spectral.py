@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, MeanNotZero, RealFrequency
-from . import multiplier, symbol
+from . import materials, multiplier, symbol
 
 TAU = 2.0 * np.pi
 
@@ -48,6 +48,7 @@ class Grid:
             raise InvalidArgument("dim must be 2 or 3")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise InvalidArgument("n must be a power of two, at least 4")
+        materials._real('length', self.length)
         if not 0 < self.length <= np.finfo(float).max ** (1 / self.dim):
             raise InvalidArgument("length must be positive with a finite "
                                   "volume length^dim, got %r" % (self.length,))

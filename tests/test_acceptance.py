@@ -192,22 +192,38 @@ def test_criterion_5_charge_split(_verdict):
         got = diff.coeffs().reshape(ncomp, -1)
         worst = max(worst, np.abs(got - expect).max() / np.abs(c).max())
 
-    # the half-inverse Laplacian of the charge is finite and linear
-    J = sp.random_band_limited(sp.Grid(2, 32), 3, rng)
-    rho = sp.divergence_and_charges(J).rho_e
-    pot = sp.fractional_laplacian(rho, -1.0)
+    # the half-inverse Laplacian of the charge is finite, linear under a
+    # combination that is not exact in floating point, and c / |xi| at
+    # every nonzero mode
+    grid = sp.Grid(2, 32)
+    rho, rho2 = (sp.divergence_and_charges(
+        sp.random_band_limited(grid, 3, rng)).rho_e for _ in range(2))
+
+    def half(f):
+        return sp.fractional_laplacian(f, -1.0)
+    pot = half(rho)
     nq = sp.lebesgue_norm(pot, 4)
-    nq2 = sp.lebesgue_norm(sp.fractional_laplacian(2.0 * rho, -1.0), 4)
-    lin = abs(nq2 - 2.0 * nq) / nq
+    a, b = 0.3, -1.7
+    both = half(a * rho + b * rho2)
+    lin = (sp.lebesgue_norm(both - a * pot - b * half(rho2), 2)
+           / sp.lebesgue_norm(both, 2))
+    xi = grid.xi_flat()
+    nz = np.any(xi != 0, axis=-1)
+    expect = np.zeros(grid.npoints, complex)
+    expect[nz] = (rho.coeffs().reshape(-1)[nz]
+                  / np.sqrt(np.sum(xi[nz] ** 2, axis=-1)))
+    closed = (np.abs(pot.coeffs().reshape(-1) - expect).max()
+              / np.abs(expect).max())
     elapsed = time.time() - t0
     passed = worst < 1e-11 and np.isfinite(nq) and nq > 0 \
-        and lin < 1e-12 and elapsed < 30.0
+        and lin < 1e-12 and closed < 1e-12 and elapsed < 30.0
     _report(_verdict, 5, 'charge split', passed,
-            'split defect %.2e, ||pot||_4 = %.3g, linearity %.1e'
-            % (worst, nq, lin), elapsed)
+            'split defect %.2e, ||pot||_4 = %.3g, linearity %.1e, '
+            'closed form %.1e' % (worst, nq, lin, closed), elapsed)
     assert worst < 1e-11
     assert np.isfinite(nq) and nq > 0
     assert lin < 1e-12
+    assert closed < 1e-12
     assert elapsed < 30.0
 
 

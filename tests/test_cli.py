@@ -1,5 +1,6 @@
 import configparser
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -72,10 +73,8 @@ kind = %s
 """
 
 
-@pytest.mark.parametrize('kind', ['random', 'solenoidal'])
-def test_solve_runs_one_fft(tmp_path, capsys, monkeypatch, kind):
-    # the source, the solve, the residual and the charge norms stay in
-    # coefficients; only the written field is synthesized
+def _count_ffts(monkeypatch):
+    """The list that every numpy FFT spectral calls appends its name to."""
     calls = []
     for name in ('fft', 'ifft', 'fftn', 'ifftn', 'fft2', 'ifft2'):
         fn = getattr(spectral.np.fft, name)
@@ -84,62 +83,87 @@ def test_solve_runs_one_fft(tmp_path, capsys, monkeypatch, kind):
             calls.append(_name)
             return _fn(*args, **kw)
         monkeypatch.setattr(spectral.np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize('kind', ['random', 'solenoidal'])
+def test_solve_runs_no_fft(tmp_path, capsys, monkeypatch, kind):
+    # the source, the solve, the written field, the residual and the
+    # charge norms all stay in coefficients
+    calls = _count_ffts(monkeypatch)
     cfg = _write(tmp_path, 'job.ini', SOLVE3 % kind)
     out = tmp_path / 'out'
     assert cli.main(['solve', '--config', cfg, '--out', str(out),
                      '--seed', '4']) == 0
     monkeypatch.undo()
-    assert calls == ['ifftn']
-    # the written samples satisfy P u = J to the CLI's tolerance
+    assert calls == []
+    # the written field is the in-memory solve, bit for bit and on the
+    # source's band, and satisfies P u = J to the CLI's tolerance
     cp = cli.load_config(cfg)
     grid, mat = cli.parse_grid(cp), cli.parse_material(cp)
     J = cli.build_source(cp, grid, mat, np.random.default_rng(4))
     u = fieldfile.read_field(out / 'fields.mxfd')
-    # a field read from a file holds the FFT of its samples, read-only
-    assert np.array_equal(u._kept, np.fft.fftn(u.data, axes=(1, 2, 3),
-                                               norm='forward'))
+    kept = spectral.solve(complex(2.1, 0.4), J, mat)._kept
+    assert u._kept.shape == kept.shape == (6, 9, 9, 9)
+    assert np.array_equal(u._kept, kept)
     assert not u.data.flags.writeable and not u._kept.flags.writeable
     resid = spectral.forward_operator(complex(2.1, 0.4), u, mat) - J
     rel = spectral.lebesgue_norm(resid, 2) / spectral.lebesgue_norm(J, 2)
     assert rel < 1e-10
-    # and the reported Parseval residual is the sample residual's, both
-    # relative to |J|
+    # and the reported Parseval residual is this one, relative to |J|
     text = capsys.readouterr().out
     reported = float(text.split('residual_rel_l2 = ')[1].splitlines()[0])
     assert abs(reported - rel) < 1e-14
 
 
-def test_file_source_solve_runs_one_fft_each_way(tmp_path, capsys,
-                                                 monkeypatch):
-    # the samples are transformed once; the solve, the residual and the
-    # charge norms read the coefficients, and only u is synthesized
+def test_file_source_solve_runs_no_fft(tmp_path, capsys, monkeypatch):
+    # the source is read band-held; the solve, the written field, the
+    # residual and the charge norms read its coefficients
     first = tmp_path / 'first'
     cfg = _write(tmp_path, 'job.ini', SOLVE3 % 'random')
     assert cli.main(['solve', '--config', cfg, '--out', str(first)]) == 0
     path = first / 'fields.mxfd'
     cfg = _write(tmp_path, 'file.ini', SOLVE3 % ('file\npath = %s' % path))
-    calls = []
-    for name in ('fft', 'ifft', 'fftn', 'ifftn', 'fft2', 'ifft2'):
-        fn = getattr(spectral.np.fft, name)
-
-        def counted(*args, _fn=fn, _name=name, **kw):
-            calls.append(_name)
-            return _fn(*args, **kw)
-        monkeypatch.setattr(spectral.np.fft, name, counted)
+    calls = _count_ffts(monkeypatch)
     out = tmp_path / 'out'
     assert cli.main(['solve', '--config', cfg, '--out', str(out)]) == 0
     monkeypatch.undo()
-    assert calls == ['fftn', 'ifftn']
-    # the reported residual is the sample residual's
+    assert calls == []
+    # the written field is the in-memory solve of the file's field, on
+    # the band, and the reported residual is its residual
+    mat = cli.parse_material(cli.load_config(cfg))
     J = fieldfile.read_field(path)
     u = fieldfile.read_field(out / 'fields.mxfd')
-    resid = spectral.forward_operator(complex(2.1, 0.4), u,
-                                      cli.parse_material(cli.load_config(cfg)))
+    assert J._kept.shape == (6, 9, 9, 9)
+    assert np.array_equal(u._kept, spectral.solve(complex(2.1, 0.4), J,
+                                                  mat)._kept)
+    resid = spectral.forward_operator(complex(2.1, 0.4), u, mat)
     rel = (spectral.lebesgue_norm(resid - J, 2)
            / spectral.lebesgue_norm(J, 2))
     text = capsys.readouterr().out.split('residual_rel_l2 = ')[-1]
     assert rel < 1e-10
     assert abs(float(text.splitlines()[0]) - rel) < 1e-14
+
+
+def test_version_1_file_source_runs_one_forward_fft(tmp_path, capsys,
+                                                    monkeypatch):
+    # a version-1 file holds samples: they are transformed once, and
+    # the rest of the job stays in coefficients
+    grid = spectral.Grid(3, 16)
+    J = spectral.random_band_limited(grid, 6, np.random.default_rng(9))
+    path = tmp_path / 'v1.mxfd'
+    path.write_bytes(fieldfile.MAGIC + struct.pack('<3I', 1, 3, 6)
+                     + struct.pack('<3I', 16, 16, 16)
+                     + struct.pack('<3d', *([grid.length] * 3))
+                     + np.ascontiguousarray(J.data, '<c16').tobytes())
+    cfg = _write(tmp_path, 'v1.ini', SOLVE3 % ('file\npath = %s' % path))
+    calls = _count_ffts(monkeypatch)
+    assert cli.main(['solve', '--config', cfg,
+                     '--out', str(tmp_path / 'out')]) == 0
+    monkeypatch.undo()
+    assert calls == ['fftn']
+    text = capsys.readouterr().out.split('residual_rel_l2 = ')[-1]
+    assert float(text.splitlines()[0]) < 1e-10
 
 
 def test_solve_is_deterministic(tmp_path):
@@ -449,6 +473,8 @@ REGION_BOUNDARY = ("[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
      + "[source]\nkind = file\npath = ONE_COMPONENT_MXFD\n"),
     ('solve', SOLVE16.replace('n = 16', 'n = 32')
      + "[source]\nkind = file\npath = ZERO_MXFD\n"),
+    # a header that ends in the grid sizes was a bare struct.error
+    ('solve', SOLVE16 + "[source]\nkind = file\npath = TRUNCATED_MXFD\n"),
     # a missing key, and an unknown one with no close match
     ('solve', SOLVE16.replace('eps22 = 1.2\n', '')),
     ('solve', SOLVE16 + "[source]\nzzz = 1\n"),
@@ -486,7 +512,8 @@ REGION_BOUNDARY = ("[region]\nmode = boundary\nx = 0.6\ny = 0.4\ndim = 2\n"
         'solve-charge-q-half', 'solve-charge-q-nan', 'solve-residual-nan',
         'solve-negative-kmax', 'solve-zero-source',
         'solve-one-component-file', 'lap-one-component-file',
-        'solve-file-grid-mismatch', 'solve-missing-key',
+        'solve-file-grid-mismatch', 'solve-truncated-file',
+        'solve-missing-key',
         'solve-unknown-key-no-match', 'probe-one-sample',
         'probe-unknown-vary', 'solve-inf-eps11', 'solve-huge-eps12',
         'solve-inf-mu', 'lap-inf-eps-axis', 'probe-inf-eps11',
@@ -505,11 +532,19 @@ def test_bad_input_is_one_line_failure(tmp_path, capsys, cmd, text):
         fieldfile.write_field(one, spectral.scalar_field(
             spectral.Grid(2, 16), np.ones((16, 16))))
         text = text.replace('ONE_COMPONENT_MXFD', str(one))
+    truncated = 'TRUNCATED_MXFD' in text
+    if truncated:
+        short = tmp_path / 'short.mxfd'
+        short.write_bytes(fieldfile.MAGIC + struct.pack('<3I', 1, 3, 6)
+                          + struct.pack('<2I', 16, 16))
+        text = text.replace('TRUNCATED_MXFD', str(short))
     cfg = _write(tmp_path, 'job.ini', text)
     assert cli.main([cmd, '--config', cfg,
                      '--out', str(tmp_path / 'o')]) == 1
     err = capsys.readouterr().err
     assert err.startswith('error: ') and err.count('\n') == 1
+    if truncated:
+        assert 'file ends in the grid sizes n' in err
     if 'axis = 2' in text:
         assert 'axis = 1 and mu = 1' in err
     if 'cross_tol' in text:

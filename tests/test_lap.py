@@ -1018,6 +1018,17 @@ BAD_ARGUMENTS = {
     'surface-part-eps-prime-on-3d': (
         lambda: lap.surface_part(_F3, OMEGA, flavor='eps_prime', mat=MAT2),
         '2D material .* 3D field'),
+    # '<' not supported between instances of 'int' and 'str' (or
+    # 'NoneType')
+    'material2-eps11-str': (lambda: Material2('x', 0, 1), 'eps11'),
+    'material2-mu-none': (lambda: Material2(2.0, 0.1, 1.0, mu=None), 'mu'),
+    'material3-eps-axis-none': (lambda: Material3(None, 1.0), 'eps_axis'),
+    'material3-eps-perp-str': (lambda: Material3(1.0, 'x'), 'eps_perp'),
+    'grid-length-str': (lambda: sp.Grid(2, 16, 'x'), 'length'),
+    'grid-length-none': (lambda: sp.Grid(3, 8, None), 'length'),
+    # a float axis failed later as a list index; True was axis 1
+    'material3-axis-float': (lambda: Material3(0.5, 1.4, axis=2.0), 'axis'),
+    'material3-axis-true': (lambda: Material3(0.5, 1.4, axis=True), 'axis'),
 }
 
 
