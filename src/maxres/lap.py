@@ -58,7 +58,7 @@ import numpy as np
 from .errors import (GridTooCoarse, InvalidArgument, MethodsDisagree,
                      OnSingularSet, QuadratureNotConverged)
 from .spectral import TAU
-from . import multiplier, region, spectral, symbol
+from . import materials, multiplier, region, spectral, symbol
 
 MARGIN = 0.35
 ON_SPHERE = 1e-12
@@ -87,6 +87,8 @@ class CutoffSpec:
     r_out: float
 
     def __post_init__(self):
+        for name in ('r_in', 'r_out'):
+            materials._real(name, getattr(self, name))
         if not 0 < self.r_in < self.r_out < np.inf:
             raise InvalidArgument("need 0 < r_in < r_out < inf, got r_in = "
                                   "%r, r_out = %r" % (self.r_in, self.r_out))
@@ -385,6 +387,7 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
     of the semidiscrete transform, resolving the delta-width layer at
     the singular radius with a sinh substitution.
     """
+    materials._real('delta', delta)
     if not 0 < delta < 0.5:
         raise InvalidArgument("need 0 < delta < 1/2")
     spectral._sign(sign)

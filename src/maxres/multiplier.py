@@ -22,11 +22,16 @@ at real omega != 0 the singular one is d - 1 + 2k + (omega < 0).
 symbol's eigenvalues: m (w(rho) * (m^{-1} c)) on columns c, with one
 scalar per eigenbasis column from w.  The inverse symbol is w = d^{-1}
 = 1 / (i(omega + rho)) from ``_scalar_resolvents`` (skipped columns 0):
-``solve`` and the LAP run it on lattice coefficients
-(``spectral._solve_coeffs``), and ``resolvent_matrix``, which ``verify``
-checks, on the identity.  The LAP's Sokhotsky weights are w = a constant
-times the indicator of a singular column, on the identity once per
-sphere direction.  All are vectorized over a leading batch of wavevectors.
+``solve`` and the LAP run it on lattice coefficients, one column per
+mode (``spectral._solve_coeffs``), and ``resolvent_matrix``, which
+``verify`` checks, on the identity.  The LAP's Sokhotsky weights are
+w = a constant times the indicator of a singular column, on the identity
+once per sphere direction.  A single column is contracted with the
+eigenbasis frame (symbol._frame): the ncomp scalars of m^{-1} c as dot
+products with its vectors, times w(rho), recombined into m z, with no
+per-mode matrix formed; on ncomp columns the dense m and m^{-1}, filled
+from the same frame, are multiplied instead, which measured faster
+there.  All are vectorized over a leading batch of wavevectors.
 """
 
 import numpy as np
@@ -61,9 +66,22 @@ def _singular_columns(omega, mat):
 def _apply(xi, c, mat, w):
     """m (w(rho) * (m^{-1} c)) at nonzero xi on c of shape (..., ncomp, k):
     w maps rho (..., ncomp), the symbol's eigenvalues i(omega + rho), to
-    one scalar per eigenbasis column."""
-    m, minv, rho = symbol._eigen_basis(xi, mat)
-    return _rmatmul(m, w(rho)[..., None] * _rmatmul(minv, c))
+    one scalar per eigenbasis column.
+
+    One column (k = 1), as a solve passes coefficients, is contracted
+    with the frame (symbol._rows, symbol._columns) and forms no
+    (..., ncomp, ncomp) array; ncomp columns, the identity of
+    resolvent_matrix and the Sokhotsky weights, are multiplied by the
+    dense factors filled from the same frame, which costs less there.
+    """
+    f = symbol._frame(xi, mat)
+    if c.shape[-1] == 1:
+        # component-major views of the column and of w, no copies
+        z = symbol._rows(f, mat, np.moveaxis(c[..., 0], -1, 0))
+        z *= np.moveaxis(w(f.rho), -1, 0)
+        return np.moveaxis(symbol._columns(f, mat, z), 0, -1)[..., None]
+    m, minv = symbol._dense(f, mat)
+    return _rmatmul(m, w(f.rho)[..., None] * _rmatmul(minv, c))
 
 
 def resolvent_matrix(omega, xi, mat):

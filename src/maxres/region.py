@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (EmptyRegion, ExponentOrder, GridTooCoarse,
                      InvalidArgument, OnSingularSet)
-from . import multiplier, spectral, symbol
+from . import materials, multiplier, spectral, symbol
 
 
 @dataclass(frozen=True)
@@ -274,6 +274,7 @@ def on_sphere_frequency(grid, mat):
 def off_sphere_frequency(grid, mat, near=3.0):
     """A frequency maximally separated from every lattice flavor radius
     in a unit window around ``near``, a finite number."""
+    materials._real('near', near)
     if not -np.inf < near < np.inf:
         raise InvalidArgument("near must be a finite number, got %r"
                               % (near,))

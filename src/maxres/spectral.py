@@ -14,10 +14,11 @@ Parseval's sum over the block, so a chain of multipliers costs the band
 and runs no FFT until its samples are read.  The lattice inverse is the
 closed-form inverse symbol (multiplier._apply) at every nonzero mode and
 1 / (i omega) at the zero mode.  It and the forward operator touch only
-the modes where the coefficients are nonzero, and build their per-mode
-matrices block by block (symbol._blocks): each (block, ncomp, ncomp)
-array is about 2 MiB, so it stays in a core's L2 cache between its
-construction and its use.
+the modes where the coefficients are nonzero, block by block
+(symbol._blocks), and apply the eigenbasis and the symbol to each mode's
+coefficient column from per-mode vectors, with no per-mode matrix
+formed; a block of consecutive modes is read and written through
+slices, with no copy.
 """
 
 import functools
@@ -309,6 +310,7 @@ def lebesgue_norm(f, p):
     (volume sum |c|^2)^(1/2), on the block and with no FFT; any other p
     reads the samples.
     """
+    materials._real('p', p)
     if p == 2:
         return float(np.sqrt(f.grid.volume * np.vdot(f._kept, f._kept).real))
     mag = np.sqrt(np.sum(np.abs(f.data) ** 2, axis=0))
@@ -341,19 +343,27 @@ def _maxwell(f, mat=None):
 
 def forward_operator(omega, u, mat):
     """Apply the Maxwell operator P(omega, D) as a multiplier; at the zero
-    mode the symbol is i omega I.  Modes where u's coefficients are 0
-    stay 0 without building the symbol."""
+    mode the symbol is i omega I.  The symbol acts on u's coefficients
+    without being formed (symbol._p_apply), block by block, and modes
+    where they are 0 stay 0."""
     _maxwell(u, mat)
     c, xi = _modes(u)
     out = np.zeros_like(c)
-    idx = np.nonzero(_support(c))[0]
-    for blk in symbol._blocks(idx.size, u.ncomp):
-        sel = idx[blk]
-        # inline, so each symbol block is freed before the next is built
-        out[:, sel] = np.einsum('kij,jk->ik',
-                                symbol.symbol_p(omega, xi[sel], mat),
-                                c[:, sel])
+    for sel in _selections(np.nonzero(_support(c))[0], u.ncomp):
+        out[:, sel] = symbol._p_apply(omega, xi[sel], c[:, sel], mat)
     return _like(u, out)
+
+
+def _selections(idx, ncomp):
+    """The blocks of symbol._blocks over the sorted mode indices idx, each
+    a slice where its modes are consecutive, as they are on a block with
+    no zero coefficients, so that reading and writing it copies
+    nothing, else an index array."""
+    for blk in symbol._blocks(idx.size, ncomp):
+        sel = idx[blk]
+        if sel.size and sel[-1] - sel[0] == sel.size - 1:
+            sel = slice(sel[0], sel[-1] + 1)
+        yield sel
 
 
 def _solve_coeffs(omega, f, mat, drop=None):
@@ -361,21 +371,20 @@ def _solve_coeffs(omega, f, mat, drop=None):
     material), flattened over f's held modes (_modes), with the singular
     columns (multiplier._singular_columns) set to 0 on the modes marked
     in ``drop`` (real omega): there it is the smooth background of the
-    Sokhotsky split.  Every nonzero mode takes multiplier._apply per
-    block of symbol._blocks, cache-sized so each (block, ncomp, ncomp)
-    factor stays in L2 while it is applied; the zero mode, where
-    p(omega, 0) = i omega I, is divided by i omega.  Modes where the
-    coefficients are exactly 0 are skipped."""
+    Sokhotsky split.  Every nonzero mode takes multiplier._apply on its
+    coefficient column, per block of symbol._blocks, which contracts it
+    with the eigenbasis frame and forms no per-mode matrix; the zero
+    mode, where p(omega, 0) = i omega I, is divided by i omega.  Modes
+    where the coefficients are exactly 0 are skipped."""
     c, xi = _modes(f)
     out = np.zeros_like(c)
     active = _support(c)
-    zero = ~np.any(xi, axis=-1)
+    zero = symbol._top(xi) == 0
     out[:, zero] = c[:, zero] / (1j * omega)
     idx = np.nonzero(active & ~zero)[0]
     if drop is not None:
         cols = list(multiplier._singular_columns(omega, mat))
-    for blk in symbol._blocks(idx.size, c.shape[0]):
-        sel = idx[blk]
+    for sel in _selections(idx, c.shape[0]):
 
         def w(rho):
             w = multiplier._scalar_resolvents(omega, rho)
@@ -391,7 +400,7 @@ def solve(omega, J, mat):
     """Invert the Maxwell operator: the (D, B) field with P(omega,D)u = J.
 
     Requires Im(omega) != 0.  Every nonzero lattice mode uses the
-    closed-form inverse symbol, applied through its eigenbasis factors,
+    closed-form inverse symbol, applied through its eigenbasis frame,
     and the zero mode, where the symbol is i omega I, is divided by
     i omega (_solve_coeffs).  The solve runs on J's held block, and only
     on its nonzero modes, so a J built from band-limited coefficients
@@ -497,6 +506,7 @@ def fractional_laplacian(f, s):
 
     Negative orders require a mean-zero field.
     """
+    materials._real('s', s)
     c, xi = _modes(f)
     rho = np.sqrt(np.einsum('ki,ki->k', xi, xi))
     zero = rho == 0
@@ -550,6 +560,7 @@ def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
     _count('ncomp', ncomp)
     if kmax is None:
         kmax = grid.n // 4
+    materials._real('kmax', kmax)
     if not kmax >= 0:
         raise InvalidArgument("kmax must be >= 0, got %r" % (kmax,))
     band = np.nonzero(np.abs(grid.k_axis()) <= kmax)[0]

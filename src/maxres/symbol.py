@@ -1,9 +1,12 @@
 """Operator symbols and their diagonalization.
 
-The first-order symbol p(omega, xi) of the time-harmonic Maxwell system is
-assembled as a dense matrix (3x3 in 2D, 6x6 in 3D, acting on the (D, B)
-field components).  At every nonzero xi it factors as p = m d m^{-1}
-with an explicit frequency-independent eigenbasis m(xi) and the diagonal
+The first-order symbol p(omega, xi) of the time-harmonic Maxwell system
+(3x3 in 2D, 6x6 in 3D, acting on the (D, B) field components) is i omega I
+plus the curl symbol.  ``symbol_p`` assembles it as a dense matrix, the
+reference; ``_p_apply`` applies it to coefficient columns as i omega c
+plus cross products, without forming it.  At every nonzero xi it factors
+as p = m d m^{-1} with an explicit frequency-independent eigenbasis m(xi)
+and the diagonal
 
     2D:  d = i diag(omega, omega - |xi|_w, omega + |xi|_w)
     3D:  d = i diag(omega, omega, omega -+ sqrt(b)|xi|, omega -+ |xi|_e)
@@ -14,9 +17,19 @@ sqrt(<xi, q xi>), measured by the one helper ``_qnorm(xi, q)``: q is
 mat.qform for |xi|_w and |xi|_e, and b I for sqrt(b)|xi|
 (mat.sphere_qforms gives the form of each characteristic sphere).
 
+The eigenbasis is held as its frame (``_frame``): a few per-mode vectors
+and the offsets rho of d = i diag(omega + rho), measured on each
+wavevector scaled by a power of two, so any nonzero finite xi has one.
+``_eigen_basis`` fills the dense m and m^{-1} from it; ``_rows`` and
+``_columns`` apply m^{-1} and m to coefficient columns as dot products
+with the frame's vectors and sums of them (FORMULA_NOTES.md, "Pair
+form").
+
 All evaluators are vectorized: ``xi`` may have any leading shape (..., d)
 and matrices come back as (..., m, m).
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -131,6 +144,37 @@ def symbol_p(omega, xi, mat):
     return _symbol_3d(omega, xi, mat)
 
 
+def _p_apply(omega, xi, c, mat):
+    """p(omega, xi) c on columns c (ncomp, ...) held component-major, one
+    per wavevector of xi (..., d), without forming p: i omega c plus the
+    curl symbol's cross products (xi x u = -B(xi) u in 3D).  symbol_p is
+    the dense reference."""
+    _frequency(omega)
+    x = _wavevectors(xi, mat)
+    x = [x[..., i] for i in range(mat.dim)]
+    iw = 1j * np.asarray(omega)
+    if mat.dim == 2:
+        e = mat.eps_inv
+        e11, e12, e22 = e[0, 0], e[0, 1], e[1, 1]
+        h = 1j * c[2] / mat.mu
+        out = [iw * c[0] - x[1] * h, iw * c[1] + x[0] * h,
+               iw * c[2] + 1j * ((x[0] * e12 - x[1] * e11) * c[0]
+                                 + (x[0] * e22 - x[1] * e12) * c[1])]
+        return _stack(out)
+    einv = 1.0 / mat.eps_diag
+    ch = [1j * c[3 + i] / mat.mu for i in range(3)]
+    ce = [-1j * einv[i] * c[i] for i in range(3)]
+    out = [iw * c[i] + _cross(ch, x, i) for i in range(3)]
+    out += [iw * c[3 + i] + _cross(ce, x, i) for i in range(3)]
+    return _stack(out)
+
+
+def _cross(u, x, i):
+    """Component i of u x x = B(x) u, the curl symbol's product."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    return u[j] * x[k] - u[k] * x[j]
+
+
 def on_axis(xi):
     """Nonzero 3D wavevectors on the distinguished axis, xi_2 = xi_3 = 0,
     where the two characteristic spheres touch.  The zero vector is not
@@ -141,17 +185,99 @@ def on_axis(xi):
     return ~np.any(xi[..., 1:], axis=-1) & (xi[..., 0] != 0)
 
 
-def _basis_2d(xi, mat):
-    e = mat.eps_inv
-    e11, e12, e22 = e[0, 0], e[0, 1], e[1, 1]
+# The frame: the per-mode vectors of the pair form and the offsets rho,
+# from which the dense factors (_basis_2d, _basis_3d) are filled and the
+# matrix-free actions (_rows, _columns) are evaluated
+_Frame2 = namedtuple('_Frame2', 'xp q rho')
+_Frame3 = namedtuple('_Frame3', 'xp xt az mer r delta g rho')
+
+
+def _top(xi):
+    """The largest entry of each wavevector of xi (..., d) in size."""
+    # one maximum per axis: max over a last axis of length d took 15-45x
+    # as long on 4,096 3D and 16,384 2D points
+    top = np.abs(xi[..., 0])
+    for i in range(1, xi.shape[-1]):
+        np.maximum(top, np.abs(xi[..., i]), out=top)
+    return top
+
+
+def _frame(xi, mat):
+    """The frame of the eigenbasis at each nonzero wavevector of xi.
+
+    2D (_Frame2): xp = xi / |xi|_w and q, the electric part of the charge
+    column.  3D (_Frame3): xp = xi / |xi|, xt = xi / |xi|_e, the unit
+    vectors az and mer, r = delta mer with delta = |xi| / |xi|_e, and
+    g = sqrt(|xi|_e / |xi|) (FORMULA_NOTES.md, "Pair form"), with az
+    and mer at their limit on the axis.  rho (..., ncomp) holds the
+    offsets of d = i diag(omega + rho).  Every entry but rho is
+    homogeneous of degree 0, so it is taken on the wavevector scaled by
+    a power of two, which leaves the bits of an ordinary wavevector as
+    they are and keeps every entry finite for any nonzero finite xi; rho
+    is scaled back.  Raises DegenerateDirection at xi = 0.
+    """
+    xi = _wavevectors(xi, mat)
+    if mat.dim == 3:
+        mat.require_canonical('the closed-form eigenbasis')
+    top = _top(xi)
+    if not top.all():
+        raise DegenerateDirection("zero wavevector")
+    # each wavevector divided by the power of two 2^e at or just above its
+    # largest entry, exactly: one entry is at least 1/2 in size and none
+    # reaches 1, so no sum of squares overflows or underflows
+    e = np.frexp(top)[1]
+    xi = np.ldexp(xi, -e[..., None])
+    return (_frame_2d if mat.dim == 2 else _frame_3d)(xi, e, mat)
+
+
+def _frame_2d(xi, e, mat):
+    ei = mat.eps_inv
+    e11, e12, e22 = ei[0, 0], ei[0, 1], ei[1, 1]
     n = _qnorm(xi, mat.qform)
-    x1p = xi[..., 0] / n
-    x2p = xi[..., 1] / n
+    xp = xi / n[..., None]
+    x1p, x2p = xp[..., 0], xp[..., 1]
+    q = np.empty_like(xp)
+    np.subtract(e22 * x1p, e12 * x2p, out=q[..., 0])
+    np.subtract(e11 * x2p, e12 * x1p, out=q[..., 1])
+    rho = np.zeros(n.shape + (3,))
+    np.ldexp(n, e, out=rho[..., 2])
+    np.negative(rho[..., 2], out=rho[..., 1])
+    return _Frame2(xp, q, rho)
+
+
+def _frame_3d(xi, e, mat):
+    n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
+    ne = _qnorm(xi, mat.qform)
+    s = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2)
+    az = np.zeros_like(xi)
+    with np.errstate(divide='ignore', invalid='ignore'):
+        np.divide(xi[..., 2], s, out=az[..., 1])
+        np.negative(az[..., 1], out=az[..., 1])
+        np.divide(xi[..., 1], s, out=az[..., 2])
+        mer = xi[..., :1] * xi / (s * n)[..., None]
+    mer[..., 0] = -s / n
+    # the rows 0 / 0 on the axis take their limit along xi_2 > 0
+    axis = np.nonzero(s == 0)
+    az[axis] = (0.0, 0.0, 1.0)
+    mer[axis] = xi[axis][:, :1] / n[axis][:, None] * (0.0, 1.0, 0.0)
+    delta = n / ne
+    rho = np.zeros(n.shape + (6,))
+    np.ldexp(_qnorm(xi, mat.sphere_qforms[0]), e, out=rho[..., 3])
+    np.ldexp(ne, e, out=rho[..., 5])
+    np.negative(rho[..., 3::2], out=rho[..., 2::2])
+    return _Frame3(xi / n[..., None], xi / ne[..., None], az, mer,
+                  delta[..., None] * mer, delta, np.sqrt(ne / n), rho)
+
+
+def _basis_2d(f, mat):
+    """The dense 2D eigenbasis m and its inverse from the frame."""
+    x1p, x2p = f.xp[..., 0], f.xp[..., 1]
+    q1, q2 = f.q[..., 0], f.q[..., 1]
     mu = mat.mu
-    shape = xi.shape[:-1]
+    shape = x1p.shape
     m = np.zeros(shape + (3, 3))
-    m[..., 0, 0] = e22 * x1p - e12 * x2p
-    m[..., 1, 0] = e11 * x2p - e12 * x1p
+    m[..., 0, 0] = q1
+    m[..., 1, 0] = q2
     # the two propagating columns carry a 1/sqrt(2) normalization so that
     # det m = -1 exactly
     m[..., 0, 1] = -x2p / (mu * SQ2)
@@ -164,64 +290,108 @@ def _basis_2d(xi, mat):
     minv = np.zeros(shape + (3, 3))
     minv[..., 0, 0] = x1p / mu
     minv[..., 0, 1] = x2p / mu
-    minv[..., 1, 0] = (x1p * e12 - x2p * e11) / SQ2
-    minv[..., 1, 1] = (e22 * x1p - e12 * x2p) / SQ2
+    minv[..., 1, 0] = -q2 / SQ2
+    minv[..., 1, 1] = q1 / SQ2
     minv[..., 1, 2] = -1.0 / SQ2
-    minv[..., 2, 0] = (x2p * e11 - x1p * e12) / SQ2
-    minv[..., 2, 1] = (x2p * e12 - x1p * e22) / SQ2
+    minv[..., 2, 0] = q2 / SQ2
+    minv[..., 2, 1] = -q1 / SQ2
     minv[..., 2, 2] = -1.0 / SQ2
-    return m, minv, np.stack([0.0 * n, -n, n], axis=-1)
+    return m, minv
 
 
 def _put_pair(m, j, e, h):
     """Columns j and j + 1 of m (..., 6, 6), one propagating pair: (e, h)
     and (-e, h), with e the electric and h the magnetic part."""
     m[..., :3, j] = e
-    m[..., :3, j + 1] = -e
+    np.negative(e, out=m[..., :3, j + 1])
     m[..., 3:, j] = m[..., 3:, j + 1] = h
 
 
-def _basis_3d(xi, mat):
-    """The 3D eigenbasis m and its inverse with each propagating pair in
-    its final normalization (FORMULA_NOTES.md, "Pair form"): with the
-    unit vectors az = (0, -xi_3, xi_2) / s and mer = (-s, xi_1 xi_2 / s,
-    xi_1 xi_3 / s) / |xi|, s = |(xi_2, xi_3)|, g = sqrt(|xi|_e / |xi|)
-    and r = |xi| mer / |xi|_e, the columns are g (+-az / sqrt b, mer)
-    and (-+r, az) / g, the rows (+-sqrt(b) az, mer) / 2g and
-    g (-+diag(a, b, b) r, az) / 2.  On the axis, s = 0, both spheres
-    meet and any transverse pair will do: the limit along xi_2 > 0,
-    az = (0, 0, 1) and mer = (0, xi_1 / |xi|, 0)."""
+def _basis_3d(f, mat):
+    """The dense 3D eigenbasis m and its inverse from the frame, each
+    propagating pair in its final normalization (FORMULA_NOTES.md, "Pair
+    form"): the columns are g (+-az / sqrt b, mer) and (-+r, az) / g, the
+    rows (+-sqrt(b) az, mer) / 2g and g (-+diag(a, b, b) r, az) / 2."""
     a, b = mat.a, mat.b
     sb = np.sqrt(b)
-    n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
-    ne = _qnorm(xi, mat.qform)
-    s = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2)
-    g = np.sqrt(ne / n)[..., None]
-    with np.errstate(divide='ignore', invalid='ignore'):
-        az = (np.stack([0.0 * s, -xi[..., 2], xi[..., 1]], axis=-1)
-              / s[..., None])
-        mer = xi[..., :1] * xi / (s * n)[..., None]
-    mer[..., 0] = -s / n
-    # the rows 0 / 0 on the axis take their limit along xi_2 > 0
-    axis = np.nonzero(s == 0)
-    az[axis] = (0.0, 0.0, 1.0)
-    mer[axis] = xi[axis][:, :1] / n[axis][:, None] * (0.0, 1.0, 0.0)
-    r = (n / ne)[..., None] * mer
-    xt = xi / ne[..., None]
-    m = np.zeros(xi.shape[:-1] + (6, 6))
-    mi = np.zeros(xi.shape[:-1] + (6, 6))
+    g = f.g[..., None]
+    m = np.zeros(f.g.shape + (6, 6))
+    mi = np.zeros(f.g.shape + (6, 6))
     # the charge pair: the magnetic and the eps-weighted electric gradient
-    m[..., 3:, 0] = mi[..., 0, 3:] = xi / n[..., None]
-    m[..., :3, 1] = xt / (a, b, b)
-    mi[..., 1, :3] = a * b * xt
+    m[..., 3:, 0] = mi[..., 0, 3:] = f.xp
+    m[..., :3, 1] = f.xt / (a, b, b)
+    mi[..., 1, :3] = a * b * f.xt
     # rows of mi are the columns of its transpose
     mit = mi.swapaxes(-1, -2)
-    _put_pair(m, 2, g / sb * az, g * mer)
-    _put_pair(mit, 2, sb / (2 * g) * az, mer / (2 * g))
-    _put_pair(m, 4, -r / g, az / g)
-    _put_pair(mit, 4, -g / 2 * r * (a, b, b), g / 2 * az)
-    rho = _qnorm(xi, mat.sphere_qforms[0])
-    return m, mi, np.stack([0.0 * n, 0.0 * n, -rho, rho, -ne, ne], axis=-1)
+    _put_pair(m, 2, g / sb * f.az, g * f.mer)
+    _put_pair(mit, 2, sb / (2 * g) * f.az, f.mer / (2 * g))
+    _put_pair(m, 4, -f.r / g, f.az / g)
+    _put_pair(mit, 4, -g / 2 * f.r * (a, b, b), g / 2 * f.az)
+    return m, mi
+
+
+def _dense(f, mat):
+    """(m, m^{-1}), the dense eigenbasis and its inverse, from the frame."""
+    return (_basis_2d if mat.dim == 2 else _basis_3d)(f, mat)
+
+
+def _dot(v, c):
+    """v . c per mode: v (..., k) a frame vector, c (k, ...) component-major."""
+    return sum(v[..., i] * c[i] for i in range(v.shape[-1]))
+
+
+def _rows(f, mat, c):
+    """m^{-1} c on columns c (ncomp, ...) held component-major, one row of
+    the result per eigenbasis row, without forming m^{-1}: the rows of
+    _basis_2d and _basis_3d as dot products with the frame."""
+    if mat.dim == 2:
+        t = f.q[..., 0] * c[1] - f.q[..., 1] * c[0]
+        z = [_dot(f.xp, c) / mat.mu, (t - c[2]) / SQ2, (-t - c[2]) / SQ2]
+    else:
+        sb = np.sqrt(mat.b)
+        ce, ch = c[:3], c[3:]
+        # sqrt(b) az . c_e, mer . c_h, D r . c_e and az . c_h
+        A = sb * _dot(f.az, ce)
+        M = _dot(f.mer, ch)
+        R = _dot(f.r * (mat.a, mat.b, mat.b), ce)
+        Z = _dot(f.az, ch)
+        h = 2 * f.g
+        z = [_dot(f.xp, ch), mat.a * mat.b * _dot(f.xt, ce),
+             (M + A) / h, (M - A) / h, f.g * (Z - R) / 2, f.g * (Z + R) / 2]
+    return _stack(z)
+
+
+def _columns(f, mat, y):
+    """m y on coefficients y (ncomp, ...) of the eigenbasis columns, held
+    component-major, without forming m: sums of the columns of
+    _basis_2d and _basis_3d, weighted by y."""
+    if mat.dim == 2:
+        t = (y[1] - y[2]) / (mat.mu * SQ2)
+        u = [y[0] * f.q[..., 0] - t * f.xp[..., 1],
+             y[0] * f.q[..., 1] + t * f.xp[..., 0],
+             -(y[1] + y[2]) / SQ2]
+    else:
+        # the pairs' sums and differences weight az, mer and r
+        p = f.g / np.sqrt(mat.b) * (y[2] - y[3])
+        t = f.g * (y[2] + y[3])
+        q = (y[5] - y[4]) / f.g
+        v = (y[4] + y[5]) / f.g
+        dab = (mat.a, mat.b, mat.b)
+        u = [y[1] * (f.xt[..., i] / dab[i]) + p * f.az[..., i]
+             + q * f.r[..., i] for i in range(3)]
+        u += [y[0] * f.xp[..., i] + t * f.mer[..., i] + v * f.az[..., i]
+              for i in range(3)]
+    return _stack(u)
+
+
+def _stack(rows):
+    """The rows, each broadcast to their common shape, as one complex
+    array (len(rows), ...)."""
+    out = np.empty((len(rows),) + np.broadcast_shapes(
+        *(np.shape(r) for r in rows)), dtype=complex)
+    for i, r in enumerate(rows):
+        out[i] = r
+    return out
 
 
 def _eigen_basis(xi, mat):
@@ -230,18 +400,13 @@ def _eigen_basis(xi, mat):
     with d = i diag(omega + rho),
 
         2D:  rho = (0, -|xi|_w, |xi|_w)
-        3D:  rho = (0, 0, -sqrt(b)|xi|, sqrt(b)|xi|, -|xi|_e, |xi|_e).
+        3D:  rho = (0, 0, -sqrt(b)|xi|, sqrt(b)|xi|, -|xi|_e, |xi|_e),
 
+    as dense (..., ncomp, ncomp) arrays filled from the frame (_frame).
     Raises DegenerateDirection at xi = 0.
     """
-    xi = _wavevectors(xi, mat)
-    if mat.dim == 3:
-        mat.require_canonical('the closed-form eigenbasis')
-    if not np.all(np.any(xi, axis=-1)):
-        raise DegenerateDirection("zero wavevector")
-    if mat.dim == 2:
-        return _basis_2d(xi, mat)
-    return _basis_3d(xi, mat)
+    f = _frame(xi, mat)
+    return _dense(f, mat) + (f.rho,)
 
 
 def eigen_decomposition(omega, xi, mat):
@@ -270,15 +435,11 @@ def det_diagnostics(xi, mat):
     if not isinstance(mat, Material3):
         raise InvalidArgument("det_diagnostics applies to 3D materials, got "
                               "%r" % (mat,))
-    xi = _wavevectors(xi, mat)
-    n = np.sqrt(np.einsum('...i,...i->...', xi, xi))
-    if np.any(n == 0):
-        raise DegenerateDirection("zero wavevector")
-    s = np.sqrt(xi[..., 1] ** 2 + xi[..., 2] ** 2)
-    ne = _qnorm(xi, mat.qform)
-    alpha = s / np.sqrt(n * ne)
-    det_mt = np.linalg.det(_basis_3d(xi, mat)[0]).astype(complex)
-    return alpha, n / ne, det_mt * alpha ** 4, det_mt
+    f = _frame(xi, mat)
+    # alpha = s / (g |xi|), with mer_1 = -s / |xi|
+    alpha = -f.mer[..., 0] / f.g
+    det_mt = np.linalg.det(_basis_3d(f, mat)[0]).astype(complex)
+    return alpha, f.delta, det_mt * alpha ** 4, det_mt
 
 
 # canonical-axis cyclic permutations (0-based): new axis i is old axis perm[i]

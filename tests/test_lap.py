@@ -1029,6 +1029,24 @@ BAD_ARGUMENTS = {
     # a float axis failed later as a list index; True was axis 1
     'material3-axis-float': (lambda: Material3(0.5, 1.4, axis=2.0), 'axis'),
     'material3-axis-true': (lambda: Material3(0.5, 1.4, axis=True), 'axis'),
+    # '<' not supported between instances of 'str' and 'int', or numpy's
+    # "ufunc 'isinf' not supported for the input types"
+    'fractional-laplacian-s-str': (
+        lambda: sp.fractional_laplacian(_F1, 'x'), 's must be a real number'),
+    'random-band-limited-kmax-str': (
+        lambda: sp.random_band_limited(sp.Grid(2, 16), 1, RNG, kmax='x'),
+        'kmax must be a real number'),
+    'lebesgue-norm-p-str': (lambda: sp.lebesgue_norm(_F1, 'x'),
+                            'p must be a real number'),
+    'lebesgue-norm-p-none': (lambda: sp.lebesgue_norm(_F1, None),
+                             'p must be a real number'),
+    'cutoff-r-in-str': (lambda: lap.CutoffSpec('x', 2.0),
+                        'r_in must be a real number'),
+    'e-delta-delta-str': (lambda: lap.e_delta(_F1, 3.0, 'x'),
+                          'delta must be a real number'),
+    'off-sphere-frequency-near-str': (
+        lambda: rg.off_sphere_frequency(sp.Grid(3, 8), MAT3, near='x'),
+        'near must be a real number'),
 }
 
 

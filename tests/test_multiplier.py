@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from maxres import lap, symbol
 from maxres.errors import DegenerateDirection, RealFrequency
 from maxres.materials import Material2, Material3
 from maxres.multiplier import (_apply, _scalar_resolvents, _singular_columns,
                                resolvent_matrix)
+from maxres.spectral import Grid
 from maxres.symbol import _eigen_basis, on_axis, symbol_p
 from maxres.verify import M3_ZERO_ENTRIES, _flip
 from helpers import (charge_column_2d, charge_column_3d, near_axis_xi,
@@ -224,3 +226,82 @@ def test_formula_notes_13_witness():
     closed = (A - B) * (xi[0, 2] / np.linalg.norm(xi)) / (2 * np.sqrt(mat.b))
     assert abs(M13 - closed) < 1e-14
     assert abs(M13 - (0.144764041802858 - 0.035221091370635j)) < 1e-14
+
+
+def _dense_apply(xi, c, mat, w):
+    """m (w(rho) (m^{-1} c)) from the dense factors of _eigen_basis."""
+    m, minv, rho = _eigen_basis(xi, mat)
+    return m @ (w(rho)[..., None] * (minv @ c))
+
+
+def _modes(rng, mat, ratio):
+    """500 random wavevectors; in 3D at a given s / |xi| = ratio (None:
+    anywhere), the last one on the axis with xi_1 < 0."""
+    xi = rng.normal(0.0, 2.0, size=(500, mat.dim))
+    if ratio is not None:
+        xi[:, 1:] *= ratio * np.abs(xi[:, :1]) / np.linalg.norm(
+            xi[:, 1:], axis=1, keepdims=True)
+        xi[-1] = (-1.5, 0.0, 0.0)
+    return xi
+
+
+@pytest.mark.parametrize('mat,ratio', [
+    (MAT2, None), (MAT3, None), (Material3(1.0, 1.0), None),
+    (MAT3, 1e-4), (MAT3, 1e-12), (MAT3, 1e-100), (MAT3, 0.0),
+    (Material3(1.0, 1.0), 1e-12)],
+    ids=['2d', '3d', '3d-isotropic', '3d-1e-4', '3d-1e-12', '3d-1e-100',
+         '3d-axis', '3d-isotropic-1e-12'])
+def test_column_apply_matches_the_dense_factors(mat, ratio):
+    # one coefficient column per mode takes the frame's matrix-free
+    # rows and columns; the dense factors are the reference, with the
+    # full inverse and with the singular columns skipped at real omega
+    rng = np.random.default_rng(11)
+    xi = _modes(rng, mat, ratio)
+    ncomp = 3 * (mat.dim - 1)
+    c = (rng.normal(size=(len(xi), ncomp, 1))
+         + 1j * rng.normal(size=(len(xi), ncomp, 1)))
+    for omega, skip in ((1.3 + 0.6j, ()), (-2.2 + 0.3j, (0,)),
+                        (3.1, tuple(_singular_columns(3.1, mat)))):
+        def w(rho):
+            return _scalar_resolvents(omega, rho, skip=skip)
+        ref = _dense_apply(xi, c, mat, w)
+        got = _apply(xi, c, mat, w)
+        assert got.shape == ref.shape == c.shape
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * scale)
+
+
+def test_unbatched_column_broadcasts_over_the_modes():
+    # verify._flip passes one (6, 1) column of the identity for a block
+    # of wavevectors: the result is that column of each mode's product
+    rng = np.random.default_rng(12)
+    xi = np.concatenate([_modes(rng, MAT3, None), _modes(rng, MAT3, 1e-12)])
+    omega = 1.2 + 0.9j
+
+    def w(rho):
+        return _scalar_resolvents(omega, rho, skip=(0, 1))
+    for j in range(6):
+        col = np.eye(6, dtype=complex)[:, j, None]
+        got = _apply(xi, col, MAT3, w)
+        ref = _dense_apply(xi, col, MAT3, w)
+        assert got.shape == ref.shape == (len(xi), 6, 1)
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize('mat', [MAT2, MAT3, Material3(1.0, 1.0)],
+                         ids=['2d', '3d', '3d-isotropic'])
+@pytest.mark.parametrize('omega', [3.1, -3.1])
+def test_singular_column_vanishes_on_its_sphere(mat, omega):
+    # each sphere's singular column pairs with that sphere's form: on
+    # the LAP's nodes of { |xi|_q = |omega| }, placed as _polar_points
+    # places them, its eigenvalue i (omega + rho) is 0
+    grid = Grid(mat.dim, 16)
+    pairs = list(zip(_singular_columns(omega, mat), mat.sphere_qforms))
+    assert len(pairs) == mat.dim - 1
+    for col, q in pairs:
+        pts = lap._polar_points(np.array([abs(omega)]), np.ones(1), q,
+                                lambda x: np.ones(x.shape[:-1]), grid,
+                                12)[0].reshape(-1, mat.dim)
+        rho = symbol._frame(pts, mat).rho
+        assert np.abs(omega + rho[:, col]).max() <= 1e-14 * abs(omega)

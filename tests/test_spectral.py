@@ -326,13 +326,13 @@ def test_solve_touches_only_the_source_band(monkeypatch):
     g = sp.Grid(3, 16)
     J = sp.random_band_limited(g, 6, RNG, kmax=3)
     rows = []
-    basis = symbol._eigen_basis
+    frame = symbol._frame
 
-    def counted(xi, mat, *args):
+    def counted(xi, mat):
         rows.append(len(xi))
-        return basis(xi, mat, *args)
+        return frame(xi, mat)
 
-    monkeypatch.setattr(symbol, '_eigen_basis', counted)
+    monkeypatch.setattr(symbol, '_frame', counted)
     u = sp.solve(OMEGA, J, MAT3)
     xi = g.xi_flat()
     # every held mode but the zero mode, the axis included
@@ -343,6 +343,24 @@ def test_solve_touches_only_the_source_band(monkeypatch):
     # the same samples without kept coefficients: every mode is solved
     ref = sp.solve(OMEGA, sp.Field(g, J.data.copy()), MAT3)
     assert _rel(u.data, ref.data) < 1e-14
+
+
+@pytest.mark.parametrize('mat', [MAT2, MAT3], ids=['2d', '3d'])
+def test_solve_and_residual_form_no_per_mode_matrix(monkeypatch, mat):
+    # a solve and its residual check apply the eigenbasis and the symbol
+    # to each mode's coefficient column: neither fills the dense factors
+    # nor the dense symbol
+    g = sp.Grid(mat.dim, 16)
+    J = sp.random_band_limited(g, 3 * (mat.dim - 1),
+                               np.random.default_rng(23))
+
+    def refused(*args):
+        raise AssertionError('a per-mode matrix was formed')
+    for name in ('_basis_2d', '_basis_3d', 'symbol_p'):
+        monkeypatch.setattr(symbol, name, refused)
+    u = sp.solve(OMEGA, J, mat)
+    resid = sp.forward_operator(OMEGA, u, mat) - J
+    assert sp.lebesgue_norm(resid, 2) < 1e-14 * sp.lebesgue_norm(J, 2)
 
 
 def test_forward_operator_on_kept_coefficients():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxres import verify
+from maxres import symbol, verify
 from maxres.errors import DegenerateDirection, InvalidArgument
 from maxres.materials import Material2, Material3
 from maxres.symbol import (_qnorm, canonicalize, det_diagnostics,
@@ -182,3 +182,65 @@ def test_det_diagnostics_answers_on_the_axis(x1):
     assert delta[1] == pytest.approx(1 / np.sqrt(MAT3.b), rel=1e-15)
     assert np.allclose(det_mt, 4.0 / (MAT3.a * MAT3.b ** 1.5), rtol=1e-14,
                        atol=0)
+
+
+@pytest.mark.parametrize('mat,xi', [
+    (MAT3, [1e-300, 0.0, 0.0]), (MAT3, [1.0, 1e200, 1.0]),
+    (MAT3, [1e-200] * 3), (MAT3, [5e-324, 0.0, 5e-324]),
+    (MAT3, [-1e300, 3e299, 0.0]), (MAT2, [1e-300, 2e-300]),
+    (MAT2, [1.0, -1e200])],
+    ids=['3d-1e-300-axis', '3d-1e200', '3d-1e-200', '3d-subnormal',
+         '3d-1e300', '2d-1e-300', '2d-1e200'])
+def test_frame_is_scale_free(mat, xi):
+    # |xi| is measured on xi scaled by a power of two, so no square
+    # overflows or underflows: a nonzero wavevector of any finite size
+    # has a finite eigenbasis with p = m d m^{-1}
+    xi = np.array([xi])
+    omega = 3.0
+    m, d, m_inv = eigen_decomposition(omega, xi, mat)
+    assert all(np.all(np.isfinite(a)) for a in (m, d, m_inv))
+    p = symbol_p(omega, xi, mat)
+    recon = np.einsum('nij,njk,nkl->nil', m, d, m_inv)
+    assert np.abs(recon - p).max() <= 1e-12 * np.abs(p).max()
+    # the offsets are the flavor norms, scaled back
+    rho = symbol._frame(xi, mat).rho
+    top = np.abs(xi).max()
+    u = xi / top
+    want = [np.sqrt(u @ q @ u.T)[0, 0] * top for q in mat.sphere_qforms]
+    assert np.allclose(rho[0, mat.dim::2], want, rtol=1e-15, atol=0)
+    if mat.dim == 3:
+        alpha, delta, det_m, det_mt = det_diagnostics(xi, mat)
+        assert all(np.all(np.isfinite(a)) for a in (alpha, delta, det_m))
+        assert np.allclose(det_mt, 4.0 / (mat.a * mat.b ** 1.5),
+                           rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize('mat', [MAT2, MAT3])
+def test_frame_scaling_keeps_every_bit(mat):
+    # scaling by a power of two is exact: the frame of xi and of 2^k xi
+    # agree bit for bit, and their offsets differ by exactly 2^k
+    xi = _random_xi(300, mat.dim)
+    f = symbol._frame(xi, mat)
+    for k in (-600, -7, 9, 700):
+        g = symbol._frame(np.ldexp(xi, k), mat)
+        for name in f._fields[:-1]:
+            assert np.array_equal(getattr(f, name), getattr(g, name)), name
+        assert np.array_equal(np.ldexp(f.rho, k), g.rho)
+
+
+@pytest.mark.parametrize('mat', [MAT2, MAT3, verify.MATERIALS_3D[0],
+                                 Material3(1.5, 0.9, axis=2, mu=1.3)],
+                         ids=['2d', '3d', '3d-isotropic', '3d-rotated'])
+def test_p_apply_matches_symbol_p(mat):
+    # the matrix-free symbol against the dense reference, at one omega
+    # and at one omega per wavevector, and at xi = 0
+    xi = _random_xi(400, mat.dim)
+    xi[:3] = 0.0
+    xi[3:6, 1:] = 0.0
+    ncomp = 3 * (mat.dim - 1)
+    c = RNG.normal(size=(ncomp, 400)) + 1j * RNG.normal(size=(ncomp, 400))
+    for omega in (1.3 - 0.4j, RNG.normal(size=400) + 1j):
+        ref = (symbol_p(omega, xi, mat) @ c.T[..., None])[..., 0].T
+        got = symbol._p_apply(omega, xi, c, mat)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
