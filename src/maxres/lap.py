@@ -34,15 +34,23 @@ on the quadrature route an axis one, which bypasses the split.
 
 Each off-grid term is one separable transform over its nodes, taken in
 rings: a ring is one (radius, polar) pair of the sphere rule, whose
-2 n_sphere azimuth nodes share xi_1, and in 2D a single node.  The
-forward half reads the source's coefficients on their per-axis support
-S_a only (near-sphere content spans about 10 indices per axis) through
-Dirichlet kernels: over k_1 once per ring, ncomp * prod |S_a|
-multiply-adds, then over the later axes per node, ncomp * |S_2| |S_3| in
-3D.  The synthesis half writes the whole grid: each ring's plane over
-the later axes, ncomp * n^(d-1) per node, then one GEMM of the axis-1
-phases over the rings, ncomp * n^d per ring.  Per node that is
-ncomp * (n^2 + n^3 / (2 n_sphere)) in 3D and ncomp * n^2 in 2D.
+2 n_sphere azimuth nodes share xi_1, and in 2D a single node.  Every
+phase table e^{i x xi} is kept on the half grid of H = n/2 + 1 axis
+coordinates x >= 0 and -L/2 only, as real (cos, sin) pairs: the other
+rows are mirrors, e^{-i x xi} = conj(e^{i x xi}).  The forward half
+reads the source's coefficients on their per-axis support S_a only
+(near-sphere content spans about 10 indices per axis) through Dirichlet
+kernels, one real GEMM of each table against the lattice phases folded
+onto the half grid (4 H |S_a| real multiply-adds per row), summed over
+k_1 once per ring, ncomp * prod |S_a| complex multiply-adds, then over
+the later axes per node, ncomp * |S_2| |S_3| in 3D.  The synthesis half
+sums (cos, sin)^d blocks on the half grid with real GEMMs: each ring's
+plane over the later axes, 8 ncomp H^2 real multiply-adds per node in
+3D, then one GEMM of the axis-1 table over the rings, 16 ncomp H^3 per
+ring in 3D and 8 ncomp H^2 per node in 2D; the grid is unfolded from the
+blocks once per call.  Per node that is 8 ncomp H^2 (1 + H / n_sphere)
+real multiply-adds in 3D and 8 ncomp H^2 in 2D, about half the
+4 ncomp n^2 (1 + n / (2 n_sphere)) of full complex tables.
 
 Scalar model operators (e_delta, pv_part, surface_part) expose the same
 machinery for a single flavor norm, which is where the Sokhotsky limit
@@ -153,69 +161,114 @@ def sphere_quadrature(dim, n):
 # ---------------------------------------------------------------------------
 # semidiscrete transform at off-grid wavevectors
 
-# complex entries of each per-ring intermediate in one block of rings (16
-# MiB): the (per_ring, ncomp, n) products and the (ncomp, n^(d-1)) planes
-_CHUNK = 1 << 20
+# real entries of each per-ring intermediate in one block of rings (4 MiB):
+# the (per_ring, 4 ncomp H) products a (x) T_d and, in 3D, the
+# (2H, 4 ncomp H) planes, H = n/2 + 1.  lap_parts at 3D 16^3 and 2D 128^2
+# (the bench's lap_quad grids) timed within 10 % from 2^18 to 2^21, and
+# best about here
+_CHUNK = 1 << 19
 
 
-def _phase_table(grid, xi):
-    """e^{i x xi} on the axis coordinates x, of shape xi.shape + (n,).
-    The grid is a tensor product, so both transform directions are BLAS
-    products with these tables and no (grid points x nodes) phase matrix
-    is formed.
+def _half_table(grid, xi):
+    """e^{i x xi} on the half grid x = h (0, 1, ..., n/2 - 1, -n/2), of
+    shape xi.shape + (n/2 + 1,).  The grid is a tensor product, so both
+    transform directions are real BLAS products with the float views of
+    these tables, pairs (cos, sin), and no (grid points x nodes) phase
+    matrix is formed.
 
     Grid coordinates are taken centered in [-L/2, L/2); this halves the
     largest phase gradient and with it the node counts the sphere and
-    radial rules need.  Blocks of s = 2^floor(log2(n)/2) coordinates never
-    straddle L/2, so each table is the outer product of the phases at the
-    block starts and at h * arange(s): n/s + s complex exps, not n."""
-    n = grid.n
-    s = 1 << (n.bit_length() - 1) // 2
-    h = grid.length / n
-    starts, offsets = h * grid.k_axis()[::s], h * np.arange(s)
-    xi = np.asarray(xi, dtype=float)[..., None]
-    return (np.exp(1j * xi * starts)[..., None]
-            * np.exp(1j * xi * offsets)[..., None, :]).reshape(
-                xi.shape[:-1] + (n,))
+    radial rules need.  The half grid is the storage-order rows 0..n/2;
+    the rows n/2 + 1..n - 1 are the mirrors -x of rows n/2 - 1..1, whose
+    phases are the conjugates (_fold, _unfold).  Row r is the product of
+    e^{i 2^b h xi} over the bits b of r, at most log2(n) - 1 factors:
+    one exp per bit, the top one for the row -L/2."""
+    n, h = grid.n, grid.length / grid.n
+    xi = np.asarray(xi, dtype=float)
+    t = np.empty(xi.shape + (n // 2 + 1,), dtype=complex)
+    t[..., 0] = 1.0
+    m = 1
+    while m < n // 2:
+        np.multiply(t[..., :m], np.exp(1j * (m * h) * xi)[..., None],
+                    out=t[..., m:2 * m])
+        m *= 2
+    t[..., -1] = np.exp(-1j * (m * h) * xi)
+    return t
+
+
+def _fold(n, s):
+    """The lattice phases e^{-i x xi_k} / n, k in the storage indices s,
+    folded onto the half grid: a real (2 (n/2 + 1), 2 |s|) matrix F with
+    (T_h.view(float) @ F).view(complex) = conj(T @ lat) for a half table
+    T_h and its full storage-order table T.  A mirrored row pair -x, x
+    adds T lat + conj(T lat) = 2 Re(T lat); the rows 0 and -L/2 have no
+    mirror."""
+    # x_m xi_k = 2 pi m k / n for lattice xi_k, centered or not
+    roots = np.exp(-1j * TAU * np.arange(n) / n) / n
+    lat = roots[np.outer(np.arange(n // 2 + 1), s) % n]
+    ends = np.zeros((n // 2 + 1, 1))
+    ends[[0, -1]] = 1.0
+    inner = 2.0 - ends
+    # rows (x, cos | sin), columns (k, re | im) of the conjugate
+    return np.stack([np.stack([inner * lat.real, -ends * lat.imag], -1),
+                     np.stack([-inner * lat.imag, -ends * lat.real], -1)],
+                    1).reshape(n + 2, 2 * len(s))
+
+
+def _unfold(g, axis, pair):
+    """The storage-order grid axis from a half-grid one: g holds rows of
+    the half grid at ``axis`` and their (cos, sin) parts C, S at ``pair``;
+    rows x >= 0 and -L/2 take C + iS, the mirrored rows C - iS."""
+    c, s = np.moveaxis(g, pair, 0)
+    s = 1j * s
+    axis -= pair < axis
+    h = c.shape[axis]
+    out = np.empty(c.shape[:axis] + (2 * h - 2,) + c.shape[axis + 1:],
+                   dtype=complex)
+    rows = (slice(None),) * axis
+    np.add(c, s, out=out[rows + (slice(None, h),)])
+    np.subtract(c[rows + (slice(-2, 0, -1),)], s[rows + (slice(-2, 0, -1),)],
+                out=out[rows + (slice(h, None),)])
+    return out
 
 
 def _ring_blocks(grid, ncomp, xi, n_polar=1):
     """Per block of the rings xi (rings, per_ring, d), (slice, tabs):
-    tabs[0] = e^{i x xi_1} once per ring, (rings, n), and for each later
-    axis a the per-node table (rings, per_ring, n).  A block holds about
-    _CHUNK entries of each per-ring intermediate, in whole radii of
-    n_polar rings."""
-    n, per_ring = grid.n, xi.shape[1]
-    step = n_polar * max(1, _CHUNK // (
-        ncomp * (per_ring * n + n ** (grid.dim - 1)) * n_polar))
+    tabs[0] = the half table of xi_1 once per ring, (rings, n/2 + 1), and
+    for each later axis a the per-node half table (rings, per_ring,
+    n/2 + 1).  A block holds about _CHUNK entries of each per-ring
+    intermediate, in whole radii of n_polar rings."""
+    half, per_ring = grid.n // 2 + 1, xi.shape[1]
+    # at least 2 (n/2 + 1) rings, so that the axis-1 GEMM of _apply_offgrid
+    # reads no more of its accumulator than of the planes
+    step = n_polar * max(-(-2 * half // n_polar), _CHUNK // (
+        4 * ncomp * half * (per_ring + 2 * half * (grid.dim - 2)) * n_polar))
     for st in range(0, len(xi), step):
         x = xi[st:st + step]
-        yield slice(st, st + len(x)), [_phase_table(grid, x[:, 0, 0])] + [
-            _phase_table(grid, x[:, :, a]) for a in range(1, grid.dim)]
+        yield slice(st, st + len(x)), [_half_table(grid, x[:, 0, 0])] + [
+            _half_table(grid, x[:, :, a]) for a in range(1, grid.dim)]
 
 
 def _support_block(f):
     """f's coefficient block on its per-axis support S_a (spectral.Field)
     as (|S_1|, prod cols) with the components moved before the last axis,
-    cols = (|S_2|, ..., ncomp, |S_d|), and per axis the lattice phases
-    e^{-i x xi_k} / n, k in S_a, of shape (n, |S_a|)."""
-    n, kept = f.grid.n, np.moveaxis(f._kept, 0, -2)
-    # x_m xi_k = 2 pi m k / n for lattice xi_k, centered or not
-    roots = np.exp(-1j * TAU * np.arange(n) / n) / n
+    cols = (|S_2|, ..., ncomp, |S_d|), and per axis the lattice phases on
+    S_a folded onto the half grid (_fold)."""
+    kept = np.moveaxis(f._kept, 0, -2)
     return (kept.reshape(len(kept), np.prod(kept.shape[1:])), kept.shape[1:],
-            [roots[np.outer(np.arange(n), s) % n] for s in f._sup])
+            [_fold(f.grid.n, s) for s in f._sup])
 
 
 def _forward(cb, tabs):
     """(1/N) sum_j f(x_j) e^{-i x_j xi_p} at the nodes of a block of rings,
     (rings, per_ring, ncomp), from f's coefficient block (_support_block):
     sum_k c_k prod_a D_a[p, k_a] with the Dirichlet kernels
-    D_a = conj(tabs_a @ lat_a), summed over k_1 once per ring (one GEMM)
-    and over the later axes per node."""
-    block, cols, lat = cb
-    ds = [(t.reshape(-1, t.shape[-1]) @ l).conj().reshape(t.shape[:-1]
-                                                           + l.shape[1:])
-          for t, l in zip(tabs, lat)]
+    D_a = conj(T_a @ lat_a), one real GEMM of the half tables against the
+    folded phases, summed over k_1 once per ring (one GEMM) and over the
+    later axes per node."""
+    block, cols, folds = cb
+    ds = [(t.view(float).reshape(-1, len(f)) @ f).view(complex).reshape(
+        t.shape[:-1] + (f.shape[1] // 2,)) for t, f in zip(tabs, folds)]
     rings, per_ring = ds[1].shape[:2]
     g = (ds[0] @ block).reshape((rings,) + cols)
     if len(ds) == 3:        # over k_2: (rings, per_ring, ncomp, |S_3|)
@@ -245,14 +298,17 @@ def _apply_offgrid(J, xi, coeffs, weights=None):
     W, (n_polar, per_ring, ncomp, ncomp), are one per direction: the
     rings come in radii of n_polar rings, and every radius shares them.
 
-    The synthesis forms each ring's plane over the later axes, in 3D
-    T_2^T diag(v) T_3 per component by a batched matmul over the ring's
-    nodes (in 2D a ring is one node, whose plane is its product), then
-    writes the grid, laid out (n, ..., ncomp, n), with one GEMM of the
-    axis-1 table over the rings."""
+    The synthesis sums real (cos, sin)^d blocks on the half grid: with
+    a = coeffs W Jhat as (re, im) pairs, each ring's plane over the later
+    axes, in 3D T_2^T (a (x) T_3) by a batched matmul over the ring's
+    nodes (in 2D a ring is one node, whose plane is a (x) T_2), then one
+    GEMM of the axis-1 table over the rings.  The grid, laid out
+    (n, ..., ncomp, n), is unfolded from the blocks once (_unfold)."""
     grid, ncomp = J.grid, J.ncomp
-    n = grid.n
-    out = np.zeros((n, ncomp * (grid.npoints // n)), dtype=complex)
+    half = grid.n // 2 + 1
+    # (x_1, cos | sin, [x_2, cos | sin,] ncomp, re | im, cos | sin, x_d)
+    blocks = (half, 2) * (grid.dim - 1) + (ncomp, 2, 2, half)
+    acc = np.zeros((2 * half, np.prod(blocks[2:])))
     cb = _support_block(J)
     n_polar = 1 if weights is None else len(weights)
     for sl, tabs in _ring_blocks(grid, ncomp, xi, n_polar):
@@ -260,14 +316,21 @@ def _apply_offgrid(J, xi, coeffs, weights=None):
         if weights is not None:     # broadcast over the block's radii
             v = (weights @ v.reshape((-1,) + weights.shape[:-1] + (1,))
                  ).reshape(v.shape)
-        # (rings, per_ring, ncomp, n)
-        plane = (v * coeffs[sl][..., None])[..., None] * tabs[-1][:, :, None]
+        a = (v * coeffs[sl][..., None]).view(float)
+        # (rings, per_ring, ncomp re | im, cos | sin x_d)
+        t = np.ascontiguousarray(tabs[-1].view(float).reshape(
+            tabs[-1].shape + (2,)).swapaxes(-1, -2))
+        plane = np.einsum('rpi,rpkx->rpikx', a, t)
+        plane = plane.reshape(plane.shape[:2] + (-1,))
         if grid.dim == 3:
-            plane = tabs[1].swapaxes(1, 2) @ plane.reshape(
-                plane.shape[:2] + (-1,))
-        out += tabs[0].T @ plane.reshape(len(plane), -1)
-    out = out.reshape((n,) * (grid.dim - 1) + (ncomp, n))
-    return spectral.Field(grid, np.moveaxis(out, -2, 0))
+            plane = tabs[1].view(float).swapaxes(1, 2) @ plane
+        acc += tabs[0].view(float).T @ plane.reshape(len(plane), -1)
+    acc = acc.reshape(blocks)
+    g = acc[..., 0, :, :] + 1j * acc[..., 1, :, :]
+    g = _unfold(g, g.ndim - 1, g.ndim - 2)
+    for axis in range(2 * grid.dim - 4, -1, -2):     # x_(d-1), ..., x_1
+        g = _unfold(g, axis, axis + 1)
+    return spectral.Field(grid, np.moveaxis(g, -2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ class LebesguePair:
     d: int
 
     def __post_init__(self):
+        for name in ('x', 'y', 'd'):
+            materials._real(name, getattr(self, name))
         if not (0 <= self.x <= 1 and 0 <= self.y <= 1):
             raise InvalidArgument("reciprocal exponents must lie in [0, 1]")
         if self.d not in (2, 3):
@@ -131,6 +133,8 @@ class RegionQuery:
     t: float = 0.5
 
     def __post_init__(self):
+        for name in ('ell', 'C', 't'):
+            materials._real(name, getattr(self, name))
         if not 0 < self.ell < np.inf:
             raise InvalidArgument("ell must be finite and positive")
         if not 0 < self.C < np.inf:
@@ -208,6 +212,8 @@ def eigenvalue_enclosure(query, V, p, q):
     The potential norm is taken in L^r with 1/r = 1/p - 1/q; the
     criterion is ||V||_r <= t / (C ell), non-strict.
     """
+    for name, value in (('p', p), ('q', q)):
+        materials._real(name, value)
     if not p >= 1:
         raise InvalidArgument("need p >= 1, got p=%r" % (p,))
     if q <= p:
@@ -252,8 +258,7 @@ def loglog_fit(xs, ys):
 
 def characteristic_radii(xi, mat):
     """Flavor norms whose level-|omega| sets are the singular spheres."""
-    xi = symbol._wavevectors(xi, mat)
-    return [symbol._qnorm(xi, q) for q in mat.sphere_qforms]
+    return symbol._qnorms(symbol._wavevectors(xi, mat), mat.sphere_qforms)
 
 
 def on_sphere_frequency(grid, mat):

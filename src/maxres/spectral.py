@@ -450,7 +450,7 @@ def _count(name, value):
 
 
 def flavor_norm(xi, flavor, mat, dim):
-    return symbol._qnorm(xi, _flavor_qform(flavor, mat, dim))
+    return symbol._qnorms(xi, [_flavor_qform(flavor, mat, dim)])[0]
 
 
 def riesz(f, i, flavor='euclidean', mat=None):

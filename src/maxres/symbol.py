@@ -16,6 +16,8 @@ where |xi|_w is the weighted 2D norm <xi, eps xi / (mu det eps)>^(1/2) and
 sqrt(<xi, q xi>), measured by the one helper ``_qnorm(xi, q)``: q is
 mat.qform for |xi|_w and |xi|_e, and b I for sqrt(b)|xi|
 (mat.sphere_qforms gives the form of each characteristic sphere).
+``_qnorms`` measures them on xi scaled as the frame scales it, for the
+radii and flavor norms read outside the frame.
 
 The eigenbasis is held as its frame (``_frame``): a few per-mode vectors
 and the offsets rho of d = i diag(omega + rho), measured on each
@@ -222,12 +224,26 @@ def _frame(xi, mat):
     top = _top(xi)
     if not top.all():
         raise DegenerateDirection("zero wavevector")
-    # each wavevector divided by the power of two 2^e at or just above its
-    # largest entry, exactly: one entry is at least 1/2 in size and none
-    # reaches 1, so no sum of squares overflows or underflows
-    e = np.frexp(top)[1]
-    xi = np.ldexp(xi, -e[..., None])
+    xi, e = _scaled(xi, top)
     return (_frame_2d if mat.dim == 2 else _frame_3d)(xi, e, mat)
+
+
+def _scaled(xi, top):
+    """(xi / 2^e, e): each wavevector of xi divided, exactly, by the power
+    of two 2^e at or just above its largest entry top (_top), so one
+    entry is at least 1/2 in size and none reaches 1, and no sum of
+    squares overflows or underflows; e = 0 at xi = 0."""
+    e = np.frexp(top)[1]
+    return np.ldexp(xi, -e[..., None]), e
+
+
+def _qnorms(xi, qforms):
+    """_qnorm of each wavevector of xi under each q of qforms, measured on
+    xi scaled as in _frame and scaled back: finite for any finite xi, 0
+    only at xi = 0, and bit for bit the offsets of _frame."""
+    xi = np.asarray(xi, dtype=float)
+    xs, e = _scaled(xi, _top(xi))
+    return [np.ldexp(_qnorm(xs, q), e) for q in qforms]
 
 
 def _frame_2d(xi, e, mat):

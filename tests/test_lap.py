@@ -97,9 +97,12 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize('dim,n,npts', [
+    # n = 4: the lone row -L/2 is one of the half grid's three rows
+    (2, 4, 300),
     (2, 16, 300),
+    (3, 4, 200),
     # rings of one on 8^3 with 3 components: more than one block
-    (3, 8, lap._CHUNK // (3 * (8 + 8 ** 2)) + 37),
+    (3, 8, 4891),
     (3, 16, 200),
 ])
 def test_offgrid_matches_dense_oracle(dim, n, npts):
@@ -110,8 +113,10 @@ def test_offgrid_matches_dense_oracle(dim, n, npts):
     cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
     # one weight per direction (3 components in, 3 out), shared by the
     # npts / n_polar radii; n_polar is the least divisor of npts above
-    # 36, so that the 4891 nodes on 8^3 still take two blocks
+    # 36, so that the 4891 = 67 * 73 nodes on 8^3 still take two blocks
     n_polar = next(k for k in range(37, npts + 1) if npts % k == 0)
+    blocks = list(lap._ring_blocks(g, 3, xi[:, None], n_polar))
+    assert (len(blocks) > 1) == (npts > 1000)
     W = np.exp(1j * xi[:n_polar] @ RNG.standard_normal((dim, 9))).reshape(
         n_polar, 1, 3, 3)
 
@@ -286,20 +291,46 @@ def test_offgrid_zero_field_gives_zeros(dim, n):
         assert out.shape == J.shape and not np.any(out.data)
 
 
+def _half_grid(g):
+    """The half grid's coordinates: h (0, 1, ..., n/2 - 1, -n/2), the
+    storage-order rows 0..n/2 of the centered grid."""
+    x = (g.length / g.n) * g.k_axis()                # centered coordinates
+    assert x.min() == -g.length / 2 and x.max() < g.length / 2
+    return x[:g.n // 2 + 1]
+
+
 @pytest.mark.parametrize('n', [2 ** p for p in range(2, 10)])
 def test_factored_phase_tables(n):
-    # each table is built from n/s + s exps, s = 2^floor(log2(n)/2); it
+    # each half table is built from one exp per bit of the row index; it
     # must equal the direct one to 1e-14 per unit of phase (a phase of
     # size t is itself only known to about 1e-16 t)
     g = sp.Grid(2, n)
-    x = (g.length / n) * g.k_axis()                  # centered coordinates
-    assert x.min() == -g.length / 2 and x.max() < g.length / 2
+    x = _half_grid(g)
     band = np.pi * n / g.length
     xi = RNG.uniform(-2 * band, 2 * band, (300, 2))  # half beyond the band
     for a in range(2):
         phase = np.outer(xi[:, a], x)
-        err = np.abs(lap._phase_table(g, xi[:, a]) - np.exp(1j * phase))
+        err = np.abs(lap._half_table(g, xi[:, a]) - np.exp(1j * phase))
         assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(phase)))
+
+
+@pytest.mark.parametrize('n', [2 ** p for p in range(2, 10)])
+def test_unfolded_half_table_is_the_full_table(n):
+    # the half table's (cos, sin) pairs unfold to the table on the whole
+    # storage-order grid, to the same 1e-14 per unit of phase
+    g = sp.Grid(3, n)
+    x = (g.length / n) * g.k_axis()
+    band = np.pi * n / g.length
+    xi = RNG.uniform(-2 * band, 2 * band, 300)
+    half = lap._half_table(g, xi)
+    full = lap._unfold(half.view(float).reshape(half.shape + (2,)), 1, 2)
+    phase = np.outer(xi, x)
+    assert full.shape == phase.shape
+    err = np.abs(full - np.exp(1j * phase))
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(phase)))
+    assert np.array_equal(full[:, :n // 2 + 1], half)
+    assert np.array_equal(full[:, n // 2 + 1:],
+                          half[:, n // 2 - 1:0:-1].conj())
 
 
 def test_e_delta_lattice_single_mode():
@@ -1047,6 +1078,27 @@ BAD_ARGUMENTS = {
     'off-sphere-frequency-near-str': (
         lambda: rg.off_sphere_frequency(sp.Grid(3, 8), MAT3, near='x'),
         'near must be a real number'),
+    'lebesgue-pair-x-str': (lambda: rg.LebesguePair('x', 0.5, 3),
+                            'x must be a real number'),
+    'lebesgue-pair-y-none': (lambda: rg.LebesguePair(0.5, None, 3),
+                             'y must be a real number'),
+    'lebesgue-pair-d-str': (lambda: rg.LebesguePair(0.5, 0.5, 'x'),
+                            'd must be a real number'),
+    'region-query-ell-none': (
+        lambda: rg.RegionQuery(_Z_QUERY.pair, None),
+        'ell must be a real number'),
+    'region-query-c-str': (
+        lambda: rg.RegionQuery(_Z_QUERY.pair, 1.3, C='x'),
+        'C must be a real number'),
+    'region-query-t-none': (
+        lambda: rg.RegionQuery(_Z_QUERY.pair, 1.3, t=None),
+        't must be a real number'),
+    'eigenvalue-enclosure-p-str': (
+        lambda: rg.eigenvalue_enclosure(_Z_QUERY, _F1, 'x', 4.0),
+        'p must be a real number'),
+    'eigenvalue-enclosure-q-none': (
+        lambda: rg.eigenvalue_enclosure(_Z_QUERY, _F1, 2.0, None),
+        'q must be a real number'),
 }
 
 

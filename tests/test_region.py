@@ -221,6 +221,43 @@ def test_characteristic_radii_are_the_eigenbasis_offsets(mat):
     assert np.array_equal(sp.flavor_norm(xi, flavor, mat, d), radii[-1])
 
 
+@pytest.mark.parametrize('mat,xi', [
+    (Material3(0.5, 1.0 / 0.7), [1e200, 1e200, 0.0]),
+    (Material3(0.5, 1.0 / 0.7), [1e-200, 0.0, 3e-201]),
+    (Material3(0.5, 1.0 / 0.7), [-1e300, 3e299, 0.0]),
+    (Material3(1.0, 1.0), [5e-324, 0.0, 5e-324]),
+    (MAT2, [1e-200, 0.0]), (MAT2, [1.0, -1e200]), (MAT2, [1e-300, 2e-300])],
+    ids=['3d-1e200', '3d-1e-200', '3d-1e300', 'iso3-subnormal', '2d-1e-200',
+         '2d-1e200', '2d-1e-300'])
+def test_characteristic_radii_are_scale_free(mat, xi):
+    # measured on xi scaled by the frame's power of two: finite, with no
+    # overflow or underflow warning, and bit for bit the frame's offsets
+    xi = np.array([xi])
+    d = mat.dim
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        radii = rg.characteristic_radii(xi, mat)
+        flavor = sp.flavor_norm(xi, 'eps_prime' if d == 2 else 'eps_tilde',
+                                mat, d)
+    rho = symbol._frame(xi, mat).rho
+    for k, r in enumerate(radii):
+        assert np.all(np.isfinite(r)) and np.all(r > 0)
+        assert np.array_equal(r, rho[:, d + 2 * k])
+    assert np.array_equal(flavor, radii[-1])
+
+
+@pytest.mark.parametrize('mat', [MAT2, Material3(0.5, 1.0 / 0.7)],
+                         ids=['mat2', 'mat3'])
+def test_characteristic_radii_keep_every_bit(mat):
+    # on ordinary wavevectors, and at the zero mode, the scaled measure is
+    # the unscaled one bit for bit
+    xi = np.random.default_rng(12).normal(0.0, 5.0, (3000, mat.dim))
+    xi[0] = 0.0
+    for r, q in zip(rg.characteristic_radii(xi, mat), mat.sphere_qforms):
+        assert np.array_equal(r, symbol._qnorm(xi, q))
+    assert rg.characteristic_radii(xi, mat)[0][0] == 0.0
+
+
 @pytest.mark.parametrize('mat,grid', [
     (MAT2, sp.Grid(2, 64)), (Material3(0.5, 1.0 / 0.7), sp.Grid(3, 16)),
     (Material3(1.0, 1.0), sp.Grid(3, 16))], ids=['mat2', 'mat3', 'iso3'])
