@@ -32,8 +32,9 @@ distance ON_SPHERE of a sphere that its route cannot take: on the
 lattice route any such mode, where the periodic limit does not exist;
 on the quadrature route an axis one, which bypasses the split.
 
-Each off-grid term is one separable transform over its nodes, taken in
-rings: a ring is one (radius, polar) pair of the sphere rule, whose
+Each off-grid output (the principal values of all spheres, or their
+surface terms) is one separable transform over its terms' nodes, taken
+in rings: a ring is one (radius, polar) pair of the sphere rule, whose
 2 n_sphere azimuth nodes share xi_1, and in 2D a single node.  Every
 phase table e^{i x xi} is kept on the half grid of H = n/2 + 1 axis
 coordinates x >= 0 and -L/2 only, as real (cos, sin) pairs: the other
@@ -48,7 +49,7 @@ sums (cos, sin)^d blocks on the half grid with real GEMMs: each ring's
 plane over the later axes, 8 ncomp H^2 real multiply-adds per node in
 3D, then one GEMM of the axis-1 table over the rings, 16 ncomp H^3 per
 ring in 3D and 8 ncomp H^2 per node in 2D; the grid is unfolded from the
-blocks once per call.  Per node that is 8 ncomp H^2 (1 + H / n_sphere)
+blocks once per output.  Per node that is 8 ncomp H^2 (1 + H / n_sphere)
 real multiply-adds in 3D and 8 ncomp H^2 in 2D, about half the
 4 ncomp n^2 (1 + n / (2 n_sphere)) of full complex tables.
 
@@ -291,40 +292,42 @@ def offgrid_transform(f, xi_pts):
     return out
 
 
-def _apply_offgrid(J, xi, coeffs, weights=None):
-    """sum_p coeffs_p W_p Jhat(xi_p) e^{i x xi_p} in one pass over the
-    nodes xi, grouped in rings (rings, per_ring, d) whose nodes share xi_1
-    (_polar_points), with coeffs of shape (rings, per_ring).  The weights
-    W, (n_polar, per_ring, ncomp, ncomp), are one per direction: the
-    rings come in radii of n_polar rings, and every radius shares them.
+def _apply_offgrid(J, terms):
+    """sum_p coeffs_p W_p Jhat(xi_p) e^{i x xi_p} over the nodes of every
+    term (xi, coeffs, weights) of _polar_points, in rings (rings,
+    per_ring, d) whose nodes share xi_1, coeffs (rings, per_ring).  The
+    weights W, (n_polar, per_ring, ncomp, ncomp) or None, are one per
+    direction: the rings come in radii of n_polar rings, and every radius
+    shares them.
 
-    The synthesis sums real (cos, sin)^d blocks on the half grid: with
-    a = coeffs W Jhat as (re, im) pairs, each ring's plane over the later
-    axes, in 3D T_2^T (a (x) T_3) by a batched matmul over the ring's
-    nodes (in 2D a ring is one node, whose plane is a (x) T_2), then one
-    GEMM of the axis-1 table over the rings.  The grid, laid out
-    (n, ..., ncomp, n), is unfolded from the blocks once (_unfold)."""
+    The synthesis sums real (cos, sin)^d blocks on the half grid into one
+    accumulator: with a = coeffs W Jhat as (re, im) pairs, each ring's
+    plane over the later axes, in 3D T_2^T (a (x) T_3) by a batched matmul
+    over the ring's nodes (in 2D a ring is one node, whose plane is
+    a (x) T_2), then one GEMM of the axis-1 table over the rings.  The
+    grid (n, ..., ncomp, n) is unfolded once per output (_unfold)."""
     grid, ncomp = J.grid, J.ncomp
     half = grid.n // 2 + 1
     # (x_1, cos | sin, [x_2, cos | sin,] ncomp, re | im, cos | sin, x_d)
     blocks = (half, 2) * (grid.dim - 1) + (ncomp, 2, 2, half)
     acc = np.zeros((2 * half, np.prod(blocks[2:])))
     cb = _support_block(J)
-    n_polar = 1 if weights is None else len(weights)
-    for sl, tabs in _ring_blocks(grid, ncomp, xi, n_polar):
-        v = _forward(cb, tabs)
-        if weights is not None:     # broadcast over the block's radii
-            v = (weights @ v.reshape((-1,) + weights.shape[:-1] + (1,))
-                 ).reshape(v.shape)
-        a = (v * coeffs[sl][..., None]).view(float)
-        # (rings, per_ring, ncomp re | im, cos | sin x_d)
-        t = np.ascontiguousarray(tabs[-1].view(float).reshape(
-            tabs[-1].shape + (2,)).swapaxes(-1, -2))
-        plane = np.einsum('rpi,rpkx->rpikx', a, t)
-        plane = plane.reshape(plane.shape[:2] + (-1,))
-        if grid.dim == 3:
-            plane = tabs[1].view(float).swapaxes(1, 2) @ plane
-        acc += tabs[0].view(float).T @ plane.reshape(len(plane), -1)
+    for xi, coeffs, weights in terms:
+        n_polar = 1 if weights is None else len(weights)
+        for sl, tabs in _ring_blocks(grid, ncomp, xi, n_polar):
+            v = _forward(cb, tabs)
+            if weights is not None:     # broadcast over the block's radii
+                v = (weights @ v.reshape((-1,) + weights.shape[:-1] + (1,))
+                     ).reshape(v.shape)
+            a = (v * coeffs[sl][..., None]).view(float)
+            # (rings, per_ring, ncomp re | im, cos | sin x_d)
+            t = np.ascontiguousarray(tabs[-1].view(float).reshape(
+                tabs[-1].shape + (2,)).swapaxes(-1, -2))
+            plane = np.einsum('rpi,rpkx->rpikx', a, t)
+            plane = plane.reshape(plane.shape[:2] + (-1,))
+            if grid.dim == 3:
+                plane = tabs[1].view(float).swapaxes(1, 2) @ plane
+            acc += tabs[0].view(float).T @ plane.reshape(len(plane), -1)
     acc = acc.reshape(blocks)
     g = acc[..., 0, :, :] + 1j * acc[..., 1, :, :]
     g = _unfold(g, g.ndim - 1, g.ndim - 2)
@@ -412,16 +415,6 @@ def _polar_points(radii, coefs, qform, beta, grid, n_sphere, weight=None):
             None if weight is None else _column_weight(dirs, *weight))
 
 
-def _shell(f, radii, coefs, qform, beta, n_sphere, weight=None):
-    """sum_i coefs_i over the flavor sphere { ||xi||_qform = radii_i } of
-    beta W fhat, synthesized on the grid: the polar rule of _polar_points
-    applied by _apply_offgrid.  One radius with coefficient c gives c
-    times the coarea (delta-shell) integral."""
-    return _apply_offgrid(f, *_polar_points(
-        np.asarray(radii, dtype=float), np.asarray(coefs), qform, beta,
-        f.grid, n_sphere, weight))
-
-
 # ---------------------------------------------------------------------------
 # scalar model operators
 
@@ -463,18 +456,20 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
         return spectral._like(f, c * mult)
     if method != 'quadrature':
         raise InvalidArgument("method must be 'lattice' or 'quadrature'")
-    return _radial_shell(f, omega, beta, qform, n_sphere, n_radial,
-                         pole=omega + 1j * sign * delta)
+    return _apply_offgrid(f, [_radial_term(f.grid, omega, beta, qform,
+                                           n_sphere, n_radial,
+                                           pole=omega + 1j * sign * delta)])
 
 
-def _radial_shell(f, omega, beta, qform, n_sphere, n_radial, weight=None,
-                  window=None, pole=None):
-    """_shell over the radial rule _radial_nodes at omega, on (0, r_max)
-    with r_max the largest euclidean radius of the cutoff's support."""
+def _radial_term(grid, omega, beta, qform, n_sphere, n_radial, weight=None,
+                 window=None, pole=None):
+    """The _polar_points term of the radial rule _radial_nodes at omega,
+    on (0, r_max) with r_max the largest euclidean radius of the cutoff's
+    support."""
     r_max = beta.r_out * np.sqrt(np.linalg.eigvalsh(
         np.asarray(qform, float)).max())
     radii, coefs = _radial_nodes(omega, r_max, n_radial, window, pole)
-    return _shell(f, radii, coefs, qform, beta, n_sphere, weight)
+    return _polar_points(radii, coefs, qform, beta, grid, n_sphere, weight)
 
 
 def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
@@ -488,10 +483,11 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
                                         n_sphere, n_radial)
     if tol is not None and not 0 < tol < np.inf:
         raise InvalidArgument("tol must be finite and > 0, got %r" % (tol,))
-    out = _radial_shell(f, omega, beta, qform, n_sphere, n_radial)
+    out = _apply_offgrid(f, [_radial_term(f.grid, omega, beta, qform,
+                                          n_sphere, n_radial)])
     if tol is not None:
-        fine = _radial_shell(f, omega, beta, qform, 2 * n_sphere,
-                             2 * n_radial)
+        fine = _apply_offgrid(f, [_radial_term(f.grid, omega, beta, qform,
+                                               2 * n_sphere, 2 * n_radial)])
         drift = spectral.lebesgue_norm(fine - out, 2)
         scale = max(spectral.lebesgue_norm(fine, 2), 1e-300)
         if drift > tol * scale:
@@ -509,7 +505,9 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
     spectral._sign(sign)
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere)
-    return _shell(f, [omega], [sign * 1j * np.pi], qform, beta, n_sphere)
+    return _apply_offgrid(f, [_polar_points(
+        np.asarray([omega], float), np.array([sign * 1j * np.pi]), qform,
+        beta, f.grid, n_sphere)])
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +580,24 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
         # the smooth background near them
         common = spectral._like(J, spectral._solve_coeffs(omega, J, mat,
                                                           drop=near))
-    surface = spectral.Field.zeros(grid, J.ncomp)
     if not np.any(near):
-        return common, surface
+        return common, spectral.Field.zeros(grid, J.ncomp)
     # held on its own support, which the off-grid forward reads
     J_near = spectral._like(J, np.where(near, c, 0), tight=True)
     # 1/(i(omega -+ rho)) = (+-i) / (rho - |omega|) near the sphere
     pv_sign = 1j if omega > 0 else -1j
+    pv, surface = [], []
     for col, qform in zip(multiplier._singular_columns(omega, mat),
                           mat.sphere_qforms):
         if n_radial is not None:
-            common = common + _radial_shell(
-                J_near, abs(omega), beta, qform, n_sphere, n_radial,
-                weight=(mat, col, pv_sign), window=2.0 * MARGIN * abs(omega))
-        surface = surface + _shell(J_near, [abs(omega)], [-np.pi], qform,
-                                   beta, n_sphere, (mat, col, 1.0))
-    return common, surface
+            pv.append(_radial_term(
+                grid, abs(omega), beta, qform, n_sphere, n_radial,
+                weight=(mat, col, pv_sign), window=2.0 * MARGIN * abs(omega)))
+        surface.append(_polar_points(np.array([abs(omega)]), np.array(
+            [-np.pi]), qform, beta, grid, n_sphere, (mat, col, 1.0)))
+    if pv:
+        common = common + _apply_offgrid(J_near, pv)
+    return common, _apply_offgrid(J_near, surface)
 
 
 def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,

@@ -122,11 +122,11 @@ def test_offgrid_matches_dense_oracle(dim, n, npts):
 
     vals, plain = dense_offgrid(J, xi, cf)
     assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
-    assert _rel(lap._apply_offgrid(J, xi[:, None], cf[:, None]).data,
-                plain) < 1e-12
+    assert _rel(lap._apply_offgrid(J, [(xi[:, None], cf[:, None], None)]
+                                   ).data, plain) < 1e-12
     _, weighted = dense_offgrid(J, xi, cf,
                                 np.tile(W[:, 0], (npts // n_polar, 1, 1)))
-    out = lap._apply_offgrid(J, xi[:, None], cf[:, None], W)
+    out = lap._apply_offgrid(J, [(xi[:, None], cf[:, None], W)])
     assert _rel(out.data, weighted) < 1e-12
 
 
@@ -171,13 +171,34 @@ def test_polar_rings_match_dense_oracle(mat, flavor):
         pts, cf, _ = lap._polar_points(radii, coefs, qform, beta, g, 5)
         flat = pts.reshape(-1, 3)
         _, plain = dense_offgrid(J, flat, cf.ravel())
-        assert _rel(lap._apply_offgrid(J, pts, cf).data, plain) < 1e-12
+        assert _rel(lap._apply_offgrid(J, [(pts, cf, None)]).data,
+                    plain) < 1e-12
         P = projectors(flat, mat)
         for col in mp._singular_columns(OMEGA, mat):
             _, ref = dense_offgrid(J, flat, cf.ravel(), P[col])
-            out = lap._apply_offgrid(J, *lap._polar_points(
-                radii, coefs, qform, beta, g, 5, (mat, col, 1j)))
+            out = lap._apply_offgrid(J, [lap._polar_points(
+                radii, coefs, qform, beta, g, 5, (mat, col, 1j))])
             assert _rel(out.data, 1j * ref) < 1e-12
+
+
+@pytest.mark.parametrize('weighted', [False, True], ids=['plain', 'weighted'])
+@pytest.mark.parametrize('mat,n', [(MAT2, 16), (MAT3, 8)], ids=['2d', '3d'])
+def test_offgrid_terms_sum_in_one_synthesis(mat, n, weighted):
+    # a principal-value term and a surface term, on the two spheres in 3D
+    # and on the one sphere twice in 2D, synthesized together equal the
+    # sum of their single-term syntheses
+    g = sp.Grid(mat.dim, n)
+    J = sp.random_band_limited(g, 3 * (mat.dim - 1), RNG)
+    beta = lap.CutoffSpec(3.0, 3.6)
+    qforms = (mat.sphere_qforms * 2)[:2]
+    cols = (list(mp._singular_columns(OMEGA, mat)) * 2)[:2]
+    weights = [(mat, c, s) if weighted else None for c, s in zip(cols,
+                                                                (1j, 1.0))]
+    terms = [lap._radial_term(g, 2.3, beta, qforms[0], 5, 3, weights[0]),
+             lap._polar_points(np.array([2.3]), np.array([-np.pi]),
+                               qforms[1], beta, g, 5, weights[1])]
+    one, two = (lap._apply_offgrid(J, [t]) for t in terms)
+    assert _rel(lap._apply_offgrid(J, terms).data, (one + two).data) < 1e-14
 
 
 def test_polar_points_drop_only_whole_rings():
@@ -233,9 +254,9 @@ def test_offgrid_weights_match_projector_oracle(mat, n, band, omega):
         _, ref = dense_offgrid(J, xi, cf, P[col])
         for scale in (1.0, 1j if omega > 0 else -1j):
             # one radius whose npts rings of one are the nodes xi
-            out = lap._apply_offgrid(
-                J, xi[:, None], cf[:, None],
-                lap._column_weight(xi[:, None], mat, col, scale))
+            out = lap._apply_offgrid(J, [(
+                xi[:, None], cf[:, None],
+                lap._column_weight(xi[:, None], mat, col, scale))])
             assert _rel(out.data, scale * ref) < 1e-12
 
 
@@ -270,8 +291,8 @@ def test_offgrid_support_inputs_match_dense_oracle(dim, n, npts, make):
     cf = RNG.standard_normal(npts) + 1j * RNG.standard_normal(npts)
     vals, plain = dense_offgrid(J, xi, cf)
     assert _rel(lap.offgrid_transform(J, xi), vals) < 1e-12
-    assert _rel(lap._apply_offgrid(J, xi[:, None], cf[:, None]).data,
-                plain) < 1e-12
+    assert _rel(lap._apply_offgrid(J, [(xi[:, None], cf[:, None], None)]
+                                   ).data, plain) < 1e-12
 
 
 @pytest.mark.parametrize('dim,n', [(2, 32), (3, 16)])
@@ -287,7 +308,7 @@ def test_offgrid_zero_field_gives_zeros(dim, n):
     for pts in rings:
         pts[..., 0] = pts[:, :1, 0]
         cf = RNG.standard_normal(pts.shape[:2]) + 0j
-        out = lap._apply_offgrid(J, pts, cf)
+        out = lap._apply_offgrid(J, [(pts, cf, None)])
         assert out.shape == J.shape and not np.any(out.data)
 
 
@@ -446,8 +467,9 @@ def test_windowed_shell_matches_the_continuum(dim, n, n_sphere, bound):
     t = (h * (s + 1) + edges[:-1, None]).ravel()
     wt = (h * w).ravel() * lap._smooth_step(2 * t / T - 1)
     want = wt / t @ (H(omega + t) - H(omega - t))
-    got = lap._radial_shell(f, omega, lap._band_cutoff(g), np.eye(dim),
-                            n_sphere, 24, window=window).data[sel]
+    got = lap._apply_offgrid(f, [lap._radial_term(
+        g, omega, lap._band_cutoff(g), np.eye(dim), n_sphere, 24,
+        window=window)]).data[sel]
     assert np.abs(got - want).max() < bound * np.abs(want).max()
 
 
@@ -845,6 +867,27 @@ def test_one_frame_map_per_call(monkeypatch, mat):
         calls.clear()
         run()
         assert len(calls) == 1 and calls[0][1] is J
+
+
+@pytest.mark.parametrize('dim', [2, 3])
+def test_one_offgrid_synthesis_per_output(monkeypatch, dim):
+    # every sphere's principal value is one synthesis, added to common,
+    # and every sphere's surface term one, the jump
+    calls = []
+    real = lap._apply_offgrid
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lap, '_apply_offgrid', counting)
+    mat = MAT2 if dim == 2 else MAT3
+    J = sp.random_band_limited(sp.Grid(dim, 16), 3 * (dim - 1), RNG)
+    lap.lap_parts(OMEGA, J, mat)
+    assert len(calls) == 2
+    calls.clear()
+    lap.surface_terms(OMEGA, J, mat)
+    assert len(calls) == 1
 
 
 _F1 = sp.random_band_limited(sp.Grid(2, 16), 1, np.random.default_rng(1))
