@@ -362,6 +362,9 @@ def _radial_nodes(r0, r_max, n_radial, window=None, pole=None):
     nodes below and floor(n / 2) above, none for n = 1."""
     T = (0.5 * min(r0, max(r_max - r0, 1e-9)) if window is None
          else min(window, 0.99 * r0))
+    if not T >= np.finfo(float).tiny:     # 0 / 0 or subnormal coefficients
+        raise InvalidArgument("omega = %r leaves the radial rule a "
+                              "half-width of %r" % (r0, T))
     pole = r0 if pole is None else pole
     if pole != r0:
         delta, sign = abs(pole.imag), np.sign(pole.imag)
@@ -481,7 +484,7 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
     more."""
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere, n_radial)
-    if tol is not None and not 0 < tol < np.inf:
+    if tol is not None and not 0 < materials._real('tol', tol) < np.inf:
         raise InvalidArgument("tol must be finite and > 0, got %r" % (tol,))
     out = _apply_offgrid(f, [_radial_term(f.grid, omega, beta, qform,
                                           n_sphere, n_radial)])
@@ -658,7 +661,7 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid):
     MethodsDisagree if the two differ by more than 1e-10 relative.
     """
     omega = symbol._frequency(omega, real=True)
-    deltas = np.asarray(deltas, float)
+    deltas = materials._numbers('deltas', deltas)
     if deltas.size < 2 or not np.all((deltas > 0) & (deltas < np.inf)):
         raise InvalidArgument("need at least two finite deltas > 0, got %r"
                               % (deltas,))

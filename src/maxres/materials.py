@@ -16,11 +16,22 @@ from .errors import InvalidArgument, NotPartiallyAnisotropic
 
 
 def _real(name, value):
-    """Refuse a value that is not a real number (a bool is none), naming
+    """value, refused if it is not a real number (a bool is none), naming
     the argument, before any comparison can raise a bare TypeError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidArgument("%s must be a real number, got %r"
                               % (name, value))
+    return value
+
+
+def _numbers(name, values, kinds='iuf'):
+    """values as a float array (complex if kinds, numpy dtype kinds, has
+    'c'), refusing an entry of another kind (a string, None, a bool) by
+    name, before numpy can raise a bare TypeError or ValueError."""
+    a = np.asarray(values)
+    if a.dtype.kind not in kinds:
+        raise InvalidArgument("%s must be numbers, got %r" % (name, values))
+    return a.astype(complex if 'c' in kinds else float)
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,8 @@ def material3_from_diag(eps1, eps2, eps3, mu=1.0, rtol=1e-12):
     Exactly one value may differ from the other two (that axis becomes the
     distinguished one).  Three pairwise distinct values are rejected.
     """
-    vals = [float(eps1), float(eps2), float(eps3)]
+    vals = [float(_real(name, value)) for name, value in
+            zip(('eps1', 'eps2', 'eps3'), (eps1, eps2, eps3))]
     same = [np.isclose(vals[i], vals[j], rtol=rtol)
             for i, j in ((0, 1), (0, 2), (1, 2))]
     if all(same):

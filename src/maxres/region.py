@@ -241,8 +241,7 @@ class FitResult:
 
 def loglog_fit(xs, ys):
     """Fit log y = slope * log x + intercept by least squares."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = materials._numbers('xs', xs), materials._numbers('ys', ys)
     if xs.size < 2:
         raise InvalidArgument("need at least two points to fit")
     if not np.all((xs > 0) & (xs < np.inf) & (ys > 0) & (ys < np.inf)):
@@ -329,7 +328,7 @@ def annulus_source(grid, omega, mat, thickness=1.0, rng=None):
     modes the resolvent acts as the scalar 1/(i(omega - rho)).
     """
     symbol._frequency(omega)
-    if not 0 < thickness < np.inf:
+    if not 0 < materials._real('thickness', thickness) < np.inf:
         raise InvalidArgument("thickness must be finite and > 0, got %r"
                               % (thickness,))
     sel, _ = _annulus_modes(grid.xi_flat(), omega, mat, thickness)
@@ -386,7 +385,7 @@ def norm_scaling_probe(pair, mat, family, omegas, grid, vary='dist',
     if vary not in ('dist', 'modulus'):
         raise InvalidArgument("vary must be 'dist' or 'modulus'")
     xs, ys = [], []
-    for omega in omegas:
+    for omega in materials._numbers('omegas', omegas, 'iufc'):
         omega = complex(omega)
         if family == 'radial':
             J = annulus_source(grid, abs(omega), mat, rng=rng)

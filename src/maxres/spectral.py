@@ -380,6 +380,7 @@ def _solve_coeffs(omega, f, mat, drop=None):
     out = np.zeros_like(c)
     active = _support(c)
     zero = symbol._top(xi) == 0
+    _reciprocal(omega)
     out[:, zero] = c[:, zero] / (1j * omega)
     idx = np.nonzero(active & ~zero)[0]
     if drop is not None:
@@ -439,6 +440,14 @@ def _sign(sign):
     """Refuse a sign other than +1 or -1."""
     if sign not in (+1, -1):
         raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
+
+
+def _reciprocal(omega):
+    """Refuse, naming it, an omega whose reciprocal overflows: the zero
+    mode's 1 / omega."""
+    if not abs(omega) >= 2.0 ** -1023:
+        raise InvalidArgument("omega = %r is too small: 1 / omega "
+                              "overflows" % (omega,))
 
 
 def _count(name, value):
@@ -513,8 +522,12 @@ def fractional_laplacian(f, s):
     if s < 0 and np.abs(c[:, zero]).max(initial=0.0) > 1e-12:
         raise MeanNotZero("negative-order multiplier on a field with mean")
     mult = np.zeros_like(rho)
-    mult[~zero] = rho[~zero] ** s
-    return _like(f, c * mult)
+    with np.errstate(over='ignore', invalid='ignore'):
+        mult[~zero] = rho[~zero] ** s
+        c = c * mult
+    if not np.isfinite(c).all():
+        raise InvalidArgument("s = %r: |xi|^s overflows on this grid" % (s,))
+    return _like(f, c)
 
 
 @dataclass
@@ -545,6 +558,7 @@ def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     if omega.imag == 0:
         raise RealFrequency("half-Laplacian resolvent needs Im(omega) != 0")
     _sign(sign)
+    _reciprocal(omega)
     c, xi = _modes(f)
     rho = flavor_norm(xi, flavor, mat, f.grid.dim)
     return _like(f, c * (1.0 / (omega + sign * rho)))

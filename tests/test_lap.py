@@ -10,7 +10,7 @@ from maxres import spectral as sp
 from maxres import symbol
 from maxres.errors import (InvalidArgument, MethodsDisagree, OnSingularSet,
                            QuadratureNotConverged)
-from maxres.materials import Material2, Material3
+from maxres.materials import Material2, Material3, material3_from_diag
 from maxres.spectral import TAU
 from helpers import PerturbedFactors, near_axis_xi, projectors
 
@@ -192,8 +192,8 @@ def test_offgrid_terms_sum_in_one_synthesis(mat, n, weighted):
     beta = lap.CutoffSpec(3.0, 3.6)
     qforms = (mat.sphere_qforms * 2)[:2]
     cols = (list(mp._singular_columns(OMEGA, mat)) * 2)[:2]
-    weights = [(mat, c, s) if weighted else None for c, s in zip(cols,
-                                                                (1j, 1.0))]
+    weights = [(mat, col, scale) if weighted else None
+               for col, scale in zip(cols, (1j, 1.0))]
     terms = [lap._radial_term(g, 2.3, beta, qforms[0], 5, 3, weights[0]),
              lap._polar_points(np.array([2.3]), np.array([-np.pi]),
                                qforms[1], beta, g, 5, weights[1])]
@@ -1142,6 +1142,36 @@ BAD_ARGUMENTS = {
     'eigenvalue-enclosure-q-none': (
         lambda: rg.eigenvalue_enclosure(_Z_QUERY, _F1, 2.0, None),
         'q must be a real number'),
+    # '<' not supported between 'int' and 'str' (or 'NoneType')
+    'annulus-source-thickness-str': (
+        lambda: rg.annulus_source(sp.Grid(2, 32), 3.0, MAT2, thickness='x'),
+        'thickness must be a real number'),
+    'annulus-source-thickness-none': (
+        lambda: rg.annulus_source(sp.Grid(2, 32), 3.0, MAT2,
+                                  thickness=None),
+        'thickness must be a real number'),
+    'pv-part-tol-str': (lambda: lap.pv_part(_F1, 3.0, tol='x'),
+                        'tol must be a real number'),
+    # could not convert string to float: 'a'
+    'blowup-deltas-str': (
+        lambda: lap.lap_blowup_probe(3.0, rg.LebesguePair(0.5, 0.5, 2),
+                                     MAT2, ['a', 'b'], sp.Grid(2, 32)),
+        'deltas must be numbers'),
+    'loglog-fit-xs-str': (lambda: rg.loglog_fit(['a', 'b'], [1, 2]),
+                          'xs must be numbers'),
+    'material3-from-diag-eps1-str': (
+        lambda: material3_from_diag('x', 1, 1), 'eps1 must be a real number'),
+    # complex('x'): complex() arg is a malformed string
+    'scaling-probe-omegas-str': (
+        lambda: rg.norm_scaling_probe(rg.LebesguePair(0.5, 0.5, 2), MAT2,
+                                      'radial', ['x', 'y'], sp.Grid(2, 32)),
+        'omegas must be numbers'),
+    # "field data must be finite", after |xi|^s overflowed
+    'fractional-laplacian-s-1e300': (
+        lambda: sp.fractional_laplacian(_F1, 1e300), r's = 1e\+300'),
+    'fractional-laplacian-s-2-on-tiny-grid': (
+        lambda: sp.fractional_laplacian(sp.Field(
+            sp.Grid(2, 16, 1e-300), np.ones((1, 16, 16))), 2), 's = 2'),
 }
 
 
@@ -1207,6 +1237,16 @@ BAD_FREQUENCIES = {
     # False, with no error
     'z-region-nan': lambda: rg.z_region(rg.RegionQuery(_PAIR, 2.0),
                                         complex(1, np.nan)),
+    # "field data must be finite": 1 / omega overflowed at the zero mode
+    # and on the static columns, or the radial rule's half-width
+    # underflowed to 0 and its coefficients were 0 / 0
+    'lap-solve-subnormal': lambda: lap.lap_solve(5e-324, _J2, MAT2),
+    'lap-parts-subnormal-extrapolate': lambda: lap.lap_parts(
+        5e-324, _J2, MAT2, 'extrapolate'),
+    'solve-subnormal': lambda: sp.solve(1e-320j, _J3, MAT3),
+    'pv-part-subnormal': lambda: lap.pv_part(_F1, 5e-324),
+    'half-laplacian-subnormal': lambda: sp.half_laplacian_resolvent(
+        _F1, 1e-320j),
 }
 
 
