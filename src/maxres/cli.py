@@ -35,7 +35,8 @@ import numpy as np
 
 from . import fieldfile, lap, region, spectral, verify
 from .errors import (ConfigError, EmptyRegion, FieldFormatError,
-                     InvalidArgument, MaxresError, MethodsDisagree)
+                     InvalidArgument, MaxresError, MethodsDisagree, _count,
+                     _real)
 from .materials import Material2, Material3
 from .region import LebesguePair, RegionQuery
 from .spectral import Grid
@@ -50,8 +51,9 @@ EXIT_DISAGREE = 2
 
 
 # The known keys of each section.  Casts and defaults live where a key is
-# read (_get), and every rule on a value lives in the library, which
-# raises InvalidArgument.
+# read (_get); every rule on a value lives in the library, and a key
+# that no library call reads is checked where it is read, with the
+# checks of maxres.errors; both raise InvalidArgument.
 KEYS = {
     'grid': ('dim', 'n', 'length'),
     'material': ('eps11', 'eps12', 'eps22', 'eps_axis', 'eps_perp', 'axis',
@@ -127,10 +129,8 @@ def parse_material(cp):
 def parse_omega(cp):
     re = _get(cp, 'frequency', 're', float)
     im = _get(cp, 'frequency', 'im', float, default=0.0)
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise ConfigError("[frequency] re and im must be finite, got "
-                          "re = %r, im = %r" % (re, im))
-    return complex(re, im)
+    return complex(_real('[frequency] re', re, '(-inf, inf)'),
+                   _real('[frequency] im', im, '(-inf, inf)'))
 
 
 def build_source(cp, grid, mat, rng):
@@ -201,11 +201,12 @@ def cmd_solve(args, cp):
     if omega.imag == 0:
         raise ConfigError("Im(omega) = 0: use the lap subcommand for "
                           "real-frequency limiting solutions")
-    q = _get(cp, 'tolerances', 'charge_q', float, default=2.0)
-    tol = _get(cp, 'tolerances', 'residual', float, default=1e-10)
-    if not (1 <= q <= np.inf and 0 < tol < np.inf):
-        raise ConfigError("[tolerances] needs 1 <= charge_q <= inf and a "
-                          "finite residual > 0, got %r and %r" % (q, tol))
+    q = _real('[tolerances] charge_q',
+              _get(cp, 'tolerances', 'charge_q', float, default=2.0),
+              '[1, inf]')
+    tol = _real('[tolerances] residual',
+                _get(cp, 'tolerances', 'residual', float, default=1e-10),
+                '(0, inf)')
     rng = np.random.default_rng(args.seed)
     J = build_source(cp, grid, mat, rng)
     scale = spectral.lebesgue_norm(J, 2)
@@ -292,21 +293,14 @@ def cmd_lap(args, cp):
     return EXIT_OK
 
 
-def _resolution(cp):
-    """gamma_map's [region] resolution, which no library call checks."""
-    n = _get(cp, 'region', 'resolution', int, default=101)
-    if n < 2:
-        raise ConfigError("[region] resolution must be at least 2, got %d"
-                          % n)
-    return n
-
-
 def cmd_region(args, cp):
     mode = _get(cp, 'region', 'mode', str, default='gamma_map')
     out = _outdir(args)
     if mode == 'gamma_map':
         d = _get(cp, 'region', 'dim', int, default=3)
-        n = _resolution(cp)
+        # gamma_map's resolution, which no library call reads
+        n = _count('[region] resolution',
+                   _get(cp, 'region', 'resolution', int, default=101), 2)
         rows = [(i / (n - 1), j / (n - 1)) for i in range(n) for j in range(n)]
         rows = [(x, y, float(region.gamma(LebesguePair(x, y, d))))
                 for x, y in rows]
@@ -375,10 +369,9 @@ def cmd_probe(args, cp):
         raise ConfigError("probe family knapp needs a 3D grid")
     if family in ('annulus', 'knapp'):
         vary = _get(cp, 'probe', 'vary', str, default='dist')
-        count = _get(cp, 'probe', 'samples', int, default=6)
-        if count < 2:
-            raise ConfigError("[probe] samples must be at least 2 to fit "
-                              "a slope, got %d" % count)
+        # a slope needs two samples
+        count = _count('[probe] samples',
+                       _get(cp, 'probe', 'samples', int, default=6), 2)
         if vary == 'dist':
             base = region.on_sphere_frequency(grid, mat)
             omegas = [base + 1j * 2.0 ** -k for k in range(2, 2 + count)]

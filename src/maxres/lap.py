@@ -65,9 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GridTooCoarse, InvalidArgument, MethodsDisagree,
-                     OnSingularSet, QuadratureNotConverged)
+                     OnSingularSet, QuadratureNotConverged, _count,
+                     _frequency, _numbers, _real, _sign)
 from .spectral import TAU
-from . import materials, multiplier, region, spectral, symbol
+from . import multiplier, region, spectral, symbol
 
 MARGIN = 0.35
 ON_SPHERE = 1e-12
@@ -97,7 +98,7 @@ class CutoffSpec:
 
     def __post_init__(self):
         for name in ('r_in', 'r_out'):
-            materials._real(name, getattr(self, name))
+            _real(name, getattr(self, name))
         if not 0 < self.r_in < self.r_out < np.inf:
             raise InvalidArgument("need 0 < r_in < r_out < inf, got r_in = "
                                   "%r, r_out = %r" % (self.r_in, self.r_out))
@@ -368,7 +369,11 @@ def _radial_nodes(r0, r_max, n_radial, window=None, pole=None):
     pole = r0 if pole is None else pole
     if pole != r0:
         delta, sign = abs(pole.imag), np.sign(pole.imag)
-        S = np.arcsinh(T / delta)
+        with np.errstate(over='ignore'):
+            S = np.arcsinh(T / delta)
+        if not S < np.inf:
+            raise InvalidArgument("delta = %r is too small for the radial "
+                                  "rule: T / delta overflows" % (delta,))
         u, wu = _gauss(-S, S, 2 * n_radial)
         sh = np.sinh(u)
         radii, coefs = [r0 + delta * sh], [wu * np.cosh(u) / (sh - 1j * sign)]
@@ -421,15 +426,16 @@ def _polar_points(radii, coefs, qform, beta, grid, n_sphere, weight=None):
 # ---------------------------------------------------------------------------
 # scalar model operators
 
-def _model_args(f, omega, beta, flavor, mat, n_sphere, n_radial=None):
+def _model_args(f, omega, beta, flavor, mat, n_sphere, n_radial=1):
     """(beta, qform, n_sphere) of a scalar model operator at omega > 0,
     with the band cutoff and 192 (2D) or 16 (3D) sphere nodes by default;
-    the node counts given must be positive integers."""
-    if not symbol._frequency(omega, real=True) > 0:
+    the node counts must be positive integers (surface_part, which has no
+    radial rule, leaves n_radial at 1)."""
+    if not _frequency(omega, real=True) > 0:
         raise InvalidArgument("need omega > 0")
-    for name, value in (('n_sphere', n_sphere), ('n_radial', n_radial)):
-        if value is not None:
-            spectral._count(name, value)
+    if n_sphere is not None:
+        _count('n_sphere', n_sphere)
+    _count('n_radial', n_radial)
     dim = f.grid.dim
     return (_band_cutoff(f.grid) if beta is None else beta,
             spectral._flavor_qform(flavor, mat, dim),
@@ -446,17 +452,19 @@ def e_delta(f, omega, delta, sign=+1, beta=None, flavor='euclidean',
     of the semidiscrete transform, resolving the delta-width layer at
     the singular radius with a sinh substitution.
     """
-    materials._real('delta', delta)
-    if not 0 < delta < 0.5:
-        raise InvalidArgument("need 0 < delta < 1/2")
-    spectral._sign(sign)
+    _real('delta', delta, '(0, 0.5)')
+    _sign(sign)
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere, n_radial)
     if method == 'lattice':
         c, xi = spectral._modes(f)
-        mult = beta(xi) / (symbol._qnorm(xi, qform)
-                           - (omega + 1j * sign * delta))
-        return spectral._like(f, c * mult)
+        with np.errstate(over='ignore', invalid='ignore'):
+            c = c * (beta(xi) / (symbol._qnorm(xi, qform)
+                                 - (omega + 1j * sign * delta)))
+        if not np.isfinite(c).all():
+            raise InvalidArgument("delta = %r: the multiplier overflows on "
+                                  "this grid" % (delta,))
+        return spectral._like(f, c)
     if method != 'quadrature':
         raise InvalidArgument("method must be 'lattice' or 'quadrature'")
     return _apply_offgrid(f, [_radial_term(f.grid, omega, beta, qform,
@@ -484,8 +492,8 @@ def pv_part(f, omega, beta=None, flavor='euclidean', mat=None,
     more."""
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere, n_radial)
-    if tol is not None and not 0 < materials._real('tol', tol) < np.inf:
-        raise InvalidArgument("tol must be finite and > 0, got %r" % (tol,))
+    if tol is not None:
+        _real('tol', tol, '(0, inf)')
     out = _apply_offgrid(f, [_radial_term(f.grid, omega, beta, qform,
                                           n_sphere, n_radial)])
     if tol is not None:
@@ -505,7 +513,7 @@ def surface_part(f, omega, beta=None, flavor='euclidean', mat=None,
                  sign=+1, n_sphere=None):
     """sign * i * pi times the surface integral of beta * fhat over the
     characteristic sphere, synthesized on the grid; sign is +1 or -1."""
-    spectral._sign(sign)
+    _sign(sign)
     beta, qform, n_sphere = _model_args(f, omega, beta, flavor, mat,
                                         n_sphere)
     return _apply_offgrid(f, [_polar_points(
@@ -544,7 +552,7 @@ def _entry(omega, J, mat, method):
     refuses a mode on a sphere (see the module docstring) by each held
     mode's _sphere_distance, computed once.  Returns (omega, canonical
     material, canonical J, record, distances)."""
-    omega = symbol._frequency(omega, real=True)
+    omega = _frequency(omega, real=True)
     if method not in ('quadrature', 'extrapolate'):
         raise InvalidArgument("method must be 'quadrature' or 'extrapolate'")
     spectral._maxwell(J, mat)
@@ -571,7 +579,7 @@ def _quadrature_parts(omega, J, mat, dist, n_sphere, n_radial):
     grid = J.grid
     if n_sphere is None:
         n_sphere = 160 if grid.dim == 2 else 12
-    spectral._count('n_sphere', n_sphere)
+    _count('n_sphere', n_sphere)
     beta = default_cutoff(grid, omega, mat)
     c, xi = spectral._modes(J)
     # axis modes bypass the split: off the spheres the lattice inverse is
@@ -617,7 +625,7 @@ def lap_parts(omega, J, mat, method='quadrature', n_sphere=None,
     mode in the caller's axes."""
     omega, canon, Jc, record, dist = _entry(omega, J, mat, method)
     if method == 'quadrature':
-        spectral._count('n_radial', n_radial)
+        _count('n_radial', n_radial)
         return tuple(map(record.backward_fields, _quadrature_parts(
             omega, Jc, canon, dist, n_sphere, n_radial)))
     u = spectral._like(Jc, spectral._solve_coeffs(omega, Jc, canon))
@@ -629,7 +637,7 @@ def lap_solve(omega, J, mat, sign=+1, method='quadrature', n_sphere=None,
     """The limiting-absorption solution P_(+-)(omega) J at real omega:
     common + sign * jump of lap_parts, which describes the arguments;
     sign is +1 or -1."""
-    spectral._sign(sign)
+    _sign(sign)
     common, jump = lap_parts(omega, J, mat, method, n_sphere, n_radial)
     return common + sign * jump
 
@@ -638,7 +646,7 @@ def surface_terms(omega, J, mat, sign=+1, n_sphere=None):
     """sign times the jump of lap_parts' quadrature route (all
     characteristic spheres), sign +1 or -1; no principal value is
     computed."""
-    spectral._sign(sign)
+    _sign(sign)
     omega, canon, Jc, record, dist = _entry(omega, J, mat, 'quadrature')
     _, surface = _quadrature_parts(omega, Jc, canon, dist, n_sphere, None)
     return sign * record.backward_fields(surface)
@@ -660,11 +668,8 @@ def lap_blowup_probe(omega, pair, mat, deltas, grid):
     grid solve, of the best mode at the smallest delta, checks it:
     MethodsDisagree if the two differ by more than 1e-10 relative.
     """
-    omega = symbol._frequency(omega, real=True)
-    deltas = materials._numbers('deltas', deltas)
-    if deltas.size < 2 or not np.all((deltas > 0) & (deltas < np.inf)):
-        raise InvalidArgument("need at least two finite deltas > 0, got %r"
-                              % (deltas,))
+    omega = _frequency(omega, real=True)
+    deltas = _numbers('deltas', deltas, domain='(0, inf)', least=2)
     xi = grid.xi_flat()
     sel, radii = region._annulus_modes(xi, omega, mat, 0.5)
     sel = sel[np.argsort(np.abs(radii - abs(omega)))[:48]]

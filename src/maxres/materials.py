@@ -7,31 +7,16 @@ permittivity with a distinguished axis carrying one value and the two
 remaining axes sharing another, plus a scalar permeability.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NotPartiallyAnisotropic
+from .errors import (InvalidArgument, NotPartiallyAnisotropic, _count,
+                     _real)
 
-
-def _real(name, value):
-    """value, refused if it is not a real number (a bool is none), naming
-    the argument, before any comparison can raise a bare TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidArgument("%s must be a real number, got %r"
-                              % (name, value))
-    return value
-
-
-def _numbers(name, values, kinds='iuf'):
-    """values as a float array (complex if kinds, numpy dtype kinds, has
-    'c'), refusing an entry of another kind (a string, None, a bool) by
-    name, before numpy can raise a bare TypeError or ValueError."""
-    a = np.asarray(values)
-    if a.dtype.kind not in kinds:
-        raise InvalidArgument("%s must be numbers, got %r" % (name, values))
-    return a.astype(complex if 'c' in kinds else float)
+# relative tolerance under which material3_from_diag reads two
+# permittivity values as one
+_SAME_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,12 +32,11 @@ class Material2:
 
     def __post_init__(self):
         for name in ('eps11', 'eps12', 'eps22', 'mu'):
-            _real(name, getattr(self, name))
-        # a finite eps11 and determinant leave eps12 and eps22 finite
-        if not (0 < self.eps11 < np.inf and 0 < self.det_eps < np.inf
-                and 0 < self.mu < np.inf):
-            raise InvalidArgument("need a finite, positive definite eps and "
-                                  "a finite mu > 0, got %r" % (self,))
+            _real(name, getattr(self, name),
+                  '(-inf, inf)' if name == 'eps12' else '(0, inf)')
+        if not 0 < self.det_eps < np.inf:
+            raise InvalidArgument("need a positive definite eps with a "
+                                  "finite determinant, got %r" % (self,))
 
     @property
     def eps(self):
@@ -103,15 +87,9 @@ class Material3:
 
     def __post_init__(self):
         for name in ('eps_axis', 'eps_perp', 'mu'):
-            _real(name, getattr(self, name))
-        if not all(0 < v < np.inf
-                   for v in (self.eps_axis, self.eps_perp, self.mu)):
-            raise InvalidArgument("material parameters must be finite and "
-                                  "positive, got %r" % (self,))
+            _real(name, getattr(self, name), '(0, inf)')
         # 1.0 would fail later as a list index, and True would be axis 1
-        if not (isinstance(self.axis, (int, np.integer))
-                and not isinstance(self.axis, bool)
-                and self.axis in (1, 2, 3)):
+        if _count('axis', self.axis) > 3:
             raise InvalidArgument("axis must be 1, 2 or 3, got %r"
                                   % (self.axis,))
 
@@ -157,15 +135,15 @@ class Material3:
         return [self.b * np.eye(3), self.qform]
 
 
-def material3_from_diag(eps1, eps2, eps3, mu=1.0, rtol=1e-12):
+def material3_from_diag(eps1, eps2, eps3, mu=1.0):
     """Build a Material3 from three diagonal permittivity values.
 
     Exactly one value may differ from the other two (that axis becomes the
     distinguished one).  Three pairwise distinct values are rejected.
     """
-    vals = [float(_real(name, value)) for name, value in
+    vals = [float(_real(name, value, '(0, inf)')) for name, value in
             zip(('eps1', 'eps2', 'eps3'), (eps1, eps2, eps3))]
-    same = [np.isclose(vals[i], vals[j], rtol=rtol)
+    same = [np.isclose(vals[i], vals[j], rtol=_SAME_RTOL)
             for i, j in ((0, 1), (0, 2), (1, 2))]
     if all(same):
         return Material3(vals[0], vals[0], axis=1, mu=mu)

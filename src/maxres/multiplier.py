@@ -37,7 +37,7 @@ there.  All are vectorized over a leading batch of wavevectors.
 import numpy as np
 
 from . import symbol
-from .errors import RealFrequency
+from .errors import RealFrequency, _frequency
 
 
 def _rmatmul(a, z):
@@ -90,7 +90,7 @@ def resolvent_matrix(omega, xi, mat):
 
     Raises DegenerateDirection at xi = 0, where the symbol is i omega I.
     """
-    if np.any(np.imag(symbol._frequency(omega)) == 0):
+    if np.any(np.imag(_frequency(omega)) == 0):
         raise RealFrequency("unsplit resolvent needs Im(omega) != 0")
     return _apply(xi, np.eye(3 * (mat.dim - 1), dtype=complex), mat,
                   lambda rho: _scalar_resolvents(omega, rho))

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EmptyRegion, ExponentOrder, GridTooCoarse,
-                     InvalidArgument, OnSingularSet)
-from . import materials, multiplier, spectral, symbol
+                     InvalidArgument, OnSingularSet, _count, _frequency,
+                     _numbers, _real)
+from . import multiplier, spectral, symbol
 
 
 @dataclass(frozen=True)
@@ -25,12 +26,10 @@ class LebesguePair:
     d: int
 
     def __post_init__(self):
-        for name in ('x', 'y', 'd'):
-            materials._real(name, getattr(self, name))
-        if not (0 <= self.x <= 1 and 0 <= self.y <= 1):
-            raise InvalidArgument("reciprocal exponents must lie in [0, 1]")
-        if self.d not in (2, 3):
-            raise InvalidArgument("dimension must be 2 or 3")
+        for name in ('x', 'y'):
+            _real(name, getattr(self, name), '[0, 1]')
+        if _real('d', self.d) not in (2, 3):
+            raise InvalidArgument("d must be 2 or 3, got %r" % (self.d,))
 
     @property
     def p(self):
@@ -75,7 +74,7 @@ def kappa(pair, omega, variant='real_axis'):
     variant 'real_axis' measures dist to the real line (|Im omega|);
     'ray' measures dist to [0, inf).
     """
-    omega = complex(symbol._frequency(omega))
+    omega = complex(_frequency(omega))
     g = gamma(pair)
     if variant == 'real_axis':
         dist = abs(omega.imag)
@@ -133,14 +132,9 @@ class RegionQuery:
     t: float = 0.5
 
     def __post_init__(self):
-        for name in ('ell', 'C', 't'):
-            materials._real(name, getattr(self, name))
-        if not 0 < self.ell < np.inf:
-            raise InvalidArgument("ell must be finite and positive")
-        if not 0 < self.C < np.inf:
-            raise InvalidArgument("C must be finite and positive")
-        if not 0 < self.t < 1:
-            raise InvalidArgument("t must lie in (0, 1)")
+        for name, domain in (('ell', '(0, inf)'), ('C', '(0, inf)'),
+                             ('t', '(0, 1)')):
+            _real(name, getattr(self, name), domain)
 
 
 def _check_empty(pair, ell):
@@ -152,7 +146,7 @@ def _check_empty(pair, ell):
 
 def z_region(query, omega):
     """Whether omega belongs to the sublevel region kappa <= ell."""
-    omega = complex(symbol._frequency(omega))
+    omega = complex(_frequency(omega))
     if omega.imag == 0:
         raise OnSingularSet("membership is defined off the real axis")
     _check_empty(query.pair, query.ell)
@@ -169,9 +163,7 @@ def z_boundary(query, resolution=256):
     complex points covers the upper half and its conjugate mirror, and
     is symmetric under reflection in both axes.
     """
-    if not (isinstance(resolution, (int, np.integer)) and resolution >= 2):
-        raise InvalidArgument("resolution must be an integer >= 2, got %r"
-                              % (resolution,))
+    _count('resolution', resolution, 2)
     pair, ell = query.pair, query.ell
     a, g = alpha(pair), gamma(pair)
     _check_empty(pair, ell)
@@ -212,11 +204,8 @@ def eigenvalue_enclosure(query, V, p, q):
     The potential norm is taken in L^r with 1/r = 1/p - 1/q; the
     criterion is ||V||_r <= t / (C ell), non-strict.
     """
-    for name, value in (('p', p), ('q', q)):
-        materials._real(name, value)
-    if not p >= 1:
-        raise InvalidArgument("need p >= 1, got p=%r" % (p,))
-    if q <= p:
+    _real('p', p, '[1, inf]')
+    if _real('q', q, '(1, inf]') <= p:
         raise ExponentOrder("need q > p, got p=%r q=%r" % (p, q))
     r = 1.0 / (1.0 / p - 1.0 / q)
     norm = spectral.lebesgue_norm(V, r)
@@ -241,12 +230,11 @@ class FitResult:
 
 def loglog_fit(xs, ys):
     """Fit log y = slope * log x + intercept by least squares."""
-    xs, ys = materials._numbers('xs', xs), materials._numbers('ys', ys)
-    if xs.size < 2:
-        raise InvalidArgument("need at least two points to fit")
-    if not np.all((xs > 0) & (xs < np.inf) & (ys > 0) & (ys < np.inf)):
-        raise InvalidArgument("a log-log fit needs finite positive points, "
-                              "got xs = %r, ys = %r" % (xs, ys))
+    xs = _numbers('xs', xs, domain='(0, inf)', least=2)
+    ys = _numbers('ys', ys, domain='(0, inf)', least=2)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise InvalidArgument("xs and ys must be two lists of one length, "
+                              "got shapes %r and %r" % (xs.shape, ys.shape))
     lx, ly = np.log(xs), np.log(ys)
     A = np.stack([lx, np.ones_like(lx)], axis=-1)
     coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
@@ -278,10 +266,7 @@ def on_sphere_frequency(grid, mat):
 def off_sphere_frequency(grid, mat, near=3.0):
     """A frequency maximally separated from every lattice flavor radius
     in a unit window around ``near``, a finite number."""
-    materials._real('near', near)
-    if not -np.inf < near < np.inf:
-        raise InvalidArgument("near must be a finite number, got %r"
-                              % (near,))
+    _real('near', near, '(-inf, inf)')
     xi = grid.xi_flat()
     radii = np.concatenate([r.ravel() for r in characteristic_radii(xi, mat)])
     radii = np.unique(radii[(radii > 0) & (radii < grid.n // 2)])
@@ -327,10 +312,8 @@ def annulus_source(grid, omega, mat, thickness=1.0, rng=None):
     the eigenvector column whose eigenvalue is i(omega - rho); on those
     modes the resolvent acts as the scalar 1/(i(omega - rho)).
     """
-    symbol._frequency(omega)
-    if not 0 < materials._real('thickness', thickness) < np.inf:
-        raise InvalidArgument("thickness must be finite and > 0, got %r"
-                              % (thickness,))
+    _frequency(omega)
+    _real('thickness', thickness, '(0, inf)')
     sel, _ = _annulus_modes(grid.xi_flat(), omega, mat, thickness)
     amps = np.ones(sel.size, dtype=complex)
     if rng is not None:
@@ -347,7 +330,7 @@ def knapp_source(grid, omega, mat):
     variables, polarized along the singular eigenvector of the
     euclidean-sphere flavor.  omega must be nonzero.
     """
-    omega = complex(symbol._frequency(omega))
+    omega = complex(_frequency(omega))
     if omega == 0:
         raise InvalidArgument("omega must be nonzero for the cap source, "
                               "got %r" % (omega,))
@@ -385,7 +368,11 @@ def norm_scaling_probe(pair, mat, family, omegas, grid, vary='dist',
     if vary not in ('dist', 'modulus'):
         raise InvalidArgument("vary must be 'dist' or 'modulus'")
     xs, ys = [], []
-    for omega in materials._numbers('omegas', omegas, 'iufc'):
+    omegas = _numbers('omegas', omegas, 'iufc')
+    if not np.all(np.isfinite(omegas) & (omegas.imag != 0)):
+        raise InvalidArgument("omegas must be finite and off the real axis, "
+                              "got %r" % (omegas,))
+    for omega in omegas:
         omega = complex(omega)
         if family == 'radial':
             J = annulus_source(grid, abs(omega), mat, rng=rng)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, MeanNotZero, RealFrequency
-from . import materials, multiplier, symbol
+from .errors import (InvalidArgument, MeanNotZero, RealFrequency, _count,
+                     _frequency, _real, _reciprocal, _sign)
+from . import multiplier, symbol
 
 TAU = 2.0 * np.pi
 
@@ -49,7 +50,7 @@ class Grid:
             raise InvalidArgument("dim must be 2 or 3")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise InvalidArgument("n must be a power of two, at least 4")
-        materials._real('length', self.length)
+        _real('length', self.length)
         if not 0 < self.length <= np.finfo(float).max ** (1 / self.dim):
             raise InvalidArgument("length must be positive with a finite "
                                   "volume length^dim, got %r" % (self.length,))
@@ -310,14 +311,12 @@ def lebesgue_norm(f, p):
     (volume sum |c|^2)^(1/2), on the block and with no FFT; any other p
     reads the samples.
     """
-    materials._real('p', p)
+    _real('p', p, '[1, inf]')
     if p == 2:
         return float(np.sqrt(f.grid.volume * np.vdot(f._kept, f._kept).real))
     mag = np.sqrt(np.sum(np.abs(f.data) ** 2, axis=0))
     if np.isinf(p):
         return float(mag.max())
-    if not p >= 1:
-        raise InvalidArgument("p must be >= 1, got %r" % (p,))
     # scaled by the largest magnitude, so that mag ** p cannot overflow
     top = mag.max() or 1.0
     return float(top * (np.sum((mag / top) ** p) * f.grid.cell_volume)
@@ -409,7 +408,7 @@ def solve(omega, J, mat):
     runs in the canonical frame (symbol.canonicalize), and u is mapped
     back.
     """
-    omega = complex(symbol._frequency(omega))
+    omega = complex(_frequency(omega))
     if omega.imag == 0:
         raise RealFrequency("solve needs Im(omega) != 0; "
                             "use the lap module at real frequency")
@@ -434,28 +433,6 @@ def _flavor_qform(flavor, mat, dim):
         raise InvalidArgument("flavor %r of a %dD material does not apply "
                               "to a %dD field" % (flavor, mat.dim, dim))
     return mat.qform
-
-
-def _sign(sign):
-    """Refuse a sign other than +1 or -1."""
-    if sign not in (+1, -1):
-        raise InvalidArgument("sign must be +1 or -1, got %r" % (sign,))
-
-
-def _reciprocal(omega):
-    """Refuse, naming it, an omega whose reciprocal overflows: the zero
-    mode's 1 / omega."""
-    if not abs(omega) >= 2.0 ** -1023:
-        raise InvalidArgument("omega = %r is too small: 1 / omega "
-                              "overflows" % (omega,))
-
-
-def _count(name, value):
-    """Refuse a count that is not a positive integer (a bool is none)."""
-    if not (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value > 0):
-        raise InvalidArgument("%s must be a positive integer, got %r"
-                              % (name, value))
 
 
 def flavor_norm(xi, flavor, mat, dim):
@@ -515,9 +492,14 @@ def fractional_laplacian(f, s):
 
     Negative orders require a mean-zero field.
     """
-    materials._real('s', s)
+    _real('s', s, '(-inf, inf)')
     c, xi = _modes(f)
-    rho = np.sqrt(np.einsum('ki,ki->k', xi, xi))
+    # |xi| measured on xi scaled by the power of two of TAU / length,
+    # which is exact (and 1 on a period in (pi, 2 pi], the default), so
+    # that |xi|^2 cannot overflow on a short period
+    scale = 2.0 ** (np.frexp(TAU / f.grid.length)[1] - 1)
+    x = xi if scale == 1 else xi / scale
+    rho = np.sqrt(np.einsum('ki,ki->k', x, x)) * scale
     zero = rho == 0
     if s < 0 and np.abs(c[:, zero]).max(initial=0.0) > 1e-12:
         raise MeanNotZero("negative-order multiplier on a field with mean")
@@ -554,7 +536,7 @@ def divergence_and_charges(J):
 
 def half_laplacian_resolvent(f, omega, sign=+1, flavor='euclidean', mat=None):
     """The scalar multiplier 1 / (omega +- |xi|_flavor)."""
-    omega = complex(symbol._frequency(omega))
+    omega = complex(_frequency(omega))
     if omega.imag == 0:
         raise RealFrequency("half-Laplacian resolvent needs Im(omega) != 0")
     _sign(sign)
@@ -574,9 +556,7 @@ def random_band_limited(grid, ncomp, rng, kmax=None, solenoidal=False,
     _count('ncomp', ncomp)
     if kmax is None:
         kmax = grid.n // 4
-    materials._real('kmax', kmax)
-    if not kmax >= 0:
-        raise InvalidArgument("kmax must be >= 0, got %r" % (kmax,))
+    _real('kmax', kmax, '[0, inf]')
     band = np.nonzero(np.abs(grid.k_axis()) <= kmax)[0]
     shape = (ncomp,) + (band.size,) * grid.dim
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

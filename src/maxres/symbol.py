@@ -35,7 +35,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DegenerateDirection, InvalidArgument
+from .errors import DegenerateDirection, InvalidArgument, _frequency
 from .materials import Material2, Material3
 
 SQ2 = np.sqrt(2.0)
@@ -104,22 +104,6 @@ def _symbol_3d(omega, xi, mat):
     # right block of the lower row: -i B(xi) eps^{-1} (columnwise scaling)
     p[..., 3:, :3] = -1j * B * einv
     return p
-
-
-def _frequency(omega, real=False):
-    """omega, a frequency or an array of them, if finite; with ``real``
-    one nonzero real number (an imaginary part of exactly 0 is accepted),
-    returned as a float.  Anything else raises InvalidArgument."""
-    w = np.asarray(omega)
-    if not (np.issubdtype(w.dtype, np.number) and np.all(np.isfinite(w))):
-        raise InvalidArgument("omega must be a finite number, got %r"
-                              % (omega,))
-    if not real:
-        return omega
-    if w.ndim or w.imag != 0 or w.real == 0:
-        raise InvalidArgument("omega must be a nonzero real number here, "
-                              "got %r" % (omega,))
-    return float(w.real)
 
 
 def _wavevectors(xi, mat):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _count
 from .materials import Material2, Material3
 from .multiplier import (_apply, _rmatmul, _scalar_resolvents,
                          resolvent_matrix)
@@ -90,7 +90,7 @@ def _points(n_points, dim, least, flip_entry=None):
     ``flip_entry`` is None or a nonzero entry (i, j) of the 3D inverse
     symbol; a bad value raises an InvalidArgument that names it."""
     mats = MATERIALS_2D if dim == 2 else MATERIALS_3D
-    per = n_points // len(mats)
+    per = _count('n_points', n_points) // len(mats)
     if per < least:
         raise InvalidArgument("n_points = %d gives %d points per material, "
                               "fewer than %d" % (n_points, per, least))

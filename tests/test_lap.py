@@ -1172,6 +1172,22 @@ BAD_ARGUMENTS = {
     'fractional-laplacian-s-2-on-tiny-grid': (
         lambda: sp.fractional_laplacian(sp.Field(
             sp.Grid(2, 16, 1e-300), np.ones((1, 16, 16))), 2), 's = 2'),
+    # "field data must be finite" after RuntimeWarnings: the lattice
+    # multiplier at the mode (3, 0) on the sphere overflowed, and the
+    # radial rule took arcsinh(T / delta) of inf
+    'e-delta-delta-subnormal': (lambda: lap.e_delta(_F1, 3.0, 5e-324),
+                                'delta'),
+    'e-delta-quadrature-delta-subnormal': (
+        lambda: lap.e_delta(_F1, 3.0, 5e-324, method='quadrature'),
+        'delta'),
+    # numpy's bare LinAlgError
+    'loglog-fit-lengths-differ': (
+        lambda: rg.loglog_fit([1, 2, 3], [1, 2]), 'xs and ys'),
+    # RealFrequency from solve, naming omega
+    'scaling-probe-real-omega': (
+        lambda: rg.norm_scaling_probe(rg.LebesguePair(0.5, 0.5, 2), MAT2,
+                                      'radial', [3 + 0.5j, 3.0],
+                                      sp.Grid(2, 32)), 'omegas'),
 }
 
 

@@ -188,6 +188,20 @@ def test_fractional_laplacian_composition():
     assert np.abs(g1.data - f.data).max() < 1e-11
 
 
+def test_fractional_laplacian_on_a_tiny_period():
+    # |xi| reaches 5e301 on this grid, so |xi|^2 overflows, but |xi|^0.5
+    # is a finite 7e150 and |xi|^2 is not
+    g = sp.Grid(2, 16, 1e-300)
+    f = sp.random_band_limited(g, 1, np.random.default_rng(3), kmax=8)
+    c, xi = sp._modes(f)
+    k = np.rint(xi / (sp.TAU / g.length))
+    want = (sp.TAU / g.length) ** 0.5 * np.sqrt((k * k).sum(1)) ** 0.5 * c
+    got = sp._modes(sp.fractional_laplacian(f, 0.5))[0]
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    with pytest.raises(InvalidArgument, match='s = 2'):
+        sp.fractional_laplacian(f, 2)
+
+
 def test_fractional_laplacian_mean_guard():
     g = sp.Grid(2, 16)
     f = sp.scalar_field(g, np.ones((16, 16)))
@@ -597,7 +611,7 @@ def test_field_data_needs_the_grid_shape_and_finite_values():
             sp.Field(g, data)
 
 
-@pytest.mark.parametrize('p', [0.5, 0.0, -1.0, np.nan])
+@pytest.mark.parametrize('p', [0.5, 0.0, -1.0, np.nan, -np.inf])
 def test_lebesgue_norm_needs_p_at_least_one(p):
     f = sp.random_band_limited(sp.Grid(2, 8), 1, RNG)
     with pytest.raises(InvalidArgument, match='p must be >= 1'):
